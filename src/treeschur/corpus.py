@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .spherical import spherical_symbol
@@ -18,14 +16,11 @@ from .symbols import (
 
 
 def _damped_oscillation() -> RadialSymbol:
-    def fn(n: int) -> complex:
-        return 0.7 ** n * math.cos(2.0 * n)
-
     def values_fn(count: int) -> np.ndarray:
         n = np.arange(count)
-        return (0.7 ** n * np.cos(2.0 * n)).astype(complex)
+        return 0.7 ** n * np.cos(2.0 * n)
 
-    return RadialSymbol(fn=fn, tail=Geometric(ratio=0.7, bound=1.0), name="damped-oscillation", values_fn=values_fn)
+    return RadialSymbol(tail=Geometric(ratio=0.7, bound=1.0), name="damped-oscillation", values_fn=values_fn)
 
 
 def trace_class_corpus() -> list[RadialSymbol]:

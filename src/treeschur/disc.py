@@ -23,13 +23,10 @@ from .errors import NoConvergence, UndeclaredTail
 from .spectral import DEFAULT_TOL, trace_norm
 from .symbols import (
     INF,
-    FiniteSupport,
-    Geometric,
     HankelMatrix,
-    ParityLimit,
     RadialSymbol,
-    _effective_geometric,
-    _unwrap_parity,
+    _Envelope,
+    _weighted_tail,
     check_degree,
     schur_norm,
 )
@@ -66,22 +63,16 @@ def gamma_convolution_check(n: int) -> bool:
 
 def difference_sequence(sym: RadialSymbol) -> RadialSymbol:
     """c_n = phi(n) - phi(n+2); parity layers cancel, tails transform."""
-    fn, tail = _unwrap_parity(sym.fn, sym.tail)
-    if isinstance(tail, Geometric):
-        r, c = _effective_geometric(fn, tail)
-        new_tail = Geometric(ratio=r, bound=c * (1.0 + r * r) * (1 + 1e-12))
-    elif isinstance(tail, FiniteSupport):
-        new_tail = FiniteSupport(tail.end)
-    else:
-        raise UndeclaredTail("difference sequence needs a Geometric or FiniteSupport tail")
+    env = sym._env
+    if env is None:
+        raise UndeclaredTail("difference sequence needs a certified tail")
 
-    def values_fn(count, _s=sym):
-        vals = _s.values(count + 2)
+    def values_fn(count):
+        vals = sym.values(count + 2)
         return vals[:count] - vals[2:]
 
     return RadialSymbol(
-        fn=lambda n: fn(n) - fn(n + 2),
-        tail=new_tail,
+        tail=_Envelope(0j, 0j, values_fn(len(env.head)), env.c * (1.0 + env.r * env.r), env.r),
         name=f"diff[{sym.name}]" if sym.name else "",
         values_fn=values_fn,
     )
@@ -121,25 +112,19 @@ class AnalyticDiscFunction:
 
 def g_from_symbol(coeff_seq: RadialSymbol, extra_terms: int = 32) -> AnalyticDiscFunction:
     """g_n = (n+1)(n+2) c_n from a tail-certified coefficient sequence."""
-    fn, tail = _unwrap_parity(coeff_seq.fn, coeff_seq.tail)
-    if isinstance(tail, FiniteSupport):
-        m = tail.end
-        ratio, bound = 0.0, 0.0
-    elif isinstance(tail, Geometric):
-        ratio, bound = _effective_geometric(fn, tail)
-        if ratio == 0.0:
-            m, bound = max(tail.onset, 1), 0.0
-        else:
-            # cut where the coefficient bound alone drops below 1e-22
-            m = 64
-            while bound * (m + 1) * (m + 2) * ratio ** m > 1e-22 and m < 200_000:
-                m *= 2
-            m += extra_terms
-    else:
-        raise UndeclaredTail("g requires a Geometric or FiniteSupport coefficient tail")
+    env = coeff_seq._env
+    if env is None or abs(env.c_plus) + abs(env.c_minus) > 0:
+        raise UndeclaredTail("g requires a certified coefficient tail that decays to 0")
+    m = len(env.head)
+    if env.c > 0.0:
+        # cut where the coefficient bound alone drops below 1e-22
+        m = max(m, 64)
+        while env.c * (m + 1) * (m + 2) * env.r ** m > 1e-22 and m < 200_000:
+            m *= 2
+        m += extra_terms
     n = np.arange(m)
     coeffs = (n + 1.0) * (n + 2.0) * coeff_seq.values(m)
-    return AnalyticDiscFunction(coeffs=coeffs, tail_ratio=ratio, tail_bound=bound)
+    return AnalyticDiscFunction(coeffs=coeffs, tail_ratio=env.r, tail_bound=env.c)
 
 
 # ---------------------------------------------------------------------------
@@ -240,32 +225,13 @@ def coeff_hankel(coeff_seq: RadialSymbol, n: int) -> HankelMatrix:
     """Plain coefficient Hankel window h[i,j] = c_{i+j} with its tail bound."""
     if n < 1:
         raise ValueError("truncation size must be >= 1")
-    probe = coeff_seq.tail
-    while isinstance(probe, ParityLimit):
-        if abs(probe.c_plus) + abs(probe.c_minus) > 0:
-            raise UndeclaredTail(
-                "a nonzero parity part makes the plain coefficient Hankel non-trace-class"
-            )
-        probe = probe.rest
+    env = coeff_seq._env
+    if env is not None and abs(env.c_plus) + abs(env.c_minus) > 0:
+        raise UndeclaredTail("a nonzero parity part makes the plain coefficient Hankel non-trace-class")
     vals = coeff_seq.values(2 * n - 1)
     idx = np.add.outer(np.arange(n), np.arange(n))
     entries = vals[idx]
-    fn, tail = _unwrap_parity(coeff_seq.fn, coeff_seq.tail)
-    if isinstance(tail, FiniteSupport):
-        if n >= tail.end:
-            bound = 0.0
-        else:
-            c_abs = np.abs(np.array([fn(k) for k in range(tail.end)]))
-            m = np.arange(len(c_abs), dtype=float)
-            bound = float(np.sum((m[n:] + 1.0) * c_abs[n:]))
-    elif isinstance(tail, Geometric) and tail.ratio > 0.0:
-        r, c = _effective_geometric(fn, tail)
-        one_minus = 1.0 - r
-        bound = c * r ** n * ((n + 1) * one_minus + r) / (one_minus * one_minus)
-    elif isinstance(tail, Geometric):
-        bound = 0.0
-    else:
-        bound = math.inf
+    bound = INF if env is None else _weighted_tail(np.abs(env.head), env.c, env.r, n)
     return HankelMatrix(n=n, entries=entries, tail_bound=bound)
 
 

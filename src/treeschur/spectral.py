@@ -66,7 +66,7 @@ def singular_values(m, tol: float = DEFAULT_TOL, compute_residual: bool = True) 
         raise NoConvergence(f"SVD did not converge: {exc}") from exc
     s = np.maximum(s, 0.0)
     scale = max(1.0, float(s[0]) if s.size else 0.0)
-    if residual > 64.0 * max(tol, np.finfo(float).eps * scale) * scale * math.sqrt(n):
+    if compute_residual and residual > 64.0 * max(tol, np.finfo(float).eps * scale) * scale * math.sqrt(n):
         raise NoConvergence(f"SVD residual {residual:.3e} above tolerance at n={n}")
     return SingularSpectrum(values=s, residual=residual)
 

@@ -152,14 +152,11 @@ def spherical_symbol(q, s: complex | None = None, z: complex | None = None) -> R
     else:
         tail = Undeclared()
 
-    def fn(n: int, _q=q, _s=s) -> complex:
-        return complex(spherical_values(_q, _s, n + 1)[n])
-
-    def values_fn(count: int, _q=q, _s=s) -> np.ndarray:
-        return spherical_values(_q, _s, count)
-
-    label = f"spherical(q={q}, s={s})"
-    return RadialSymbol(fn=fn, tail=tail, name=label, values_fn=values_fn)
+    return RadialSymbol(
+        tail=tail,
+        name=f"spherical(q={q}, s={s})",
+        values_fn=lambda count: spherical_values(q, s, count),
+    )
 
 
 def schur_norm_in_s(q, s: complex) -> float | None:

@@ -54,6 +54,8 @@ def symbol_from_spec(spec: dict) -> tuple[RadialSymbol, dict]:
     if kind == "explicit":
         values = [parse_complex(v) for v in spec.get("values", [])]
         tail_spec = spec.get("tail", {"type": "finite"})
+        if not isinstance(tail_spec, dict):
+            raise ValueError("'tail' must be an object with a 'type' field")
         ttype = tail_spec.get("type", "finite")
         if ttype == "finite":
             tail = FiniteSupport(len(values))
@@ -61,7 +63,8 @@ def symbol_from_spec(spec: dict) -> tuple[RadialSymbol, dict]:
             tail = Geometric(
                 ratio=float(tail_spec["ratio"]),
                 bound=float(tail_spec["bound"]),
-                onset=int(tail_spec.get("onset", 0)),
+                # phi is 0 past the values, so a later onset declares nothing more
+                onset=min(int(tail_spec.get("onset", 0)), len(values)),
             )
         else:
             raise ValueError(f"unknown tail type {ttype!r}")

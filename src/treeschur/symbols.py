@@ -15,7 +15,8 @@ truncation error driven by a declared tail model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Union
 
 import numpy as np
@@ -47,11 +48,18 @@ def check_degree(q) -> int | float:
 # tail models
 # ---------------------------------------------------------------------------
 
+# a declared tail is checked on the indices onset .. onset + _CHECK_SPAN - 1
+_CHECK_SPAN = 1025
+
+
 @dataclass(frozen=True)
 class FiniteSupport:
     """phi(n) == 0 for all n >= end."""
 
     end: int
+
+    def _normalize(self, values, span):
+        return _checked_envelope(values, self.end, 0.0, 0.0, span)
 
 
 @dataclass(frozen=True)
@@ -62,6 +70,9 @@ class Geometric:
     bound: float
     onset: int = 0
 
+    def _normalize(self, values, span):
+        return _checked_envelope(values, self.onset, self.bound, self.ratio, span)
+
 
 @dataclass(frozen=True)
 class ParityLimit:
@@ -70,6 +81,11 @@ class ParityLimit:
     c_plus: complex
     c_minus: complex
     rest: "TailModel"
+
+    def _normalize(self, values, span):
+        cp, cm = complex(self.c_plus), complex(self.c_minus)
+        env = self.rest._normalize(lambda count: values(count) - cp - cm * _signs(count), span)
+        return None if env is None else env.shifted(cp, cm)
 
 
 @dataclass(frozen=True)
@@ -81,50 +97,80 @@ class LacunarySupport:
     the associated Hankel matrix is not trace class.
     """
 
+    def _normalize(self, values, span):
+        return None
+
 
 @dataclass(frozen=True)
 class Undeclared:
     """No tail information; certified bounds are refused."""
 
+    def _normalize(self, values, span):
+        return None
+
+
+@dataclass(frozen=True, eq=False)
+class _Envelope:
+    """A tail normalized once: phi(n) = c_plus + c_minus*(-1)**n + psi(n) with
+    psi(n) = head[n] exactly for n < len(head) and |psi(n)| <= c * r**n beyond.
+
+    Symbols derived from a checked one carry a transformed envelope as their
+    tail, which is taken as it is.
+    """
+
+    c_plus: complex
+    c_minus: complex
+    head: np.ndarray
+    c: float
+    r: float
+
+    def _normalize(self, values, span):
+        return self
+
+    def shifted(self, d_plus: complex, d_minus: complex) -> "_Envelope":
+        """The envelope of phi + d_plus + d_minus*(-1)**n."""
+        return _Envelope(self.c_plus + d_plus, self.c_minus + d_minus, self.head, self.c, self.r)
+
+    @cached_property
+    def hankel_majorant(self) -> tuple[np.ndarray, float, float]:
+        """|h_m| = |psi(m) - psi(m+2)| <= major[m] for m < len(head), c(1+r^2) r^m beyond."""
+        size = len(self.head)
+        ext = np.concatenate([np.abs(self.head), self.c * self.r ** np.arange(size, size + 2)])
+        major = ext[:-2] + ext[2:]
+        inner = max(size - 2, 0)
+        major[:inner] = np.abs(self.head[:inner] - self.head[2:])
+        return major, self.c * (1.0 + self.r * self.r), self.r
+
 
 TailModel = Union[FiniteSupport, Geometric, ParityLimit, LacunarySupport, Undeclared]
 
-_SPOT_CHECK_OFFSETS = tuple(range(16)) + (
-    20, 26, 34, 44, 57, 74, 96, 125, 162, 211, 274, 356, 463, 602, 782, 1017,
-)
+
+def _signs(count: int) -> np.ndarray:
+    return np.where(np.arange(count) % 2 == 0, 1.0, -1.0)
 
 
-def _unwrap_parity(fn: Callable[[int], complex], tail: TailModel):
-    """Strip ParityLimit layers, returning the vanishing part and its tail."""
-    while isinstance(tail, ParityLimit):
-        cp, cm = complex(tail.c_plus), complex(tail.c_minus)
-        fn = (lambda n, _f=fn, _cp=cp, _cm=cm: _f(n) - _cp - _cm * (-1) ** n)
-        tail = tail.rest
-    return fn, tail
-
-
-def _spot_check_tail(fn, tail: TailModel):
-    """Sample the sequence at 32 indices and verify the declared decay."""
-    fn, tail = _unwrap_parity(fn, tail)
-    if isinstance(tail, Geometric):
-        if not (0.0 <= tail.ratio < 1.0):
-            raise ValueError(f"geometric ratio must lie in [0, 1), got {tail.ratio}")
-        if tail.bound < 0:
-            raise ValueError("geometric bound must be non-negative")
-        # absolute slack absorbs float residue of parity subtraction deep in the tail
-        slack = 1e-9 * max(1.0, tail.bound) + 1e-300
-        for off in _SPOT_CHECK_OFFSETS:
-            n = tail.onset + off
-            cap = tail.bound * tail.ratio ** n
-            if abs(fn(n)) > cap * (1.0 + 1e-9) + slack:
-                raise ValueError(
-                    f"declared geometric tail violated at n={n}: |phi(n)|={abs(fn(n)):.3e} > {cap:.3e}"
-                )
-    elif isinstance(tail, FiniteSupport):
-        for off in _SPOT_CHECK_OFFSETS:
-            n = tail.end + off
-            if abs(fn(n)) > 1e-9:
-                raise ValueError(f"declared finite support violated at n={n}")
+def _checked_envelope(values, onset: int, bound: float, ratio: float, span: int) -> _Envelope:
+    """Check |psi(n)| <= bound * ratio**n on every n in [onset, onset + span)
+    and split off the exact head psi(0 .. onset-1)."""
+    if not 0.0 <= ratio < 1.0:
+        raise ValueError(f"geometric ratio must lie in [0, 1), got {ratio}")
+    if not bound >= 0:
+        raise ValueError("geometric bound must be non-negative")
+    if onset < 0:
+        raise ValueError("tail onset must be >= 0")
+    psi = values(onset + span)
+    cap = bound * ratio ** np.arange(onset, onset + span)
+    # absolute slack absorbs float residue of parity subtraction deep in the tail
+    over = np.abs(psi[onset:]) > cap * (1.0 + 1e-9) + (1e-9 * max(1.0, bound) + 1e-300)
+    if over.any():
+        k = int(np.argmax(over))
+        raise ValueError(
+            f"declared tail violated at n={onset + k}: |phi(n)|={abs(psi[onset + k]):.3e} > {cap[k]:.3e}"
+        )
+    if ratio == 0.0:
+        # bound * 0**n vanishes from n = 1 on: the tail is finite support
+        onset, bound = max(onset, 1), 0.0
+    return _Envelope(0j, 0j, psi[:onset].copy(), float(bound), float(ratio))
 
 
 # ---------------------------------------------------------------------------
@@ -135,22 +181,30 @@ def _spot_check_tail(fn, tail: TailModel):
 class RadialSymbol:
     """A total, deterministic sequence phi: N0 -> C with a declared tail model.
 
-    ``values_fn`` may supply a vectorized evaluation of phi(0..count-1); the
-    scalar ``fn`` is always authoritative.
+    The values come from exactly one generator: ``values_fn(count)`` returns
+    phi(0), ..., phi(count-1) as an array; a scalar ``fn(n)`` is evaluated
+    index by index.  A declared tail is checked at construction on every
+    index from its onset to onset + 1024.
     """
 
-    fn: Callable[[int], complex]
+    fn: Callable[[int], complex] | None = None
     tail: TailModel = Undeclared()
     name: str = ""
     values_fn: Callable[[int], np.ndarray] | None = None
+    _env: _Envelope | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _spot_check_tail(self.fn, self.tail)
+        if (self.fn is None) == (self.values_fn is None):
+            raise ValueError("a radial symbol needs exactly one of fn and values_fn")
+        object.__setattr__(self, "_env", self.tail._normalize(self.values, _CHECK_SPAN))
 
     def eval(self, n: int) -> complex:
         if n < 0:
             raise ValueError("radial symbols are defined on n >= 0")
-        return complex(self.fn(int(n)))
+        n = int(n)
+        if self.fn is not None:
+            return complex(self.fn(n))
+        return complex(self.values(n + 1)[n])
 
     __call__ = eval
 
@@ -158,30 +212,33 @@ class RadialSymbol:
         """phi(0), ..., phi(count-1) as a complex array."""
         if count <= 0:
             return np.zeros(0, dtype=complex)
-        if self.values_fn is not None:
-            vals = np.asarray(self.values_fn(count), dtype=complex)
-            if vals.shape != (count,):
-                raise ValueError("values_fn returned wrong length")
-            return vals
-        return np.array([self.fn(n) for n in range(count)], dtype=complex)
+        if self.values_fn is None:
+            return np.array([self.fn(n) for n in range(count)], dtype=complex)
+        vals = np.asarray(self.values_fn(count), dtype=complex)
+        if vals.shape != (count,):
+            raise ValueError("values_fn returned wrong length")
+        return vals
 
 
 def explicit_symbol(values, tail: TailModel | None = None, name: str = "") -> RadialSymbol:
     """Symbol from an explicit list, zero beyond the list."""
     vals = np.asarray(values, dtype=complex)
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("symbol values must be finite")
     if tail is None:
         tail = FiniteSupport(len(vals))
 
-    def fn(n, _v=vals):
-        return complex(_v[n]) if n < len(_v) else 0.0
-
-    def values_fn(count, _v=vals):
+    def values_fn(count):
         out = np.zeros(count, dtype=complex)
-        take = min(count, len(_v))
-        out[:take] = _v[:take]
+        take = min(count, len(vals))
+        out[:take] = vals[:take]
         return out
 
-    return RadialSymbol(fn=fn, tail=tail, name=name, values_fn=values_fn)
+    sym = RadialSymbol(tail=tail, name=name, values_fn=values_fn)
+    if len(vals) > _CHECK_SPAN:
+        # the declared tail must hold on every stored value, also past the check span
+        tail._normalize(values_fn, len(vals))
+    return sym
 
 
 def power_symbol(s: complex, name: str = "") -> RadialSymbol:
@@ -189,31 +246,27 @@ def power_symbol(s: complex, name: str = "") -> RadialSymbol:
     s = complex(s)
     if abs(s) >= 1:
         raise ValueError("power_symbol requires |s| < 1")
-
-    def values_fn(count, _s=s):
-        return _s ** np.arange(count)
-
     return RadialSymbol(
-        fn=lambda n: s ** n,
         tail=Geometric(ratio=abs(s), bound=1.0),
         name=name or f"power({s})",
-        values_fn=values_fn,
+        values_fn=lambda count: s ** np.arange(count),
     )
+
+
+def _shifted(sym: RadialSymbol, d_plus: complex, d_minus: complex) -> TailModel:
+    """The tail of phi + d_plus + d_minus*(-1)**n, derived from phi's envelope."""
+    if sym._env is None:
+        return ParityLimit(d_plus, d_minus, sym.tail)
+    return sym._env.shifted(d_plus, d_minus)
 
 
 def parity_symbol(c_plus: complex, c_minus: complex, psi: RadialSymbol, name: str = "") -> RadialSymbol:
     """phi(n) = c_plus + c_minus*(-1)**n + psi(n)."""
     cp, cm = complex(c_plus), complex(c_minus)
-
-    def values_fn(count, _psi=psi):
-        signs = np.where(np.arange(count) % 2 == 0, 1.0, -1.0)
-        return cp + cm * signs + _psi.values(count)
-
     return RadialSymbol(
-        fn=lambda n: cp + cm * (-1) ** n + psi.fn(n),
-        tail=ParityLimit(cp, cm, psi.tail),
+        tail=_shifted(psi, cp, cm),
         name=name,
-        values_fn=values_fn,
+        values_fn=lambda count: cp + cm * _signs(count) + psi.values(count),
     )
 
 
@@ -224,19 +277,15 @@ def constant_symbol(c: complex = 1.0) -> RadialSymbol:
 def scale_symbol(sym: RadialSymbol, alpha: complex) -> RadialSymbol:
     """alpha * phi with the tail bound rescaled accordingly."""
     alpha = complex(alpha)
-
-    def scaled_tail(tail):
-        if isinstance(tail, Geometric):
-            return Geometric(ratio=tail.ratio, bound=tail.bound * abs(alpha), onset=tail.onset)
-        if isinstance(tail, ParityLimit):
-            return ParityLimit(tail.c_plus * alpha, tail.c_minus * alpha, scaled_tail(tail.rest))
-        return tail
-
+    env = sym._env
+    if env is None:
+        tail = Undeclared()
+    else:
+        tail = _Envelope(env.c_plus * alpha, env.c_minus * alpha, env.head * alpha, env.c * abs(alpha), env.r)
     return RadialSymbol(
-        fn=lambda n: alpha * sym.fn(n),
-        tail=scaled_tail(sym.tail),
+        tail=tail,
         name=f"{alpha}*{sym.name}" if sym.name else "",
-        values_fn=(lambda count: alpha * sym.values_fn(count)) if sym.values_fn else None,
+        values_fn=lambda count: alpha * sym.values(count),
     )
 
 
@@ -247,12 +296,6 @@ def lacunary_counterexample() -> RadialSymbol:
     Hankel matrix is not trace class, so it is not a Schur multiplier.
     """
 
-    def fn(n: int) -> complex:
-        if n >= 2 and (n & (n - 1)) == 0:
-            k = n.bit_length() - 1
-            return 1.0 / (k * 2.0 ** k)
-        return 0.0
-
     def values_fn(count: int) -> np.ndarray:
         out = np.zeros(count, dtype=complex)
         k = 1
@@ -261,45 +304,31 @@ def lacunary_counterexample() -> RadialSymbol:
             k += 1
         return out
 
-    return RadialSymbol(fn=fn, tail=LacunarySupport(), name="lacunary", values_fn=values_fn)
+    return RadialSymbol(tail=LacunarySupport(), name="lacunary", values_fn=values_fn)
 
 
 # ---------------------------------------------------------------------------
 # certified truncation bounds
 # ---------------------------------------------------------------------------
 
-def _effective_geometric(fn, tail: Geometric) -> tuple[float, float]:
-    """Fold the onset region into the bound so that |phi(n)| <= c * r**n for all n."""
-    r, bound = tail.ratio, tail.bound
-    for n in range(tail.onset):
-        v = abs(fn(n))
-        if v > 0:
-            bound = max(bound, v / r ** n)
-    return r, bound
+def _weighted_tail(major: np.ndarray, c: float, r: float, n: int) -> float:
+    """sum_{m >= n} (m+1) M(m) for M(m) = major[m] below len(major), c r^m beyond."""
+    size = len(major)
+    k = max(n, size)
+    one_minus = 1.0 - r
+    total = c * r ** k * ((k + 1) * one_minus + r) / (one_minus * one_minus)
+    if n < size:
+        m = np.arange(size, dtype=float)
+        total += float(np.sum((m[n:] + 1.0) * major[n:]))
+    return total
 
 
-def _abs_hankel_coeffs(fn, end: int) -> np.ndarray:
-    """|h_m| = |phi(m) - phi(m+2)| for m = 0 .. end-1 (phi finitely supported)."""
-    vals = np.array([fn(n) for n in range(end + 2)], dtype=complex)
-    return np.abs(vals[:-2] - vals[2:])
-
-
-def hankel_tail_bound_ft(fn, tail: TailModel, n: int) -> float:
-    fn, tail = _unwrap_parity(fn, tail)
-    if isinstance(tail, FiniteSupport):
-        if n >= tail.end:
-            return 0.0
-        h = _abs_hankel_coeffs(fn, tail.end)
-        m = np.arange(len(h), dtype=float)
-        return float(np.sum((m[n:] + 1.0) * h[n:]))
-    if isinstance(tail, Geometric):
-        if tail.ratio == 0.0:
-            return hankel_tail_bound_ft(fn, FiniteSupport(max(tail.onset, 1)), n)
-        r, c = _effective_geometric(fn, tail)
-        # sum_{m >= n} (m+1) * c(1+r^2) r^m, closed form
-        one_minus = 1.0 - r
-        return c * (1.0 + r * r) * r ** n * ((n + 1) * one_minus + r) / (one_minus * one_minus)
-    return INF
+def _suffix_sums(major: np.ndarray, c: float, r: float, count: int) -> np.ndarray:
+    """sum_{m >= i} M(m) for i = 0 .. count-1, M as in _weighted_tail."""
+    size = len(major)
+    out = c * r ** np.maximum(np.arange(count), size) / (1.0 - r)
+    out[:size] += np.cumsum(major[::-1])[::-1][:count]
+    return out
 
 
 def hankel_tail_bound(sym: RadialSymbol, n: int) -> float:
@@ -308,7 +337,9 @@ def hankel_tail_bound(sym: RadialSymbol, n: int) -> float:
     Rank-one-per-antidiagonal majorization: the antidiagonal i+j = m has trace
     norm (m+1)|h_m|, and every discarded entry lies on an antidiagonal m >= N.
     """
-    return hankel_tail_bound_ft(sym.fn, sym.tail, n)
+    if sym._env is None:
+        return INF
+    return _weighted_tail(*sym._env.hankel_majorant, n)
 
 
 def resolvent_spill_bound(sym: RadialSymbol, n: int, q: int) -> float:
@@ -320,64 +351,27 @@ def resolvent_spill_bound(sym: RadialSymbol, n: int, q: int) -> float:
 
         spill <= (1-1/q) * sum_{k>=1} q^{-k} * l1(border of width k)
 
-    with the entrywise l1 norm dominating the trace norm.
+    with the entrywise l1 norm dominating the trace norm.  Row i of the window
+    has l1 norm at most sum_{m >= i} |h_m|; a border of width k >= N is the
+    whole window.
     """
-    fn, tail = _unwrap_parity(sym.fn, sym.tail)
-    if isinstance(tail, Geometric) and tail.ratio == 0.0:
-        tail = FiniteSupport(max(tail.onset, 1))
-    if isinstance(tail, FiniteSupport):
-        h = _abs_hankel_coeffs(fn, tail.end)
-        # suffix[i] = sum_{m >= i} |h_m|; row i of the window has l1 <= suffix[i]
-        full_suffix = np.concatenate([np.cumsum(h[::-1])[::-1], [0.0]])
-        suffix = np.zeros(n + 1)
-        take = min(len(full_suffix), n + 1)
-        suffix[:take] = full_suffix[:take]
-        border_cum = np.concatenate([[0.0], np.cumsum(suffix[:n][::-1])])  # width k border row sum
-        full = 2.0 * border_cum[-1]
-        total = 0.0
-        closed = False
-        for k in range(1, n + 1):
-            border = 2.0 * border_cum[min(k, n)]
-            total += q ** (-k) * border
-            if q ** (-k) * full < 1e-22:
-                total += q ** (-k) * full / (q - 1.0)
-                closed = True
-                break
-        if not closed:
-            total += full * q ** float(-n) / (q - 1.0)
-        return (1.0 - 1.0 / q) * total
-    if isinstance(tail, Geometric):
-        r, c = _effective_geometric(fn, tail)
-        k_full = 2.0 * c * (1.0 + r * r) / (1.0 - r) ** 2
-        total = 0.0
-        closed = False
-        for k in range(1, n + 1):
-            total += q ** (-k) * k_full * r ** (n - k)
-            if q ** (-k) * k_full < 1e-22:
-                total += q ** (-k) * k_full / (q - 1.0)
-                closed = True
-                break
-        if not closed:
-            total += k_full * q ** float(-n) / (q - 1.0)
-        return (1.0 - 1.0 / q) * total
-    return INF
+    if sym._env is None:
+        return INF
+    suffix = _suffix_sums(*sym._env.hankel_majorant, n)
+    border = 2.0 * np.cumsum(suffix[::-1])
+    weights = float(q) ** -np.arange(1.0, n + 1.0)
+    total = float(np.dot(weights, border)) + border[-1] * q ** float(-n) / (q - 1.0)
+    return (1.0 - 1.0 / q) * total
 
 
 def _diag_series_tail(sym: RadialSymbol, n: int) -> float:
-    """Bound on the discarded parts of sum h[i,i] and sum h[i+1,i] past the window."""
-    fn, tail = _unwrap_parity(sym.fn, sym.tail)
-    if isinstance(tail, Geometric) and tail.ratio == 0.0:
-        tail = FiniteSupport(max(tail.onset, 1))
-    if isinstance(tail, FiniteSupport):
-        if 2 * n - 1 >= tail.end:
-            return 0.0
-        h = _abs_hankel_coeffs(fn, tail.end)
-        return 2.0 * float(np.sum(h[max(2 * n - 1, 0):]))
-    if isinstance(tail, Geometric):
-        r, c = _effective_geometric(fn, tail)
-        # even series discards m >= 2n, odd series m >= 2n-1
-        return c * (1.0 + r * r) * (r ** (2 * n) + r ** max(2 * n - 1, 0)) / (1.0 - r * r)
-    return INF
+    """Bound on the discarded parts of sum h[i,i] and sum h[i+1,i] past the window:
+    the even series drops h_m for even m >= 2n, the odd one odd m >= 2n-1."""
+    if sym._env is None:
+        return INF
+    major, c, r = sym._env.hankel_majorant
+    start = 2 * n - 1
+    return float(np.sum(major[start:])) + c * r ** max(start, len(major)) / (1.0 - r)
 
 
 # ---------------------------------------------------------------------------
@@ -466,18 +460,16 @@ def extract_parity(sym: RadialSymbol, h: HankelMatrix, tol: float = 1e-9) -> Par
             raise DivergentDiagonals(
                 f"diagonal partial sums fail the Cauchy criterion at tolerance ({tail_err:.3e} > {tol:.1e})"
             )
-    lim_even = sym.eval(0) - diag_sum
-    lim_odd = sym.eval(1) - sub_sum
+    phi = sym.values(2)
+    lim_even = complex(phi[0]) - diag_sum
+    lim_odd = complex(phi[1]) - sub_sum
     c_plus = 0.5 * (lim_even + lim_odd)
     c_minus = 0.5 * (lim_even - lim_odd)
-
-    def psi_fn(k, _s=sym, _cp=c_plus, _cm=c_minus):
-        return _s.fn(k) - _cp - _cm * (-1) ** k
-
-    psi_tail: TailModel = sym.tail.rest if isinstance(sym.tail, ParityLimit) else Undeclared()
-    if isinstance(sym.tail, (Geometric, FiniteSupport)) and abs(c_plus) + abs(c_minus) == 0.0:
-        psi_tail = sym.tail
-    psi = RadialSymbol(fn=psi_fn, tail=psi_tail, name=f"psi[{sym.name}]" if sym.name else "")
+    psi = RadialSymbol(
+        tail=_shifted(sym, -c_plus, -c_minus),
+        name=f"psi[{sym.name}]" if sym.name else "",
+        values_fn=lambda count: sym.values(count) - c_plus - c_minus * _signs(count),
+    )
     return ParityDecomposition(c_plus=c_plus, c_minus=c_minus, psi=psi, certified_error=tail_err)
 
 
@@ -578,35 +570,7 @@ def ma_upper_bound(sym: RadialSymbol) -> float:
     norm; it is finite for the lacunary counterexample even though the Schur
     norm is not.
     """
-    # any nonzero parity limit alone makes the weighted series diverge
-    probe = sym.tail
-    while isinstance(probe, ParityLimit):
-        if abs(probe.c_plus) + abs(probe.c_minus) > 0:
-            raise DivergentSeries("nonzero parity limits make the weighted series diverge")
-        probe = probe.rest
-    fn, tail = _unwrap_parity(sym.fn, sym.tail)
-    if isinstance(tail, Geometric) and tail.ratio == 0.0:
-        tail = FiniteSupport(max(tail.onset, 1))
-    if isinstance(tail, FiniteSupport):
-        vals = np.array([fn(k) for k in range(tail.end)], dtype=complex)
-        w = (np.arange(len(vals)) + 1.0) ** 2
-        return math.sqrt(float(np.sum(w * np.abs(vals) ** 2)))
-    if isinstance(tail, Geometric):
-        r, c = _effective_geometric(fn, tail)
-        x = r * r
-        total = 0.0
-        m = 0
-        while True:
-            total += (m + 1) ** 2 * abs(fn(m)) ** 2
-            m += 1
-            rem = c * c * x ** m * (
-                (m + 1) ** 2 / (1 - x) + 2 * (m + 1) * x / (1 - x) ** 2 + x * (1 + x) / (1 - x) ** 3
-            )
-            if rem <= 5e-13 and m >= 8:
-                return math.sqrt(total)
-            if m > 10_000_000:
-                raise NoConvergence("weighted series did not certify within the term cap")
-    if isinstance(tail, LacunarySupport):
+    if isinstance(sym.tail, LacunarySupport):
         # terms are (1 + 2^-k)^2 / k^2; direct iteration cannot certify 1e-12
         # (the 1/k^2 part converges like 1/K), so split off zeta(2) exactly
         extra = 0.0
@@ -618,7 +582,25 @@ def ma_upper_bound(sym: RadialSymbol) -> float:
                 break
             k += 1
         return math.sqrt(math.pi ** 2 / 6.0 + extra)
-    raise DivergentSeries("tail model does not certify the weighted square series")
+    env = sym._env
+    if env is None:
+        raise DivergentSeries("tail model does not certify the weighted square series")
+    if abs(env.c_plus) + abs(env.c_minus) > 0:
+        raise DivergentSeries("nonzero parity limits make the weighted series diverge")
+    c, x = env.c, env.r * env.r
+
+    def remainder(m):  # c^2 sum_{k >= m} (k+1)^2 x^k
+        return c * c * x ** m * (
+            (m + 1) ** 2 / (1 - x) + 2 * (m + 1) * x / (1 - x) ** 2 + x * (1 + x) / (1 - x) ** 3
+        )
+
+    m = max(len(env.head), 8)
+    while remainder(m) > 5e-13:
+        m *= 2
+        if m > 10_000_000:
+            raise NoConvergence("weighted series did not certify within the term cap")
+    w = (np.arange(m) + 1.0) ** 2
+    return math.sqrt(float(np.sum(w * np.abs(sym.values(m)) ** 2)))
 
 
 def counterexample_block_lower_bound(n: int) -> float:

@@ -1,6 +1,7 @@
 """CLI surface: exit codes, JSON/CSV reports, determinism."""
 
 import json
+import math
 
 import pytest
 
@@ -58,6 +59,29 @@ def test_norm_malformed_input(tmp_path, capsys):
     code, _, err = run_cli(capsys, ["norm", str(path)])
     assert code == 1
     assert "error" in err
+
+
+def test_norm_declared_tail_violation_exits_1(tmp_path, capsys):
+    values = [0.0] * 400
+    values[0], values[300] = 1.0, 0.5
+    spec = write_spec(tmp_path, {"kind": "explicit", "values": values,
+                                 "tail": {"type": "geometric", "ratio": 0.1, "bound": 1.0}})
+    code, out, err = run_cli(capsys, ["norm", spec, "--q", "3"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["norm", "peller"])
+@pytest.mark.parametrize("spec", [
+    {"kind": "explicit", "values": [1.0, 0.5], "tail": [1]},
+    {"kind": "explicit", "values": [1.0, float("nan")]},
+])
+def test_malformed_symbol_spec_one_line_error(tmp_path, capsys, command, spec):
+    code, out, err = run_cli(capsys, [command, write_spec(tmp_path, spec)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_spherical_single_point(capsys):
@@ -129,6 +153,24 @@ def test_peller_command(tmp_path, capsys):
     res = json.loads(out)["results"]
     assert res["holds"] is True
     assert res["trace_norm"] <= res["disc_l1"] + res["certified_error"]
+
+
+def test_peller_ratio_zero_tail(tmp_path, capsys):
+    spec = write_spec(tmp_path, {"kind": "explicit", "values": [1, 0.5, 0.25, 0.125, 0.9],
+                                 "tail": {"type": "geometric", "ratio": 0, "bound": 1, "onset": 5}})
+    code, out, _ = run_cli(capsys, ["peller", spec])
+    assert code == 0
+    res = json.loads(out)["results"]
+    assert res["holds"] is True
+
+
+def test_norm_onset_past_the_values(tmp_path, capsys):
+    # the check and the exact head stop at the stored values
+    spec = write_spec(tmp_path, {"kind": "explicit", "values": [1.0, 0.5],
+                                 "tail": {"type": "geometric", "ratio": 0.5, "bound": 1.0, "onset": 10 ** 12}})
+    code, out, _ = run_cli(capsys, ["norm", spec])
+    assert code == 0
+    assert json.loads(out)["results"]["total"] == pytest.approx(math.sqrt(2.0), abs=1e-8)
 
 
 def test_peller_lacunary_rejected(tmp_path, capsys):

@@ -219,6 +219,20 @@ def test_finite_q_recovery_constant_chain(quad):
         assert rep.upper <= rep.finite_q_constant * norm_q + 1e-6
 
 
+def test_coeff_hankel_ratio_zero_tail_bound_dominates_discarded_part():
+    # Geometric with ratio 0 and onset 8 is finite support from index 8 on
+    from treeschur.symbols import Geometric
+
+    vals = [1.0, 0.5, 0.25, 0.125, 0.9, -0.7, 0.3j, 0.6]
+    sym = explicit_symbol(vals, tail=Geometric(ratio=0.0, bound=1.0, onset=8))
+    h3 = coeff_hankel(sym, 3)
+    full = coeff_hankel(sym, 16).entries
+    padded = np.zeros_like(full)
+    padded[:3, :3] = h3.entries
+    assert trace_norm(full - padded) <= h3.tail_bound + 1e-12
+    assert coeff_hankel(sym, 8).tail_bound == 0.0
+
+
 def test_coeff_hankel_rejects_parity_part():
     sym = parity_symbol(1.0, 0.0, power_symbol(0.5))
     with pytest.raises(UndeclaredTail):

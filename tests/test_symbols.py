@@ -1,9 +1,12 @@
 """Radial symbols, Hankel windows, resolvent, parity limits, Schur norms."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from treeschur.errors import DivergentDiagonals, DivergentSeries, UndeclaredTail
 from treeschur.spectral import trace_norm
@@ -51,6 +54,24 @@ def test_geometric_spot_check_rejects_bad_bound():
 def test_finite_support_spot_check():
     with pytest.raises(ValueError):
         RadialSymbol(fn=lambda n: 1.0, tail=FiniteSupport(3))
+
+
+def test_declared_tail_checked_on_every_stored_value():
+    # a spike far from the onset used to slip between sampled check offsets
+    spike = np.zeros(400)
+    spike[0], spike[300] = 1.0, 0.5
+    with pytest.raises(ValueError, match="n=300"):
+        explicit_symbol(spike, tail=Geometric(ratio=0.1, bound=1.0))
+    # stored values past the onset + 1024 check window are checked too
+    long = np.zeros(2000)
+    long[0], long[1500] = 1.0, 0.5
+    with pytest.raises(ValueError, match="n=1500"):
+        explicit_symbol(long, tail=Geometric(ratio=0.1, bound=1.0))
+
+
+def test_explicit_symbol_rejects_non_finite_values():
+    with pytest.raises(ValueError):
+        explicit_symbol([1.0, float("nan")])
 
 
 def test_explicit_symbol_values():
@@ -313,20 +334,59 @@ def test_hankel_term_at_matches_closed_form():
     assert hankel_term_at(sym, 3, 256) == pytest.approx(schur_norm_in_s(3, 0.4j), abs=1e-6)
 
 
-def test_tail_plus_spill_budget_dominates_window_gap():
+_COMPLEX = st.builds(lambda m, t: m * cmath.exp(1j * t), st.floats(0.0, 2.0), st.floats(0.0, 2.0 * math.pi))
+
+
+@st.composite
+def tail_shapes(draw, scaled=True):
+    """Symbols of every tail shape the envelope merges: finite support,
+    Geometric with onset > 0, Geometric with ratio 0 and onset > 0, parity
+    plus power, and a scaled symbol."""
+    shapes = ["finite", "geometric-onset", "ratio0-onset", "parity-power"] + (["scaled"] if scaled else [])
+    shape = draw(st.sampled_from(shapes))
+    if shape == "scaled":
+        return scale_symbol(draw(tail_shapes(scaled=False)), draw(_COMPLEX))
+    if shape == "finite":
+        return explicit_symbol(draw(st.lists(_COMPLEX, min_size=1, max_size=12)))
+    if shape == "parity-power":
+        return parity_symbol(draw(_COMPLEX), draw(_COMPLEX), power_symbol(0.3 * draw(_COMPLEX)))
+    onset = draw(st.integers(1, 10))
+    head = draw(st.lists(_COMPLEX, min_size=onset, max_size=onset))
+    if shape == "ratio0-onset":
+        return explicit_symbol(head, tail=Geometric(ratio=0.0, bound=1.0, onset=onset))
+    ratio, bound = draw(st.floats(0.1, 0.6)), draw(st.floats(0.1, 2.0))
+    phase = st.floats(0.0, 2.0 * math.pi).map(lambda t: cmath.exp(1j * t))
+    decay = [bound * ratio ** n * draw(st.floats(0.0, 1.0)) * draw(phase) for n in range(onset, onset + 40)]
+    return explicit_symbol(head + decay, tail=Geometric(ratio=ratio, bound=bound, onset=onset))
+
+
+def _spherical(q, s):
+    from treeschur.spherical import spherical_symbol
+
+    return spherical_symbol(q, s=s)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    sym=tail_shapes(),
+    q=st.sampled_from((2, 3, 5)),
+    ns=st.lists(st.sampled_from((2, 4, 8, 16, 32)), min_size=1, max_size=3, unique=True),
+    big=st.just(128),
+)
+@example(sym=_spherical(3, 0.4j), q=3, ns=[48, 64, 96], big=640)
+@example(sym=_spherical(2, 0.2j), q=2, ns=[48, 64, 96], big=640)
+@example(sym=_spherical(5, -0.5 + 0.2j), q=5, ns=[48, 64, 96], big=640)
+def test_tail_plus_spill_budget_dominates_window_gap(sym, q, ns, big):
     # the certified budget (Hankel tail + resolvent spill) must dominate the
     # true window-to-window change in the resolvent trace norm, up to the
     # spectral accuracy term tol*n that schur_norm accounts separately
-    from treeschur.spherical import spherical_symbol
     from treeschur.symbols import hankel_tail_bound, resolvent_spill_bound
 
-    for q, s in ((3, 0.4j), (2, 0.2j), (5, -0.5 + 0.2j)):
-        sym = spherical_symbol(q, s=s)
-        t_big = trace_norm(apply_resolvent(build_hankel(sym, 640), q))
-        for n in (48, 64, 96):
-            t_n = trace_norm(apply_resolvent(build_hankel(sym, n), q))
-            budget = hankel_tail_bound(sym, n) + resolvent_spill_bound(sym, n, q)
-            assert abs(t_big - t_n) <= budget + 1e-12 * n, (q, s, n)
+    t_big = trace_norm(apply_resolvent(build_hankel(sym, big), q))
+    for n in ns:
+        t_n = trace_norm(apply_resolvent(build_hankel(sym, n), q))
+        budget = hankel_tail_bound(sym, n) + resolvent_spill_bound(sym, n, q)
+        assert abs(t_big - t_n) <= budget + 1e-12 * n, (q, n)
 
 
 def test_resolvent_trace_norm_sandwich_on_random_windows():
