@@ -63,8 +63,7 @@ def symbol_from_spec(spec: dict) -> tuple[RadialSymbol, dict]:
             tail = Geometric(
                 ratio=float(tail_spec["ratio"]),
                 bound=float(tail_spec["bound"]),
-                # phi is 0 past the values, so a later onset declares nothing more
-                onset=min(int(tail_spec.get("onset", 0)), len(values)),
+                onset=int(tail_spec.get("onset", 0)),
             )
         else:
             raise ValueError(f"unknown tail type {ttype!r}")

@@ -310,13 +310,6 @@ def build_certificate(
     )
 
 
-def _orbit_nodes(tree: FiniteTreeBall, x: int, length: int) -> list[int]:
-    out = [x]
-    for _ in range(length - 1):
-        out.append(tree.climb_step(out[-1]))
-    return out
-
-
 def reconstruct_kernel(cert: FactorizationCertificate, tree: FiniteTreeBall, x: int, y: int) -> complex:
     """c+ + c-(-1)^d + sum_{i,j} G(c^i(x), c^j(y)) weights[i, j].
 
@@ -324,8 +317,8 @@ def reconstruct_kernel(cert: FactorizationCertificate, tree: FiniteTreeBall, x: 
     indicator for infinite-degree ones (then any finite-q ball works, since
     only chain equality matters).  Nonzero Gram values require the orbits to
     have merged, which pins i - j = m - n; the band is still evaluated through
-    honest node-level Gram calls (see ``reconstruct_kernel_dense`` for the
-    unconditioned double sum used in tests).
+    honest node-level Gram calls.  The tests compare it against the full
+    double sum over all (i, j).
     """
     if cert.gram_mode == "delta_prime" and tree.q != cert.q:
         raise ValueError("certificate degree does not match the ball degree")
@@ -353,27 +346,6 @@ def reconstruct_kernel(cert: FactorizationCertificate, tree: FiniteTreeBall, x: 
         if i < size and j < size:
             node_x = tree.climb_step(node_x)
             node_y = tree.climb_step(node_y)
-    return complex(total)
-
-
-def reconstruct_kernel_dense(cert: FactorizationCertificate, tree: FiniteTreeBall, x: int, y: int) -> complex:
-    """Full double sum over all (i, j) with node-level Gram calls; O(N^2)."""
-    if cert.gram_mode == "delta_prime" and tree.q != cert.q:
-        raise ValueError("certificate degree does not match the ball degree")
-    size = cert.weights.shape[0]
-    ox = _orbit_nodes(tree, x, size)
-    oy = _orbit_nodes(tree, y, size)
-    d = tree.distance(x, y)
-    total = cert.c_plus + cert.c_minus * (-1) ** d
-    plain = cert.gram_mode == "delta_plain"
-    for i in range(size):
-        for j in range(size):
-            if plain:
-                g = 1.0 if ox[i] == oy[j] else 0.0
-            else:
-                g = deltaprime_gram(tree, ox[i], oy[j])
-            if g != 0.0:
-                total += g * cert.weights[i, j]
     return complex(total)
 
 

@@ -14,16 +14,7 @@ import pytest
 
 from treeschur.cli import main as cli_main
 from treeschur.corpus import trace_class_corpus
-from treeschur.disc import (
-    PolarQuadrature,
-    coeff_hankel,
-    difference_sequence,
-    g_from_symbol,
-    gamma_convolution_check,
-    moments_from_g,
-    peller_sandwich,
-)
-from treeschur.padics import PMatrix2, correspondence_check, lattice_distance
+from treeschur.disc import PolarQuadrature
 from treeschur.spherical import (
     axis_ratio,
     eigenvalue_from_z,
@@ -41,14 +32,21 @@ from treeschur.symbols import (
     lacunary_counterexample,
     ma_upper_bound,
     schur_norm,
-    subtree_sandwich_check,
 )
-from treeschur.tree import (
-    build_ball,
-    build_certificate,
-    empirical_schur_lower_bound,
-    reconstruction_max_error,
-    smn_entry,
+from treeschur.tree import smn_entry
+from treeschur.verify import (
+    RECONSTRUCTION_CASES,
+    SANDWICH_POINTS,
+    check_chain_powers,
+    check_elementary_divisors,
+    check_gamma_convolution,
+    check_group_tree_correspondence,
+    check_kernel_reconstruction,
+    check_left_invariance,
+    check_moment_round_trip,
+    check_sampled_lower_bound,
+    check_subtree_sandwich,
+    check_trace_norm_sandwich,
 )
 
 
@@ -122,18 +120,8 @@ def test_criterion_04_z_parametrization_identity():
 
 
 def test_criterion_05_kernel_reconstruction():
-    # s = 0.4i is not a multiplier at q=2 (3^2 * 0.16 >= 1), and at q=3 its
-    # decay rate |a| = 0.9026 caps the N=64 reconstruction near 3e-6, so the
-    # check runs at s = 0.2i for q=2 and truncation 128 (see decisions ledger).
     t0 = time.perf_counter()
-    n = 128
-    worst = 0.0
-    for q, s in ((2, 0.2j), (3, 0.4j)):
-        sym = spherical_symbol(q, s=s)
-        cert = build_certificate(sym, q, n)
-        ball = build_ball(q, 4, chain_extra=n + 1)
-        err = reconstruction_max_error(cert, ball, sym)
-        worst = max(worst, err)
+    worst = max(check_kernel_reconstruction(q, s, radius=4).max_err for q, s in RECONSTRUCTION_CASES)
     assert worst <= 1e-8
     elapsed = time.perf_counter() - t0
     assert elapsed <= 120.0
@@ -141,47 +129,26 @@ def test_criterion_05_kernel_reconstruction():
 
 
 def test_criterion_06_empirical_lower_bound():
-    worst_gap = -math.inf
-    for k, sym in enumerate(trace_class_corpus()):
-        ball = build_ball(3, 3, chain_extra=4)
-        bound = empirical_schur_lower_bound(sym, ball, trials=50, seed=600 + k)
-        rep = schur_norm(sym, 3, target_err=1e-9)
-        gap = bound - rep.total
-        worst_gap = max(worst_gap, gap)
-        assert gap <= 1e-9, sym.name
-    print(f"criterion 06 PASS sampled lower bound: worst gap={worst_gap:.2e}")
+    cases = [(sym, 600 + k) for k, sym in enumerate(trace_class_corpus())]
+    res = check_sampled_lower_bound(cases, q=3, trials=50, target_err=1e-9)
+    assert res.passed, res.detail
+    print(f"criterion 06 PASS sampled lower bound: worst gap={res.max_err:.2e}")
 
 
 def test_criterion_07_trace_norm_disc_sandwich():
-    from treeschur.symbols import power_symbol, scale_symbol
-
-    quad = PolarQuadrature()
-    for s in (0.3, 0.5, 0.8 * cmath.exp(1j * math.pi / 5)):
-        coeffs = scale_symbol(power_symbol(s), 1.0 - s * s)
-        rep = peller_sandwich(coeff_hankel(coeffs, 96), g_from_symbol(coeffs), quad, target_err=1e-6)
-        assert rep.holds, s
-        assert rep.slack <= 1e-4, s
-        assert rep.lhs - rep.slack <= rep.mid <= (8.0 / math.pi) * rep.lhs + (8.0 / math.pi) * rep.slack
+    assert check_trace_norm_sandwich(SANDWICH_POINTS, PolarQuadrature()).passed
     print("criterion 07 PASS trace-norm/disc-integral sandwich at certified error <= 1e-4")
 
 
 def test_criterion_08_moment_round_trip():
     quad = PolarQuadrature(n_r=160, n_theta=1024)
-    worst = 0.0
-    for sym in trace_class_corpus():
-        h = build_hankel(sym, 6)
-        mom = moments_from_g(g_from_symbol(difference_sequence(sym)), quad, 10)
-        for i in range(6):
-            for j in range(6):
-                if i + j <= 10:
-                    worst = max(worst, abs(h.entries[i, j] - mom[i + j]))
+    worst = check_moment_round_trip(trace_class_corpus(), quad).max_err
     assert worst <= 1e-8
     print(f"criterion 08 PASS moment round trip: max|delta|={worst:.2e}")
 
 
 def test_criterion_09_gamma_identities():
-    for n in range(51):
-        assert gamma_convolution_check(n)
+    assert check_gamma_convolution(50).passed
     print("criterion 09 PASS gamma convolution identity for n <= 50")
 
 
@@ -206,57 +173,28 @@ def test_criterion_10_lacunary_counterexample(tmp_path, capsys):
 
 
 def test_criterion_11_subtree_sandwich():
-    worst = -math.inf
-    for sym in trace_class_corpus():
-        for q in (2, 3):
-            rep = subtree_sandwich_check(sym, q, target_err=1e-7)
-            low_slack = (q - 1.0) / (q + 1.0) * rep.norm_inf - rep.norm_q
-            high_slack = rep.norm_q - rep.norm_inf
-            worst = max(worst, low_slack, high_slack)
-            assert low_slack <= 1e-6, (sym.name, q)
-            assert high_slack <= 1e-6, (sym.name, q)
+    worst = 0.0
+    for q in (2, 3):
+        res = check_subtree_sandwich(trace_class_corpus(), q)
+        assert res.passed, (res.detail, q)
+        worst = max(worst, res.max_err)
     print(f"criterion 11 PASS subtree sandwich: worst slack={worst:.2e}")
 
 
 def test_criterion_12_padic_suite():
     rng = np.random.default_rng(112)
+    assert check_elementary_divisors((2, 3, 5), powers=6).passed
+    assert check_chain_powers((2, 3, 5)).passed
     for q in (2, 3, 5):
-        ident = PMatrix2.from_rationals(q, [[1, 0], [0, 1]])
-        for i in range(6):
-            for j in range(6):
-                mat = PMatrix2.from_rationals(q, [[q ** i, 0], [0, q ** j]])
-                assert lattice_distance(ident, mat) == abs(i - j)
-        y = PMatrix2.from_rationals(q, [[q, 0], [0, 1]])
-        lam = ident
-        for n in range(11):
-            assert lattice_distance(ident, lam) == n
-            lam = lam @ y
-        a = PMatrix2.from_rationals(q, [[q ** 2, 1], [0, 2]])
-        b = PMatrix2.from_rationals(q, [[3, 0], [1, f"1/{q}"]])
-        base = lattice_distance(a, b)
-        for _ in range(10):
-            while True:
-                m = rng.integers(-9, 10, size=4)
-                if m[0] * m[3] - m[1] * m[2] != 0:
-                    break
-            g = PMatrix2.from_rationals(q, [[int(m[0]), int(m[1])], [int(m[2]), int(m[3])]])
-            assert lattice_distance(g @ a, g @ b) == base
-        from fractions import Fraction
-
-        for k in (-2, -1, 1, 2):
-            scale = PMatrix2.from_rationals(q, [[Fraction(q) ** k, 0], [0, Fraction(q) ** k]])
-            assert lattice_distance(a, scale @ b) == base
+        res = check_left_invariance(q, [[q ** 2, 1], [0, 2]], [[3, 0], [1, f"1/{q}"]], rng, draws=10,
+                                    scales=(-2, -1, 1, 2))
+        assert res.passed, q
     print("criterion 12 PASS p-adic lattice suite (elementary divisors, invariance, chain powers)")
 
 
 def test_criterion_13_group_tree_correspondence():
     rng = np.random.default_rng(113)
-    worst = 0.0
-    for q in (2, 3, 5):
-        zs = [complex(rng.uniform(0.05, 0.95), rng.uniform(-2.0, 2.0)) for _ in range(9)]
-        zs.append(0.5 + 1j * math.pi / math.log(q))  # confluent point
-        for z in zs:
-            worst = max(worst, correspondence_check(q, z, 20))
+    worst = check_group_tree_correspondence((2, 3, 5), rng, draws=9, im_span=2.0).max_err
     assert worst <= 1e-9
     print(f"criterion 13 PASS group/tree correspondence: max err={worst:.2e}")
 

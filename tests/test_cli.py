@@ -6,6 +6,7 @@ import math
 import pytest
 
 from treeschur.cli import main
+from treeschur.verify import run_suite
 
 
 def write_spec(tmp_path, obj, name="symbol.json"):
@@ -76,9 +77,20 @@ def test_norm_declared_tail_violation_exits_1(tmp_path, capsys):
 @pytest.mark.parametrize("spec", [
     {"kind": "explicit", "values": [1.0, 0.5], "tail": [1]},
     {"kind": "explicit", "values": [1.0, float("nan")]},
+    {"kind": "explicit", "values": [1.0, 0.5], "tail": {"type": "geometric", "ratio": None, "bound": 1.0}},
+    {"kind": "explicit", "values": 5},
+    {"kind": "spherical", "q": None, "s": 0.4},
 ])
 def test_malformed_symbol_spec_one_line_error(tmp_path, capsys, command, spec):
     code, out, err = run_cli(capsys, [command, write_spec(tmp_path, spec)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("payload", [[1], {"q": 3, "a": 5, "b": [["1", "0"], ["0", "1"]]}])
+def test_padic_distance_malformed_one_line_error(tmp_path, capsys, payload):
+    code, out, err = run_cli(capsys, ["padic-distance", write_spec(tmp_path, payload)])
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
@@ -135,6 +147,13 @@ def test_verify_padic_suite(capsys):
     report = json.loads(out)
     assert report["results"]["passed"] is True
     assert "PASS" in err
+
+
+def test_run_suite_every_suite_passes_and_all_concatenates():
+    reports = [run_suite(name, seed=0) for name in ("tree", "peller", "padic", "sandwich")]
+    assert all(rep.passed for rep in reports)
+    assert run_suite("all", seed=0).checks == [c for rep in reports for c in rep.checks]
+    assert all(type(c.passed) is bool for rep in reports for c in rep.checks)
 
 
 def test_padic_distance(tmp_path, capsys):

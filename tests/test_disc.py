@@ -16,7 +16,6 @@ from treeschur.disc import (
     disc_l1_norm,
     g_from_symbol,
     gamma_coeffs,
-    gamma_convolution_check,
     measure_bound,
     moments_from_g,
     optimal_measure,
@@ -24,7 +23,8 @@ from treeschur.disc import (
 )
 from treeschur.errors import UndeclaredTail
 from treeschur.spectral import trace_norm
-from treeschur.symbols import build_hankel, explicit_symbol, lacunary_counterexample, parity_symbol, power_symbol, scale_symbol
+from treeschur.symbols import explicit_symbol, lacunary_counterexample, parity_symbol, power_symbol, scale_symbol
+from treeschur.verify import check_gamma_convolution, check_moment_round_trip, check_optimal_measure
 
 
 @pytest.fixture(scope="module")
@@ -49,10 +49,7 @@ def test_gamma_values():
 
 
 def test_gamma_convolution():
-    assert gamma_convolution_check(0)
-    assert gamma_convolution_check(2)
-    for n in range(51):
-        assert gamma_convolution_check(n)
+    assert check_gamma_convolution(50).passed
 
 
 def test_quadrature_moment_exactness(quad):
@@ -125,13 +122,8 @@ def test_moments_examples(quad):
 
 def test_moment_round_trip_with_difference_sequence(quad):
     # build_hankel entries equal the recovered moments of g(diff phi)
-    for sym in (power_symbol(0.5), power_symbol(0.37 + 0.4j), parity_symbol(0.3, -0.2, power_symbol(-0.45))):
-        h = build_hankel(sym, 6)
-        mom = moments_from_g(g_from_symbol(difference_sequence(sym)), quad, 10)
-        for i in range(6):
-            for j in range(6):
-                if i + j <= 10:
-                    assert abs(h.entries[i, j] - mom[i + j]) <= 1e-8
+    symbols = (power_symbol(0.5), power_symbol(0.37 + 0.4j), parity_symbol(0.3, -0.2, power_symbol(-0.45)))
+    assert check_moment_round_trip(symbols, quad).max_err <= 1e-8
 
 
 def test_peller_sandwich_cases(quad):
@@ -193,16 +185,9 @@ def test_measure_bound_constant_and_two_atoms():
 
 
 def test_optimal_measure_reproduces_symbol(quad):
-    sym = power_symbol(0.45 - 0.3j)
-    g = g_from_symbol(difference_sequence(sym))
-    mu = optimal_measure(g, quad)
-    vals = sym.values(31)
-    for n in range(31):
-        assert abs(mu.moment(n) - vals[n]) <= 1e-6
-    # the measure's mass is the disc integral, hence within the (8/pi) bound
-    rep = measure_bound(sym, mu, match_tol=1e-6)
-    assert rep.matches
-    assert rep.bound_holds
+    # moments within 1e-6; the measure's mass is the disc integral, hence within the (8/pi) bound
+    res = check_optimal_measure(power_symbol(0.45 - 0.3j), quad)
+    assert res.passed and res.max_err <= 1e-6
 
 
 def test_finite_q_recovery_constant_chain(quad):

@@ -1,8 +1,5 @@
 """p-adic arithmetic, lattice distance, and the group/tree correspondence."""
 
-import math
-from fractions import Fraction
-
 import numpy as np
 import pytest
 
@@ -10,7 +7,6 @@ from treeschur.errors import NotPrime, PrecisionExhausted, ZeroDenominator
 from treeschur.padics import (
     PAdic,
     PMatrix2,
-    correspondence_check,
     is_prime,
     lattice_distance,
     mautner_spherical,
@@ -18,6 +14,7 @@ from treeschur.padics import (
     padic_zero,
 )
 from treeschur.spherical import spherical_values_closed_form
+from treeschur.verify import check_chain_powers, check_group_tree_correspondence, check_left_invariance
 
 
 def rational_pairs(rng, count, span=40):
@@ -137,28 +134,10 @@ def test_lattice_distance_unit_column_transform():
 
 def test_lattice_distance_powers_and_invariance():
     rng = np.random.default_rng(45)
+    assert check_chain_powers((2, 3, 5)).passed
     for q in (2, 3, 5):
-        ident = diag(q, 1, 1)
-        y = diag(q, q, 1)
-        lam = ident
-        for n in range(11):
-            assert lattice_distance(ident, lam) == n
-            lam = lam @ y
-        for _ in range(8):
-            while True:
-                m = rng.integers(-9, 10, size=4)
-                if m[0] * m[3] - m[1] * m[2] != 0:
-                    break
-            g = PMatrix2.from_rationals(q, [[int(m[0]), int(m[1])], [int(m[2]), int(m[3])]])
-            a = diag(q, 9, 2)
-            b = PMatrix2.from_rationals(q, [[3, 1], [0, "1/3"]])
-            base = lattice_distance(a, b)
-            assert lattice_distance(g @ a, g @ b) == base
-            for k in (-2, -1, 1, 2):
-                scaled = PMatrix2.from_rationals(
-                    q, [[Fraction(q) ** k, 0], [0, Fraction(q) ** k]]
-                ) @ b
-                assert lattice_distance(a, scaled) == base
+        res = check_left_invariance(q, [[9, 0], [0, 2]], [[3, 1], [0, "1/3"]], rng, draws=8, scales=(-2, -1, 1, 2))
+        assert res.passed, q
 
 
 def test_singular_matrix_rejected():
@@ -188,13 +167,8 @@ def test_mautner_normalization_and_values():
 
 def test_correspondence_including_confluent():
     rng = np.random.default_rng(46)
-    for q in (2, 3, 5):
-        for _ in range(6):
-            z = complex(rng.uniform(0.05, 0.95), rng.uniform(-1.5, 1.5))
-            assert correspondence_check(q, z, 20) <= 1e-9
-        confluent = 0.5 + 1j * math.pi / math.log(q)
-        assert correspondence_check(q, confluent, 20) <= 1e-9
-        assert correspondence_check(q, 0.5, 20) <= 1e-9
+    res = check_group_tree_correspondence((2, 3, 5), rng, draws=6, im_span=1.5, extra_z=(0.5,))
+    assert res.max_err <= 1e-9
 
 
 def test_precision_exhausted_on_uncertain_zero():

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -72,6 +73,19 @@ def test_declared_tail_checked_on_every_stored_value():
 def test_explicit_symbol_rejects_non_finite_values():
     with pytest.raises(ValueError):
         explicit_symbol([1.0, float("nan")])
+
+
+def test_explicit_symbol_memory_does_not_grow_with_declared_onset():
+    # phi is 0 past the stored values, so the onset is clamped to their count;
+    # an onset-sized exact head would hold 2e6 complex values (32 MB)
+    tracemalloc.start()
+    try:
+        sym = explicit_symbol([1, 0.5], tail=Geometric(0.5, 1.0, onset=2_000_000))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert sym.tail.onset == 2
 
 
 def test_explicit_symbol_values():

@@ -13,11 +13,30 @@ from treeschur.tree import (
     empirical_schur_lower_bound,
     meeting_indices,
     reconstruct_kernel,
-    reconstruct_kernel_dense,
     reconstruction_max_error,
     smn_entry,
     umn_entry,
 )
+from treeschur.verify import check_chain_gram, check_meeting_indices
+
+
+def reconstruct_kernel_dense(cert, tree, x, y):
+    """Reference for ``reconstruct_kernel``: the full double sum over all (i, j)
+    with node-level Gram calls, O(N^2)."""
+    size = cert.weights.shape[0]
+    ox, oy = [x], [y]
+    for _ in range(size - 1):
+        ox.append(tree.climb_step(ox[-1]))
+        oy.append(tree.climb_step(oy[-1]))
+    total = cert.c_plus + cert.c_minus * (-1) ** tree.distance(x, y)
+    for i in range(size):
+        for j in range(size):
+            if cert.gram_mode == "delta_plain":
+                g = 1.0 if ox[i] == oy[j] else 0.0
+            else:
+                g = deltaprime_gram(tree, ox[i], oy[j])
+            total += g * cert.weights[i, j]
+    return complex(total)
 
 
 def test_ball_node_counts():
@@ -60,13 +79,8 @@ def test_meeting_indices_examples():
 
 
 def test_meeting_symmetry_and_distance_consistency():
-    tree = build_ball(2, 3, chain_extra=4)
-    m_arr, n_arr = tree.all_pairs_meeting()
-    v = tree.n_ball
-    for x in range(v):
-        for y in range(v):
-            assert m_arr[x, y] == n_arr[y, x]
-            assert m_arr[x, y] + n_arr[x, y] == tree.distance(x, y)
+    res = check_meeting_indices(build_ball(2, 3, chain_extra=4))
+    assert res.passed and res.max_err == 0
 
 
 def test_deltaprime_gram_cases():
@@ -102,18 +116,7 @@ def test_gram_agreement_with_smn():
     tree = build_ball(3, 3, chain_extra=9)
     rng = np.random.default_rng(31)
     nodes = rng.choice(tree.n_ball, size=12, replace=False)
-    for x in nodes:
-        for y in nodes:
-            m, n = meeting_indices(tree, int(x), int(y))
-            ox, oy = int(x), int(y)
-            for i in range(5):
-                node_y = int(y)
-                for j in range(5):
-                    want = smn_entry(3, m, n, i, j)
-                    got = deltaprime_gram(tree, ox, node_y)
-                    assert got == want, (x, y, i, j)
-                    node_y = tree.climb_step(node_y)
-                ox = tree.climb_step(ox)
+    assert check_chain_gram(tree, nodes).max_err == 0.0
 
 
 def test_umn_entries():
