@@ -97,17 +97,13 @@ def _read_json_input(path: str):
     return json.loads(text)
 
 
+# what reading and parsing a malformed input raises; computation stays outside
 _MALFORMED = (TreeSchurError, ValueError, KeyError, TypeError, json.JSONDecodeError, OSError)
 
 
-def _load_input(path: str, prepare):
-    """``prepare`` applied to the JSON input at ``path``, or None after a
-    one-line error on stderr if the input is malformed."""
-    try:
-        return prepare(_read_json_input(path))
-    except _MALFORMED as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None
+def _read_symbol(path: str):
+    """The symbol and its echo from the JSON spec at ``path``."""
+    return symbol_from_spec(_read_json_input(path))
 
 
 def _report(command: str, inputs: dict, results: dict, t0: float) -> dict:
@@ -126,17 +122,17 @@ def _report(command: str, inputs: dict, results: dict, t0: float) -> dict:
 
 def cmd_norm(args) -> int:
     t0 = time.perf_counter()
-
-    def prepare(spec):
-        sym, echo = symbol_from_spec(spec)
+    try:
+        sym, echo = _read_symbol(args.symbol)
         if args.q is not None:
-            return sym, echo, parse_degree(args.q)
-        return sym, echo, parse_degree(echo["q"]) if echo.get("kind") == "spherical" else INF
-
-    loaded = _load_input(args.symbol, prepare)
-    if loaded is None:
+            q = parse_degree(args.q)
+        elif echo.get("kind") == "spherical":
+            q = parse_degree(echo["q"])
+        else:
+            q = INF
+    except _MALFORMED as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    sym, echo, q = loaded
     inputs = {"symbol": echo, "q": "inf" if q == INF else q, "target_err": args.err}
     try:
         rep = schur_norm(sym, q, target_err=args.err)
@@ -243,17 +239,19 @@ def cmd_verify(args) -> int:
 
 def cmd_padic_distance(args) -> int:
     t0 = time.perf_counter()
-
-    def prepare(payload):
+    try:
+        payload = _read_json_input(args.input)
         q = int(payload["q"])
         a = PMatrix2.from_rationals(q, payload["a"], prec=int(payload.get("precision", 64)))
         b = PMatrix2.from_rationals(q, payload["b"], prec=int(payload.get("precision", 64)))
-        return q, lattice_distance(a, b)
-
-    loaded = _load_input(args.input, prepare)
-    if loaded is None:
+    except _MALFORMED as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    q, dist = loaded
+    try:
+        dist = lattice_distance(a, b)
+    except (TreeSchurError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     results = {"distance": dist, "certified_error": 0.0}
     _emit(_report("padic-distance", {"q": q}, results, t0), args.out)
     return EXIT_OK
@@ -261,16 +259,17 @@ def cmd_padic_distance(args) -> int:
 
 def cmd_peller(args) -> int:
     t0 = time.perf_counter()
-
-    def prepare(spec):
-        sym, echo = symbol_from_spec(spec)
-        coeffs = difference_sequence(sym)
-        return echo, coeffs, g_from_symbol(coeffs)
-
-    loaded = _load_input(args.symbol, prepare)
-    if loaded is None:
+    try:
+        sym, echo = _read_symbol(args.symbol)
+    except _MALFORMED as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    echo, coeffs, g = loaded
+    try:
+        coeffs = difference_sequence(sym)
+        g = g_from_symbol(coeffs)
+    except (UndeclaredTail, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     try:
         rep = peller_sandwich(coeff_hankel(coeffs, args.n), g, PolarQuadrature(), target_err=args.err)
     except NoConvergence as exc:

@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import NotPrime, PrecisionExhausted, ZeroDenominator
 from .spherical import eigenvalue_from_z, spherical_values, spherical_values_closed_form
 
@@ -306,8 +308,5 @@ def mautner_spherical(q: int, z: complex, n: int) -> complex:
 
 def correspondence_check(q: int, z: complex, n_max: int) -> float:
     """max_{0 <= n <= n_max} | group formula - tree spherical values |."""
-    tree_vals = spherical_values_closed_form(q, z, n_max + 1)
-    worst = 0.0
-    for n in range(n_max + 1):
-        worst = max(worst, abs(mautner_spherical(q, z, n) - tree_vals[n]))
-    return worst
+    group_vals = np.array([mautner_spherical(q, z, n) for n in range(n_max + 1)])
+    return float(np.abs(group_vals - spherical_values_closed_form(q, z, n_max + 1)).max())

@@ -15,7 +15,7 @@ truncation error driven by a declared tail model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Union
 
@@ -225,11 +225,9 @@ def explicit_symbol(values, tail: TailModel | None = None, name: str = "") -> Ra
     vals = np.asarray(values, dtype=complex)
     if not np.all(np.isfinite(vals)):
         raise ValueError("symbol values must be finite")
-    if tail is None:
+    if tail is None or (isinstance(tail, Geometric) and tail.onset > len(vals)):
+        # phi is 0 past the values, so a Geometric onset past them declares nothing more
         tail = FiniteSupport(len(vals))
-    elif isinstance(tail, Geometric) and tail.onset > len(vals):
-        # phi is 0 past the values, so a later onset declares nothing more
-        tail = replace(tail, onset=len(vals))
 
     def values_fn(count):
         out = np.zeros(count, dtype=complex)

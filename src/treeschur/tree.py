@@ -352,13 +352,8 @@ def reconstruct_kernel(cert: FactorizationCertificate, tree: FiniteTreeBall, x: 
 def reconstruction_max_error(cert: FactorizationCertificate, tree: FiniteTreeBall, sym: RadialSymbol) -> float:
     """max over ball pairs of |reconstruct_kernel - phi(d(x, y))|."""
     vals = sym.values(2 * tree.radius + 1)
-    worst = 0.0
-    for x in range(tree.n_ball):
-        for y in range(x, tree.n_ball):
-            got = reconstruct_kernel(cert, tree, x, y)
-            want = vals[tree.distance(x, y)]
-            worst = max(worst, abs(got - want))
-    return worst
+    pairs = ((x, y) for x in range(tree.n_ball) for y in range(x, tree.n_ball))
+    return float(np.max([abs(reconstruct_kernel(cert, tree, x, y) - vals[tree.distance(x, y)]) for x, y in pairs]))
 
 
 # ---------------------------------------------------------------------------

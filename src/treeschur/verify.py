@@ -4,6 +4,8 @@ Each ``check_*`` function is the only implementation of its check: it takes
 the cases to check and returns a ``CheckResult``.  ``run_suite`` calls them on
 small fixed inputs; the acceptance criteria and unit tests call the same
 functions on their own cases and assert on ``passed`` and ``max_err``.
+Float errors are combined with ``np.max``, which, unlike ``max``, keeps a
+NaN, or tested case by case with ``not err <= tol``, so a NaN fails the check.
 """
 
 from __future__ import annotations
@@ -85,7 +87,7 @@ def check_meeting_indices(tree) -> CheckResult:
 
 def check_chain_gram(tree, nodes) -> CheckResult:
     """S_{m,n}[i, j] equals the delta' Gram of c^i(x), c^j(y) exactly, for x, y in ``nodes``, i, j < 5."""
-    worst = 0.0
+    errs = []
     for x in nodes:
         for y in nodes:
             m, n = meeting_indices(tree, int(x), int(y))
@@ -93,9 +95,10 @@ def check_chain_gram(tree, nodes) -> CheckResult:
             for i in range(5):
                 node_y = int(y)
                 for j in range(5):
-                    worst = max(worst, abs(smn_entry(tree.q, m, n, i, j) - deltaprime_gram(tree, node_x, node_y)))
+                    errs.append(abs(smn_entry(tree.q, m, n, i, j) - deltaprime_gram(tree, node_x, node_y)))
                     node_y = tree.climb_step(node_y)
                 node_x = tree.climb_step(node_x)
+    worst = np.max(errs)
     return CheckResult("chain-gram-closed-form", worst == 0.0, worst)
 
 
@@ -142,18 +145,17 @@ def check_trace_norm_sandwich(points, quad) -> CheckResult:
 def check_moment_round_trip(symbols, quad) -> CheckResult:
     """The 6x6 Hankel window of phi equals the moments of g(diff phi), to 1e-8."""
     idx = np.add.outer(np.arange(6), np.arange(6))
-    worst = 0.0
-    for sym in symbols:
-        mom = moments_from_g(g_from_symbol(difference_sequence(sym)), quad, 10)
-        worst = max(worst, np.abs(build_hankel(sym, 6).entries - mom[idx]).max())
+    worst = np.max([
+        np.abs(build_hankel(sym, 6).entries - moments_from_g(g_from_symbol(difference_sequence(sym)), quad, 10)[idx])
+        for sym in symbols
+    ])
     return CheckResult("moment-round-trip", worst <= 1e-8, worst)
 
 
 def check_optimal_measure(sym, quad) -> CheckResult:
     """The optimal measure of g(diff phi) reproduces phi(0..30) to 1e-6 and bounds the norm."""
     mu = optimal_measure(g_from_symbol(difference_sequence(sym)), quad)
-    vals = sym.values(31)
-    worst = max(abs(mu.moment(n) - vals[n]) for n in range(31))
+    worst = np.abs(np.array([mu.moment(n) for n in range(31)]) - sym.values(31)).max()
     rep = measure_bound(sym, mu, match_tol=1e-6)
     return CheckResult("optimal-measure", worst <= 1e-6 and rep.matches and rep.bound_holds, worst)
 
@@ -206,11 +208,11 @@ def check_group_tree_correspondence(qs, rng, draws: int, im_span: float, extra_z
     """The group spherical function matches the tree one to 1e-9, per q at
     ``draws`` random z (Re z in (0.05, 0.95), |Im z| < im_span), then at the
     confluent point 0.5 + i pi / log q, then at each of ``extra_z``."""
-    worst = 0.0
+    errs = []
     for q in qs:
         zs = [complex(rng.uniform(0.05, 0.95), rng.uniform(-im_span, im_span)) for _ in range(draws)]
-        for z in (*zs, 0.5 + 1j * math.pi / math.log(q), *extra_z):
-            worst = max(worst, correspondence_check(q, z, 20))
+        errs.extend(correspondence_check(q, z, 20) for z in (*zs, 0.5 + 1j * math.pi / math.log(q), *extra_z))
+    worst = np.max(errs)
     return CheckResult("group-tree-correspondence", worst <= 1e-9, worst)
 
 

@@ -126,6 +126,14 @@ def test_moment_round_trip_with_difference_sequence(quad):
     assert check_moment_round_trip(symbols, quad).max_err <= 1e-8
 
 
+def test_moment_round_trip_fails_on_nan(quad, monkeypatch):
+    # a NaN moment fails the check instead of dropping out of the maximum
+    monkeypatch.setattr(
+        "treeschur.verify.moments_from_g", lambda *args: np.where(np.arange(11) == 3, np.nan, moments_from_g(*args))
+    )
+    assert not check_moment_round_trip((power_symbol(0.5),), quad).passed
+
+
 def test_peller_sandwich_cases(quad):
     zero = explicit_symbol([])
     rep0 = peller_sandwich(coeff_hankel(zero, 8), g_from_symbol(zero), quad)

@@ -7,6 +7,7 @@ from treeschur.errors import NotPrime, PrecisionExhausted, ZeroDenominator
 from treeschur.padics import (
     PAdic,
     PMatrix2,
+    correspondence_check,
     is_prime,
     lattice_distance,
     mautner_spherical,
@@ -169,6 +170,14 @@ def test_correspondence_including_confluent():
     rng = np.random.default_rng(46)
     res = check_group_tree_correspondence((2, 3, 5), rng, draws=6, im_span=1.5, extra_z=(0.5,))
     assert res.max_err <= 1e-9
+
+
+def test_correspondence_fails_on_nan(monkeypatch):
+    # a NaN at one n or at one z fails the check instead of dropping out of the maximum
+    monkeypatch.setattr("treeschur.padics.mautner_spherical", lambda q, z, n: np.nan if n == 3 else 1.0)
+    assert np.isnan(correspondence_check(3, 0.2, 20))
+    monkeypatch.setattr("treeschur.verify.correspondence_check", lambda q, z, n_max: np.nan if z == 0.5 else 0.0)
+    assert not check_group_tree_correspondence((3,), np.random.default_rng(0), 2, 1.0, extra_z=(0.5,)).passed
 
 
 def test_precision_exhausted_on_uncertain_zero():

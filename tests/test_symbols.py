@@ -76,8 +76,9 @@ def test_explicit_symbol_rejects_non_finite_values():
 
 
 def test_explicit_symbol_memory_does_not_grow_with_declared_onset():
-    # phi is 0 past the stored values, so the onset is clamped to their count;
-    # an onset-sized exact head would hold 2e6 complex values (32 MB)
+    # phi is 0 past the stored values, so a later onset declares nothing more
+    # than finite support; an onset-sized exact head would hold 2e6 complex
+    # values (32 MB)
     tracemalloc.start()
     try:
         sym = explicit_symbol([1, 0.5], tail=Geometric(0.5, 1.0, onset=2_000_000))
@@ -85,7 +86,7 @@ def test_explicit_symbol_memory_does_not_grow_with_declared_onset():
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
-    assert sym.tail.onset == 2
+    assert sym.tail == FiniteSupport(2)
 
 
 def test_explicit_symbol_values():
