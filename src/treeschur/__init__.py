@@ -82,7 +82,7 @@ from .disc import (
     disc_l1_norm,
     g_from_symbol,
     gamma_coeffs,
-    gamma_convolution_check,
+    gamma_convolution_error,
     measure_bound,
     moments_from_g,
     optimal_measure,

@@ -49,12 +49,12 @@ def gamma_coeffs(n: int) -> np.ndarray:
     return out
 
 
-def gamma_convolution_check(n: int) -> bool:
-    """sum_i gamma_i gamma_{n-i} == (n+1)(n+2)/2 to 1e-10 relative."""
+def gamma_convolution_error(n: int) -> float:
+    """Relative error of sum_i gamma_i gamma_{n-i} against (n+1)(n+2)/2."""
     g = gamma_coeffs(n)
     conv = float(np.sum(g * g[::-1]))
     target = (n + 1.0) * (n + 2.0) / 2.0
-    return abs(conv - target) <= 1e-10 * target
+    return abs(conv - target) / target
 
 
 # ---------------------------------------------------------------------------

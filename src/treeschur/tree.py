@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -100,7 +101,6 @@ class FiniteTreeBall:
         self.chain = chain
         self.on_chain = np.zeros(total, dtype=bool)
         self.on_chain[chain] = True
-        self._orbits: list[dict[int, int]] | None = None
 
     # -- basic queries ------------------------------------------------------
 
@@ -111,11 +111,6 @@ class FiniteTreeBall:
                 f"climb map undefined at node {x}: extend the chain (chain_extra too small)"
             )
         return c
-
-    def climb_iter(self, x: int, steps: int) -> int:
-        for _ in range(steps):
-            x = self.climb_step(x)
-        return int(x)
 
     def distance(self, x: int, y: int) -> int:
         """Graph distance via the parent map (independent of the climb map)."""
@@ -135,39 +130,65 @@ class FiniteTreeBall:
             d += 2
         return d
 
-    def _orbit_maps(self) -> list[dict[int, int]]:
-        if self._orbits is None:
-            maps = []
-            for x in range(self.n_nodes):
-                pos: dict[int, int] = {}
-                v, step = x, 0
-                while v >= 0 and v not in pos:
-                    pos[v] = step
-                    v = int(self.climb[v])
-                    step += 1
-                maps.append(pos)
-            self._orbits = maps
-        return self._orbits
+    @cached_property
+    def orbits(self) -> np.ndarray:
+        """Orbit table: orbits[x, i] = c^i(x), and -1 once the orbit has
+        climbed past the stored chain tip; the last column is all -1."""
+        climb = np.append(self.climb, -1)  # index -1 (escaped) stays at -1
+        cols = [np.arange(self.n_nodes)]
+        while cols[-1].max() >= 0:
+            cols.append(climb[cols[-1]])
+        return np.stack(cols, axis=1)
+
+    @cached_property
+    def ancestors(self) -> np.ndarray:
+        """Ancestor table of the parent map: ancestors[x, t] is the ancestor of x
+        at depth t, and -1 for t > depth(x)."""
+        top = int(self.depth.max())
+        parent = np.append(self.tree_parent, -1)
+        nodes = np.arange(self.n_nodes)
+        table = np.full((self.n_nodes, top + 1), -1, dtype=np.int64)
+        table[nodes, self.depth] = nodes
+        for t in range(top, 0, -1):
+            table[:, t - 1] = np.where(table[:, t] >= 0, parent[table[:, t]], table[:, t - 1])
+        return table
+
+    def distances(self, xs, ys) -> np.ndarray:
+        """Graph distances between node arrays (broadcast together) from the
+        parent map: depth(x) + depth(y) - 2 depth(lowest common ancestor)."""
+        dx, dy = self.depth[xs], self.depth[ys]
+        lca = np.zeros(np.broadcast_shapes(dx.shape, dy.shape), dtype=np.int64)
+        for t in range(1, int(np.minimum(dx, dy).max(initial=0)) + 1):
+            a = self.ancestors[xs, t]
+            lca += (a >= 0) & (a == self.ancestors[ys, t])
+        return dx + dy - 2 * lca
+
+    def meeting(self, xs, ys) -> tuple[np.ndarray, np.ndarray]:
+        """Meeting indices (m, n) between node arrays (broadcast together).
+
+        Both orbits run on to the stored chain tip, so m - n is the difference
+        of the orbit lengths; (m, n) is the first position on that diagonal of
+        the orbit table where the two orbits hold the same node.
+        """
+        length = (self.orbits >= 0).sum(axis=1)
+        shift = length[xs] - length[ys]
+        m = np.maximum(shift, 0)
+        n = m - shift
+        while True:
+            apart = self.orbits[xs, m] != self.orbits[ys, n]
+            if not apart.any():
+                return m, n
+            m = m + apart
+            n = n + apart
 
     def all_pairs_meeting(self) -> tuple[np.ndarray, np.ndarray]:
-        """(m, n) for every node pair; m + n is the distance matrix."""
-        orbits = self._orbit_maps()
-        v = self.n_nodes
-        m_arr = np.zeros((v, v), dtype=np.int64)
-        n_arr = np.zeros((v, v), dtype=np.int64)
-        for x in range(v):
-            ox = orbits[x]
-            for y in range(x, v):
-                node, n = y, 0
-                while node not in ox:
-                    node = int(self.climb[node])
-                    if node < 0:
-                        raise OrbitEscapesBall("orbits failed to meet inside storage")
-                    n += 1
-                m = ox[node]
-                m_arr[x, y], n_arr[x, y] = m, n
-                m_arr[y, x], n_arr[y, x] = n, m
-        return m_arr, n_arr
+        """(m, n) for every ordered pair of ball nodes, as n_ball x n_ball arrays.
+
+        Each order is found on its own, so m(x, y) = n(y, x) is a real check.
+        Every ball pair merges within 2R climbs, since m + n = d(x, y) <= 2R.
+        """
+        nodes = np.arange(self.n_ball)
+        return self.meeting(nodes[:, None], nodes[None, :])
 
 
 def build_ball(q: int, radius: int, chain_extra: int = 0, node_cap: int = DEFAULT_NODE_CAP) -> FiniteTreeBall:
@@ -310,50 +331,59 @@ def build_certificate(
     )
 
 
-def reconstruct_kernel(cert: FactorizationCertificate, tree: FiniteTreeBall, x: int, y: int) -> complex:
-    """c+ + c-(-1)^d + sum_{i,j} G(c^i(x), c^j(y)) weights[i, j].
+def kernel_on_pairs(cert: FactorizationCertificate, tree: FiniteTreeBall, xs, ys) -> np.ndarray:
+    """c+ + c-(-1)^d + sum_{i,j} G(c^i(x), c^j(y)) weights[i, j] for every pair (x, y).
 
     G is the delta' Gram for finite-q certificates and the plain equality
     indicator for infinite-degree ones (then any finite-q ball works, since
-    only chain equality matters).  Nonzero Gram values require the orbits to
-    have merged, which pins i - j = m - n; the band is still evaluated through
-    honest node-level Gram calls.  The tests compare it against the full
-    double sum over all (i, j).
+    only chain equality matters).  G(c^i(x), c^j(y)) is nonzero only once the
+    orbits have merged or are one climb from merging, which pins i - j = m - n
+    and i >= m - 1.  So each pair's sum runs along that band only.  The band
+    is walked one offset at a time for all pairs at once, and G is read from
+    node identities in the orbit table: 1 for equal nodes, -1/(q-1) for
+    distinct nodes with the same climb, 0 otherwise.  ``d`` comes from the
+    parent map.  The tests compare it against the full double sum over all
+    (i, j).
     """
     if cert.gram_mode == "delta_prime" and tree.q != cert.q:
         raise ValueError("certificate degree does not match the ball degree")
-    m, n = meeting_indices(tree, x, y)
-    d = tree.distance(x, y)
+    xs, ys = np.asarray(xs), np.asarray(ys)
+    m, n = tree.meeting(xs, ys)
+    total = cert.c_plus + cert.c_minus * np.where(tree.distances(xs, ys) % 2, -1.0, 1.0)
     size = cert.weights.shape[0]
-    total = cert.c_plus + cert.c_minus * (-1) ** d
-    i = max(m - 1, 0)
-    j = i - m + n
-    if j < 0:
-        i += -j
-        j = 0
-    node_x = tree.climb_iter(x, i) if i < size and j < size else None
-    node_y = tree.climb_iter(y, j) if i < size and j < size else None
-    plain = cert.gram_mode == "delta_plain"
-    while i < size and j < size:
-        if plain:
-            g = 1.0 if node_x == node_y else 0.0
-        else:
-            g = deltaprime_gram(tree, node_x, node_y)
-        if g != 0.0:
-            total += g * cert.weights[i, j]
-        i += 1
-        j += 1
-        if i < size and j < size:
-            node_x = tree.climb_step(node_x)
-            node_y = tree.climb_step(node_y)
-    return complex(total)
+    # the band starts at the sibling pair one climb before the merge, if both exist
+    before = np.where(np.minimum(m, n) >= 1, 1, 0)
+    i, j = m - before, n - before
+    last = tree.orbits.shape[1] - 1  # an all -1 column: climbed past the chain tip
+    climb = np.append(tree.climb, -1)
+    sibling = 0.0 if cert.gram_mode == "delta_plain" else -1.0 / (tree.q - 1.0)
+    while True:
+        live = (i < size) & (j < size)
+        if not live.any():
+            return total
+        a = tree.orbits[xs, np.minimum(i, last)]
+        b = tree.orbits[ys, np.minimum(j, last)]
+        if (live & (a < 0)).any():
+            raise OrbitEscapesBall("climb map undefined inside the window: extend the chain (chain_extra too small)")
+        g = np.where(a == b, 1.0, np.where(climb[a] == climb[b], sibling, 0.0))
+        w = cert.weights[np.minimum(i, size - 1), np.minimum(j, size - 1)]
+        total = total + np.where(live, g * w, 0.0)
+        i = i + 1
+        j = j + 1
+
+
+def reconstruct_kernel(cert: FactorizationCertificate, tree: FiniteTreeBall, x: int, y: int) -> complex:
+    """The certificate's kernel at one pair (x, y): ``kernel_on_pairs`` on that pair."""
+    return complex(kernel_on_pairs(cert, tree, [x], [y])[0])
 
 
 def reconstruction_max_error(cert: FactorizationCertificate, tree: FiniteTreeBall, sym: RadialSymbol) -> float:
-    """max over ball pairs of |reconstruct_kernel - phi(d(x, y))|."""
+    """max over ball pairs x <= y of |reconstruct_kernel - phi(d(x, y))|."""
+    xs, ys = np.triu_indices(tree.n_ball)
     vals = sym.values(2 * tree.radius + 1)
-    pairs = ((x, y) for x in range(tree.n_ball) for y in range(x, tree.n_ball))
-    return float(np.max([abs(reconstruct_kernel(cert, tree, x, y) - vals[tree.distance(x, y)]) for x, y in pairs]))
+    diff = kernel_on_pairs(cert, tree, xs, ys) - vals[tree.distances(xs, ys)]
+    # hypot rounds like the scalar abs(); np.abs on a complex array can differ in the last bit
+    return float(np.max(np.hypot(diff.real, diff.imag)))
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +410,6 @@ def empirical_schur_lower_bound(
     """
     v = tree.n_ball
     m_arr, n_arr = tree.all_pairs_meeting()
-    m_arr, n_arr = m_arr[:v, :v], n_arr[:v, :v]
     dist = m_arr + n_arr
     vals = sym.values(int(dist.max()) + 1)
     mult = vals[dist]

@@ -136,8 +136,9 @@ def test_criterion_06_empirical_lower_bound():
 
 
 def test_criterion_07_trace_norm_disc_sandwich():
-    assert check_trace_norm_sandwich(SANDWICH_POINTS, PolarQuadrature()).passed
-    print("criterion 07 PASS trace-norm/disc-integral sandwich at certified error <= 1e-4")
+    res = check_trace_norm_sandwich(SANDWICH_POINTS, PolarQuadrature())
+    assert res.passed
+    print(f"criterion 07 PASS trace-norm/disc-integral sandwich: largest slack={res.max_err:.2e} <= 1e-4")
 
 
 def test_criterion_08_moment_round_trip():
@@ -148,8 +149,9 @@ def test_criterion_08_moment_round_trip():
 
 
 def test_criterion_09_gamma_identities():
-    assert check_gamma_convolution(50).passed
-    print("criterion 09 PASS gamma convolution identity for n <= 50")
+    res = check_gamma_convolution(50)
+    assert res.passed
+    print(f"criterion 09 PASS gamma convolution identity for n <= 50: max rel err={res.max_err:.2e}")
 
 
 def test_criterion_10_lacunary_counterexample(tmp_path, capsys):

@@ -24,7 +24,7 @@ from treeschur.disc import (
 from treeschur.errors import UndeclaredTail
 from treeschur.spectral import trace_norm
 from treeschur.symbols import explicit_symbol, lacunary_counterexample, parity_symbol, power_symbol, scale_symbol
-from treeschur.verify import check_gamma_convolution, check_moment_round_trip, check_optimal_measure
+from treeschur.verify import check_moment_round_trip, check_optimal_measure
 
 
 @pytest.fixture(scope="module")
@@ -46,10 +46,6 @@ def test_gamma_values():
     for n in (5, 17, 40):
         direct = math.gamma(n + 1.5) / (math.gamma(1.5) * math.gamma(n + 1))
         assert gamma_coeffs(n)[n] == pytest.approx(direct, rel=1e-13)
-
-
-def test_gamma_convolution():
-    assert check_gamma_convolution(50).passed
 
 
 def test_quadrature_moment_exactness(quad):

@@ -83,6 +83,40 @@ def test_meeting_symmetry_and_distance_consistency():
     assert res.passed and res.max_err == 0
 
 
+@pytest.mark.parametrize("q, radius, chain_extra", [(2, 3, 4), (3, 2, 3)])
+def test_all_pairs_meeting_matches_scalar(q, radius, chain_extra):
+    tree = build_ball(q, radius, chain_extra=chain_extra)
+    m_arr, n_arr = tree.all_pairs_meeting()
+    assert m_arr.shape == n_arr.shape == (tree.n_ball, tree.n_ball)
+    for x in range(tree.n_ball):
+        for y in range(tree.n_ball):
+            assert (m_arr[x, y], n_arr[x, y]) == meeting_indices(tree, x, y)
+
+
+def test_meeting_check_fails_on_mirrored_wrong_indices(monkeypatch):
+    # m and n swapped above the diagonal and mirrored below: the sums are the
+    # distances and m(x, y) = n(y, x) holds, yet every pair with m != n is wrong
+    tree = build_ball(2, 3, chain_extra=4)
+    m_arr, n_arr = tree.all_pairs_meeting()
+    upper = np.triu(np.ones_like(m_arr, dtype=bool), 1)
+    wrong_m = np.where(upper, n_arr, m_arr.T)
+    wrong_n = np.where(upper, m_arr, n_arr.T)
+    assert np.array_equal(wrong_m, wrong_n.T) and np.array_equal(wrong_m + wrong_n, m_arr + n_arr)
+    assert not np.array_equal(wrong_m, m_arr)
+    monkeypatch.setattr(tree, "all_pairs_meeting", lambda: (wrong_m, wrong_n))
+    assert not check_meeting_indices(tree).passed
+
+
+@pytest.mark.parametrize("q, radius, chain_extra", [(2, 3, 4), (3, 2, 3)])
+def test_distances_match_scalar(q, radius, chain_extra):
+    tree = build_ball(q, radius, chain_extra=chain_extra)
+    nodes = np.arange(tree.n_nodes)
+    dist = tree.distances(nodes[:, None], nodes[None, :])
+    for x in range(tree.n_nodes):
+        for y in range(tree.n_nodes):
+            assert dist[x, y] == tree.distance(x, y)
+
+
 def test_deltaprime_gram_cases():
     tree = build_ball(3, 2, chain_extra=3)
     assert deltaprime_gram(tree, 2, 2) == 1.0
@@ -215,6 +249,32 @@ def test_reconstruction_max_error_within_certificate():
     assert err <= max(cert.certified_error, 1e-12)
 
 
+@pytest.mark.parametrize("sym, cert_q, ball_q", [
+    (spherical_symbol(2, s=0.25 + 0.1j), 2, 2),
+    (spherical_symbol(3, s=0.4j), 3, 3),
+    (power_symbol(0.5), INF, 5),
+    (parity_symbol(2.0, 3.0, power_symbol(0.5)), INF, 2),
+])
+def test_reconstruction_max_error_matches_dense(sym, cert_q, ball_q):
+    n = 24
+    cert = build_certificate(sym, cert_q, n)
+    tree = build_ball(ball_q, 2, chain_extra=n + 1)
+    vals = sym.values(2 * tree.radius + 1)
+    dense = max(
+        abs(reconstruct_kernel_dense(cert, tree, x, y) - vals[tree.distance(x, y)])
+        for x in range(tree.n_ball)
+        for y in range(tree.n_ball)
+    )
+    assert abs(reconstruction_max_error(cert, tree, sym) - dense) <= 1e-13
+
+
+def test_reconstruction_max_error_rejects_degree_mismatch():
+    sym = spherical_symbol(3, s=0.4j)
+    cert = build_certificate(sym, 3, 16)
+    with pytest.raises(ValueError):
+        reconstruction_max_error(cert, build_ball(2, 2, chain_extra=17), sym)
+
+
 def test_certificate_parity_terms():
     sym = parity_symbol(2.0, 3.0, power_symbol(0.5))
     n = 64
@@ -265,3 +325,5 @@ def test_reconstruction_orbit_escape_with_short_chain():
     tree = build_ball(3, 2, chain_extra=3)  # far shorter than the vector length
     with pytest.raises(OrbitEscapesBall):
         reconstruct_kernel(cert, tree, 1, 2)
+    with pytest.raises(OrbitEscapesBall):
+        reconstruction_max_error(cert, tree, spherical_symbol(3, s=0.4j))
