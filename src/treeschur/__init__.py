@@ -15,7 +15,6 @@ from .errors import (
     NonFinite,
     NotPrime,
     OrbitEscapesBall,
-    PrecisionExhausted,
     SizeCap,
     TreeSchurError,
     UndeclaredTail,
@@ -89,12 +88,10 @@ from .disc import (
     peller_sandwich,
 )
 from .padics import (
-    PAdic,
     PMatrix2,
     correspondence_check,
     lattice_distance,
     mautner_spherical,
-    padic_from_rational,
 )
 from .corpus import trace_class_corpus
 from .verify import run_suite

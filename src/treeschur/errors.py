@@ -40,6 +40,3 @@ class NotPrime(TreeSchurError):
 class ZeroDenominator(TreeSchurError):
     """Rational input with denominator zero."""
 
-
-class PrecisionExhausted(TreeSchurError):
-    """Cancellation consumed all certified p-adic digits."""

@@ -1,11 +1,10 @@
-"""Bounded-precision p-adic arithmetic, lattice distance, and Mautner's formula.
+"""Lattice distance over Q_q and Mautner's formula.
 
-Elements of Q_q are stored as q^v * unit with the unit kept modulo q^prec;
-addition tracks the digits lost to cancellation, so valuations (all that the
-lattice distance needs) stay certified.  Classes of 2x2 invertible matrices
-modulo scalars model the vertex set of the degree-(q+1) tree: the distance
-between the lattices spanned by A and B is the gap of the elementary-divisor
-valuations of A^{-1}B, i.e. v(det C) - 2 min_entry_valuation(C).
+The vertices of the degree-(q+1) tree are the homothety classes of lattices
+in Q_q^2; a lattice is spanned by the columns of an invertible 2x2 matrix.
+All the matrices here have rational entries, so the distance between the
+lattices spanned by A and B, v(det C) - 2 min_entry_valuation(C) with
+C = A^{-1}B, is computed exactly from q-adic valuations of rationals.
 
 The spherical function of the projective matrix group appears through its
 explicit bi-invariant formula and coincides with the tree spherical function
@@ -16,14 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
-from .errors import NotPrime, PrecisionExhausted, ZeroDenominator
+from .errors import NotPrime, ZeroDenominator
 from .spherical import eigenvalue_from_z, spherical_values, spherical_values_closed_form
-
-DEFAULT_PRECISION = 64
-_EXACT_ZERO = 10 ** 18  # certainty exponent of an exact zero
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -58,143 +55,26 @@ def check_prime(q: int) -> int:
     return q
 
 
-def _valuation(n: int, q: int) -> int:
-    if n == 0:
-        raise ValueError("valuation of zero")
-    v = 0
-    while n % q == 0:
-        n //= q
+def parse_rational(x) -> Fraction:
+    """An int, Fraction, finite float or "n/d" string as an exact rational."""
+    try:
+        return Fraction(x)
+    except ZeroDivisionError:
+        raise ZeroDenominator(f"rational input {x!r} has denominator zero") from None
+    except OverflowError:
+        raise ValueError(f"rational input {x!r} is not finite") from None
+
+
+def _valuation(x: Fraction, q: int) -> int:
+    """q-adic valuation of a nonzero rational."""
+    num, den, v = x.numerator, x.denominator, 0
+    while num % q == 0:
+        num //= q
         v += 1
+    while den % q == 0:
+        den //= q
+        v -= 1
     return v
-
-
-@dataclass(frozen=True)
-class PAdic:
-    """q^v * unit with unit invertible mod q^prec.
-
-    A zero element has unit == 0; its ``v`` then records the certainty
-    exponent (the value is congruent to 0 mod q^v), which is _EXACT_ZERO for
-    a true zero and finite after full cancellation in an addition.
-    """
-
-    q: int
-    v: int
-    unit: int
-    prec: int
-
-    @property
-    def is_zero(self) -> bool:
-        return self.unit == 0
-
-    def norm(self) -> float:
-        if self.is_zero:
-            return 0.0 if self.v >= _EXACT_ZERO else float(self.q) ** (-self.v)
-        return float(self.q) ** (-self.v)
-
-    def valuation(self):
-        return float("inf") if self.is_zero else self.v
-
-    def digits(self) -> tuple[int, ...]:
-        """Base-q digits of the unit part, least significant first."""
-        out = []
-        u = self.unit
-        for _ in range(self.prec):
-            u, r = divmod(u, self.q)
-            out.append(r)
-        return tuple(out)
-
-    # -- arithmetic ---------------------------------------------------------
-
-    def _check_same_field(self, other: "PAdic"):
-        if self.q != other.q:
-            raise ValueError("operands live over different residue characteristics")
-
-    def __add__(self, other: "PAdic") -> "PAdic":
-        self._check_same_field(other)
-        q = self.q
-        if self.is_zero and other.is_zero:
-            return PAdic(q, min(self.v, other.v), 0, 0)
-        if self.is_zero:
-            # adding certified-zero noise caps the other's absolute certainty
-            cert = min(self.v, other.v + other.prec)
-            if cert <= other.v:
-                raise PrecisionExhausted("zero summand is uncertain at the other operand's scale")
-            return PAdic(q, other.v, other.unit % q ** (cert - other.v), cert - other.v)
-        if other.is_zero:
-            return other.__add__(self)
-        v = min(self.v, other.v)
-        cert = min(self.v + self.prec, other.v + other.prec)
-        rel = cert - v
-        if rel <= 0:
-            raise PrecisionExhausted("operand uncertainties exceed the sum's leading scale")
-        mod = q ** rel
-        t = (self.unit * q ** (self.v - v) + other.unit * q ** (other.v - v)) % mod
-        if t == 0:
-            return PAdic(q, cert, 0, 0)  # cancelled beyond certified digits
-        tv = _valuation(t, q)
-        return PAdic(q, v + tv, (t // q ** tv) % q ** (rel - tv), rel - tv)
-
-    def __neg__(self) -> "PAdic":
-        if self.is_zero:
-            return self
-        return PAdic(self.q, self.v, (-self.unit) % self.q ** self.prec, self.prec)
-
-    def __sub__(self, other: "PAdic") -> "PAdic":
-        return self.__add__(-other)
-
-    def __mul__(self, other: "PAdic") -> "PAdic":
-        self._check_same_field(other)
-        q = self.q
-        if self.is_zero or other.is_zero:
-            # 0 mod q^a times a value of valuation w is 0 mod q^(a+w)
-            certs = []
-            for x, y in ((self, other), (other, self)):
-                if x.is_zero:
-                    certs.append(min(_EXACT_ZERO, x.v + (y.v if not y.is_zero else 0)))
-            return PAdic(q, min(certs), 0, 0)
-        prec = min(self.prec, other.prec)
-        unit = (self.unit * other.unit) % q ** prec
-        return PAdic(q, self.v + other.v, unit, prec)
-
-    def inv(self) -> "PAdic":
-        if self.is_zero:
-            raise ZeroDivisionError("inverting a (certified) zero p-adic element")
-        mod = self.q ** self.prec
-        return PAdic(self.q, -self.v, pow(self.unit, -1, mod), self.prec)
-
-    def congruent(self, other: "PAdic", digits: int | None = None) -> bool:
-        """x == y modulo q^(min certified absolute precision) (or fewer digits)."""
-        self._check_same_field(other)
-        diff = self - other
-        if diff.is_zero:
-            return True
-        if digits is None:
-            return False
-        scale = min(x.v for x in (self, other) if not x.is_zero)
-        return diff.v - scale >= digits
-
-
-def padic_from_rational(q: int, numerator: int, denominator: int = 1, prec: int = DEFAULT_PRECISION) -> PAdic:
-    """Exact embedding of a rational number, digits via modular inversion."""
-    check_prime(q)
-    if denominator == 0:
-        raise ZeroDenominator("rational input with denominator zero")
-    if prec < 1:
-        raise ValueError("precision must be at least one digit")
-    frac = Fraction(numerator, denominator)
-    if frac == 0:
-        return PAdic(q, _EXACT_ZERO, 0, 0)
-    num, den = frac.numerator, frac.denominator
-    vn = _valuation(num, q)
-    vd = _valuation(den, q)
-    mod = q ** prec
-    unit = (num // q ** vn) * pow(den // q ** vd, -1, mod) % mod
-    return PAdic(q, vn - vd, unit, prec)
-
-
-def padic_zero(q: int) -> PAdic:
-    check_prime(q)
-    return PAdic(q, _EXACT_ZERO, 0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -203,77 +83,62 @@ def padic_zero(q: int) -> PAdic:
 
 @dataclass(frozen=True)
 class PMatrix2:
-    """Invertible 2x2 matrix over Q_q with its determinant cached."""
+    """Invertible rational 2x2 matrix [[a, b], [c, d]] read over Q_q."""
 
-    a: PAdic
-    b: PAdic
-    c: PAdic
-    d: PAdic
+    q: int
+    a: Fraction
+    b: Fraction
+    c: Fraction
+    d: Fraction
 
     def __post_init__(self):
-        det = self.a * self.d - self.b * self.c
-        if det.is_zero:
-            if det.v >= _EXACT_ZERO:
-                raise ValueError("matrix is singular")
-            raise PrecisionExhausted("determinant vanished within the certified digits")
-        object.__setattr__(self, "_det", det)
+        check_prime(self.q)
+        if self.det == 0:
+            raise ValueError("matrix is singular")
 
-    @property
-    def det(self) -> PAdic:
-        return self._det
+    @cached_property
+    def det(self) -> Fraction:
+        return self.a * self.d - self.b * self.c
 
     @classmethod
-    def from_rationals(cls, q: int, rows, prec: int = DEFAULT_PRECISION) -> "PMatrix2":
-        """rows = [[a, b], [c, d]] with entries int, Fraction, or "n/d" strings."""
-
-        def conv(x):
-            frac = Fraction(x)
-            return padic_from_rational(q, frac.numerator, frac.denominator, prec)
-
+    def from_rationals(cls, q: int, rows) -> "PMatrix2":
+        """rows = [[a, b], [c, d]] with entries int, Fraction, float or "n/d" strings."""
         (a, b), (c, d) = rows
-        return cls(conv(a), conv(b), conv(c), conv(d))
+        return cls(q, parse_rational(a), parse_rational(b), parse_rational(c), parse_rational(d))
 
     def __matmul__(self, other: "PMatrix2") -> "PMatrix2":
         return PMatrix2(
+            _common_q(self, other),
             self.a * other.a + self.b * other.c,
             self.a * other.b + self.b * other.d,
             self.c * other.a + self.d * other.c,
             self.c * other.b + self.d * other.d,
         )
 
-    def inverse(self) -> "PMatrix2":
-        det_inv = self.det.inv()
-        return PMatrix2(
-            self.d * det_inv,
-            -(self.b * det_inv),
-            -(self.c * det_inv),
-            self.a * det_inv,
-        )
 
-    def entries(self):
-        return (self.a, self.b, self.c, self.d)
+def _common_q(x: PMatrix2, y: PMatrix2) -> int:
+    if x.q != y.q:
+        raise ValueError("operands live over different residue characteristics")
+    return x.q
 
 
 def lattice_distance(a: PMatrix2, b: PMatrix2) -> int:
     """Tree distance of the lattice classes spanned by the columns of a and b.
 
-    With C = a^{-1} b, the elementary divisors of q^{-m} C (m the minimal
-    entry valuation) are 1 and q^(v(det C) - 2m), so the distance is
-    v(det C) - 2m.  Only valuations are needed; the determinant valuation
-    comes exactly from the cached input determinants.
+    With C = a^{-1} b and m its minimal entry valuation, the elementary
+    divisors of q^{-m} C are 1 and q^(v(det C) - 2m), so the distance is
+    v(det C) - 2m.  Since C = adj(a) b / det a, this is
+    v(det a) + v(det b) - 2 min v((adj(a) b)_ij), computed without division.
     """
-    c = a.inverse() @ b
-    vals = [e.v for e in c.entries() if not e.is_zero]
-    if not vals:
-        raise PrecisionExhausted("all entries cancelled; cannot read the minimal valuation")
-    m = min(vals)
-    for e in c.entries():
-        if e.is_zero and e.v < _EXACT_ZERO and e.v <= m:
-            raise PrecisionExhausted(
-                "a cancelled entry is uncertain at the minimal-valuation scale"
-            )
-    det_val = b.det.v - a.det.v
-    return det_val - 2 * m
+    q = _common_q(a, b)
+    m = (
+        a.d * b.a - a.b * b.c,
+        a.d * b.b - a.b * b.d,
+        a.a * b.c - a.c * b.a,
+        a.a * b.d - a.c * b.b,
+    )
+    m_min = min(_valuation(e, q) for e in m if e != 0)
+    return _valuation(a.det, q) + _valuation(b.det, q) - 2 * m_min
 
 
 # ---------------------------------------------------------------------------

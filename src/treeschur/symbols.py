@@ -490,15 +490,6 @@ class SchurNormReport:
     certified: bool
 
 
-def hankel_term_at(sym: RadialSymbol, q, n: int, tol: float = DEFAULT_TOL) -> float:
-    """Trace norm of the window: of H' for finite q, of H for q = inf."""
-    q = check_degree(q)
-    h = build_hankel(sym, n)
-    if q == INF:
-        return trace_norm(h.entries, tol=tol)
-    return trace_norm(apply_resolvent(h, q), tol=tol)
-
-
 def schur_norm(
     sym: RadialSymbol,
     q,

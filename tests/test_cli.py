@@ -88,7 +88,13 @@ def test_malformed_symbol_spec_one_line_error(tmp_path, capsys, command, spec):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("payload", [[1], {"q": 3, "a": 5, "b": [["1", "0"], ["0", "1"]]}])
+@pytest.mark.parametrize("payload", [
+    [1],
+    {"q": 3, "a": 5, "b": [["1", "0"], ["0", "1"]]},
+    {"q": 3, "a": [["1/0", "0"], ["0", "1"]], "b": [["1", "0"], ["0", "1"]]},
+    {"q": 3, "a": [[1e400, 0], [0, 1]], "b": [[1, 0], [0, 1]]},
+    {"q": 3.5, "a": [["1", "0"], ["0", "1"]], "b": [["9", "0"], ["0", "1"]]},
+])
 def test_padic_distance_malformed_one_line_error(tmp_path, capsys, payload):
     code, out, err = run_cli(capsys, ["padic-distance", write_spec(tmp_path, payload)])
     assert code == 1
@@ -163,6 +169,14 @@ def test_padic_distance(tmp_path, capsys):
     code, out, _ = run_cli(capsys, ["padic-distance", str(path)])
     assert code == 0
     assert json.loads(out)["results"]["distance"] == 2
+
+
+def test_padic_distance_is_exact_at_any_precision_field(tmp_path, capsys):
+    # "precision" is accepted for schema stability and has no effect
+    payload = {"q": 3, "a": [[1, 1], [1, 1 + 3 ** 70]], "b": [[1, 0], [0, 1]], "precision": 0}
+    code, out, _ = run_cli(capsys, ["padic-distance", write_spec(tmp_path, payload)])
+    assert code == 0
+    assert json.loads(out)["results"]["distance"] == 70
 
 
 def test_peller_command(tmp_path, capsys):

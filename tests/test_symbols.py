@@ -338,17 +338,6 @@ def test_schur_norm_cap_raises_no_convergence():
         schur_norm(power_symbol(0.9), INF, target_err=1e-14, n_cap=64)
 
 
-def test_hankel_term_at_matches_closed_form():
-    from treeschur.symbols import hankel_term_at
-
-    assert hankel_term_at(power_symbol(0.5), INF, 64) == pytest.approx(1.0, abs=1e-9)
-    # finite-q value approaches the closed form as the window grows
-    from treeschur.spherical import schur_norm_in_s, spherical_symbol
-
-    sym = spherical_symbol(3, s=0.4j)
-    assert hankel_term_at(sym, 3, 256) == pytest.approx(schur_norm_in_s(3, 0.4j), abs=1e-6)
-
-
 _COMPLEX = st.builds(lambda m, t: m * cmath.exp(1j * t), st.floats(0.0, 2.0), st.floats(0.0, 2.0 * math.pi))
 
 
