@@ -70,7 +70,6 @@ from .tree import (
     reconstruct_kernel,
     reconstruction_max_error,
     smn_entry,
-    umn_entry,
 )
 from .disc import (
     AnalyticDiscFunction,

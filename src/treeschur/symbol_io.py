@@ -37,12 +37,15 @@ def parse_complex(obj) -> complex:
 
 
 def parse_degree(obj):
+    """A tree degree: an integer, an integral float, a decimal integer string, or "inf"."""
     if obj in ("inf", "INF", "Inf", "infinity"):
         return INF
     if isinstance(obj, str):
         obj = int(obj)
     if isinstance(obj, float) and math.isinf(obj):
         return INF
+    if isinstance(obj, float) and not obj.is_integer():
+        raise ValueError(f"degree must be an integer or 'inf', got {obj!r}")
     return int(obj)
 
 

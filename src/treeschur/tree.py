@@ -238,18 +238,6 @@ def smn_entry(q: int, m: int, n: int, i: int, j: int) -> float:
     return 0.0
 
 
-def umn_entry(tree: FiniteTreeBall, m: int, n: int, x: int, y: int) -> float:
-    """Entry of U_{m,n} at (x, y): nonzero exactly when (m, n) are the meeting
-    indices of (x, y); then q^{-(m+n)/2}, with the factor (1-1/q)^{-1} when
-    both indices are positive."""
-    if (m, n) != meeting_indices(tree, x, y):
-        return 0.0
-    value = tree.q ** (-(m + n) / 2.0)
-    if min(m, n) >= 1:
-        value /= 1.0 - 1.0 / tree.q
-    return value
-
-
 # ---------------------------------------------------------------------------
 # factorization certificates
 # ---------------------------------------------------------------------------

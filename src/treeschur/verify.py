@@ -163,7 +163,7 @@ def check_moment_round_trip(symbols, quad) -> CheckResult:
 def check_optimal_measure(sym, quad) -> CheckResult:
     """The optimal measure of g(diff phi) reproduces phi(0..30) to 1e-6 and bounds the norm."""
     mu = optimal_measure(g_from_symbol(difference_sequence(sym)), quad)
-    worst = np.abs(np.array([mu.moment(n) for n in range(31)]) - sym.values(31)).max()
+    worst = np.abs(mu.moments(31) - sym.values(31)).max()
     rep = measure_bound(sym, mu, match_tol=1e-6)
     return CheckResult("optimal-measure", worst <= 1e-6 and rep.matches and rep.bound_holds, worst)
 

@@ -80,12 +80,23 @@ def test_norm_declared_tail_violation_exits_1(tmp_path, capsys):
     {"kind": "explicit", "values": [1.0, 0.5], "tail": {"type": "geometric", "ratio": None, "bound": 1.0}},
     {"kind": "explicit", "values": 5},
     {"kind": "spherical", "q": None, "s": 0.4},
+    {"kind": "spherical", "q": 3.5, "s": 0.4},
+    {"kind": "spherical", "q": "3.5", "s": 0.4},
 ])
 def test_malformed_symbol_spec_one_line_error(tmp_path, capsys, command, spec):
     code, out, err = run_cli(capsys, [command, write_spec(tmp_path, spec)])
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("q", [3, 3.0, "3"], ids=["int", "float", "string"])
+def test_integral_degree_spellings_agree(tmp_path, capsys, q):
+    code, out, _ = run_cli(capsys, ["norm", write_spec(tmp_path, {"kind": "spherical", "q": q, "s": [0.0, 0.4]})])
+    assert code == 0
+    report = json.loads(out)
+    assert report["inputs"]["q"] == 3
+    assert report["results"]["total"] == pytest.approx(29.0 / 9.0, abs=1e-8)
 
 
 @pytest.mark.parametrize("payload", [

@@ -2,9 +2,12 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treeschur.disc import (
     EIGHT_OVER_PI,
@@ -76,6 +79,72 @@ def test_g_from_symbol_examples():
 def test_g_requires_certified_tail():
     with pytest.raises(UndeclaredTail):
         g_from_symbol(lacunary_counterexample())
+
+
+def horner_scale(g, quad):
+    """sum_n |g_n| r_max^n: the size of the rounding error Horner's rule makes at the outermost ring."""
+    return float(np.sum(np.abs(g.coeffs) * quad.max_radius ** np.arange(len(g.coeffs))))
+
+
+@st.composite
+def ring_grids(draw):
+    """(n_r, n_theta, coefficient count, seed); counts run to 3 n_theta, exact multiples included, so the fold wraps."""
+    n_theta = draw(st.sampled_from((4, 8, 256)))
+    n_r = draw(st.sampled_from((2, 5, 80)))
+    count = draw(st.one_of(st.sampled_from((0, n_theta, 2 * n_theta, 3 * n_theta)), st.integers(0, 3 * n_theta)))
+    return n_r, n_theta, count, draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(ring_grids())
+def test_on_rings_matches_horner_at_the_nodes(grid):
+    n_r, n_theta, count, seed = grid
+    rng = np.random.default_rng(seed)
+    g = AnalyticDiscFunction(coeffs=rng.normal(size=count) + 1j * rng.normal(size=count))
+    quad = PolarQuadrature(n_r, n_theta, validate=False)
+    tol = 1e-13 * horner_scale(g, quad)
+    on_rings = g.on_rings(quad.radii, n_theta)
+    assert on_rings.shape == (n_r, n_theta)
+    assert np.max(np.abs(on_rings.ravel() - g.eval(quad.nodes))) <= tol
+    conj = g.on_rings(quad.radii, n_theta, conj=True).ravel()
+    assert np.max(np.abs(conj - g.eval(np.conj(quad.nodes)))) <= tol
+
+
+def moments_by_node_loop(g, quad, maxdeg):
+    """Reference for ``moments_from_g``: the quadrature sum over every node,
+    with g by Horner's rule and a running power of z, one n at a time."""
+    base = quad.weights * g.eval(np.conj(quad.nodes)) * (1.0 - np.abs(quad.nodes) ** 2)
+    out = np.empty(maxdeg + 1, dtype=complex)
+    zpow = np.ones_like(quad.nodes)
+    for n in range(maxdeg + 1):
+        out[n] = np.sum(base * zpow)
+        zpow = zpow * quad.nodes
+    return out
+
+
+@pytest.mark.parametrize("n_r, n_theta, maxdeg", [(80, 256, 10), (80, 256, 300), (5, 8, 6), (5, 8, 30)])
+def test_moments_from_g_matches_node_loop(n_r, n_theta, maxdeg):
+    # maxdeg past n_theta: the angular sum aliases, in the node loop and the fold alike
+    rng = np.random.default_rng(n_r * n_theta + maxdeg)
+    count = 3 * n_theta + 5
+    g = AnalyticDiscFunction(coeffs=(rng.normal(size=count) + 1j * rng.normal(size=count)) * 0.99 ** np.arange(count))
+    quad = PolarQuadrature(n_r, n_theta, validate=False)
+    got = moments_from_g(g, quad, maxdeg)
+    assert got.shape == (maxdeg + 1,)
+    assert np.max(np.abs(got - moments_by_node_loop(g, quad, maxdeg))) <= 1e-13 * horner_scale(g, quad)
+
+
+def test_ring_folds_memory_stays_at_grid_size(quad):
+    # a power table over all 200,000 coefficients would take 80 x 200,000 x 16 bytes (256 MB)
+    g = AnalyticDiscFunction(coeffs=np.full(200_000, 1.0 + 1.0j))
+    tracemalloc.start()
+    try:
+        folds = g.ring_folds(quad.radii, quad.n_theta)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert folds.shape == (quad.n_r, quad.n_theta)
+    assert peak < 8_000_000
 
 
 def test_disc_l1_norm_examples(quad):
@@ -186,6 +255,16 @@ def test_measure_bound_constant_and_two_atoms():
     assert rep2.bound_holds
     rep3 = measure_bound(sym, two, q=3)
     assert rep3.finite_q_constant == pytest.approx(EIGHT_OVER_PI * 2.0)
+
+
+def test_measure_moments_match_moment():
+    rng = np.random.default_rng(5)
+    z = 0.9 * rng.uniform(size=40) * np.exp(2j * np.pi * rng.uniform(size=40))
+    mu = DiscMeasure(atoms_z=z, atoms_w=rng.normal(size=40) + 1j * rng.normal(size=40), c_plus=0.3, c_minus=-0.2j)
+    want = np.array([mu.moment(n) for n in range(25)])
+    assert np.max(np.abs(mu.moments(25) - want)) <= 1e-13 * np.sum(np.abs(mu.atoms_w))
+    empty = DiscMeasure(atoms_z=np.zeros(0, dtype=complex), atoms_w=np.zeros(0, dtype=complex), c_plus=1.0, c_minus=0.5)
+    assert np.array_equal(empty.moments(4), [1.5, 0.5, 1.5, 0.5])
 
 
 def test_optimal_measure_reproduces_symbol(quad):

@@ -15,9 +15,20 @@ from treeschur.tree import (
     reconstruct_kernel,
     reconstruction_max_error,
     smn_entry,
-    umn_entry,
 )
 from treeschur.verify import check_chain_gram, check_meeting_indices
+
+
+def umn_entry(tree, m, n, x, y):
+    """Entry of U_{m,n} at (x, y): nonzero exactly when (m, n) are the meeting
+    indices of (x, y); then q^{-(m+n)/2}, with the factor (1-1/q)^{-1} when
+    both indices are positive."""
+    if (m, n) != meeting_indices(tree, x, y):
+        return 0.0
+    value = tree.q ** (-(m + n) / 2.0)
+    if min(m, n) >= 1:
+        value /= 1.0 - 1.0 / tree.q
+    return value
 
 
 def reconstruct_kernel_dense(cert, tree, x, y):
