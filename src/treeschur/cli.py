@@ -20,7 +20,7 @@ from .errors import DivergentDiagonals, NoConvergence, TreeSchurError, Undeclare
 from .padics import PMatrix2, lattice_distance, parse_rational
 from .spherical import eigenvalue_from_z, schur_norm_in_s, schur_norm_in_z
 from .symbol_io import parse_complex, parse_degree, symbol_from_spec
-from .symbols import INF, counterexample_block_lower_bound, schur_norm
+from .symbols import INF, N_CAP, counterexample_block_lower_bound, schur_norm
 from .verify import SUITES, run_suite
 
 SCHEMA = "treeschur/1"
@@ -106,6 +106,12 @@ def _read_symbol(path: str):
     return symbol_from_spec(_read_json_input(path))
 
 
+def _check_err(err: float):
+    # NaN fails the comparison too
+    if not 0.0 < err < float("inf"):
+        raise ValueError(f"--err must be finite and positive, got {err}")
+
+
 def _report(command: str, inputs: dict, results: dict, t0: float) -> dict:
     return {
         "schema": SCHEMA,
@@ -123,6 +129,7 @@ def _report(command: str, inputs: dict, results: dict, t0: float) -> dict:
 def cmd_norm(args) -> int:
     t0 = time.perf_counter()
     try:
+        _check_err(args.err)
         sym, echo = _read_symbol(args.symbol)
         if args.q is not None:
             q = parse_degree(args.q)
@@ -151,9 +158,6 @@ def cmd_norm(args) -> int:
     except NoConvergence as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    except UndeclaredTail as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
     results = {
         "multiplier": True,
         "total": rep.total,
@@ -259,6 +263,9 @@ def cmd_padic_distance(args) -> int:
 def cmd_peller(args) -> int:
     t0 = time.perf_counter()
     try:
+        _check_err(args.err)
+        if not 1 <= args.n <= N_CAP:
+            raise ValueError(f"--n must lie in 1..{N_CAP}, got {args.n}")
         sym, echo = _read_symbol(args.symbol)
     except _MALFORMED as exc:
         print(f"error: {exc}", file=sys.stderr)

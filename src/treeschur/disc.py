@@ -21,12 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConvergence, UndeclaredTail
-from .spectral import DEFAULT_TOL, trace_norm
+from .spectral import trace_norm
 from .symbols import (
     INF,
     HankelMatrix,
     RadialSymbol,
     _Envelope,
+    _svd_allowance,
     _weighted_tail,
     check_degree,
     schur_norm,
@@ -305,18 +306,18 @@ def peller_sandwich(
     g: AnalyticDiscFunction,
     quad: PolarQuadrature | None = None,
     target_err: float = 1e-9,
-    tol: float = DEFAULT_TOL,
 ) -> SandwichReport:
     """Checks ||H||_1 <= (1/pi) int |g| <= (8/pi) ||H||_1 for matching data.
 
-    ``slack`` adds the Hankel tail bound, the SVD allowance ``tol * n`` and the
-    disc integral's ``error_estimate``; the last is a Richardson difference
-    (see ``disc_l1_norm``), so the slack is an estimate, not a proven bound.
+    ``slack`` adds the Hankel tail bound, the SVD allowance of the window
+    (``symbols._svd_allowance``, shared with ``schur_norm``) and the disc
+    integral's ``error_estimate``; the last is a Richardson difference (see
+    ``disc_l1_norm``), so the slack is an estimate, not a proven bound.
     """
-    lhs = trace_norm(h.entries, tol=tol)
+    lhs = trace_norm(h.entries)
     integral = disc_l1_norm(g, quad, target_err=target_err)
     mid = integral.value
-    slack = h.tail_bound + tol * h.n + integral.error_estimate
+    slack = h.tail_bound + _svd_allowance(h.n) + integral.error_estimate
     rhs = EIGHT_OVER_PI * lhs
     holds = (lhs - slack <= mid) and (mid <= rhs + EIGHT_OVER_PI * slack)
     return SandwichReport(lhs=lhs, mid=mid, rhs=rhs, holds=holds, slack=slack)

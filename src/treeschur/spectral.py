@@ -3,8 +3,9 @@
 Matrices are plain 2-D complex numpy arrays in row-major (C) order; every
 public entry point validates shape and finiteness via :func:`as_cmatrix`.
 Singular values are computed with LAPACK through numpy; the returned spectrum
-carries the decomposition residual so callers can fold a spectral-accuracy
-term into their certified error budgets.
+carries the decomposition residual.  ``DEFAULT_TOL`` is the absolute accuracy
+per row assumed of a dense SVD; the certified budgets take their SVD term
+from the one allowance ``symbols._svd_allowance``, built on it.
 """
 
 from __future__ import annotations
@@ -42,15 +43,13 @@ class SingularSpectrum:
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
 
 
-def singular_values(m, tol: float = DEFAULT_TOL, compute_residual: bool = True) -> SingularSpectrum:
-    """Singular values of ``m``, descending, accurate to roughly ``tol`` (absolute).
+def singular_values(m, compute_residual: bool = True) -> SingularSpectrum:
+    """Singular values of ``m``, descending, accurate to roughly ``DEFAULT_TOL`` (absolute).
 
     With ``compute_residual`` the residual is max_i ||M v_i - s_i u_i||_2; without
     it an a-priori backward-error bound is reported instead (cheaper, used by the
     norm helpers on large truncations).
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     m = as_cmatrix(m)
     n = min(m.shape)
     try:
@@ -66,18 +65,18 @@ def singular_values(m, tol: float = DEFAULT_TOL, compute_residual: bool = True) 
         raise NoConvergence(f"SVD did not converge: {exc}") from exc
     s = np.maximum(s, 0.0)
     scale = max(1.0, float(s[0]) if s.size else 0.0)
-    if compute_residual and residual > 64.0 * max(tol, np.finfo(float).eps * scale) * scale * math.sqrt(n):
+    if compute_residual and residual > 64.0 * max(DEFAULT_TOL, np.finfo(float).eps * scale) * scale * math.sqrt(n):
         raise NoConvergence(f"SVD residual {residual:.3e} above tolerance at n={n}")
     return SingularSpectrum(values=s, residual=residual)
 
 
-def trace_norm(m, tol: float = DEFAULT_TOL) -> float:
-    """Sum of singular values; absolute accuracy about ``tol * min(rows, cols)``."""
-    spec = singular_values(m, tol=tol, compute_residual=False)
+def trace_norm(m) -> float:
+    """Sum of singular values; the error it may carry is ``symbols._svd_allowance``."""
+    spec = singular_values(m, compute_residual=False)
     return float(np.sum(spec.values))
 
 
-def operator_norm(m, tol: float = DEFAULT_TOL) -> float:
+def operator_norm(m) -> float:
     """Largest singular value of ``m``."""
-    spec = singular_values(m, tol=tol, compute_residual=False)
+    spec = singular_values(m, compute_residual=False)
     return float(spec.values[0])

@@ -21,12 +21,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import (
-    DivergentDiagonals,
-    DivergentSeries,
-    NoConvergence,
-    UndeclaredTail,
-)
+from .errors import DivergentDiagonals, DivergentSeries, NoConvergence
 from .spectral import DEFAULT_TOL, as_cmatrix, trace_norm
 
 INF = math.inf
@@ -392,19 +387,14 @@ class HankelMatrix:
     tail_bound: float
 
 
-def build_hankel(sym: RadialSymbol, n: int, require_certified: bool = False) -> HankelMatrix:
+def build_hankel(sym: RadialSymbol, n: int) -> HankelMatrix:
     """The N x N Hankel window of phi(i+j) - phi(i+j+2)."""
     if n < 1:
         raise ValueError("truncation size must be >= 1")
     vals = sym.values(2 * n + 1)
     idx = np.add.outer(np.arange(n), np.arange(n))
     entries = vals[idx] - vals[idx + 2]
-    bound = hankel_tail_bound(sym, n)
-    if require_certified and not math.isfinite(bound):
-        raise UndeclaredTail(
-            "certified truncation requested but the symbol's tail model certifies no decay"
-        )
-    return HankelMatrix(n=n, entries=entries, tail_bound=bound)
+    return HankelMatrix(n=n, entries=entries, tail_bound=hankel_tail_bound(sym, n))
 
 
 def apply_resolvent(h: HankelMatrix | np.ndarray, q: int) -> np.ndarray:
@@ -437,7 +427,6 @@ class ParityDecomposition:
 
     c_plus: complex
     c_minus: complex
-    psi: RadialSymbol
     certified_error: float
 
 
@@ -466,12 +455,48 @@ def extract_parity(sym: RadialSymbol, h: HankelMatrix, tol: float = 1e-9) -> Par
     lim_odd = complex(phi[1]) - sub_sum
     c_plus = 0.5 * (lim_even + lim_odd)
     c_minus = 0.5 * (lim_even - lim_odd)
-    psi = RadialSymbol(
-        tail=_shifted(sym, -c_plus, -c_minus),
-        name=f"psi[{sym.name}]" if sym.name else "",
-        values_fn=lambda count: sym.values(count) - c_plus - c_minus * _signs(count),
-    )
-    return ParityDecomposition(c_plus=c_plus, c_minus=c_minus, psi=psi, certified_error=tail_err)
+    return ParityDecomposition(c_plus=c_plus, c_minus=c_minus, certified_error=tail_err)
+
+
+# ---------------------------------------------------------------------------
+# one window of the pipeline
+# ---------------------------------------------------------------------------
+
+def _svd_allowance(n: int) -> float:
+    """Absolute error allowed for the trace norm of an n-row window computed
+    by a dense SVD.  Every certified budget reads its SVD term from here."""
+    return DEFAULT_TOL * n
+
+
+@dataclass(frozen=True)
+class _Window:
+    """The N-window of H, its parity limits, the trace norm ``term`` of H
+    (q = inf) or H' (finite q), the resolvent ``spill`` (0 at q = inf), the
+    SVD allowance, and with ``factors`` the full SVD (u, s, vh) of H or H'."""
+
+    hankel: HankelMatrix
+    parity: ParityDecomposition
+    term: float
+    spill: float
+    svd_err: float
+    factors: tuple[np.ndarray, np.ndarray, np.ndarray] | None
+
+
+def _evaluate_window(sym: RadialSymbol, q, n: int, parity_tol: float = 1e-9, factors: bool = False) -> _Window:
+    """Build the N-window, resolvent-transform it at finite q, take its trace
+    norm (from the full SVD with ``factors``), and extract the parity limits."""
+    h = build_hankel(sym, n)
+    if q == INF:
+        target, spill = h.entries, 0.0
+    else:
+        target, spill = apply_resolvent(h, q), resolvent_spill_bound(sym, n, q)
+    if factors:
+        u, s, vh = np.linalg.svd(target)
+        term, svd = float(np.sum(s)), (u, s, vh)
+    else:
+        term, svd = trace_norm(target), None
+    parity = extract_parity(sym, h, tol=parity_tol)
+    return _Window(hankel=h, parity=parity, term=term, spill=spill, svd_err=_svd_allowance(n), factors=svd)
 
 
 # ---------------------------------------------------------------------------
@@ -490,48 +515,31 @@ class SchurNormReport:
     certified: bool
 
 
-def schur_norm(
-    sym: RadialSymbol,
-    q,
-    target_err: float = 1e-8,
-    n_start: int = N_START,
-    n_cap: int = N_CAP,
-    tol: float = DEFAULT_TOL,
-) -> SchurNormReport:
+def schur_norm(sym: RadialSymbol, q, target_err: float = 1e-8, n_cap: int = N_CAP) -> SchurNormReport:
     """Adaptive doubling of the truncation until the result is settled.
 
     Convergence requires |result(2N) - result(N)| plus the certified tail
-    bounds to drop below ``target_err``.  Symbols without a decay certificate
-    are accepted, but the report is flagged uncertified, and non-shrinking
-    increments of the partial trace norms raise DivergentDiagonals.
+    bounds and the SVD allowance (``_svd_allowance``) to drop below
+    ``target_err``.  Symbols without a decay certificate are accepted, but
+    the report is flagged uncertified, and non-shrinking increments of the
+    partial trace norms raise DivergentDiagonals.
     """
     q = check_degree(q)
-    n = max(8, n_start)
+    n = N_START
     prev_total = None
     prev_term = None
     diffs: list[float] = []
     while n <= n_cap:
-        h = build_hankel(sym, n)
-        if q == INF:
-            term = trace_norm(h.entries, tol=tol)
-            spill = 0.0
-        else:
-            term = trace_norm(apply_resolvent(h, q), tol=tol)
-            spill = resolvent_spill_bound(sym, n, q)
-        parity = extract_parity(sym, h, tol=max(target_err, 1e-9))
+        w = _evaluate_window(sym, q, n, parity_tol=max(target_err, 1e-9))
+        parity, term = w.parity, w.term
         total = abs(parity.c_plus) + abs(parity.c_minus) + term
-        certified = math.isfinite(h.tail_bound) and math.isfinite(spill)
+        certified = math.isfinite(w.hankel.tail_bound) and math.isfinite(w.spill)
         if prev_total is not None:
             diff = abs(total - prev_total)
             diffs.append(abs(term - prev_term))
             if certified:
-                err = diff + h.tail_bound + spill + parity.certified_error + tol * n
-                if err <= target_err:
-                    return SchurNormReport(
-                        q=float(q), c_plus=parity.c_plus, c_minus=parity.c_minus,
-                        hankel_term=term, total=total, truncation_n=n,
-                        certified_error=err, certified=True,
-                    )
+                err = diff + w.hankel.tail_bound + w.spill + parity.certified_error + w.svd_err
+                done = err <= target_err
             else:
                 if (
                     len(diffs) >= 3
@@ -543,12 +551,14 @@ def schur_norm(
                         "partial trace norms fail the Cauchy criterion at tolerance; "
                         f"window {n} adds {diffs[-1]:.3e} after {diffs[-2]:.3e}"
                     )
-                if diff + parity.certified_error <= target_err:
-                    return SchurNormReport(
-                        q=float(q), c_plus=parity.c_plus, c_minus=parity.c_minus,
-                        hankel_term=term, total=total, truncation_n=n,
-                        certified_error=diff + parity.certified_error + tol * n, certified=False,
-                    )
+                done = diff + parity.certified_error <= target_err
+                err = diff + parity.certified_error + w.svd_err
+            if done:
+                return SchurNormReport(
+                    q=float(q), c_plus=parity.c_plus, c_minus=parity.c_minus,
+                    hankel_term=term, total=total, truncation_n=n,
+                    certified_error=err, certified=certified,
+                )
         prev_total = total
         prev_term = term
         n *= 2

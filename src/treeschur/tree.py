@@ -23,16 +23,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import OrbitEscapesBall, SizeCap
-from .spectral import DEFAULT_TOL
-from .symbols import (
-    INF,
-    RadialSymbol,
-    apply_resolvent,
-    build_hankel,
-    check_degree,
-    extract_parity,
-    resolvent_spill_bound,
-)
+from .spectral import operator_norm
+from .symbols import INF, RadialSymbol, _evaluate_window, check_degree
 
 DEFAULT_NODE_CAP = 10 ** 6
 
@@ -266,36 +258,22 @@ class FactorizationCertificate:
     weights: np.ndarray = field(repr=False, compare=False, default=None)
 
 
-def build_certificate(
-    sym: RadialSymbol,
-    q,
-    n: int,
-    tol: float = DEFAULT_TOL,
-    drop_below: float = 1e-15,
-) -> FactorizationCertificate:
+def build_certificate(sym: RadialSymbol, q, n: int) -> FactorizationCertificate:
     """SVD factorization of the (resolvent-transformed) Hankel window.
 
     xi^(k) = sqrt(s_k) u_k and eta^(k) = sqrt(s_k) v_k, so that
     sum_k xi^(k) (x) eta^(k) reproduces the window and sum_k s_k its trace
-    norm.  The certified error covers the window tail, the resolvent spill,
-    dropped singular values, and the parity-series tail, scaled by the
-    operator norm (q+1)/(q-1) of the S_{m,n} family.
+    norm.  The window, its SVD and its parity limits come from the same
+    evaluator as ``schur_norm``.  The certified error covers the window tail,
+    the resolvent spill, dropped singular values (below 1e-15 absolute or
+    relative) and the SVD allowance (``symbols._svd_allowance``), scaled by
+    the operator norm (q+1)/(q-1) of the S_{m,n} family, plus the
+    parity-series tail.
     """
     q = check_degree(q)
-    h = build_hankel(sym, n)
-    parity = extract_parity(sym, h)
-    if q == INF:
-        target = h.entries
-        mode = "delta_plain"
-        spill = 0.0
-        smn_opnorm = 1.0
-    else:
-        target = apply_resolvent(h, q)
-        mode = "delta_prime"
-        spill = resolvent_spill_bound(sym, n, q)
-        smn_opnorm = (q + 1.0) / (q - 1.0)
-    u, s, vh = np.linalg.svd(target)
-    keep = s > max(drop_below, s[0] * 1e-15 if s.size else 0.0)
+    w = _evaluate_window(sym, q, n, factors=True)
+    u, s, vh = w.factors
+    keep = s > max(1e-15, s[0] * 1e-15)
     dropped = float(np.sum(s[~keep]))
     s_kept = s[keep]
     roots = np.sqrt(s_kept)
@@ -303,15 +281,16 @@ def build_certificate(
     eta = (vh[keep, :].conj().T * roots).T
     # weights[i, j] = sum_k xi[k][i] * conj(eta[k][j])
     weights = xi.T @ eta.conj() if xi.size else np.zeros((n, n), dtype=complex)
-    tail = h.tail_bound if math.isfinite(h.tail_bound) else math.inf
-    err = smn_opnorm * (tail + spill + dropped + tol * n) + parity.certified_error
+    smn_opnorm = 1.0 if q == INF else (q + 1.0) / (q - 1.0)
+    tail = w.hankel.tail_bound if math.isfinite(w.hankel.tail_bound) else math.inf
+    err = smn_opnorm * (tail + w.spill + dropped + w.svd_err) + w.parity.certified_error
     return FactorizationCertificate(
         q=float(q),
-        c_plus=parity.c_plus,
-        c_minus=parity.c_minus,
+        c_plus=w.parity.c_plus,
+        c_minus=w.parity.c_minus,
         xi=xi,
         eta=eta,
-        gram_mode=mode,
+        gram_mode="delta_plain" if q == INF else "delta_prime",
         value=float(np.sum(s_kept)),
         truncation_n=n,
         certified_error=err,
@@ -378,17 +357,7 @@ def reconstruction_max_error(cert: FactorizationCertificate, tree: FiniteTreeBal
 # sampled lower bound
 # ---------------------------------------------------------------------------
 
-def _operator_norm(a: np.ndarray) -> float:
-    return float(np.linalg.svd(a, compute_uv=False)[0])
-
-
-def empirical_schur_lower_bound(
-    sym: RadialSymbol,
-    tree: FiniteTreeBall,
-    trials: int = 50,
-    seed: int = 0,
-    structured: bool = True,
-) -> float:
+def empirical_schur_lower_bound(sym: RadialSymbol, tree: FiniteTreeBall, trials: int = 50, seed: int = 0) -> float:
     """max over random A of ||phi(d) * A||_op / ||A||_op on the ball.
 
     Restriction plus contractivity of sampling guarantee the estimate never
@@ -405,18 +374,17 @@ def empirical_schur_lower_bound(
     best = 0.0
     for _ in range(trials):
         a = rng.standard_normal((v, v)) + 1j * rng.standard_normal((v, v))
-        best = max(best, _operator_norm(mult * a) / _operator_norm(a))
-    if structured:
-        inv_factor = 1.0 / (1.0 - 1.0 / tree.q)
-        for m in range(0, tree.radius + 1):
-            for n in range(0, tree.radius + 1 - m):
-                mask = (m_arr == m) & (n_arr == n)
-                if not mask.any():
-                    continue
-                u = np.where(mask, tree.q ** (-(m + n) / 2.0), 0.0)
-                if min(m, n) >= 1:
-                    u = u * inv_factor
-                denom = _operator_norm(u)
-                if denom > 0:
-                    best = max(best, _operator_norm(mult * u) / denom)
+        best = max(best, operator_norm(mult * a) / operator_norm(a))
+    inv_factor = 1.0 / (1.0 - 1.0 / tree.q)
+    for m in range(0, tree.radius + 1):
+        for n in range(0, tree.radius + 1 - m):
+            mask = (m_arr == m) & (n_arr == n)
+            if not mask.any():
+                continue
+            u = np.where(mask, tree.q ** (-(m + n) / 2.0), 0.0)
+            if min(m, n) >= 1:
+                u = u * inv_factor
+            denom = operator_norm(u)
+            if denom > 0:
+                best = max(best, operator_norm(mult * u) / denom)
     return best

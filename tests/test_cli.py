@@ -90,6 +90,25 @@ def test_malformed_symbol_spec_one_line_error(tmp_path, capsys, command, spec):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["norm", "--err", "0"],
+    ["norm", "--err", "nan"],
+    ["norm", "--err", "-1"],
+    ["norm", "--err", "inf"],
+    ["peller", "--err", "nan"],
+    ["peller", "--err", "-1"],
+    ["peller", "--n", "0"],
+    ["peller", "--n", "-3"],
+    ["peller", "--n", "4097"],  # one past the truncation cap: refused before any window is built
+])
+def test_bad_numeric_option_one_line_error(tmp_path, capsys, argv):
+    spec = write_spec(tmp_path, {"kind": "explicit", "values": [1.0, 0.5]})
+    code, out, err = run_cli(capsys, [argv[0], spec, *argv[1:]])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("q", [3, 3.0, "3"], ids=["int", "float", "string"])
 def test_integral_degree_spellings_agree(tmp_path, capsys, q):
     code, out, _ = run_cli(capsys, ["norm", write_spec(tmp_path, {"kind": "spherical", "q": q, "s": [0.0, 0.4]})])

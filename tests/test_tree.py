@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from treeschur.errors import OrbitEscapesBall, SizeCap
+from treeschur.spectral import DEFAULT_TOL
 from treeschur.spherical import schur_norm_in_s, spherical_symbol
 from treeschur.symbols import INF, constant_symbol, parity_symbol, explicit_symbol, power_symbol, schur_norm
 from treeschur.tree import (
@@ -213,6 +214,21 @@ def test_certificate_value_matches_closed_form():
     assert cert.value == pytest.approx(29.0 / 9.0, abs=1e-6)
     cert64 = build_certificate(spherical_symbol(3, s=0.4j), 3, 64)
     assert cert64.value == pytest.approx(29.0 / 9.0, abs=1e-4)
+
+
+@pytest.mark.parametrize("make, q", [
+    (lambda: spherical_symbol(3, s=0.4j), 3),
+    (lambda: power_symbol(0.5), INF),
+    (lambda: parity_symbol(0.4 - 0.1j, -0.25j, power_symbol(0.6j)), 2),
+], ids=["spherical-q3", "power-inf", "parity-q2"])
+def test_norm_and_certificate_read_one_window(make, q):
+    sym = make()
+    rep = schur_norm(sym, q)
+    n = rep.truncation_n
+    cert = build_certificate(sym, q, n)
+    assert cert.c_plus == rep.c_plus and cert.c_minus == rep.c_minus
+    # the full SVD and the values-only SVD of the same window differ only in rounding
+    assert abs(cert.value - rep.hankel_term) <= DEFAULT_TOL * n
 
 
 def test_reconstruction_spherical_finite_q():
