@@ -9,6 +9,7 @@ a flat projection instead.  Exit codes: 0 success, 1 malformed input,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -167,6 +168,7 @@ def cmd_norm(args) -> int:
         "truncation_n": rep.truncation_n,
         "certified_error": rep.certified_error,
         "certified": rep.certified,
+        "budget": None if rep.budget is None else dataclasses.asdict(rep.budget),
     }
     _emit(_report("norm", inputs, results, t0), args.out)
     return EXIT_OK

@@ -27,6 +27,7 @@ from .symbols import (
     HankelMatrix,
     RadialSymbol,
     _Envelope,
+    _first_fit,
     _svd_allowance,
     _weighted_tail,
     check_degree,
@@ -147,10 +148,8 @@ def g_from_symbol(coeff_seq: RadialSymbol, extra_terms: int = 32) -> AnalyticDis
         raise UndeclaredTail("g requires a certified coefficient tail that decays to 0")
     m = len(env.head)
     if env.c > 0.0:
-        # cut where the coefficient bound alone drops below 1e-22
-        m = max(m, 64)
-        while env.c * (m + 1) * (m + 2) * env.r ** m > 1e-22 and m < 200_000:
-            m *= 2
+        # cut where the coefficient bound alone drops below 1e-22, or at the first count past 200,000
+        m = _first_fit(max(m, 64), 199_999, lambda m: env.c * (m + 1) * (m + 2) * env.r ** m, 1e-22)
         m += extra_terms
     n = np.arange(m)
     coeffs = (n + 1.0) * (n + 2.0) * coeff_seq.values(m)
@@ -197,15 +196,14 @@ class PolarQuadrature:
             self._validate()
 
     def _validate(self, max_deg: int = 12, tol: float = 1e-12):
-        powers = np.empty((max_deg + 1, self.nodes.size), dtype=complex)
-        powers[0] = 1.0
-        for a in range(1, max_deg + 1):
-            powers[a] = powers[a - 1] * self.nodes
-        wfac = self.weights * (1.0 - np.abs(self.nodes) ** 2)
-        moments = (powers * wfac) @ powers.conj().T
-        expect = np.zeros_like(moments)
-        for a in range(max_deg + 1):
-            expect[a, a] = 1.0 / ((a + 1.0) * (a + 2.0))
+        # the moment of z^a conj(z)^b (1-|z|^2) is a radial sum of r^(a+b)
+        # times the angular mean of e^(i (a-b) theta)
+        deg = np.arange(max_deg + 1)
+        radial = (self.radial_weights * (1.0 - self.radii ** 2)) @ self.radii[:, None] ** np.arange(2 * max_deg + 1)
+        theta = 2.0 * math.pi * np.arange(self.n_theta) / self.n_theta
+        angular = np.exp(1j * np.outer(np.arange(-max_deg, max_deg + 1), theta)).mean(axis=1)
+        moments = radial[np.add.outer(deg, deg)] * angular[np.subtract.outer(deg, deg) + max_deg]
+        expect = np.diag(1.0 / ((deg + 1.0) * (deg + 2.0)))
         if not np.allclose(moments, expect, atol=tol):
             worst = float(np.max(np.abs(moments - expect)))
             raise NoConvergence(f"quadrature failed moment validation: max error {worst:.3e}")

@@ -145,8 +145,8 @@ def _signs(count: int) -> np.ndarray:
 
 
 def _checked_envelope(values, onset: int, bound: float, ratio: float, span: int) -> _Envelope:
-    """Check |psi(n)| <= bound * ratio**n on every n in [onset, onset + span)
-    and split off the exact head psi(0 .. onset-1)."""
+    """Check |psi(n)| <= bound * ratio**n, up to a small slack, on every n in
+    [onset, onset + span), and keep psi exactly up to the last value above the cap."""
     if not 0.0 <= ratio < 1.0:
         raise ValueError(f"geometric ratio must lie in [0, 1), got {ratio}")
     if not bound >= 0:
@@ -154,18 +154,24 @@ def _checked_envelope(values, onset: int, bound: float, ratio: float, span: int)
     if onset < 0:
         raise ValueError("tail onset must be >= 0")
     psi = values(onset + span)
-    cap = bound * ratio ** np.arange(onset, onset + span)
+    mag = np.abs(psi[onset:])
+    cap = bound * ratio ** np.arange(onset, onset + span) * (1.0 + 1e-9)
     # absolute slack absorbs float residue of parity subtraction deep in the tail
-    over = np.abs(psi[onset:]) > cap * (1.0 + 1e-9) + (1e-9 * max(1.0, bound) + 1e-300)
+    over = mag > cap + (1e-9 * max(1.0, bound) + 1e-300)
     if over.any():
         k = int(np.argmax(over))
         raise ValueError(
-            f"declared tail violated at n={onset + k}: |phi(n)|={abs(psi[onset + k]):.3e} > {cap[k]:.3e}"
+            f"declared tail violated at n={onset + k}: |phi(n)|={mag[k]:.3e} > {cap[k]:.3e}"
         )
+    # the head runs past the last checked value the cap does not cover, so
+    # the slack only admits values, and the bounds read them exactly; 1e-300
+    # forgives subnormal rounding, far below any SVD allowance
+    loose = np.flatnonzero(mag > cap + 1e-300)
+    end = onset + (int(loose[-1]) + 1 if loose.size else 0)
     if ratio == 0.0:
         # bound * 0**n vanishes from n = 1 on: the tail is finite support
-        onset, bound = max(onset, 1), 0.0
-    return _Envelope(0j, 0j, psi[:onset].copy(), float(bound), float(ratio))
+        end, bound = max(end, 1), 0.0
+    return _Envelope(0j, 0j, psi[:end].copy(), bound * (1.0 + 1e-9), float(ratio))
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +239,7 @@ def explicit_symbol(values, tail: TailModel | None = None, name: str = "") -> Ra
     sym = RadialSymbol(tail=tail, name=name, values_fn=values_fn)
     if len(vals) > _CHECK_SPAN:
         # the declared tail must hold on every stored value, also past the check span
-        tail._normalize(values_fn, len(vals))
+        object.__setattr__(sym, "_env", tail._normalize(values_fn, len(vals)))
     return sym
 
 
@@ -469,16 +475,43 @@ def _svd_allowance(n: int) -> float:
 
 
 @dataclass(frozen=True)
+class _Budget:
+    """The error terms of an N-window: Hankel tail, resolvent spill (0 at q = inf),
+    parity-series tail and SVD allowance; the first three are inf when uncertified."""
+
+    tail: float
+    spill: float
+    parity: float
+    svd: float
+
+    @property
+    def total(self) -> float:
+        return self.tail + self.spill + self.parity + self.svd
+
+
+def _budget(sym: RadialSymbol, q, n: int) -> _Budget:
+    """The error budget of the N-window, from the closed-form bounds alone."""
+    spill = 0.0 if q == INF else resolvent_spill_bound(sym, n, q)
+    return _Budget(hankel_tail_bound(sym, n), spill, _diag_series_tail(sym, n), _svd_allowance(n))
+
+
+def _first_fit(n: int, cap: int, remainder: Callable[[int], float], limit: float) -> int:
+    """The first n * 2**k that is past ``cap`` or whose remainder is at most ``limit``."""
+    while n <= cap and not remainder(n) <= limit:
+        n *= 2
+    return n
+
+
+@dataclass(frozen=True)
 class _Window:
     """The N-window of H, its parity limits, the trace norm ``term`` of H
-    (q = inf) or H' (finite q), the resolvent ``spill`` (0 at q = inf), the
-    SVD allowance, and with ``factors`` the full SVD (u, s, vh) of H or H'."""
+    (q = inf) or H' (finite q), its error ``budget``, and with ``factors``
+    the full SVD (u, s, vh) of H or H'."""
 
     hankel: HankelMatrix
     parity: ParityDecomposition
     term: float
-    spill: float
-    svd_err: float
+    budget: _Budget
     factors: tuple[np.ndarray, np.ndarray, np.ndarray] | None
 
 
@@ -486,17 +519,14 @@ def _evaluate_window(sym: RadialSymbol, q, n: int, parity_tol: float = 1e-9, fac
     """Build the N-window, resolvent-transform it at finite q, take its trace
     norm (from the full SVD with ``factors``), and extract the parity limits."""
     h = build_hankel(sym, n)
-    if q == INF:
-        target, spill = h.entries, 0.0
-    else:
-        target, spill = apply_resolvent(h, q), resolvent_spill_bound(sym, n, q)
+    target = h.entries if q == INF else apply_resolvent(h, q)
     if factors:
         u, s, vh = np.linalg.svd(target)
         term, svd = float(np.sum(s)), (u, s, vh)
     else:
         term, svd = trace_norm(target), None
     parity = extract_parity(sym, h, tol=parity_tol)
-    return _Window(hankel=h, parity=parity, term=term, spill=spill, svd_err=_svd_allowance(n), factors=svd)
+    return _Window(hankel=h, parity=parity, term=term, budget=_budget(sym, q, n), factors=svd)
 
 
 # ---------------------------------------------------------------------------
@@ -513,56 +543,61 @@ class SchurNormReport:
     truncation_n: int
     certified_error: float
     certified: bool
+    budget: _Budget | None
 
 
-def schur_norm(sym: RadialSymbol, q, target_err: float = 1e-8, n_cap: int = N_CAP) -> SchurNormReport:
-    """Adaptive doubling of the truncation until the result is settled.
+def schur_norm(sym: RadialSymbol, q, target_err: float = 1e-8) -> SchurNormReport:
+    """The Schur norm from one truncation window.
 
-    Convergence requires |result(2N) - result(N)| plus the certified tail
-    bounds and the SVD allowance (``_svd_allowance``) to drop below
-    ``target_err``.  Symbols without a decay certificate are accepted, but
-    the report is flagged uncertified, and non-shrinking increments of the
-    partial trace norms raise DivergentDiagonals.
+    A symbol with a certified tail takes the first N = 32 * 2**k <= N_CAP
+    whose ``budget`` (Hankel tail, resolvent spill, parity-series tail and
+    SVD allowance, all closed forms) is at most ``target_err``, evaluates
+    that one window, and reports the budget's sum as ``certified_error``;
+    if no N fits, it raises NoConvergence before building any window.
+    Symbols without a decay certificate keep the doubling rule of
+    ``_doubling_window`` and are flagged uncertified, with no budget.
     """
     q = check_degree(q)
-    n = N_START
-    prev_total = None
-    prev_term = None
-    diffs: list[float] = []
-    while n <= n_cap:
-        w = _evaluate_window(sym, q, n, parity_tol=max(target_err, 1e-9))
-        parity, term = w.parity, w.term
-        total = abs(parity.c_plus) + abs(parity.c_minus) + term
-        certified = math.isfinite(w.hankel.tail_bound) and math.isfinite(w.spill)
+    parity_tol = max(target_err, 1e-9)
+    certified = sym._env is not None
+    if certified:
+        n = _first_fit(N_START, N_CAP, lambda n: _budget(sym, q, n).total, target_err)
+        if n > N_CAP:
+            raise NoConvergence(f"no truncation up to the cap {N_CAP} fits the target error {target_err:.1e}")
+        w = _evaluate_window(sym, q, n, parity_tol=parity_tol)
+        err = w.budget.total
+    else:
+        w, err = _doubling_window(sym, q, target_err, parity_tol)
+    parity = w.parity
+    return SchurNormReport(
+        q=float(q), c_plus=parity.c_plus, c_minus=parity.c_minus, hankel_term=w.term,
+        total=abs(parity.c_plus) + abs(parity.c_minus) + w.term, truncation_n=w.hankel.n,
+        certified_error=err, certified=certified, budget=w.budget if certified else None,
+    )
+
+
+def _doubling_window(sym: RadialSymbol, q, target_err: float, parity_tol: float) -> tuple[_Window, float]:
+    """Double N until |result(2N) - result(N)| plus the parity Cauchy error is at most
+    ``target_err``, raising DivergentDiagonals when the partial trace norms stop
+    shrinking; returns the last window and that sum plus its SVD allowance."""
+    n, prev_total, prev_term, diffs = N_START, None, None, []
+    while n <= N_CAP:
+        w = _evaluate_window(sym, q, n, parity_tol=parity_tol)
+        total = abs(w.parity.c_plus) + abs(w.parity.c_minus) + w.term
         if prev_total is not None:
             diff = abs(total - prev_total)
-            diffs.append(abs(term - prev_term))
-            if certified:
-                err = diff + w.hankel.tail_bound + w.spill + parity.certified_error + w.svd_err
-                done = err <= target_err
-            else:
-                if (
-                    len(diffs) >= 3
-                    and diffs[-1] > 0.7 * diffs[-2]
-                    and diffs[-2] > 0.7 * diffs[-3]
-                    and diffs[-1] > target_err
-                ):
-                    raise DivergentDiagonals(
-                        "partial trace norms fail the Cauchy criterion at tolerance; "
-                        f"window {n} adds {diffs[-1]:.3e} after {diffs[-2]:.3e}"
-                    )
-                done = diff + parity.certified_error <= target_err
-                err = diff + parity.certified_error + w.svd_err
-            if done:
-                return SchurNormReport(
-                    q=float(q), c_plus=parity.c_plus, c_minus=parity.c_minus,
-                    hankel_term=term, total=total, truncation_n=n,
-                    certified_error=err, certified=certified,
+            diffs.append(abs(w.term - prev_term))
+            d = diffs[-3:]
+            if len(d) == 3 and d[2] > 0.7 * d[1] and d[1] > 0.7 * d[0] and d[2] > target_err:
+                raise DivergentDiagonals(
+                    "partial trace norms fail the Cauchy criterion at tolerance; "
+                    f"window {n} adds {d[2]:.3e} after {d[1]:.3e}"
                 )
-        prev_total = total
-        prev_term = term
+            if diff + w.parity.certified_error <= target_err:
+                return w, diff + w.parity.certified_error + w.budget.svd
+        prev_total, prev_term = total, w.term
         n *= 2
-    raise NoConvergence(f"truncation cap {n_cap} reached before target error {target_err:.1e}")
+    raise NoConvergence(f"truncation cap {N_CAP} reached before target error {target_err:.1e}")
 
 
 def ma_upper_bound(sym: RadialSymbol) -> float:
@@ -596,11 +631,9 @@ def ma_upper_bound(sym: RadialSymbol) -> float:
             (m + 1) ** 2 / (1 - x) + 2 * (m + 1) * x / (1 - x) ** 2 + x * (1 + x) / (1 - x) ** 3
         )
 
-    m = max(len(env.head), 8)
-    while remainder(m) > 5e-13:
-        m *= 2
-        if m > 10_000_000:
-            raise NoConvergence("weighted series did not certify within the term cap")
+    m = _first_fit(max(len(env.head), 8), 10_000_000, remainder, 5e-13)
+    if m > 10_000_000:
+        raise NoConvergence("weighted series did not certify within the term cap")
     w = (np.arange(m) + 1.0) ** 2
     return math.sqrt(float(np.sum(w * np.abs(sym.values(m)) ** 2)))
 

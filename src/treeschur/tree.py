@@ -16,7 +16,6 @@ witnesses the Schur-norm upper bound.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -282,8 +281,8 @@ def build_certificate(sym: RadialSymbol, q, n: int) -> FactorizationCertificate:
     # weights[i, j] = sum_k xi[k][i] * conj(eta[k][j])
     weights = xi.T @ eta.conj() if xi.size else np.zeros((n, n), dtype=complex)
     smn_opnorm = 1.0 if q == INF else (q + 1.0) / (q - 1.0)
-    tail = w.hankel.tail_bound if math.isfinite(w.hankel.tail_bound) else math.inf
-    err = smn_opnorm * (tail + w.spill + dropped + w.svd_err) + w.parity.certified_error
+    b = w.budget
+    err = smn_opnorm * (b.tail + b.spill + dropped + b.svd) + b.parity
     return FactorizationCertificate(
         q=float(q),
         c_plus=w.parity.c_plus,

@@ -31,6 +31,18 @@ def test_norm_spherical_inf(tmp_path, capsys):
     assert report["results"]["certified"]
 
 
+def test_norm_reports_its_budget(tmp_path, capsys):
+    spec = write_spec(tmp_path, {"kind": "spherical", "q": 3, "s": {"re": 0.0, "im": 0.4}})
+    code, out, _ = run_cli(capsys, ["norm", spec, "--err", "1e-9"])
+    assert code == 0
+    res = json.loads(out)["results"]
+    budget = res["budget"]
+    assert sorted(budget) == ["parity", "spill", "svd", "tail"]
+    assert res["certified_error"] == budget["tail"] + budget["spill"] + budget["parity"] + budget["svd"] <= 1e-9
+    assert budget["svd"] == 1e-12 * res["truncation_n"]
+    assert res["total"] == pytest.approx(29.0 / 9.0, abs=1e-9)
+
+
 def test_norm_zero_and_constant_symbols(tmp_path, capsys):
     spec = write_spec(tmp_path, {"kind": "explicit", "values": [], "tail": {"type": "finite"}})
     code, out, _ = run_cli(capsys, ["norm", spec, "--q", "3"])

@@ -61,6 +61,23 @@ def test_quadrature_moment_exactness(quad):
             assert abs(got - want) <= 1e-12
 
 
+@pytest.mark.parametrize("n_r", [3, 6, 7, 80])
+@pytest.mark.parametrize("n_theta", [8, 12, 13, 256])
+def test_quadrature_validation_matches_node_loop(n_r, n_theta):
+    # reference: the 13 x 13 moment matrix summed node by node over a power table
+    from treeschur.errors import NoConvergence
+
+    quad = PolarQuadrature(n_r, n_theta, validate=False)
+    powers = quad.nodes[None, :] ** np.arange(13)[:, None]
+    moments = (powers * quad.weights * (1.0 - np.abs(quad.nodes) ** 2)) @ powers.conj().T
+    exact = np.allclose(moments, np.diag(1.0 / ((np.arange(13) + 1.0) * (np.arange(13) + 2.0))), atol=1e-12)
+    if exact:
+        PolarQuadrature(n_r, n_theta)
+    else:
+        with pytest.raises(NoConvergence):
+            PolarQuadrature(n_r, n_theta)
+
+
 def test_g_from_symbol_examples():
     g = g_from_symbol(explicit_symbol([1.0]))
     assert g.coeffs[0] == pytest.approx(2.0)

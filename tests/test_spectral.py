@@ -26,8 +26,7 @@ def charpoly_eigenvalues(g):
 
 
 def test_identity_singular_values():
-    spec = singular_values(np.eye(2))
-    assert np.allclose(spec.values, [1.0, 1.0], atol=1e-14)
+    assert np.allclose(singular_values(np.eye(2)), [1.0, 1.0], atol=1e-14)
 
 
 def test_rank_one_outer_product():
@@ -35,8 +34,7 @@ def test_rank_one_outer_product():
     xi = np.array([2.0, 0.0])
     eta = np.array([0.0, 3.0])
     m = np.outer(xi, eta.conj())
-    spec = singular_values(m)
-    assert np.allclose(spec.values, [6.0, 0.0], atol=1e-12)
+    assert np.allclose(singular_values(m), [6.0, 0.0], atol=1e-12)
 
 
 def test_random_4x4_against_charpoly_oracle():
@@ -44,7 +42,7 @@ def test_random_4x4_against_charpoly_oracle():
     m = random_complex(rng, 4, 4)
     gram = m.conj().T @ m
     expected = np.sqrt(np.maximum(charpoly_eigenvalues(gram), 0.0))
-    got = singular_values(m).values
+    got = singular_values(m)
     assert np.max(np.abs(got - expected)) <= 1e-10
 
 
@@ -114,13 +112,6 @@ def test_adjoint_has_same_singular_values():
     rng = np.random.default_rng(14)
     for _ in range(5):
         m = random_complex(rng, 5, 8)
-        s1 = singular_values(m).values
-        s2 = singular_values(m.conj().T).values
+        s1 = singular_values(m)
+        s2 = singular_values(m.conj().T)
         assert np.max(np.abs(s1 - s2)) <= 1e-10
-
-
-def test_residual_is_small():
-    rng = np.random.default_rng(15)
-    m = random_complex(rng, 12, 12)
-    spec = singular_values(m)
-    assert spec.residual <= 1e-12 * max(1.0, spec.values[0]) * 64

@@ -328,7 +328,117 @@ def test_schur_norm_cap_raises_no_convergence():
     from treeschur.errors import NoConvergence
 
     with pytest.raises(NoConvergence):
-        schur_norm(power_symbol(0.9), INF, target_err=1e-14, n_cap=64)
+        schur_norm(power_symbol(0.9), INF, target_err=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# one truncation rule: the budget picks the window
+# ---------------------------------------------------------------------------
+
+def _spherical_04j():
+    from treeschur.spherical import spherical_symbol
+
+    return spherical_symbol(3, s=0.4j)
+
+
+_CERTIFIED_CASES = {
+    "power-inf": (half_symbol, INF, 1e-9),
+    "parity-q3": (parity_plus_half, 3, 1e-8),
+    "spherical-q3": (_spherical_04j, 3, 1e-8),
+    "finite-q2": (lambda: explicit_symbol([1.0, 0.5, 0.25, -0.125]), 2, 1e-8),
+    "spherical-q3-tight": (_spherical_04j, 3, 1e-9),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CERTIFIED_CASES))
+def test_certified_norm_builds_one_window_at_the_first_fitting_n(monkeypatch, case):
+    import treeschur.symbols as symbols
+
+    make, q, target = _CERTIFIED_CASES[case]
+    sym = make()
+    built = []
+    real = symbols.build_hankel
+    monkeypatch.setattr(symbols, "build_hankel", lambda s, n: built.append(n) or real(s, n))
+    rep = schur_norm(sym, q, target_err=target)
+    assert built == [rep.truncation_n]
+    b = rep.budget
+    assert rep.certified and b == symbols._budget(sym, q, rep.truncation_n)
+    assert rep.certified_error == b.tail + b.spill + b.parity + b.svd <= target
+    n = symbols.N_START
+    while n < rep.truncation_n:
+        assert symbols._budget(sym, q, n).total > target, n
+        n *= 2
+
+
+def test_unreachable_target_raises_before_any_svd(monkeypatch):
+    from treeschur.errors import NoConvergence
+
+    calls = []
+    real = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or real(*a, **k))
+    with pytest.raises(NoConvergence):
+        schur_norm(_spherical_04j(), 3, target_err=1e-12)
+    assert calls == []
+
+
+def test_overflowing_budget_never_fits():
+    # the spill bound of [1e308, 5e307] overflows to NaN at q = 3; NaN must not pass for a fit
+    from treeschur.errors import NoConvergence
+
+    with np.errstate(all="ignore"), pytest.raises(NoConvergence):
+        schur_norm(explicit_symbol([1e308, 5e307]), 3)
+
+
+def _doubling_reference(sym, q, target_err):
+    """The doubling rule for a symbol without a tail certificate, written out:
+    stop when two windows agree, report their difference, the parity Cauchy
+    error and 1e-12 per row."""
+    n, prev = 32, None
+    while True:
+        h = build_hankel(sym, n)
+        term = trace_norm(h.entries if q == INF else apply_resolvent(h, q))
+        par = extract_parity(sym, h, tol=max(target_err, 1e-9))
+        total = abs(par.c_plus) + abs(par.c_minus) + term
+        if prev is not None and abs(total - prev) + par.certified_error <= target_err:
+            return total, abs(total - prev) + par.certified_error + 1e-12 * n, n
+        prev, n = total, 2 * n
+
+
+@pytest.mark.parametrize("q", [INF, 2, 3])
+def test_undeclared_tail_keeps_the_doubling_rule(q):
+    sym = RadialSymbol(values_fn=lambda count: 0.3 ** np.arange(count) * np.cos(1.3 * np.arange(count)))
+    rep = schur_norm(sym, q, target_err=1e-8)
+    assert (rep.total, rep.certified_error, rep.truncation_n) == _doubling_reference(sym, q, 1e-8)
+    assert not rep.certified and rep.budget is None
+
+
+def _slack_probe():
+    # 1200 values of 0.9e-9 (1, 1, -1, -1, ...) after phi(0) = 0, declared
+    # under 1e-12 * 0.5**n: each value fits the absolute slack of the check
+    vals = np.zeros(1200)
+    vals[1:] = 0.9e-9 * np.resize([1.0, 1.0, -1.0, -1.0], 1199)
+    return vals, explicit_symbol(vals, tail=Geometric(ratio=0.5, bound=1e-12))
+
+
+def test_declared_tail_slack_is_read_from_the_values():
+    vals, sym = _slack_probe()
+    rep = schur_norm(sym, INF, target_err=1e-7)
+    # phi is 0 past the list, so the whole 1200 x 1200 Hankel is exact
+    idx = np.add.outer(np.arange(1200), np.arange(1200))
+    padded = np.concatenate([vals, np.zeros(2 * 1200 + 2)])
+    exact = float(np.sum(np.linalg.svd(padded[idx] - padded[idx + 2], compute_uv=False)))
+    assert exact == pytest.approx(7.608267792867e-6, rel=1e-12)
+    assert rep.certified and abs(rep.total - exact) <= rep.certified_error
+
+
+def test_declared_tail_bounds_read_stored_values_past_the_check_span():
+    # values under the slack but over the cap, only past the onset + 1024 span
+    vals = np.zeros(2000)
+    vals[1100:] = 0.9e-9
+    sym = explicit_symbol(vals, tail=Geometric(ratio=0.5, bound=1e-12))
+    h = vals[:-2] - vals[2:]
+    for n in (32, 1024):
+        assert hankel_tail_bound(sym, n) >= float(np.sum((np.arange(n, 1998) + 1.0) * np.abs(h[n:])))
 
 
 _COMPLEX = st.builds(lambda m, t: m * cmath.exp(1j * t), st.floats(0.0, 2.0), st.floats(0.0, 2.0 * math.pi))
