@@ -6,15 +6,35 @@ Singular values are computed with LAPACK through numpy.  ``DEFAULT_TOL`` is
 the absolute accuracy per row assumed of a dense SVD; the certified budgets
 take their SVD term from the one allowance ``symbols._svd_allowance``, built
 on it.
+
+:func:`trace_norm` spends that allowance in two halves.  A matrix with
+n = min(rows, cols) >= 128 first goes through a seeded randomized range
+finder: for k = 16, 32, ... while 8k <= n, Q is an orthonormal basis of
+A Omega for a Gaussian Omega of width k and B = Q* A.  Since Q has
+orthonormal columns and A - Q B has rank at most n,
+
+    ||B||_1 <= ||A||_1 <= ||B||_1 + sqrt(n) ||A - Q B||_F,
+
+and ||B||_1 is returned, from the SVD of the k x cols matrix B, as soon as
+sqrt(n) ||A - Q B||_F is at most half of ``DEFAULT_TOL * rows``; the other
+half covers the rounding of Q, B and the small SVD.  The residual is summed
+in blocks of 256 rows, so the finder needs O(256 cols + k (rows + cols))
+memory beyond A.  Otherwise, and always below 128, the dense SVD runs, so
+the allowance holds either way.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from .errors import NoConvergence, NonFinite
 
 DEFAULT_TOL = 1e-12
+
+_SKETCH_START = 16   # first sketch width; a sketch runs while 8 * width <= n
+_RESIDUAL_ROWS = 256  # row block of the residual A - QB, which is never formed whole
 
 
 def as_cmatrix(entries) -> np.ndarray:
@@ -29,9 +49,7 @@ def as_cmatrix(entries) -> np.ndarray:
     return m
 
 
-def singular_values(m) -> np.ndarray:
-    """Singular values of ``m``, descending."""
-    m = as_cmatrix(m)
+def _svdvals(m: np.ndarray) -> np.ndarray:
     try:
         s = np.linalg.svd(m, compute_uv=False)
     except np.linalg.LinAlgError as exc:
@@ -39,9 +57,53 @@ def singular_values(m) -> np.ndarray:
     return np.maximum(s, 0.0)
 
 
+def singular_values(m) -> np.ndarray:
+    """Singular values of ``m``, descending."""
+    return _svdvals(as_cmatrix(m))
+
+
+def _sketched_trace_norm(m: np.ndarray) -> float | None:
+    """||Q* A||_1 from the first seeded sketch whose residual certifies it
+    within half the SVD allowance, or None when no width up to n/8 does."""
+    rows, cols = m.shape
+    n = min(rows, cols)
+    limit = 0.5 * DEFAULT_TOL * rows / math.sqrt(n)
+    rng = np.random.default_rng(0)
+    buf = np.empty((min(rows, _RESIDUAL_ROWS), cols), dtype=complex)
+    k = _SKETCH_START
+    while 8 * k <= n:
+        q, _ = np.linalg.qr(m @ rng.standard_normal((cols, k)))
+        b = q.conj().T @ m
+        ss = 0.0
+        for i in range(0, rows, _RESIDUAL_ROWS):
+            rows_i = q[i : i + _RESIDUAL_ROWS]
+            block = np.matmul(rows_i, b, out=buf[: len(rows_i)])
+            np.subtract(m[i : i + _RESIDUAL_ROWS], block, out=block)
+            ss += np.vdot(block, block).real
+            if not ss <= limit * limit:
+                break
+        else:
+            return float(np.sum(_svdvals(b)))
+        k *= 2
+    return None
+
+
 def trace_norm(m) -> float:
-    """Sum of singular values; the error it may carry is ``symbols._svd_allowance``."""
-    return float(np.sum(singular_values(m)))
+    """Sum of singular values; the error it may carry is ``symbols._svd_allowance``.
+
+    From 128 rows and columns a certified range finder answers when the
+    matrix is numerically of low rank; otherwise the dense SVD does (module
+    docstring).  The result is deterministic: the sketch is seeded.
+    """
+    m = as_cmatrix(m)
+    if 8 * _SKETCH_START <= min(m.shape):
+        try:
+            sketched = _sketched_trace_norm(m)
+        except np.linalg.LinAlgError as exc:
+            raise NoConvergence(f"range finder did not converge: {exc}") from exc
+        if sketched is not None:
+            return sketched
+    return float(np.sum(_svdvals(m)))
 
 
 def operator_norm(m) -> float:

@@ -355,15 +355,16 @@ def resolvent_spill_bound(sym: RadialSymbol, n: int, q: int) -> float:
 
     with the entrywise l1 norm dominating the trace norm.  Row i of the window
     has l1 norm at most sum_{m >= i} |h_m|; a border of width k >= N is the
-    whole window.
+    whole window.  A majorant whose sums overflow gives inf.
     """
     if sym._env is None:
         return INF
-    suffix = _suffix_sums(*sym._env.hankel_majorant, n)
-    border = 2.0 * np.cumsum(suffix[::-1])
-    weights = float(q) ** -np.arange(1.0, n + 1.0)
-    total = float(np.dot(weights, border)) + border[-1] * q ** float(-n) / (q - 1.0)
-    return (1.0 - 1.0 / q) * total
+    with np.errstate(over="ignore", invalid="ignore"):
+        suffix = _suffix_sums(*sym._env.hankel_majorant, n)
+        border = 2.0 * np.cumsum(suffix[::-1])
+        weights = float(q) ** -np.arange(1.0, n + 1.0)
+        total = float(np.dot(weights, border)) + border[-1] * q ** float(-n) / (q - 1.0)
+    return (1.0 - 1.0 / q) * total if math.isfinite(total) else INF
 
 
 def _diag_series_tail(sym: RadialSymbol, n: int) -> float:
@@ -398,8 +399,8 @@ def build_hankel(sym: RadialSymbol, n: int) -> HankelMatrix:
     if n < 1:
         raise ValueError("truncation size must be >= 1")
     vals = sym.values(2 * n + 1)
-    idx = np.add.outer(np.arange(n), np.arange(n))
-    entries = vals[idx] - vals[idx + 2]
+    d = vals[:-2] - vals[2:]
+    entries = d[np.add.outer(np.arange(n), np.arange(n))]
     return HankelMatrix(n=n, entries=entries, tail_bound=hankel_tail_bound(sym, n))
 
 
@@ -420,7 +421,8 @@ def apply_resolvent(h: HankelMatrix | np.ndarray, q: int) -> np.ndarray:
     for i in range(1, n):
         acc[i, 0] = entries[i, 0]
         acc[i, 1:] = entries[i, 1:] + inv_q * acc[i - 1, :-1]
-    return (1.0 - inv_q) * acc
+    acc *= 1.0 - inv_q
+    return acc
 
 
 # ---------------------------------------------------------------------------

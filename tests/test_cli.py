@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import treeschur
 from treeschur.cli import main
 from treeschur.verify import run_suite
 
@@ -275,3 +280,17 @@ def test_json_determinism_modulo_wall_time(tmp_path, capsys):
         return json.dumps(report, sort_keys=True)
 
     assert run_verify() == run_verify()
+
+
+def test_norm_overflowing_symbol_stderr_is_one_line():
+    # the spill bound of [1e308, 5e307] overflows; it must read as inf, silently
+    src = Path(treeschur.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-W", "default", "-c", "import sys; from treeschur.cli import main; sys.exit(main())",
+         "norm", "-", "--q", "3"],
+        input='{"kind":"explicit","values":[1e308,5e307]}', capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: no truncation") and proc.stderr.count("\n") == 1

@@ -1,10 +1,16 @@
 """Singular values, trace norm, operator norm: examples, oracle, invariants."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treeschur.errors import NonFinite
-from treeschur.spectral import as_cmatrix, operator_norm, singular_values, trace_norm
+from treeschur.spectral import DEFAULT_TOL, as_cmatrix, operator_norm, singular_values, trace_norm
+from treeschur.spherical import eigenvalue_from_z, schur_norm_in_s, spherical_symbol
+from treeschur.symbols import schur_norm
 
 
 def random_complex(rng, rows, cols):
@@ -115,3 +121,97 @@ def test_adjoint_has_same_singular_values():
         s1 = singular_values(m)
         s2 = singular_values(m.conj().T)
         assert np.max(np.abs(s1 - s2)) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the certified range finder inside trace_norm (n >= 128)
+# ---------------------------------------------------------------------------
+
+def low_rank_complex(rng, n, rank, scale):
+    """A complex n x n matrix of the given rank (None: full) with entries of order ``scale``."""
+    if rank is None:
+        return scale * random_complex(rng, n, n)
+    x = random_complex(rng, n, rank)
+    y = random_complex(rng, n, rank)
+    return scale * (x @ y.conj().T) / rank
+
+
+def dense_trace_norm(m):
+    return float(np.sum(singular_values(m)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.sampled_from([64, 128, 256, 512]),
+    st.one_of(st.integers(1, 12), st.none()),
+    st.integers(-3, 3),
+    st.integers(0, 2**32 - 1),
+)
+def test_trace_norm_agrees_with_the_dense_sum(n, rank, exponent, seed):
+    # compares the two routes with each other: the allowance DEFAULT_TOL * n is
+    # absolute, so against the true value it is too small at scales of 1e6 and
+    # above whichever route runs
+    m = low_rank_complex(np.random.default_rng(seed), n, rank, 10.0 ** exponent)
+    assert abs(trace_norm(m) - dense_trace_norm(m)) <= DEFAULT_TOL * n
+
+
+def test_trace_norm_below_128_rows_is_the_dense_sum():
+    rng = np.random.default_rng(21)
+    for n in (1, 7, 64, 127):
+        m = low_rank_complex(rng, n, 1, 1.0)
+        assert trace_norm(m) == dense_trace_norm(m)
+    wide = low_rank_complex(rng, 127, 1, 1.0) @ random_complex(rng, 127, 300)
+    assert trace_norm(wide) == dense_trace_norm(wide)
+
+
+def test_trace_norm_falls_back_to_the_dense_sum_at_full_rank():
+    m = random_complex(np.random.default_rng(22), 256, 256)
+    assert trace_norm(m) == dense_trace_norm(m)
+
+
+def test_trace_norm_reads_the_residual_of_every_row_block():
+    # rank one plus noise in the last 128 of 512 rows, small enough that the
+    # first residual block fits the limit: only the last block shows that the
+    # sketch misses mass, so the dense SVD must answer
+    rng = np.random.default_rng(25)
+    m = low_rank_complex(rng, 512, 1, 1.0)
+    m[384:] += 1e-13 * random_complex(rng, 128, 512)
+    assert trace_norm(m) == dense_trace_norm(m)
+
+
+def test_range_finder_answers_a_low_rank_window_with_one_small_svd(monkeypatch):
+    shapes = []
+    svd = np.linalg.svd
+
+    def recording_svd(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    trace_norm(low_rank_complex(np.random.default_rng(26), 512, 3, 1.0))
+    assert shapes == [(16, 512)]
+
+
+def test_trace_norm_is_deterministic():
+    m = low_rank_complex(np.random.default_rng(23), 512, 3, 1.0)
+    assert trace_norm(m) == trace_norm(m)
+
+
+def test_range_finder_memory_stays_at_block_size():
+    m = low_rank_complex(np.random.default_rng(24), 1024, 1, 1.0)
+    tracemalloc.start()
+    try:
+        trace_norm(m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+def test_range_finder_spherical_norm_at_2048_rows():
+    # a hankel-boundary point at q = 3: tail ratio 3^-0.02 certifies at N = 2048
+    s = eigenvalue_from_z(3, complex(0.02, 0.7))
+    rep = schur_norm(spherical_symbol(3, s=s), 3)
+    exact = schur_norm_in_s(3, s)
+    assert rep.certified and rep.truncation_n == 2048
+    assert abs(rep.total - exact) <= rep.certified_error + 1e-11 * exact

@@ -168,6 +168,35 @@ def test_resolvent_inverse_recovers_window():
     assert np.max(np.abs(back - t)) <= 1e-13
 
 
+def reference_hankel(sym, n):
+    """The window gathered twice from the values, as first written."""
+    vals = sym.values(2 * n + 1)
+    idx = np.add.outer(np.arange(n), np.arange(n))
+    return vals[idx] - vals[idx + 2]
+
+
+def reference_resolvent(entries, q):
+    """The resolvent recurrence with the scaling applied to a copy, as first written."""
+    n = entries.shape[0]
+    acc = np.empty_like(entries)
+    acc[0] = entries[0]
+    for i in range(1, n):
+        acc[i, 0] = entries[i, 0]
+        acc[i, 1:] = entries[i, 1:] + (1.0 / q) * acc[i - 1, :-1]
+    return (1 - 1 / q) * acc
+
+
+@pytest.mark.parametrize("n", [1, 7, 64, 513])
+def test_window_and_resolvent_match_reference_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    values = rng.standard_normal(2 * n + 1) + 1j * rng.standard_normal(2 * n + 1)
+    for sym in (explicit_symbol(values), power_symbol(0.9 + 0.1j)):
+        h = build_hankel(sym, n)
+        assert np.array_equal(h.entries, reference_hankel(sym, n))
+        for q in (2, 3, 5):
+            assert np.array_equal(apply_resolvent(h, q), reference_resolvent(h.entries, q))
+
+
 def test_shift_conjugation_preserves_trace_norm():
     rng = np.random.default_rng(4)
     for _ in range(5):
