@@ -28,6 +28,7 @@ from .symbols import (
     RadialSymbol,
     _Envelope,
     _first_fit,
+    _hankel_entries,
     _svd_allowance,
     _weighted_tail,
     check_degree,
@@ -283,9 +284,7 @@ def coeff_hankel(coeff_seq: RadialSymbol, n: int) -> HankelMatrix:
     env = coeff_seq._env
     if env is not None and abs(env.c_plus) + abs(env.c_minus) > 0:
         raise UndeclaredTail("a nonzero parity part makes the plain coefficient Hankel non-trace-class")
-    vals = coeff_seq.values(2 * n - 1)
-    idx = np.add.outer(np.arange(n), np.arange(n))
-    entries = vals[idx]
+    entries = _hankel_entries(coeff_seq.values(2 * n - 1), n)
     bound = INF if env is None else _weighted_tail(np.abs(env.head), env.c, env.r, n)
     return HankelMatrix(n=n, entries=entries, tail_bound=bound)
 

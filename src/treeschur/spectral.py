@@ -7,20 +7,24 @@ the absolute accuracy per row assumed of a dense SVD; the certified budgets
 take their SVD term from the one allowance ``symbols._svd_allowance``, built
 on it.
 
-:func:`trace_norm` spends that allowance in two halves.  A matrix with
-n = min(rows, cols) >= 128 first goes through a seeded randomized range
-finder: for k = 16, 32, ... while 8k <= n, Q is an orthonormal basis of
-A Omega for a Gaussian Omega of width k and B = Q* A.  Since Q has
-orthonormal columns and A - Q B has rank at most n,
+:func:`_factorize` is the one factorization of a window: the trace norm
+and the factorization certificates of ``tree.build_certificate`` both read
+it.  A matrix with n = min(rows, cols) >= 128 first goes through a seeded
+randomized range finder: for k = 16, 32, ... while 8k <= n, Q is an
+orthonormal basis of A Omega for a Gaussian Omega of width k and B = Q* A.
+Since Q has orthonormal columns and A - Q B has rank at most n,
 
     ||B||_1 <= ||A||_1 <= ||B||_1 + sqrt(n) ||A - Q B||_F,
 
-and ||B||_1 is returned, from the SVD of the k x cols matrix B, as soon as
-sqrt(n) ||A - Q B||_F is at most half of ``DEFAULT_TOL * rows``; the other
-half covers the rounding of Q, B and the small SVD.  The residual is summed
-in blocks of 256 rows, so the finder needs O(256 cols + k (rows + cols))
-memory beyond A.  Otherwise, and always below 128, the dense SVD runs, so
-the allowance holds either way.
+and A ~ Q B is returned, with that half-width sqrt(n) ||A - Q B||_F, as soon
+as the half-width is at most half of ``DEFAULT_TOL * rows``; the other half
+covers the rounding of Q, B and the small SVD.  The residual is summed in
+blocks of 256 rows, so the finder needs O(256 cols + k (rows + cols)) memory
+beyond A.  Otherwise, and always below 128, the factorization is A = I A
+(Q is None, B is A, half-width 0) and the SVD of B is the dense SVD, so the
+allowance holds either way.  :func:`trace_norm` is the sum of the singular
+values of B; a certificate takes the singular vectors of B, which is k x cols
+on the sketch path.
 """
 
 from __future__ import annotations
@@ -62,17 +66,23 @@ def singular_values(m) -> np.ndarray:
     return _svdvals(as_cmatrix(m))
 
 
-def _sketched_trace_norm(m: np.ndarray) -> float | None:
-    """||Q* A||_1 from the first seeded sketch whose residual certifies it
-    within half the SVD allowance, or None when no width up to n/8 does."""
+def _factorize(m) -> tuple[np.ndarray | None, np.ndarray, float]:
+    """(Q, B, sqrt(n) ||A - Q B||_F) from the first sketch that certifies its
+    residual, or (None, A, 0.0) below 128 and when none does (module docstring)."""
+    m = as_cmatrix(m)
     rows, cols = m.shape
     n = min(rows, cols)
+    if 8 * _SKETCH_START > n:
+        return None, m, 0.0
     limit = 0.5 * DEFAULT_TOL * rows / math.sqrt(n)
     rng = np.random.default_rng(0)
     buf = np.empty((min(rows, _RESIDUAL_ROWS), cols), dtype=complex)
     k = _SKETCH_START
     while 8 * k <= n:
-        q, _ = np.linalg.qr(m @ rng.standard_normal((cols, k)))
+        try:
+            q, _ = np.linalg.qr(m @ rng.standard_normal((cols, k)))
+        except np.linalg.LinAlgError as exc:
+            raise NoConvergence(f"range finder did not converge: {exc}") from exc
         b = q.conj().T @ m
         ss = 0.0
         for i in range(0, rows, _RESIDUAL_ROWS):
@@ -83,27 +93,19 @@ def _sketched_trace_norm(m: np.ndarray) -> float | None:
             if not ss <= limit * limit:
                 break
         else:
-            return float(np.sum(_svdvals(b)))
+            return q, b, math.sqrt(n * ss)
         k *= 2
-    return None
+    return None, m, 0.0
 
 
 def trace_norm(m) -> float:
     """Sum of singular values; the error it may carry is ``symbols._svd_allowance``.
 
-    From 128 rows and columns a certified range finder answers when the
-    matrix is numerically of low rank; otherwise the dense SVD does (module
-    docstring).  The result is deterministic: the sketch is seeded.
+    It is ||B||_1 for A ~ Q B from :func:`_factorize`, so a certified range
+    finder answers from 128 rows when the matrix is numerically of low rank and
+    the dense SVD otherwise.  The result is deterministic: the sketch is seeded.
     """
-    m = as_cmatrix(m)
-    if 8 * _SKETCH_START <= min(m.shape):
-        try:
-            sketched = _sketched_trace_norm(m)
-        except np.linalg.LinAlgError as exc:
-            raise NoConvergence(f"range finder did not converge: {exc}") from exc
-        if sketched is not None:
-            return sketched
-    return float(np.sum(_svdvals(m)))
+    return float(np.sum(_svdvals(_factorize(m)[1])))
 
 
 def operator_norm(m) -> float:

@@ -22,7 +22,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import DivergentDiagonals, DivergentSeries, NoConvergence
-from .spectral import DEFAULT_TOL, as_cmatrix, trace_norm
+from .spectral import DEFAULT_TOL, _factorize, _svdvals, as_cmatrix
 
 INF = math.inf
 
@@ -394,13 +394,17 @@ class HankelMatrix:
     tail_bound: float
 
 
+def _hankel_entries(seq: np.ndarray, n: int) -> np.ndarray:
+    """The N x N matrix seq[i+j], gathered once from the first 2N-1 terms."""
+    return seq[np.add.outer(np.arange(n), np.arange(n))]
+
+
 def build_hankel(sym: RadialSymbol, n: int) -> HankelMatrix:
     """The N x N Hankel window of phi(i+j) - phi(i+j+2)."""
     if n < 1:
         raise ValueError("truncation size must be >= 1")
     vals = sym.values(2 * n + 1)
-    d = vals[:-2] - vals[2:]
-    entries = d[np.add.outer(np.arange(n), np.arange(n))]
+    entries = _hankel_entries(vals[:-2] - vals[2:], n)
     return HankelMatrix(n=n, entries=entries, tail_bound=hankel_tail_bound(sym, n))
 
 
@@ -506,29 +510,33 @@ def _first_fit(n: int, cap: int, remainder: Callable[[int], float], limit: float
 
 @dataclass(frozen=True)
 class _Window:
-    """The N-window of H, its parity limits, the trace norm ``term`` of H
-    (q = inf) or H' (finite q), its error ``budget``, and with ``factors``
-    the full SVD (u, s, vh) of H or H'."""
+    """The N-window of H, its parity limits, the factorization H ~ Q B (q = inf)
+    or H' ~ Q B (finite q) of ``spectral._factorize`` with its residual
+    ``half_width`` (Q is None when B is the window itself), and the window's
+    error ``budget``."""
 
     hankel: HankelMatrix
     parity: ParityDecomposition
-    term: float
+    q_basis: np.ndarray | None
+    b: np.ndarray
+    half_width: float
     budget: _Budget
-    factors: tuple[np.ndarray, np.ndarray, np.ndarray] | None
+
+    @cached_property
+    def term(self) -> float:
+        """The trace norm ||B||_1 of the window, from the values-only SVD of B."""
+        return float(np.sum(_svdvals(self.b)))
 
 
-def _evaluate_window(sym: RadialSymbol, q, n: int, parity_tol: float = 1e-9, factors: bool = False) -> _Window:
-    """Build the N-window, resolvent-transform it at finite q, take its trace
-    norm (from the full SVD with ``factors``), and extract the parity limits."""
+def _evaluate_window(sym: RadialSymbol, q, n: int, parity_tol: float = 1e-9) -> _Window:
+    """Build the N-window, resolvent-transform it at finite q, factorize it,
+    and extract the parity limits."""
     h = build_hankel(sym, n)
-    target = h.entries if q == INF else apply_resolvent(h, q)
-    if factors:
-        u, s, vh = np.linalg.svd(target)
-        term, svd = float(np.sum(s)), (u, s, vh)
-    else:
-        term, svd = trace_norm(target), None
+    q_basis, b, half_width = _factorize(h.entries if q == INF else apply_resolvent(h, q))
     parity = extract_parity(sym, h, tol=parity_tol)
-    return _Window(hankel=h, parity=parity, term=term, budget=_budget(sym, q, n), factors=svd)
+    return _Window(
+        hankel=h, parity=parity, q_basis=q_basis, b=b, half_width=half_width, budget=_budget(sym, q, n),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -258,20 +258,24 @@ class FactorizationCertificate:
 
 
 def build_certificate(sym: RadialSymbol, q, n: int) -> FactorizationCertificate:
-    """SVD factorization of the (resolvent-transformed) Hankel window.
+    """Factorization of the (resolvent-transformed) Hankel window.
 
-    xi^(k) = sqrt(s_k) u_k and eta^(k) = sqrt(s_k) v_k, so that
-    sum_k xi^(k) (x) eta^(k) reproduces the window and sum_k s_k its trace
-    norm.  The window, its SVD and its parity limits come from the same
-    evaluator as ``schur_norm``.  The certified error covers the window tail,
-    the resolvent spill, dropped singular values (below 1e-15 absolute or
-    relative) and the SVD allowance (``symbols._svd_allowance``), scaled by
-    the operator norm (q+1)/(q-1) of the S_{m,n} family, plus the
-    parity-series tail.
+    The window comes from the same evaluator as ``schur_norm``, factorized as
+    A ~ Q B by ``spectral._factorize`` (Q is the identity below 128 rows and
+    where the range finder gives up).  With U_B S V_B* the thin SVD of B,
+    xi^(k) = sqrt(s_k) (Q U_B)_k and eta^(k) = sqrt(s_k) (V_B)_k, so that
+    sum_k xi^(k) (x) eta^(k) reproduces Q B and sum_k s_k its trace norm.  The
+    certified error covers the window tail, the resolvent spill, dropped
+    singular values (below 1e-15 absolute or relative), the residual
+    half-width sqrt(n) ||A - Q B||_F and the SVD allowance
+    (``symbols._svd_allowance``), scaled by the operator norm (q+1)/(q-1) of
+    the S_{m,n} family, plus the parity-series tail.
     """
     q = check_degree(q)
-    w = _evaluate_window(sym, q, n, factors=True)
-    u, s, vh = w.factors
+    w = _evaluate_window(sym, q, n)
+    u, s, vh = np.linalg.svd(w.b, full_matrices=False)
+    if w.q_basis is not None:
+        u = w.q_basis @ u
     keep = s > max(1e-15, s[0] * 1e-15)
     dropped = float(np.sum(s[~keep]))
     s_kept = s[keep]
@@ -282,7 +286,7 @@ def build_certificate(sym: RadialSymbol, q, n: int) -> FactorizationCertificate:
     weights = xi.T @ eta.conj() if xi.size else np.zeros((n, n), dtype=complex)
     smn_opnorm = 1.0 if q == INF else (q + 1.0) / (q - 1.0)
     b = w.budget
-    err = smn_opnorm * (b.tail + b.spill + dropped + b.svd) + b.parity
+    err = smn_opnorm * (b.tail + b.spill + dropped + w.half_width + b.svd) + b.parity
     return FactorizationCertificate(
         q=float(q),
         c_plus=w.parity.c_plus,

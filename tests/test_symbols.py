@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from treeschur.disc import coeff_hankel
 from treeschur.errors import DivergentDiagonals, DivergentSeries
 from treeschur.spectral import trace_norm
 from treeschur.symbols import (
@@ -195,6 +196,8 @@ def test_window_and_resolvent_match_reference_bit_for_bit(n):
         assert np.array_equal(h.entries, reference_hankel(sym, n))
         for q in (2, 3, 5):
             assert np.array_equal(apply_resolvent(h, q), reference_resolvent(h.entries, q))
+        vals = sym.values(2 * n - 1)
+        assert np.array_equal(coeff_hankel(sym, n).entries, vals[np.add.outer(np.arange(n), np.arange(n))])
 
 
 def test_shift_conjugation_preserves_trace_norm():

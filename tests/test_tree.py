@@ -4,9 +4,19 @@ import numpy as np
 import pytest
 
 from treeschur.errors import OrbitEscapesBall, SizeCap
-from treeschur.spectral import DEFAULT_TOL
+from treeschur import symbols
+from treeschur.spectral import DEFAULT_TOL, _factorize, singular_values
 from treeschur.spherical import schur_norm_in_s, spherical_symbol
-from treeschur.symbols import INF, constant_symbol, parity_symbol, explicit_symbol, power_symbol, schur_norm
+from treeschur.symbols import (
+    INF,
+    apply_resolvent,
+    build_hankel,
+    constant_symbol,
+    explicit_symbol,
+    parity_symbol,
+    power_symbol,
+    schur_norm,
+)
 from treeschur.tree import (
     build_ball,
     build_certificate,
@@ -227,8 +237,54 @@ def test_norm_and_certificate_read_one_window(make, q):
     n = rep.truncation_n
     cert = build_certificate(sym, q, n)
     assert cert.c_plus == rep.c_plus and cert.c_minus == rep.c_minus
-    # the full SVD and the values-only SVD of the same window differ only in rounding
+    # both read one factorization Q B of the window; the SVD of B with vectors
+    # and without them differ only in rounding
     assert abs(cert.value - rep.hankel_term) <= DEFAULT_TOL * n
+
+
+def recording_svd(monkeypatch):
+    """Spy on ``numpy.linalg.svd``; returns the list of shapes it was called on."""
+    shapes = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return shapes
+
+
+@pytest.mark.parametrize("n", [128, 512])
+def test_certificate_reads_the_range_finder(monkeypatch, n):
+    sym = spherical_symbol(3, s=0.4j)
+    shapes = recording_svd(monkeypatch)
+    cert = build_certificate(sym, 3, n)
+    assert shapes and all(min(shape) < n for shape in shapes)
+    monkeypatch.undo()
+    tree = build_ball(3, 3, chain_extra=n + 1)
+    assert reconstruction_max_error(cert, tree, sym) <= 1e-8
+    # the certified terms are those of the norm's window plus the dropped
+    # singular values of B and the residual half-width of A ~ Q B
+    w = symbols._evaluate_window(sym, 3, n)
+    assert w.q_basis is not None and w.half_width > 0
+    s = np.linalg.svd(w.b, full_matrices=False)[1]
+    dropped = float(np.sum(s[s <= max(1e-15, s[0] * 1e-15)]))
+    b = w.budget
+    assert cert.certified_error == 2.0 * (b.tail + b.spill + dropped + w.half_width + b.svd) + b.parity
+
+
+def test_certificate_falls_back_to_the_dense_window():
+    # 300 random values fill every antidiagonal of the 128-row window, which is
+    # then of full rank: the range finder gives up and B is the window itself
+    n = 128
+    sym = explicit_symbol(np.random.default_rng(30).standard_normal(300))
+    window = apply_resolvent(build_hankel(sym, n), 3)
+    q_basis, b, half_width = _factorize(window)
+    assert q_basis is None and b is window and half_width == 0.0
+    cert = build_certificate(sym, 3, n)
+    assert abs(cert.value - float(np.sum(singular_values(window)))) <= DEFAULT_TOL * n
+    assert np.max(np.abs(cert.weights - window)) <= DEFAULT_TOL * n
 
 
 def test_reconstruction_spherical_finite_q():
