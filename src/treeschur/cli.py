@@ -289,6 +289,8 @@ def cmd_peller(args) -> int:
         "upper": rep.rhs,
         "holds": rep.holds,
         "certified_error": rep.slack,
+        # the slack carries the disc integral's Richardson estimate, not a bound
+        "certified": False,
     }
     _emit(_report("peller", {"symbol": echo, "n": args.n, "target_err": args.err}, results, t0), args.out)
     return EXIT_OK

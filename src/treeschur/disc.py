@@ -28,9 +28,7 @@ from .symbols import (
     RadialSymbol,
     _Envelope,
     _first_fit,
-    _hankel_entries,
     _svd_allowance,
-    _weighted_tail,
     check_degree,
     schur_norm,
 )
@@ -284,9 +282,8 @@ def coeff_hankel(coeff_seq: RadialSymbol, n: int) -> HankelMatrix:
     env = coeff_seq._env
     if env is not None and abs(env.c_plus) + abs(env.c_minus) > 0:
         raise UndeclaredTail("a nonzero parity part makes the plain coefficient Hankel non-trace-class")
-    entries = _hankel_entries(coeff_seq.values(2 * n - 1), n)
-    bound = INF if env is None else _weighted_tail(np.abs(env.head), env.c, env.r, n)
-    return HankelMatrix(n=n, entries=entries, tail_bound=bound)
+    majorant = None if env is None else (np.abs(env.head), env.c, env.r)
+    return HankelMatrix(n=n, d=coeff_seq.values(2 * n - 1), majorant=majorant)
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,11 @@ on it.
 :func:`_factorize` is the one factorization of a window: the trace norm
 and the factorization certificates of ``tree.build_certificate`` both read
 it.  A matrix with n = min(rows, cols) >= 128 first goes through a seeded
-randomized range finder: for k = 16, 32, ... while 8k <= n, Q is an
-orthonormal basis of A Omega for a Gaussian Omega of width k and B = Q* A.
+randomized range finder.  It tries the sketch widths k = 2 (a probe: the
+windows of spherical functions have numerical rank at most 2), then
+16, 32, ... while 8k <= n; Q is an orthonormal basis of A Omega for a
+Gaussian Omega of width k and B = Q* A.  The probe draws from its own seeded
+stream, so the wider sketches are those of a finder without the probe.
 Since Q has orthonormal columns and A - Q B has rank at most n,
 
     ||B||_1 <= ||A||_1 <= ||B||_1 + sqrt(n) ||A - Q B||_F,
@@ -19,8 +22,8 @@ Since Q has orthonormal columns and A - Q B has rank at most n,
 and A ~ Q B is returned, with that half-width sqrt(n) ||A - Q B||_F, as soon
 as the half-width is at most half of ``DEFAULT_TOL * rows``; the other half
 covers the rounding of Q, B and the small SVD.  The residual is summed in
-blocks of 256 rows, so the finder needs O(256 cols + k (rows + cols)) memory
-beyond A.  Otherwise, and always below 128, the factorization is A = I A
+blocks of 128 rows, so the finder needs O(128 cols + k (rows + cols)) memory
+beyond A.  Otherwise, and always below 128 rows, the factorization is A = I A
 (Q is None, B is A, half-width 0) and the SVD of B is the dense SVD, so the
 allowance holds either way.  :func:`trace_norm` is the sum of the singular
 values of B; a certificate takes the singular vectors of B, which is k x cols
@@ -37,8 +40,10 @@ from .errors import NoConvergence, NonFinite
 
 DEFAULT_TOL = 1e-12
 
-_SKETCH_START = 16   # first sketch width; a sketch runs while 8 * width <= n
-_RESIDUAL_ROWS = 256  # row block of the residual A - QB, which is never formed whole
+_DENSE_BELOW = 128    # n below which the dense SVD runs without a sketch
+_PROBE_WIDTH = 2      # the first sketch, tried at every n >= _DENSE_BELOW
+_SKETCH_START = 16   # first width of the ladder; a ladder sketch runs while 8 * width <= n
+_RESIDUAL_ROWS = 128  # row block of the residual A - QB, which is never formed whole
 
 
 def as_cmatrix(entries) -> np.ndarray:
@@ -66,21 +71,29 @@ def singular_values(m) -> np.ndarray:
     return _svdvals(as_cmatrix(m))
 
 
+def _sketches(cols: int, n: int):
+    """The Gaussian test matrices, cols x k: the probe, then the ladder from its own stream."""
+    yield np.random.default_rng(0).standard_normal((cols, _PROBE_WIDTH))
+    rng = np.random.default_rng(0)
+    k = _SKETCH_START
+    while 8 * k <= n:
+        yield rng.standard_normal((cols, k))
+        k *= 2
+
+
 def _factorize(m) -> tuple[np.ndarray | None, np.ndarray, float]:
     """(Q, B, sqrt(n) ||A - Q B||_F) from the first sketch that certifies its
     residual, or (None, A, 0.0) below 128 and when none does (module docstring)."""
     m = as_cmatrix(m)
     rows, cols = m.shape
     n = min(rows, cols)
-    if 8 * _SKETCH_START > n:
+    if n < _DENSE_BELOW:
         return None, m, 0.0
     limit = 0.5 * DEFAULT_TOL * rows / math.sqrt(n)
-    rng = np.random.default_rng(0)
     buf = np.empty((min(rows, _RESIDUAL_ROWS), cols), dtype=complex)
-    k = _SKETCH_START
-    while 8 * k <= n:
+    for omega in _sketches(cols, n):
         try:
-            q, _ = np.linalg.qr(m @ rng.standard_normal((cols, k)))
+            q, _ = np.linalg.qr(m @ omega)
         except np.linalg.LinAlgError as exc:
             raise NoConvergence(f"range finder did not converge: {exc}") from exc
         b = q.conj().T @ m
@@ -94,7 +107,6 @@ def _factorize(m) -> tuple[np.ndarray | None, np.ndarray, float]:
                 break
         else:
             return q, b, math.sqrt(n * ss)
-        k *= 2
     return None, m, 0.0
 
 

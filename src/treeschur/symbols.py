@@ -47,8 +47,17 @@ def check_degree(q) -> int | float:
 _CHECK_SPAN = 1025
 
 
+class _Tail:
+    """The hooks every tail model has; ``_normalize`` is each model's own."""
+
+    def _square_series(self) -> float | None:
+        """sum (n+1)^2 |phi(n)|^2 in closed form, or None when it is summed
+        from the normalized envelope (``ma_upper_bound``)."""
+        return None
+
+
 @dataclass(frozen=True)
-class FiniteSupport:
+class FiniteSupport(_Tail):
     """phi(n) == 0 for all n >= end."""
 
     end: int
@@ -58,7 +67,7 @@ class FiniteSupport:
 
 
 @dataclass(frozen=True)
-class Geometric:
+class Geometric(_Tail):
     """|phi(n)| <= bound * ratio**n for all n >= onset."""
 
     ratio: float
@@ -70,7 +79,7 @@ class Geometric:
 
 
 @dataclass(frozen=True)
-class ParityLimit:
+class ParityLimit(_Tail):
     """phi(n) = c_plus + c_minus*(-1)**n + psi(n) with psi covered by ``rest``."""
 
     c_plus: complex
@@ -84,7 +93,7 @@ class ParityLimit:
 
 
 @dataclass(frozen=True)
-class LacunarySupport:
+class LacunarySupport(_Tail):
     """Support on powers of two with weights 1/(k*2**k).
 
     Certifies the (n+1)^2-weighted square series (the multiplier-algebra
@@ -95,9 +104,22 @@ class LacunarySupport:
     def _normalize(self, values, span):
         return None
 
+    def _square_series(self) -> float:
+        # terms are (1 + 2^-k)^2 / k^2; direct iteration cannot certify 1e-12
+        # (the 1/k^2 part converges like 1/K), so split off zeta(2) exactly
+        extra = 0.0
+        k = 1
+        while True:
+            term = (2.0 ** (1 - k) + 4.0 ** (-k)) / k ** 2
+            extra += term
+            if term < 1e-18:
+                break
+            k += 1
+        return math.pi ** 2 / 6.0 + extra
+
 
 @dataclass(frozen=True)
-class Undeclared:
+class Undeclared(_Tail):
     """No tail information; certified bounds are refused."""
 
     def _normalize(self, values, span):
@@ -105,7 +127,7 @@ class Undeclared:
 
 
 @dataclass(frozen=True, eq=False)
-class _Envelope:
+class _Envelope(_Tail):
     """A tail normalized once: phi(n) = c_plus + c_minus*(-1)**n + psi(n) with
     psi(n) = head[n] exactly for n < len(head) and |psi(n)| <= c * r**n beyond.
 
@@ -383,29 +405,44 @@ def _diag_series_tail(sym: RadialSymbol, n: int) -> float:
 
 @dataclass(frozen=True)
 class HankelMatrix:
-    """N x N window of h[i,j] = phi(i+j) - phi(i+j+2) with truncation metadata.
+    """N x N window h[i,j] = d[i+j] of the 2N-1 antidiagonal values ``d`` (for
+    a symbol, d[m] = phi(m) - phi(m+2)), with truncation metadata.
 
-    ``tail_bound`` dominates the trace norm of the discarded infinite part of
-    H itself (math.inf when the tail model certifies nothing).
+    The window is kept as ``d`` alone; ``entries`` copies it into a dense
+    N x N array once, when first read.  ``majorant`` is (major, c, r) with
+    |h_m| <= major[m] below len(major) and c r^m beyond, or None when the
+    tail model certifies nothing; ``tail_bound``, read from it when first
+    asked for, dominates the trace norm of the discarded infinite part of H
+    itself (math.inf when uncertified).
     """
 
     n: int
-    entries: np.ndarray
-    tail_bound: float
+    d: np.ndarray
+    majorant: tuple[np.ndarray, float, float] | None = field(repr=False)
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        """The dense window, one strided copy of d[i+j] with no index array."""
+        return _window_view(self.d, self.n).copy()
+
+    @cached_property
+    def tail_bound(self) -> float:
+        return INF if self.majorant is None else _weighted_tail(*self.majorant, self.n)
 
 
-def _hankel_entries(seq: np.ndarray, n: int) -> np.ndarray:
-    """The N x N matrix seq[i+j], gathered once from the first 2N-1 terms."""
-    return seq[np.add.outer(np.arange(n), np.arange(n))]
+def _window_view(d: np.ndarray, n: int) -> np.ndarray:
+    """The N x N window d[i+j] as a read-only view of d; row i is d[i:i+N]."""
+    step = d.strides[0]
+    return np.lib.stride_tricks.as_strided(d, (n, n), (step, step), writeable=False)
 
 
 def build_hankel(sym: RadialSymbol, n: int) -> HankelMatrix:
-    """The N x N Hankel window of phi(i+j) - phi(i+j+2)."""
+    """The N-window of phi(i+j) - phi(i+j+2), kept as its difference sequence."""
     if n < 1:
         raise ValueError("truncation size must be >= 1")
     vals = sym.values(2 * n + 1)
-    entries = _hankel_entries(vals[:-2] - vals[2:], n)
-    return HankelMatrix(n=n, entries=entries, tail_bound=hankel_tail_bound(sym, n))
+    majorant = None if sym._env is None else sym._env.hankel_majorant
+    return HankelMatrix(n=n, d=vals[:-2] - vals[2:], majorant=majorant)
 
 
 def apply_resolvent(h: HankelMatrix | np.ndarray, q: int) -> np.ndarray:
@@ -413,18 +450,23 @@ def apply_resolvent(h: HankelMatrix | np.ndarray, q: int) -> np.ndarray:
 
     h'[i,j] = (1-1/q) * sum_{k=0..min(i,j)} q^{-k} h[i-k, j-k]; the sum
     terminates inside the window, so no truncation error is introduced here.
+    The rows are made in order, row i from row i-1 of the image and row i of
+    H; a ``HankelMatrix`` is read through a view of d, whose row i is
+    d[i:i+N], so the dense H is never formed and the N x N image is the only
+    large array.
     """
     q = check_degree(q)
     if q == INF:
         raise ValueError("the resolvent step applies to finite degree only")
-    entries = h.entries if isinstance(h, HankelMatrix) else as_cmatrix(h)
-    n = entries.shape[0]
-    acc = np.empty_like(entries)
+    entries = _window_view(h.d, h.n) if isinstance(h, HankelMatrix) else as_cmatrix(h)
+    acc = np.empty(entries.shape, dtype=complex)
     acc[0] = entries[0]
+    acc[1:, 0] = entries[1:, 0]
     inv_q = 1.0 / q
-    for i in range(1, n):
-        acc[i, 0] = entries[i, 0]
-        acc[i, 1:] = entries[i, 1:] + inv_q * acc[i - 1, :-1]
+    for i in range(1, len(acc)):
+        row = acc[i, 1:]  # entries[i, 1:] + inv_q * acc[i - 1, :-1], made in place
+        np.multiply(inv_q, acc[i - 1, :-1], out=row)
+        np.add(entries[i, 1:], row, out=row)
     acc *= 1.0 - inv_q
     return acc
 
@@ -447,16 +489,16 @@ def extract_parity(sym: RadialSymbol, h: HankelMatrix, tol: float = 1e-9) -> Par
 
     lim phi(2i) = phi(0) - sum_i h[i,i],  lim phi(2i+1) = phi(1) - sum_i h[i+1,i].
     """
-    entries = h.entries
-    n = h.n
-    diag_sum = complex(np.sum(np.diagonal(entries)))
-    sub_sum = complex(np.sum(np.diagonal(entries, offset=-1)))
+    d, n = h.d, h.n
+    # h[i,i] = d[2i] for i < n and h[i+1,i] = d[2i+1] for i < n-1
+    diag_sum = complex(np.sum(d[0 : 2 * n - 1 : 2]))
+    sub_sum = complex(np.sum(d[1 : 2 * n - 2 : 2]))
     tail_err = _diag_series_tail(sym, n)
     if not math.isfinite(tail_err):
         # no certificate: require the Cauchy criterion on the half window
         half = max(n // 2, 1)
-        diag_half = complex(np.sum(np.diagonal(entries)[:half]))
-        sub_half = complex(np.sum(np.diagonal(entries, offset=-1)[: max(half - 1, 0)]))
+        diag_half = complex(np.sum(d[0 : 2 * half - 1 : 2]))
+        sub_half = complex(np.sum(d[1 : 2 * half - 2 : 2]))
         tail_err = abs(diag_sum - diag_half) + abs(sub_sum - sub_half)
         if tail_err > tol:
             raise DivergentDiagonals(
@@ -528,14 +570,18 @@ class _Window:
         return float(np.sum(_svdvals(self.b)))
 
 
-def _evaluate_window(sym: RadialSymbol, q, n: int, parity_tol: float = 1e-9) -> _Window:
+def _evaluate_window(
+    sym: RadialSymbol, q, n: int, parity_tol: float = 1e-9, budget: _Budget | None = None
+) -> _Window:
     """Build the N-window, resolvent-transform it at finite q, factorize it,
-    and extract the parity limits."""
+    and extract the parity limits; ``budget`` is the window's ``_budget`` when
+    the caller has it already."""
     h = build_hankel(sym, n)
     q_basis, b, half_width = _factorize(h.entries if q == INF else apply_resolvent(h, q))
     parity = extract_parity(sym, h, tol=parity_tol)
     return _Window(
-        hankel=h, parity=parity, q_basis=q_basis, b=b, half_width=half_width, budget=_budget(sym, q, n),
+        hankel=h, parity=parity, q_basis=q_basis, b=b, half_width=half_width,
+        budget=_budget(sym, q, n) if budget is None else budget,
     )
 
 
@@ -571,10 +617,16 @@ def schur_norm(sym: RadialSymbol, q, target_err: float = 1e-8) -> SchurNormRepor
     parity_tol = max(target_err, 1e-9)
     certified = sym._env is not None
     if certified:
-        n = _first_fit(N_START, N_CAP, lambda n: _budget(sym, q, n).total, target_err)
+        budgets = {}
+
+        def remainder(n):
+            budgets[n] = _budget(sym, q, n)
+            return budgets[n].total
+
+        n = _first_fit(N_START, N_CAP, remainder, target_err)
         if n > N_CAP:
             raise NoConvergence(f"no truncation up to the cap {N_CAP} fits the target error {target_err:.1e}")
-        w = _evaluate_window(sym, q, n, parity_tol=parity_tol)
+        w = _evaluate_window(sym, q, n, parity_tol=parity_tol, budget=budgets[n])
         err = w.budget.total
     else:
         w, err = _doubling_window(sym, q, target_err, parity_tol)
@@ -617,18 +669,9 @@ def ma_upper_bound(sym: RadialSymbol) -> float:
     norm; it is finite for the lacunary counterexample even though the Schur
     norm is not.
     """
-    if isinstance(sym.tail, LacunarySupport):
-        # terms are (1 + 2^-k)^2 / k^2; direct iteration cannot certify 1e-12
-        # (the 1/k^2 part converges like 1/K), so split off zeta(2) exactly
-        extra = 0.0
-        k = 1
-        while True:
-            term = (2.0 ** (1 - k) + 4.0 ** (-k)) / k ** 2
-            extra += term
-            if term < 1e-18:
-                break
-            k += 1
-        return math.sqrt(math.pi ** 2 / 6.0 + extra)
+    exact = sym.tail._square_series()
+    if exact is not None:
+        return math.sqrt(exact)
     env = sym._env
     if env is None:
         raise DivergentSeries("tail model does not certify the weighted square series")

@@ -235,6 +235,16 @@ def test_peller_command(tmp_path, capsys):
     assert res["trace_norm"] <= res["disc_l1"] + res["certified_error"]
 
 
+def test_peller_result_is_flagged_uncertified(tmp_path, capsys):
+    # certified_error adds the disc integral's Richardson estimate, which bounds nothing
+    spec = write_spec(tmp_path, {"kind": "spherical", "q": 3, "s": {"re": 0.0, "im": 0.4}})
+    code, out, _ = run_cli(capsys, ["peller", spec])
+    assert code == 0
+    res = json.loads(out)["results"]
+    assert res["certified"] is False
+    assert set(res) == {"trace_norm", "disc_l1", "upper", "holds", "certified_error", "certified"}
+
+
 def test_peller_ratio_zero_tail(tmp_path, capsys):
     spec = write_spec(tmp_path, {"kind": "explicit", "values": [1, 0.5, 0.25, 0.125, 0.9],
                                  "tail": {"type": "geometric", "ratio": 0, "bound": 1, "onset": 5}})

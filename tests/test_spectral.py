@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from treeschur.errors import NonFinite
 from treeschur.spectral import DEFAULT_TOL, as_cmatrix, operator_norm, singular_values, trace_norm
 from treeschur.spherical import eigenvalue_from_z, schur_norm_in_s, spherical_symbol
-from treeschur.symbols import schur_norm
+from treeschur.symbols import INF, _evaluate_window, power_symbol, schur_norm
 
 
 def random_complex(rng, rows, cols):
@@ -190,6 +190,26 @@ def test_range_finder_answers_a_low_rank_window_with_one_small_svd(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", recording_svd)
     trace_norm(low_rank_complex(np.random.default_rng(26), 512, 3, 1.0))
     assert shapes == [(16, 512)]
+
+
+def test_width_two_probe_answers_a_rank_one_window(monkeypatch):
+    shapes = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: shapes.append(a.shape) or svd(a, *args, **kw))
+    s, n = 0.999 + 0.001j, 2048
+    w = _evaluate_window(power_symbol(s), INF, n)
+    # h[i, j] = (1 - s^2) s^i s^j has trace norm |1 - s^2| sum |s|^(2i)
+    exact = abs(1 - s * s) * np.sum(abs(s) ** (2 * np.arange(n)))
+    assert abs(w.term - exact) <= DEFAULT_TOL * n
+    assert shapes == [(2, 2048)]
+
+
+def test_probe_leaves_the_wider_sketches_unchanged():
+    # the probe draws from its own stream: a window that needs width 16 gets the
+    # first draw of the seeded ladder, as a finder without the probe does
+    m = low_rank_complex(np.random.default_rng(26), 512, 3, 1.0)
+    q, _ = np.linalg.qr(m @ np.random.default_rng(0).standard_normal((512, 16)))
+    assert trace_norm(m) == float(np.sum(np.linalg.svd(q.conj().T @ m, compute_uv=False)))
 
 
 def test_trace_norm_is_deterministic():

@@ -200,6 +200,61 @@ def test_window_and_resolvent_match_reference_bit_for_bit(n):
         assert np.array_equal(coeff_hankel(sym, n).entries, vals[np.add.outer(np.arange(n), np.arange(n))])
 
 
+def reference_parity(sym, entries, half_window):
+    """(c_plus, c_minus, Cauchy error) from np.diagonal sums of the dense window, as first written."""
+    n = entries.shape[0]
+    diag, sub = np.diagonal(entries), np.diagonal(entries, offset=-1)
+    diag_sum, sub_sum = complex(np.sum(diag)), complex(np.sum(sub))
+    err = None
+    if half_window:
+        half = max(n // 2, 1)
+        err = abs(diag_sum - complex(np.sum(diag[:half]))) + abs(sub_sum - complex(np.sum(sub[: max(half - 1, 0)])))
+    phi = sym.values(2)
+    even, odd = complex(phi[0]) - diag_sum, complex(phi[1]) - sub_sum
+    return 0.5 * (even + odd), 0.5 * (even - odd), err
+
+
+@pytest.mark.parametrize("n", [1, 7, 64, 128, 513])
+def test_evaluated_window_and_parity_match_the_dense_references(monkeypatch, n):
+    # the window reaches _factorize, and the parity limits come from d, with
+    # the bits of the gathered dense window and its diagonal sums
+    import treeschur.symbols as symbols
+
+    seen = []
+    real = symbols._factorize
+    monkeypatch.setattr(symbols, "_factorize", lambda m: seen.append(m.copy()) or real(m))
+    rng = np.random.default_rng(100 + n)
+    values = 0.7 ** np.arange(2 * n + 1) * np.exp(2j * np.pi * rng.random(2 * n + 1))
+    declared = explicit_symbol(values)
+    undeclared = RadialSymbol(tail=Undeclared(), values_fn=lambda count: values[:count])
+    for sym in (declared, undeclared):
+        dense = reference_hankel(sym, n)
+        cp, cm, half_err = reference_parity(sym, dense, sym is undeclared)
+        for q in (2, 3, 5, INF):
+            w = symbols._evaluate_window(sym, q, n, parity_tol=1.0)
+            assert np.array_equal(seen.pop(), dense if q == INF else reference_resolvent(dense, q))
+            assert (w.parity.c_plus, w.parity.c_minus) == (cp, cm)
+            if half_err is not None:
+                assert w.parity.certified_error == half_err
+
+
+def test_finite_degree_window_keeps_one_n_by_n_array():
+    # no dense H and no gather index at finite q: the resolvent image is the
+    # one N x N array (16 N^2 bytes), with the residual block of the range finder
+    import treeschur.symbols as symbols
+    from treeschur.spherical import spherical_symbol
+
+    sym, n = spherical_symbol(3, s=0.4j), 1024
+    symbols._evaluate_window(sym, 3, 128)
+    tracemalloc.start()
+    try:
+        symbols._evaluate_window(sym, 3, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * 16 * n * n
+
+
 def test_shift_conjugation_preserves_trace_norm():
     rng = np.random.default_rng(4)
     for _ in range(5):
