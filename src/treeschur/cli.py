@@ -17,7 +17,7 @@ import time
 import numpy as np
 
 from .disc import PolarQuadrature, coeff_hankel, difference_sequence, g_from_symbol, peller_sandwich
-from .errors import DivergentDiagonals, NoConvergence, TreeSchurError, UndeclaredTail
+from .errors import DivergentDiagonals, NoConvergence, NonFinite, TreeSchurError, UndeclaredTail
 from .padics import PMatrix2, lattice_distance, parse_rational
 from .spherical import eigenvalue_from_z, schur_norm_in_s, schur_norm_in_z
 from .symbol_io import parse_complex, parse_degree, symbol_from_spec
@@ -159,6 +159,9 @@ def cmd_norm(args) -> int:
     except NoConvergence as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
+    except NonFinite as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     results = {
         "multiplier": True,
         "total": rep.total,
@@ -283,6 +286,9 @@ def cmd_peller(args) -> int:
     except NoConvergence as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
+    except NonFinite as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     results = {
         "trace_norm": rep.lhs,
         "disc_l1": rep.mid,

@@ -21,8 +21,8 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import DivergentDiagonals, DivergentSeries, NoConvergence
-from .spectral import DEFAULT_TOL, _factorize, _svdvals, as_cmatrix
+from .errors import DivergentDiagonals, DivergentSeries, NoConvergence, NonFinite
+from .spectral import DEFAULT_TOL, _all_finite, _factorize, _Operator, _svdvals, as_cmatrix
 
 INF = math.inf
 
@@ -431,9 +431,12 @@ class HankelMatrix:
 
 
 def _window_view(d: np.ndarray, n: int) -> np.ndarray:
-    """The N x N window d[i+j] as a read-only view of d; row i is d[i:i+N]."""
-    step = d.strides[0]
-    return np.lib.stride_tricks.as_strided(d, (n, n), (step, step), writeable=False)
+    """The N x N window d[i+j] as a read-only view of d (of a contiguous copy
+    when d is strided); row i is d[i:i+N]."""
+    d = np.ascontiguousarray(d)
+    view = np.ndarray((n, n), d.dtype, d, 0, (d.itemsize, d.itemsize))
+    view.flags.writeable = False
+    return view
 
 
 def build_hankel(sym: RadialSymbol, n: int) -> HankelMatrix:
@@ -445,28 +448,140 @@ def build_hankel(sym: RadialSymbol, n: int) -> HankelMatrix:
     return HankelMatrix(n=n, d=vals[:-2] - vals[2:], majorant=majorant)
 
 
+# the correction c^(min(i,j)+1) F[|i-j|-2] of the resolvent image is dropped
+# once c^(min(i,j)+1) is at most this, 1/256 of the spacing of floats at 1
+_BORDER_CUT = 2.0 ** -60
+
+
+def _border_width(c: float, n: int) -> int:
+    """The first k with c^(k+1) <= 2^-60, at most n (0 at c = 0)."""
+    if not c:
+        return 0
+    k = max(math.ceil(60.0 / -math.log2(c)) - 1, 0)  # then corrected against the definition
+    while k > 0 and c ** k <= _BORDER_CUT:
+        k -= 1
+    while c ** (k + 1) > _BORDER_CUT:
+        k += 1
+    return min(k, n)
+
+
+class _ResolventImage(_Operator):
+    """The window of H' = (1-c) sum_k c^k S^k H S*^k for c = 1/q (c = 0 at
+    q = inf, where H' is H), as an operator for ``spectral._factorize``.
+
+    With F[u] = d[u] + c F[u-2] and F[u < 0] = 0,
+
+        h'[i,j] = (1-c) sum_{s <= min(i,j)} c^s d[i+j-2s]
+                = (1-c) F[i+j] - (1-c) c^(min(i,j)+1) F[|i-j|-2],
+
+    exactly.  So H' is the Hankel window of G = (1-c) F minus a correction
+    that decays like c^min(i,j).  It is kept on the rows and the columns
+    below k, the first index with c^(k+1) <= 2^-60 (59 at q = 2, 37 at
+    q = 3, 0 at q = inf), as the k x N slab ``border`` (H' is complex
+    symmetric, so the columns are its transpose), and dropped beyond: there
+    it is below 2^-60 (1-c) |F|, under a rounding of G.  F comes from a
+    log-depth scan of the recurrence, and the 2N-1 values of F are checked
+    to be finite here (they are finite only if d is).
+
+    The products H' X are Hankel correlations with G by FFT of length 2N,
+    minus the border slab; B = Q* H' = (H' conj Q)^T.  Row blocks are made
+    from a strided view of G minus the border, so no N x N array is formed
+    until ``dense``, which is those blocks in one piece.
+    """
+
+    def __init__(self, h: "HankelMatrix", q):
+        n, d = h.n, h.d
+        c = 0.0 if q == INF else 1.0 / q
+        f = d
+        if c:
+            f = d.copy()
+            lag = 2
+            with np.errstate(over="ignore", invalid="ignore"):  # an overflow is caught below
+                while lag < len(f):  # after the lag-2^t step f[u] = sum_{s < 2^t} c^s d[u-2s]
+                    f[lag:] += c ** (lag // 2) * f[:-lag]
+                    lag *= 2
+        if not _all_finite(f):
+            raise NonFinite("the window or its resolvent image has NaN or infinite entries")
+        self.n, self.shape = n, (n, n)
+        self.g = (1.0 - c) * f if c else f
+        self._view = _window_view(self.g, n)
+        self.border = np.zeros((0, n), dtype=complex)
+        k = _border_width(c, n)
+        if k:
+            # border[i, j] = (1-c) c^(min(i,j)+1) F[|i-j|-2]: row i of the
+            # Toeplitz matrix z[n-1+j-i] = F[|i-j|-2], weighted by
+            # p[min(i,j)] = max(p[i], p[j]) since p decreases (p = 0 from k on)
+            p = np.zeros(n)
+            p[:k] = (1.0 - c) * c ** np.arange(1.0, k + 1.0)
+            head = f[: max(n - 2, 0)]
+            z = np.zeros(2 * n - 1, dtype=complex)
+            z[n + 1 :], z[: len(head)] = head, head[::-1]
+            self.border = np.maximum.outer(p[:k], p) * _window_view(z, n)[::-1][:k]
+
+    @cached_property
+    def _g_hat(self) -> np.ndarray:
+        return np.fft.fft(self.g, 2 * self.n)
+
+    def matmul(self, x):
+        n, k = self.n, len(self.border)
+        # y[i] = sum_j G[i+j] x[j] is entry n-1+i of the convolution of G with x reversed
+        y = np.fft.ifft(np.fft.fft(x[::-1].T, 2 * n) * self._g_hat)[:, n - 1 : 2 * n - 1].T
+        if k:
+            y[:k] -= self.border @ x
+            y[k:] -= self.border[:, k:].T @ x[:k]
+        return y
+
+    def adjoint_matmul(self, q):
+        return self.matmul(q.conj()).T
+
+    def _subtract_border(self, start: int, out: np.ndarray) -> None:
+        k, stop = len(self.border), start + len(out)
+        if start < k:
+            top = min(stop, k)
+            out[: top - start] -= self.border[start:top]
+        if stop > k:
+            lo = max(start, k)
+            out[lo - start :, :k] -= self.border[:, lo:stop].T
+
+    def rows(self, start: int, stop: int) -> np.ndarray:
+        """Rows start .. stop-1 of H'."""
+        out = self._view[start:stop].copy()
+        self._subtract_border(start, out)
+        return out
+
+    def subtract_rows(self, start, out):
+        np.subtract(self._view[start : start + len(out)], out, out=out)
+        self._subtract_border(start, out)
+
+    def dense(self):
+        a = self.rows(0, self.n)
+        if not _all_finite(a):  # F is finite, but G - border may still overflow
+            raise NonFinite("the resolvent image has NaN or infinite entries")
+        return a
+
+
 def apply_resolvent(h: HankelMatrix | np.ndarray, q: int) -> np.ndarray:
     """H' = (1-1/q) sum_k q^{-k} S^k H S*^k restricted to the window (exact there).
 
     h'[i,j] = (1-1/q) * sum_{k=0..min(i,j)} q^{-k} h[i-k, j-k]; the sum
     terminates inside the window, so no truncation error is introduced here.
-    The rows are made in order, row i from row i-1 of the image and row i of
-    H; a ``HankelMatrix`` is read through a view of d, whose row i is
-    d[i:i+N], so the dense H is never formed and the N x N image is the only
-    large array.
+    A ``HankelMatrix`` gives the dense form of its :class:`_ResolventImage`,
+    the matrix the range finder reads in blocks, and raises NonFinite when
+    that is not finite.  Any other matrix runs the recurrence along its
+    diagonals as a log-depth scan: after the step of lag 2^t, entry (i, j)
+    holds the sum over k < 2^(t+1).
     """
     q = check_degree(q)
     if q == INF:
         raise ValueError("the resolvent step applies to finite degree only")
-    entries = _window_view(h.d, h.n) if isinstance(h, HankelMatrix) else as_cmatrix(h)
-    acc = np.empty(entries.shape, dtype=complex)
-    acc[0] = entries[0]
-    acc[1:, 0] = entries[1:, 0]
+    if isinstance(h, HankelMatrix):
+        return _ResolventImage(h, q).dense()
+    acc = as_cmatrix(h).copy()
     inv_q = 1.0 / q
-    for i in range(1, len(acc)):
-        row = acc[i, 1:]  # entries[i, 1:] + inv_q * acc[i - 1, :-1], made in place
-        np.multiply(inv_q, acc[i - 1, :-1], out=row)
-        np.add(entries[i, 1:], row, out=row)
+    lag = 1
+    while lag < min(acc.shape):
+        acc[lag:, lag:] += inv_q ** lag * acc[:-lag, :-lag]
+        lag *= 2
     acc *= 1.0 - inv_q
     return acc
 
@@ -517,8 +632,14 @@ def extract_parity(sym: RadialSymbol, h: HankelMatrix, tol: float = 1e-9) -> Par
 # ---------------------------------------------------------------------------
 
 def _svd_allowance(n: int) -> float:
-    """Absolute error allowed for the trace norm of an n-row window computed
-    by a dense SVD.  Every certified budget reads its SVD term from here."""
+    """Absolute error allowed for the trace norm of an n-row window.  Every
+    certified budget reads its SVD term from here.
+
+    It is the accuracy assumed of a dense SVD of the window.  The range
+    finder keeps within it too: it certifies only when its residual
+    half-width is at most half of it, and that half-width bounds the error of
+    ||B||_1 for any B, so it also covers the rounding of the FFT products
+    that make the sketch and B (``spectral`` module docstring)."""
     return DEFAULT_TOL * n
 
 
@@ -573,11 +694,11 @@ class _Window:
 def _evaluate_window(
     sym: RadialSymbol, q, n: int, parity_tol: float = 1e-9, budget: _Budget | None = None
 ) -> _Window:
-    """Build the N-window, resolvent-transform it at finite q, factorize it,
+    """Build the N-window, factorize its resolvent image (H itself at q = inf),
     and extract the parity limits; ``budget`` is the window's ``_budget`` when
     the caller has it already."""
     h = build_hankel(sym, n)
-    q_basis, b, half_width = _factorize(h.entries if q == INF else apply_resolvent(h, q))
+    q_basis, b, half_width = _factorize(_ResolventImage(h, q))
     parity = extract_parity(sym, h, tol=parity_tol)
     return _Window(
         hankel=h, parity=parity, q_basis=q_basis, b=b, half_width=half_width,

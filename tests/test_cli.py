@@ -304,3 +304,14 @@ def test_norm_overflowing_symbol_stderr_is_one_line():
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: no truncation") and proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["norm", "peller"])
+def test_overflowing_window_exits_1_with_an_error_line(tmp_path, capsys, command):
+    # finite values whose difference d[0] = 1e308 - (-1e308) overflows: the
+    # window raises NonFinite, which reads as bad input, never a certificate
+    spec = write_spec(tmp_path, {"kind": "explicit", "values": [1e308, 0.0, -1e308]})
+    code, out, err = run_cli(capsys, [command, spec, *(["--q", "inf"] if command == "norm" else [])])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1

@@ -82,6 +82,36 @@ def test_nonfinite_rejected():
         trace_norm(np.array([[np.inf]]))
 
 
+def test_finiteness_check_survives_an_overflowing_sum():
+    # the sum of a matrix is tested first; an overflowing sum of finite
+    # entries takes the entrywise test and passes, an inf or NaN never does
+    big = np.full((4, 4), 1e308)
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(big.sum())
+    assert as_cmatrix(big) is not None
+    for bad in (np.inf, -np.inf, np.nan, complex(0.0, np.nan)):
+        m = big.astype(complex)
+        m[3, 1] = bad
+        with pytest.raises(NonFinite):
+            as_cmatrix(m)
+        with pytest.raises(NonFinite):
+            trace_norm(m)
+
+
+def test_sketch_that_overflows_goes_to_the_dense_path(monkeypatch):
+    # the entries are finite but every product A Omega overflows: such a
+    # sketch certifies nothing, so no QR runs and A itself is returned
+    import treeschur.spectral as spectral
+
+    calls = []
+    qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda a, *args, **kw: calls.append(a.shape) or qr(a, *args, **kw))
+    m = np.full((256, 256), 1e308, dtype=complex)
+    q_basis, b, half_width = spectral._factorize(m)
+    assert q_basis is None and b is m and half_width == 0.0
+    assert calls == []
+
+
 def test_shape_validation():
     with pytest.raises(ValueError):
         as_cmatrix(np.zeros((0, 3)))

@@ -19,7 +19,8 @@ from treeschur.spherical import (
     spherical_values,
     spherical_values_closed_form,
 )
-from treeschur.symbols import INF, Geometric, schur_norm
+from treeschur.errors import NoConvergence
+from treeschur.symbols import INF, N_CAP, Geometric, schur_norm
 
 
 def strip_points(rng, count):
@@ -213,3 +214,25 @@ def test_spherical_hankel_rank_one_closed_forms():
                 for j in range(8):
                     assert abs(h.entries[i, j] - pref * xi(i + j)) <= 1e-12
                     assert abs(hp[i, j] - pref_p * xi(i) * xi(j)) <= 1e-12
+
+
+@pytest.mark.parametrize("q, ladder", [
+    (2, [0.2j, 0.3j, 0.32j, 0.325j, 0.33j, 0.6 + 0.2j]),
+    (3, [0.4j, 0.45j, 0.48j, 0.49j, 0.495j, 0.7 + 0.3j]),
+    (INF, [0.9, 0.98, 0.99, 0.995, 0.99j, 0.6 + 0.79j]),
+])
+def test_boundary_ladder_certifies_truly_or_gives_up(q, ladder):
+    # spherical symbols toward the edge of the multiplier ellipse, down to
+    # margins where the 4096-row cap binds: each certified report lies within
+    # its certified error of the closed form, and the rest end in NoConvergence
+    at_cap = given_up = 0
+    for s in ladder:
+        try:
+            rep = schur_norm(spherical_symbol(q, s=s), q)
+        except NoConvergence:
+            given_up += 1
+            continue
+        assert rep.certified
+        assert abs(rep.total - schur_norm_in_s(q, s)) <= rep.certified_error, s
+        at_cap += rep.truncation_n == N_CAP
+    assert at_cap >= 1 and given_up >= 1

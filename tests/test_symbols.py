@@ -4,13 +4,14 @@ import cmath
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from treeschur.disc import coeff_hankel
-from treeschur.errors import DivergentDiagonals, DivergentSeries
+from treeschur.errors import DivergentDiagonals, DivergentSeries, NonFinite
 from treeschur.spectral import trace_norm
 from treeschur.symbols import (
     INF,
@@ -18,6 +19,7 @@ from treeschur.symbols import (
     Geometric,
     RadialSymbol,
     Undeclared,
+    _ResolventImage,
     apply_resolvent,
     build_hankel,
     constant_symbol,
@@ -176,26 +178,80 @@ def reference_hankel(sym, n):
     return vals[idx] - vals[idx + 2]
 
 
-def reference_resolvent(entries, q):
-    """The resolvent recurrence with the scaling applied to a copy, as first written."""
-    n = entries.shape[0]
-    acc = np.empty_like(entries)
-    acc[0] = entries[0]
-    for i in range(1, n):
-        acc[i, 0] = entries[i, 0]
-        acc[i, 1:] = entries[i, 1:] + (1.0 / q) * acc[i - 1, :-1]
-    return (1 - 1 / q) * acc
+# unit roundoff of binary64
+UNIT = 2.0 ** -53
+
+
+def gamma(k):
+    return k * UNIT / (1.0 - k * UNIT)
+
+
+def resolvent_oracle(d, n, q, antidiagonals):
+    """{(i, j): h'[i, j]} on the antidiagonals i + j = u given, from the
+    definition (1-c) sum_{s <= min(i,j)} c^s d[i+j-2s] at 40 digits, with c
+    the double 1.0/q taken exactly; each antidiagonal is one prefix sum over s."""
+    out = {}
+    with mpmath.workdps(40):
+        c = mpmath.mpf(1.0 / q)
+        for u in antidiagonals:
+            total, power = mpmath.mpc(0), mpmath.mpf(1)
+            for s in range(u // 2 + 1):
+                total += power * mpmath.mpc(d[u - 2 * s])
+                power *= c
+                if u - s < n:  # min(i, j) = s on this antidiagonal
+                    out[s, u - s] = out[u - s, s] = (1 - c) * total
+    return out
+
+
+def check_resolvent_against_oracle(d, n, q, image):
+    """Every entry of ``image`` on the checked antidiagonals is within
+
+        (1-c) [ gamma_(3T+5) (A[i+j] + c^(m+1) A[|i-j|-2]) + [m >= k] 2^-60 A[|i-j|-2] ]
+
+    of the oracle, where m = min(i, j), A[u] = sum_s c^s |d[u-2s]| (0 for
+    u < 0), T is the number of steps of the scan that makes F, and k is the
+    border width, the first index with c^(k+1) <= 2^-60 (at most n).
+
+    The derivation.  The image is (1-c) F[i+j] - (1-c) c^(m+1) F[|i-j|-2]
+    with F[u] = sum_s c^s d[u-2s], which is the definition sum exactly.  Each
+    of the T scan steps multiplies a partial sum by a rounded power of c (two
+    roundings) and adds it (one), so |fl(F) - F| <= gamma_(3T) A
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002,
+    ch. 3; real and imaginary parts round apart, and Minkowski's inequality
+    takes the componentwise bound to the modulus).  The scale 1 - c, the
+    power c^(m+1), their product, the product with F and the final
+    subtraction add at most five roundings.  For m >= k the correction is
+    dropped, and it is at most (1-c) 2^-60 |F| <= (1-c) 2^-60 A there.  A is
+    summed in floats; its own relative rounding, below 1e-12, is far inside
+    the factor gamma.
+    """
+    c = 1.0 / q
+    steps = sum(1 for t in range(1, 64) if 2 ** t < 2 * n - 1)
+    k = next(k for k in range(n + 1) if k == n or c ** (k + 1) <= 2.0 ** -60)
+    a = np.abs(d)
+    for u in range(2, len(a)):
+        a[u] += c * a[u - 2]
+    antidiagonals = range(2 * n - 1)
+    if n > 64:  # the definition sum costs O(n^2) at 40 digits: check a spread of antidiagonals
+        antidiagonals = sorted({0, 1, 2, 3, 2 * k - 1, 2 * k, 2 * k + 1, 2 * k + 2, n - 1, n, 2 * n - 3, 2 * n - 2})
+    for (i, j), value in resolvent_oracle(d, n, q, antidiagonals).items():
+        m, diff = min(i, j), abs(i - j) - 2
+        a_diff = a[diff] if diff >= 0 else 0.0
+        bound = (1 - c) * (gamma(3 * steps + 5) * (a[i + j] + c ** (m + 1) * a_diff) + (m >= k) * 2.0 ** -60 * a_diff)
+        assert float(abs(image[i, j] - value)) <= bound, (q, i, j)
 
 
 @pytest.mark.parametrize("n", [1, 7, 64, 513])
 def test_window_and_resolvent_match_reference_bit_for_bit(n):
+    # the window and the coefficient window bit for bit; the resolvent image,
+    # made in closed form from F, within the rounding bound of the definition sum
     rng = np.random.default_rng(n)
     values = rng.standard_normal(2 * n + 1) + 1j * rng.standard_normal(2 * n + 1)
     for sym in (explicit_symbol(values), power_symbol(0.9 + 0.1j)):
         h = build_hankel(sym, n)
         assert np.array_equal(h.entries, reference_hankel(sym, n))
         for q in (2, 3, 5):
-            assert np.array_equal(apply_resolvent(h, q), reference_resolvent(h.entries, q))
+            check_resolvent_against_oracle(h.d, n, q, apply_resolvent(h, q))
         vals = sym.values(2 * n - 1)
         assert np.array_equal(coeff_hankel(sym, n).entries, vals[np.add.outer(np.arange(n), np.arange(n))])
 
@@ -216,23 +272,29 @@ def reference_parity(sym, entries, half_window):
 
 @pytest.mark.parametrize("n", [1, 7, 64, 128, 513])
 def test_evaluated_window_and_parity_match_the_dense_references(monkeypatch, n):
-    # the window reaches _factorize, and the parity limits come from d, with
-    # the bits of the gathered dense window and its diagonal sums
+    # the window reaches _factorize as an operator whose matrix is the
+    # gathered dense window at q = inf, bit for bit, and the resolvent image
+    # within the rounding bound of the definition sum at finite q; the parity
+    # limits come from d, with the bits of the dense diagonal sums
     import treeschur.symbols as symbols
 
     seen = []
     real = symbols._factorize
-    monkeypatch.setattr(symbols, "_factorize", lambda m: seen.append(m.copy()) or real(m))
+    monkeypatch.setattr(symbols, "_factorize", lambda m: seen.append(m.dense()) or real(m))
     rng = np.random.default_rng(100 + n)
     values = 0.7 ** np.arange(2 * n + 1) * np.exp(2j * np.pi * rng.random(2 * n + 1))
     declared = explicit_symbol(values)
     undeclared = RadialSymbol(tail=Undeclared(), values_fn=lambda count: values[:count])
     for sym in (declared, undeclared):
         dense = reference_hankel(sym, n)
+        vals = sym.values(2 * n + 1)
         cp, cm, half_err = reference_parity(sym, dense, sym is undeclared)
         for q in (2, 3, 5, INF):
             w = symbols._evaluate_window(sym, q, n, parity_tol=1.0)
-            assert np.array_equal(seen.pop(), dense if q == INF else reference_resolvent(dense, q))
+            if q == INF:
+                assert np.array_equal(seen.pop(), dense)
+            else:
+                check_resolvent_against_oracle(vals[:-2] - vals[2:], n, q, seen.pop())
             assert (w.parity.c_plus, w.parity.c_minus) == (cp, cm)
             if half_err is not None:
                 assert w.parity.certified_error == half_err
@@ -253,6 +315,109 @@ def test_finite_degree_window_keeps_one_n_by_n_array():
     finally:
         tracemalloc.stop()
     assert peak < 1.25 * 16 * n * n
+
+
+@pytest.mark.parametrize("n, share", [(2048, 0.25), (4096, 0.125)])
+def test_certified_window_forms_no_n_by_n_array(n, share):
+    # from 128 rows a window the sketch certifies is read through its
+    # operator: FFT products, the border slab and 128-row residual blocks
+    import treeschur.symbols as symbols
+    from treeschur.spherical import spherical_symbol
+
+    sym = spherical_symbol(3, s=0.4j)
+    symbols._evaluate_window(sym, 3, 128)
+    tracemalloc.start()
+    try:
+        w = symbols._evaluate_window(sym, 3, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert w.q_basis is not None
+    assert peak < share * 16 * n * n
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0.0, np.inf)])
+@pytest.mark.parametrize("q", [2, 3, INF])
+def test_non_finite_values_never_certify(q, bad):
+    # a values_fn that returns inf or NaN: the window checks d and F, which
+    # are 2N values, and raises before any sketch or SVD
+    def values_fn(count, at=5):
+        out = 0.5 ** np.arange(count) + 0j
+        out[at : at + 1] = bad
+        return out
+
+    with pytest.raises(NonFinite):
+        schur_norm(RadialSymbol(tail=Undeclared(), values_fn=values_fn), q)
+    # on the sketch path too, with the bad value deep in a 1024-row window,
+    # found in the 2N values of d and F before any N x N array is made
+    n = 1024
+    tracemalloc.start()
+    try:
+        with pytest.raises(NonFinite):
+            symbols_window(RadialSymbol(tail=Undeclared(), values_fn=lambda count: values_fn(count, at=1500)), q, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * 16 * n * n
+
+
+@pytest.mark.parametrize("n", [32, 256])
+def test_overflowing_resolvent_sequence_never_certifies(n):
+    # d is finite but F[2] = d[2] + d[0] / 2 = 2.25e308 overflows at q = 2
+    values = np.zeros(2 * n + 1, dtype=complex)
+    values[0], values[4] = 1.5e308, -1.5e308
+    sym = RadialSymbol(tail=Undeclared(), values_fn=lambda count: values[:count])
+    assert np.all(np.isfinite(build_hankel(sym, n).d))
+    with pytest.raises(NonFinite):
+        symbols_window(sym, 2, n)
+    with pytest.raises(NonFinite):
+        apply_resolvent(build_hankel(sym, n), 2)
+    if n == 32:
+        with pytest.raises(NonFinite):
+            schur_norm(sym, 2)
+
+
+def symbols_window(sym, q, n):
+    import treeschur.symbols as symbols
+
+    return symbols._evaluate_window(sym, q, n, parity_tol=1.0)
+
+
+@pytest.mark.parametrize("n", [128, 257, 1024])
+@pytest.mark.parametrize("q", [2, 3, 5, INF])
+def test_resolvent_operator_products_and_blocks(q, n):
+    # the FFT products agree with the dense products of the operator's own
+    # matrix, and its row blocks, in one piece or as residuals, are that matrix
+    from treeschur.spherical import spherical_symbol
+
+    rng = np.random.default_rng(n)
+    random_values = rng.standard_normal(2 * n + 1) + 1j * rng.standard_normal(2 * n + 1)
+    x = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+    for sym in (explicit_symbol(random_values), spherical_symbol(3, s=0.4j)):
+        op = _ResolventImage(build_hankel(sym, n), q)
+        a = op.dense()
+        # A convolution of length L = 2N by FFT errs by at most about
+        # 3 kappa sqrt(L) ||G||_2 ||x||_2 in each entry, with
+        # kappa = log2(L) eta / (1 - log2(L) eta) and eta <= 8u for accurate
+        # twiddle factors (Higham, 2nd ed., 2002, thm 24.2, applied to the two
+        # forward transforms, the pointwise product and the inverse); the
+        # dense products and the border add gamma_n |A| |x|
+        size = 2 * n
+        kappa = math.log2(size) * 8 * UNIT / (1 - math.log2(size) * 8 * UNIT)
+        fft_err = 3 * (kappa + gamma(4)) * math.sqrt(size) * np.linalg.norm(op.g)
+        for got, want, dense_err in (
+            (op.matmul(x), a @ x, gamma(n) * (np.abs(a) @ np.abs(x))),
+            (op.adjoint_matmul(x), x.conj().T @ a, gamma(n) * (np.abs(x).T @ np.abs(a))),
+        ):
+            norms = np.linalg.norm(x, axis=0)
+            norms = norms[None, :] if got.shape == (n, 3) else norms[:, None]
+            assert np.all(np.abs(got - want) <= fft_err * norms + 2 * dense_err)
+        blocks = [op.rows(i, min(i + 128, n)) for i in range(0, n, 128)]
+        assert np.array_equal(np.concatenate(blocks), a)
+        for i, block in zip(range(0, n, 128), blocks):
+            residual = np.zeros_like(block)
+            op.subtract_rows(i, residual)
+            assert np.array_equal(residual, block)
 
 
 def test_shift_conjugation_preserves_trace_norm():
