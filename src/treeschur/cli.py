@@ -349,7 +349,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    # an overflow reaches the user as the one error line of the check that
+    # refuses the non-finite result, not as numpy warnings before it
+    with np.errstate(over="ignore", invalid="ignore"):
+        return args.func(args)
 
 
 if __name__ == "__main__":

@@ -726,11 +726,14 @@ class SchurNormReport:
 def schur_norm(sym: RadialSymbol, q, target_err: float = 1e-8) -> SchurNormReport:
     """The Schur norm from one truncation window.
 
-    A symbol with a certified tail takes the first N = 32 * 2**k <= N_CAP
+    A symbol with a certified tail takes the first n = 32 * 2**k <= N_CAP
     whose ``budget`` (Hankel tail, resolvent spill, parity-series tail and
-    SVD allowance, all closed forms) is at most ``target_err``, evaluates
-    that one window, and reports the budget's sum as ``certified_error``;
-    if no N fits, it raises NoConvergence before building any window.
+    SVD allowance, all closed forms) is at most ``target_err``, then the
+    first of N = n * 5/8, n * 6/8, n * 7/8 whose budget fits too, or N = n
+    if none does, so N lies on the grid 2**a * {5, 6, 7, 8} and every FFT
+    length 2N has no prime factor above 7.  It evaluates that one window
+    and reports the budget's sum as ``certified_error``; if no n fits, it
+    raises NoConvergence before building any window.
     Symbols without a decay certificate keep the doubling rule of
     ``_doubling_window`` and are flagged uncertified, with no budget.
     """
@@ -741,12 +744,20 @@ def schur_norm(sym: RadialSymbol, q, target_err: float = 1e-8) -> SchurNormRepor
         budgets = {}
 
         def remainder(n):
-            budgets[n] = _budget(sym, q, n)
+            # the spill is the costly term and never negative: a window the
+            # other three terms already reject is rejected without it
+            tail, parity, svd = hankel_tail_bound(sym, n), _diag_series_tail(sym, n), _svd_allowance(n)
+            if tail + parity + svd > target_err:
+                return tail + parity + svd
+            spill = 0.0 if q == INF else resolvent_spill_bound(sym, n, q)
+            budgets[n] = _Budget(tail, spill, parity, svd)
             return budgets[n].total
 
         n = _first_fit(N_START, N_CAP, remainder, target_err)
         if n > N_CAP:
             raise NoConvergence(f"no truncation up to the cap {N_CAP} fits the target error {target_err:.1e}")
+        # right-size within the octave: the first eighth-step below n that fits
+        n = next((m for m in (n * 5 // 8, n * 6 // 8, n * 7 // 8) if remainder(m) <= target_err), n)
         w = _evaluate_window(sym, q, n, parity_tol=parity_tol, budget=budgets[n])
         err = w.budget.total
     else:

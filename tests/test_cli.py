@@ -292,15 +292,20 @@ def test_json_determinism_modulo_wall_time(tmp_path, capsys):
     assert run_verify() == run_verify()
 
 
-def test_norm_overflowing_symbol_stderr_is_one_line():
-    # the spill bound of [1e308, 5e307] overflows; it must read as inf, silently
+def run_cli_process(argv, stdin):
+    """The CLI in a fresh interpreter, where numpy warnings reach stderr
+    instead of pytest's capture."""
     src = Path(treeschur.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run(
-        [sys.executable, "-W", "default", "-c", "import sys; from treeschur.cli import main; sys.exit(main())",
-         "norm", "-", "--q", "3"],
-        input='{"kind":"explicit","values":[1e308,5e307]}', capture_output=True, text=True, env=env, timeout=120,
+    return subprocess.run(
+        [sys.executable, "-W", "default", "-c", "import sys; from treeschur.cli import main; sys.exit(main())", *argv],
+        input=stdin, capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+def test_norm_overflowing_symbol_stderr_is_one_line():
+    # the spill bound of [1e308, 5e307] overflows; it must read as inf, silently
+    proc = run_cli_process(["norm", "-", "--q", "3"], '{"kind":"explicit","values":[1e308,5e307]}')
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: no truncation") and proc.stderr.count("\n") == 1
@@ -315,3 +320,14 @@ def test_overflowing_window_exits_1_with_an_error_line(tmp_path, capsys, command
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["norm", "peller"])
+def test_overflowing_window_prints_no_numpy_warning(command):
+    # the overflow of d[0] = 1e308 - (-1e308) and of the disc coefficients
+    # reaches stderr as the one error line, with no RuntimeWarning before it
+    argv = [command, "-", *(["--q", "inf"] if command == "norm" else [])]
+    proc = run_cli_process(argv, '{"kind":"explicit","values":[1e308,0,-1e308]}')
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr

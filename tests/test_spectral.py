@@ -259,8 +259,9 @@ def test_range_finder_memory_stays_at_block_size():
 
 
 def test_range_finder_spherical_norm_at_2048_rows():
-    # a hankel-boundary point at q = 3: tail ratio 3^-0.02 certifies at N = 2048
-    s = eigenvalue_from_z(3, complex(0.02, 0.7))
+    # a hankel-boundary point at q = 3: tail ratio 3^-0.015 first fits at N = 2048,
+    # and none of 1280, 1536 and 1792 below it does
+    s = eigenvalue_from_z(3, complex(0.015, 0.7))
     rep = schur_norm(spherical_symbol(3, s=s), 3)
     exact = schur_norm_in_s(3, s)
     assert rep.certified and rep.truncation_n == 2048

@@ -20,7 +20,7 @@ from treeschur.spherical import (
     spherical_values_closed_form,
 )
 from treeschur.errors import NoConvergence
-from treeschur.symbols import INF, N_CAP, Geometric, schur_norm
+from treeschur.symbols import INF, N_CAP, N_START, Geometric, _budget, schur_norm
 
 
 def strip_points(rng, count):
@@ -218,7 +218,7 @@ def test_spherical_hankel_rank_one_closed_forms():
 
 @pytest.mark.parametrize("q, ladder", [
     (2, [0.2j, 0.3j, 0.32j, 0.325j, 0.33j, 0.6 + 0.2j]),
-    (3, [0.4j, 0.45j, 0.48j, 0.49j, 0.495j, 0.7 + 0.3j]),
+    (3, [0.4j, 0.45j, 0.48j, 0.49j, 0.491j, 0.495j, 0.7 + 0.3j]),
     (INF, [0.9, 0.98, 0.99, 0.995, 0.99j, 0.6 + 0.79j]),
 ])
 def test_boundary_ladder_certifies_truly_or_gives_up(q, ladder):
@@ -236,3 +236,29 @@ def test_boundary_ladder_certifies_truly_or_gives_up(q, ladder):
         assert abs(rep.total - schur_norm_in_s(q, s)) <= rep.certified_error, s
         at_cap += rep.truncation_n == N_CAP
     assert at_cap >= 1 and given_up >= 1
+
+
+# the spans of the bands the near-boundary benchmark draws from: Re z (tail
+# ratio q^-Re z) for finite q, |s| for q = inf
+_BOUNDARY_BANDS = {2: (0.050, 0.140), 3: (0.016, 0.085), INF: (0.910, 0.966)}
+
+
+def test_right_sized_windows_certify_near_the_boundary():
+    # the window is never wider than the first power-of-two fit, and its
+    # smaller slack still covers the distance to the closed form
+    rng = np.random.default_rng(31)
+    for q, (lo, hi) in _BOUNDARY_BANDS.items():
+        for _ in range(4):
+            u, t = rng.uniform(lo, hi), rng.uniform(0.0, 1.0)
+            if q == INF:
+                s = u * cmath.exp(2j * math.pi * t)
+            else:
+                s = eigenvalue_from_z(q, complex(u, 2.0 * math.pi * t / math.log(q)))
+            sym = spherical_symbol(q, s=s)
+            rep = schur_norm(sym, q)
+            n = N_START
+            while _budget(sym, q, n).total > 1e-8:
+                n *= 2
+            assert rep.certified and rep.truncation_n <= n, s
+            assert rep.certified_error <= 1e-8
+            assert abs(rep.total - schur_norm_in_s(q, s)) <= rep.certified_error, s

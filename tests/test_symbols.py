@@ -616,10 +616,14 @@ def test_certified_norm_builds_one_window_at_the_first_fitting_n(monkeypatch, ca
     b = rep.budget
     assert rep.certified and b == symbols._budget(sym, q, rep.truncation_n)
     assert rep.certified_error == b.tail + b.spill + b.parity + b.svd <= target
+    # n is the first power-of-two fit; the window is the first of n * {5, 6, 7, 8}/8 that fits
     n = symbols.N_START
-    while n < rep.truncation_n:
-        assert symbols._budget(sym, q, n).total > target, n
+    while symbols._budget(sym, q, n).total > target:
         n *= 2
+    scan = [n * 5 // 8, n * 6 // 8, n * 7 // 8, n]
+    assert rep.truncation_n in scan
+    for m in scan[: scan.index(rep.truncation_n)]:
+        assert symbols._budget(sym, q, m).total > target, m
 
 
 def test_unreachable_target_raises_before_any_svd(monkeypatch):
