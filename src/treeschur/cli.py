@@ -172,6 +172,7 @@ def cmd_norm(args) -> int:
         "certified_error": rep.certified_error,
         "certified": rep.certified,
         "budget": None if rep.budget is None else dataclasses.asdict(rep.budget),
+        "sketch_width": rep.sketch_width,
     }
     _emit(_report("norm", inputs, results, t0), args.out)
     return EXIT_OK

@@ -14,27 +14,41 @@ and Q* A, the residual A - X in row blocks, and the dense A.  A plain matrix
 is wrapped in :class:`_Matrix`, which runs numpy's dense arithmetic; a window
 brings its own operator (``symbols._ResolventImage``), whose products run by
 FFT and whose row blocks are made from its generating sequence, so the
-range finder never forms it.  A matrix with n = min(rows, cols) >= 128 first
-goes through a seeded randomized range finder.  It tries the sketch widths
-k = 2 (a probe: the windows of spherical functions have numerical rank at
-most 2), then 16, 32, ... while 8k <= n; Q is an orthonormal basis of
-Y = A Omega for a Gaussian Omega of width k and B = Q* A.  The probe draws
-from its own seeded stream, so the wider sketches are those of a finder
-without the probe.  Since Q has orthonormal columns, for any B
+range finder never forms it.
+
+The range finder is seeded and certified.  Below 64 rows (n = min(rows,
+cols)) the dense SVD answers.  From 64 rows a probe of width 2 runs first
+(the windows of spherical functions read at their own degree have numerical
+rank at most 2): Q is the Householder basis of Y = A Omega for a Gaussian
+Omega of width 2, and B = Q* A.  Below 128 rows the probe reads the dense A,
+which the dense SVD needs if the probe fails.  From 128 rows a failed probe
+is followed by one growing basis (Halko, Martinsson and Tropp, SIAM Rev.
+2011, sections 4.3-4.4).  Each fresh sample Z = A Omega of 8 columns, from
+the same seeded stream, estimates the residual of the current Q, since
+E ||(I - Q Q*) A omega||^2 = ||A - Q Q* A||_F^2 for a Gaussian column
+omega; Z then joins the sample.  The last two estimates, extrapolated
+geometrically, predict the width at which the estimate reaches the limit
+below, and the sample grows to that width plus 8 columns at once, up to
+n/4 columns; Q is the Householder basis of the whole sample, so it stays
+orthonormal to working precision.  Only an estimate under the limit pays the
+residual pass that certifies.  The dense SVD answers as soon as the
+predicted width exceeds n/4, when the basis has no room for another block
+of 8 within n/4, or when a sample is not finite.  Since Q has orthonormal
+columns, for any B
 
     | ||A||_1 - ||B||_1 | <= sqrt(n) ||A - Q B||_F,
 
 so the residual covers the rounding of Y and B, however they were computed.
-A ~ Q B is returned, with that half-width sqrt(n) ||A - Q B||_F, as soon as
-the half-width is at most half of ``DEFAULT_TOL * rows``; the other half
-covers the rounding of Q, of the residual and of the small SVD.  The residual
-is summed in blocks of 128 rows, so the finder needs O(128 cols + k (rows +
-cols)) memory beyond what the operator holds.  A sketch that is not finite
-certifies nothing.  Otherwise, and always below 128 rows, the factorization
+A ~ Q B is returned, with that half-width sqrt(n) ||A - Q B||_F, when the
+half-width is at most half of ``DEFAULT_TOL * rows``; the other half covers
+the rounding of Q, of the residual and of the small SVD.  The residual is
+summed in blocks of 128 rows, so the finder needs O(128 cols + k (rows +
+cols)) memory beyond what the operator holds.  Otherwise the factorization
 is A = I A (Q is None, B is the dense A, checked to be finite, half-width 0)
 and the SVD of B is the dense SVD, so the allowance holds either way.
-:func:`trace_norm` is the sum of the singular values of B; a certificate
-takes the singular vectors of B, which is k x cols on the sketch path.
+:func:`trace_norm` is the sum of the singular values of B, which for a basis
+come from the k x k triangular factor of B^T; a certificate takes the
+singular vectors of B, which is k x cols on the sketch path.
 """
 
 from __future__ import annotations
@@ -47,9 +61,10 @@ from .errors import NoConvergence, NonFinite
 
 DEFAULT_TOL = 1e-12
 
-_DENSE_BELOW = 128    # n below which the dense SVD runs without a sketch
-_PROBE_WIDTH = 2      # the first sketch, tried at every n >= _DENSE_BELOW
-_SKETCH_START = 16   # first width of the ladder; a ladder sketch runs while 8 * width <= n
+_DENSE_BELOW = 64     # n below which the dense SVD runs without a sketch
+_GROW_FROM = 128      # n from which a basis grows past the probe
+_PROBE_WIDTH = 2      # the first sample, tried at every n >= _DENSE_BELOW
+_BLOCK = 8            # columns of each fresh sample that estimates the residual
 _RESIDUAL_ROWS = 128  # row block of the residual A - QB, which is never formed whole
 
 
@@ -82,19 +97,18 @@ def _svdvals(m: np.ndarray) -> np.ndarray:
     return np.maximum(s, 0.0)
 
 
+def _factor_norm(q: np.ndarray | None, b: np.ndarray) -> float:
+    """||B||_1 for A ~ Q B from :func:`_factorize`.  A basis's k x cols B
+    gives its singular values through the k x k triangular factor of B^T,
+    which has the same ones; the dense A (Q is None) takes its own SVD."""
+    if q is not None:
+        b = np.linalg.qr(b.T, mode="r")
+    return float(np.sum(_svdvals(b)))
+
+
 def singular_values(m) -> np.ndarray:
     """Singular values of ``m``, descending."""
     return _svdvals(as_cmatrix(m))
-
-
-def _sketches(cols: int, n: int):
-    """The Gaussian test matrices, cols x k: the probe, then the ladder from its own stream."""
-    yield np.random.default_rng(0).standard_normal((cols, _PROBE_WIDTH))
-    rng = np.random.default_rng(0)
-    k = _SKETCH_START
-    while 8 * k <= n:
-        yield rng.standard_normal((cols, k))
-        k *= 2
 
 
 class _Operator:
@@ -123,9 +137,53 @@ class _Matrix(_Operator):
         return self.m
 
 
+def _sample(op: _Operator, omega: np.ndarray) -> np.ndarray | None:
+    """A Omega, or None when it is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = op.matmul(omega)
+    return y if _all_finite(y) else None
+
+
+def _orthonormal(y: np.ndarray) -> np.ndarray:
+    """The Householder Q of y."""
+    try:
+        return np.linalg.qr(y)[0]
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"range finder did not converge: {exc}") from exc
+
+
+def _certify(op: _Operator, q: np.ndarray, limit: float, buf: np.ndarray):
+    """(B, sqrt(n) ||A - Q B||_F) for B = Q* A when ||A - Q B||_F <= limit, else None."""
+    b = op.adjoint_matmul(q)
+    ss = 0.0
+    for i in range(0, op.shape[0], _RESIDUAL_ROWS):
+        rows_i = q[i : i + _RESIDUAL_ROWS]
+        block = np.matmul(rows_i, b, out=buf[: len(rows_i)])
+        op.subtract_rows(i, block)
+        ss += np.vdot(block, block).real
+        if not ss <= limit * limit:
+            return None
+    return b, math.sqrt(min(op.shape) * ss)
+
+
+def _predicted_width(estimates: list[tuple[int, float]], limit: float) -> float:
+    """The width at which the residual estimate reaches ``limit``, extrapolated
+    geometrically from the last two (width, estimate) pairs: the last width
+    when there is one pair or the last estimate is at most the limit, inf
+    when the estimates do not decrease."""
+    k1, e1 = estimates[-1]
+    if len(estimates) == 1 or e1 <= limit:
+        return k1
+    k0, e0 = estimates[-2]
+    if not e1 < e0:
+        return math.inf
+    return k1 + (k1 - k0) * math.log(e1 / limit) / math.log(e0 / e1)
+
+
 def _factorize(m) -> tuple[np.ndarray | None, np.ndarray, float]:
-    """(Q, B, sqrt(n) ||A - Q B||_F) from the first sketch that certifies its
-    residual, or (None, A, 0.0) below 128 and when none does (module docstring).
+    """(Q, B, sqrt(n) ||A - Q B||_F) from the first basis that certifies its
+    residual, or (None, A, 0.0) below 64 rows and when none does (module
+    docstring).
 
     ``m`` is an :class:`_Operator` or anything :func:`as_cmatrix` accepts."""
     op = m if isinstance(m, _Operator) else _Matrix(as_cmatrix(m))
@@ -133,28 +191,43 @@ def _factorize(m) -> tuple[np.ndarray | None, np.ndarray, float]:
     n = min(rows, cols)
     if n < _DENSE_BELOW:
         return None, op.dense(), 0.0
+    if n < _GROW_FROM:  # the dense SVD needs A if the probe fails, and dense products are cheaper here
+        op = _Matrix(op.dense())
     limit = 0.5 * DEFAULT_TOL * rows / math.sqrt(n)
     buf = np.empty((min(rows, _RESIDUAL_ROWS), cols), dtype=complex)
-    for omega in _sketches(cols, n):
-        with np.errstate(over="ignore", invalid="ignore"):
-            y = op.matmul(omega)
-        if not _all_finite(y):
+    rng = np.random.default_rng(0)
+    sample = _sample(op, rng.standard_normal((cols, _PROBE_WIDTH)))
+    if sample is None:
+        return None, op.dense(), 0.0
+    q = _orthonormal(sample)
+    found = _certify(op, q, limit, buf)
+    if found is not None:
+        return q, *found
+    if n < _GROW_FROM:
+        return None, op.dense(), 0.0
+    estimates = []
+    while True:
+        fresh = _sample(op, rng.standard_normal((cols, _BLOCK)))
+        if fresh is None:
             break
-        try:
-            q, _ = np.linalg.qr(y)
-        except np.linalg.LinAlgError as exc:
-            raise NoConvergence(f"range finder did not converge: {exc}") from exc
-        b = op.adjoint_matmul(q)
-        ss = 0.0
-        for i in range(0, rows, _RESIDUAL_ROWS):
-            rows_i = q[i : i + _RESIDUAL_ROWS]
-            block = np.matmul(rows_i, b, out=buf[: len(rows_i)])
-            op.subtract_rows(i, block)
-            ss += np.vdot(block, block).real
-            if not ss <= limit * limit:
+        k = q.shape[1]
+        # E ||(I - Q Q*) A omega||^2 = ||A - Q Q* A||_F^2 for a Gaussian column omega
+        estimates.append((k, float(np.linalg.norm(fresh - q @ (q.conj().T @ fresh))) / math.sqrt(_BLOCK)))
+        if estimates[-1][1] <= limit:
+            found = _certify(op, q, limit, buf)
+            if found is not None:
+                return q, *found
+        predicted = _predicted_width(estimates, limit)
+        if predicted > n / 4 or k + _BLOCK > n / 4:
+            break
+        parts = [sample, fresh]
+        extra = min(math.ceil(predicted) + _BLOCK, n // 4) - k - _BLOCK
+        if extra > 0:
+            parts.append(_sample(op, rng.standard_normal((cols, extra))))
+            if parts[-1] is None:
                 break
-        else:
-            return q, b, math.sqrt(n * ss)
+        sample = np.hstack(parts)
+        q = _orthonormal(sample)
     return None, op.dense(), 0.0
 
 
@@ -165,7 +238,7 @@ def trace_norm(m) -> float:
     finder answers from 128 rows when the matrix is numerically of low rank and
     the dense SVD otherwise.  The result is deterministic: the sketch is seeded.
     """
-    return float(np.sum(_svdvals(_factorize(m)[1])))
+    return _factor_norm(*_factorize(m)[:2])
 
 
 def operator_norm(m) -> float:

@@ -22,7 +22,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import DivergentDiagonals, DivergentSeries, NoConvergence, NonFinite
-from .spectral import DEFAULT_TOL, _all_finite, _factorize, _Operator, _svdvals, as_cmatrix
+from .spectral import DEFAULT_TOL, _all_finite, _factor_norm, _factorize, _Operator, as_cmatrix
 
 INF = math.inf
 
@@ -687,8 +687,8 @@ class _Window:
 
     @cached_property
     def term(self) -> float:
-        """The trace norm ||B||_1 of the window, from the values-only SVD of B."""
-        return float(np.sum(_svdvals(self.b)))
+        """The trace norm ||B||_1 of the window (``spectral._factor_norm``)."""
+        return _factor_norm(self.q_basis, self.b)
 
 
 def _evaluate_window(
@@ -721,6 +721,7 @@ class SchurNormReport:
     certified_error: float
     certified: bool
     budget: _Budget | None
+    sketch_width: int  # columns of the certified basis Q of the window, 0 when the dense SVD answered
 
 
 def schur_norm(sym: RadialSymbol, q, target_err: float = 1e-8) -> SchurNormReport:
@@ -767,6 +768,7 @@ def schur_norm(sym: RadialSymbol, q, target_err: float = 1e-8) -> SchurNormRepor
         q=float(q), c_plus=parity.c_plus, c_minus=parity.c_minus, hankel_term=w.term,
         total=abs(parity.c_plus) + abs(parity.c_minus) + w.term, truncation_n=w.hankel.n,
         certified_error=err, certified=certified, budget=w.budget if certified else None,
+        sketch_width=0 if w.q_basis is None else w.q_basis.shape[1],
     )
 
 

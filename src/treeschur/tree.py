@@ -261,15 +261,15 @@ def build_certificate(sym: RadialSymbol, q, n: int) -> FactorizationCertificate:
     """Factorization of the (resolvent-transformed) Hankel window.
 
     The window comes from the same evaluator as ``schur_norm``, factorized as
-    A ~ Q B by ``spectral._factorize`` (Q is the identity below 128 rows and
-    where the range finder gives up).  With U_B S V_B* the thin SVD of B,
-    xi^(k) = sqrt(s_k) (Q U_B)_k and eta^(k) = sqrt(s_k) (V_B)_k, so that
-    sum_k xi^(k) (x) eta^(k) reproduces Q B and sum_k s_k its trace norm.  The
-    certified error covers the window tail, the resolvent spill, dropped
-    singular values (below 1e-15 absolute or relative), the residual
-    half-width sqrt(n) ||A - Q B||_F and the SVD allowance
-    (``symbols._svd_allowance``), scaled by the operator norm (q+1)/(q-1) of
-    the S_{m,n} family, plus the parity-series tail.
+    A ~ Q B by ``spectral._factorize``: Q is the probe's or a grown basis,
+    or the identity below 64 rows and where the range finder gives up.  With
+    U_B S V_B* the thin SVD of B, xi^(k) = sqrt(s_k) (Q U_B)_k and
+    eta^(k) = sqrt(s_k) (V_B)_k, so that sum_k xi^(k) (x) eta^(k) reproduces
+    Q B and sum_k s_k its trace norm.  The certified error covers the window
+    tail, the resolvent spill, dropped singular values (below 1e-15 absolute
+    or relative), the residual half-width sqrt(n) ||A - Q B||_F and the SVD
+    allowance (``symbols._svd_allowance``), scaled by the operator norm
+    (q+1)/(q-1) of the S_{m,n} family, plus the parity-series tail.
     """
     q = check_degree(q)
     w = _evaluate_window(sym, q, n)

@@ -46,6 +46,8 @@ def test_norm_reports_its_budget(tmp_path, capsys):
     assert res["certified_error"] == budget["tail"] + budget["spill"] + budget["parity"] + budget["svd"] <= 1e-9
     assert budget["svd"] == 1e-12 * res["truncation_n"]
     assert res["total"] == pytest.approx(29.0 / 9.0, abs=1e-9)
+    # a rank-2 window at its own degree: the width-2 probe certifies it
+    assert res["sketch_width"] == 2
 
 
 def test_norm_zero_and_constant_symbols(tmp_path, capsys):

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treeschur.corpus import trace_class_corpus
 from treeschur.errors import NonFinite
-from treeschur.spectral import DEFAULT_TOL, as_cmatrix, operator_norm, singular_values, trace_norm
+from treeschur.spectral import DEFAULT_TOL, _factorize, as_cmatrix, operator_norm, singular_values, trace_norm
 from treeschur.spherical import eigenvalue_from_z, schur_norm_in_s, spherical_symbol
-from treeschur.symbols import INF, _evaluate_window, power_symbol, schur_norm
+from treeschur.symbols import INF, _evaluate_window, _ResolventImage, build_hankel, power_symbol, schur_norm
 
 
 def random_complex(rng, rows, cols):
@@ -154,7 +155,7 @@ def test_adjoint_has_same_singular_values():
 
 
 # ---------------------------------------------------------------------------
-# the certified range finder inside trace_norm (n >= 128)
+# the certified range finder inside trace_norm (n >= 64)
 # ---------------------------------------------------------------------------
 
 def low_rank_complex(rng, n, rank, scale):
@@ -185,13 +186,31 @@ def test_trace_norm_agrees_with_the_dense_sum(n, rank, exponent, seed):
     assert abs(trace_norm(m) - dense_trace_norm(m)) <= DEFAULT_TOL * n
 
 
-def test_trace_norm_below_128_rows_is_the_dense_sum():
+def test_trace_norm_below_64_rows_is_the_dense_sum():
     rng = np.random.default_rng(21)
-    for n in (1, 7, 64, 127):
+    for n in (1, 7, 63):
         m = low_rank_complex(rng, n, 1, 1.0)
         assert trace_norm(m) == dense_trace_norm(m)
-    wide = low_rank_complex(rng, 127, 1, 1.0) @ random_complex(rng, 127, 300)
+    wide = low_rank_complex(rng, 63, 1, 1.0) @ random_complex(rng, 63, 300)
     assert trace_norm(wide) == dense_trace_norm(wide)
+    # from 64 rows a full-rank matrix fails the probe and takes the dense sum
+    for n in (64, 127):
+        m = random_complex(rng, n, n)
+        assert trace_norm(m) == dense_trace_norm(m)
+
+
+def test_probe_answers_a_rank_one_matrix_from_64_rows(monkeypatch):
+    rng = np.random.default_rng(21)
+    shapes = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: shapes.append(a.shape) or svd(a, *args, **kw))
+    for n in (64, 96, 127):
+        m = low_rank_complex(rng, n, 1, 1.0)
+        assert abs(trace_norm(m) - dense_trace_norm(m)) <= DEFAULT_TOL * n
+    wide = low_rank_complex(rng, 127, 1, 1.0) @ random_complex(rng, 127, 300)
+    assert abs(trace_norm(wide) - dense_trace_norm(wide)) <= DEFAULT_TOL * 127
+    # one 2 x 2 SVD per trace norm (the triangular factor of B), then the dense references
+    assert shapes == [(2, 2), (64, 64), (2, 2), (96, 96), (2, 2), (127, 127), (2, 2), (127, 300)]
 
 
 def test_trace_norm_falls_back_to_the_dense_sum_at_full_rank():
@@ -210,6 +229,8 @@ def test_trace_norm_reads_the_residual_of_every_row_block():
 
 
 def test_range_finder_answers_a_low_rank_window_with_one_small_svd(monkeypatch):
+    # rank 3: the probe fails, the first fresh block widens the basis to 10
+    # columns, and the next block's estimate lets it certify
     shapes = []
     svd = np.linalg.svd
 
@@ -219,7 +240,7 @@ def test_range_finder_answers_a_low_rank_window_with_one_small_svd(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", recording_svd)
     trace_norm(low_rank_complex(np.random.default_rng(26), 512, 3, 1.0))
-    assert shapes == [(16, 512)]
+    assert shapes == [(10, 10)]
 
 
 def test_width_two_probe_answers_a_rank_one_window(monkeypatch):
@@ -231,15 +252,20 @@ def test_width_two_probe_answers_a_rank_one_window(monkeypatch):
     # h[i, j] = (1 - s^2) s^i s^j has trace norm |1 - s^2| sum |s|^(2i)
     exact = abs(1 - s * s) * np.sum(abs(s) ** (2 * np.arange(n)))
     assert abs(w.term - exact) <= DEFAULT_TOL * n
-    assert shapes == [(2, 2048)]
+    assert shapes == [(2, 2)]
 
 
-def test_probe_leaves_the_wider_sketches_unchanged():
-    # the probe draws from its own stream: a window that needs width 16 gets the
-    # first draw of the seeded ladder, as a finder without the probe does
+def test_grown_basis_extends_the_probe_sample():
+    # one seeded stream: the probe's first draw of width 2, then fresh blocks
+    # of 8; the basis is the Householder Q of the whole sample so far
     m = low_rank_complex(np.random.default_rng(26), 512, 3, 1.0)
-    q, _ = np.linalg.qr(m @ np.random.default_rng(0).standard_normal((512, 16)))
-    assert trace_norm(m) == float(np.sum(np.linalg.svd(q.conj().T @ m, compute_uv=False)))
+    rng = np.random.default_rng(0)
+    probe = m @ rng.standard_normal((512, 2))
+    first_block = m @ rng.standard_normal((512, 8))
+    q, _ = np.linalg.qr(np.hstack([probe, first_block]))
+    assert np.array_equal(_factorize(m)[0], q)
+    r = np.linalg.qr((q.conj().T @ m).T, mode="r")
+    assert trace_norm(m) == float(np.sum(np.linalg.svd(r, compute_uv=False)))
 
 
 def test_trace_norm_is_deterministic():
@@ -266,3 +292,66 @@ def test_range_finder_spherical_norm_at_2048_rows():
     exact = schur_norm_in_s(3, s)
     assert rep.certified and rep.truncation_n == 2048
     assert abs(rep.total - exact) <= rep.certified_error + 1e-11 * exact
+
+
+# ---------------------------------------------------------------------------
+# the grown basis
+# ---------------------------------------------------------------------------
+
+def resolvent_window(p, z, q, n):
+    """The operator of the n-window of spherical(p, z) read at degree q."""
+    return _ResolventImage(build_hankel(spherical_symbol(p, z=z), n), q)
+
+
+def check_certified_factorization(op):
+    """Q of a certified return is orthonormal to 10 k eps, and its half-width is
+    sqrt(n) ||A - Q B||_F recomputed densely, within rounding: the blocked and
+    the dense residual round the same products and differences, in another
+    order, so they differ by a few units u (|A| + |Q| |B|) per entry.  (The
+    worst-case bound gamma_(k+2) of Higham, 2nd ed., 2002, lemma 3.5, would
+    exceed the half-width itself.)"""
+    q_basis, b, half_width = _factorize(op)
+    assert q_basis is not None
+    n, k = op.n, q_basis.shape[1]
+    eps = np.finfo(float).eps
+    assert np.linalg.norm(q_basis.conj().T @ q_basis - np.eye(k), 2) <= 10 * k * eps
+    a = op.dense()
+    dense_half_width = np.sqrt(n) * np.linalg.norm(a - q_basis @ b)
+    rounding = 4 * np.sqrt(n) * (eps / 2) * np.linalg.norm(np.abs(a) + np.abs(q_basis) @ np.abs(b))
+    assert abs(half_width - dense_half_width) <= rounding
+    return k
+
+
+@pytest.mark.parametrize("p, q, n", [(3, 2, 320), (2, 3, 512), (2, 5, 128), (3, 5, 320)])
+def test_grown_basis_is_orthonormal_and_its_half_width_is_the_dense_residual(p, q, n):
+    # spherical symbols read at another degree have numerical rank well above 2
+    k = check_certified_factorization(resolvent_window(p, complex(0.4, 0.7), q, n))
+    assert 2 < k <= n / 4
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.sampled_from([(2, 3), (2, 5), (3, 2), (3, 5), (5, 2), (5, 3)]),
+    st.sampled_from([64, 96, 128, 320, 512]),
+    st.floats(0.05, 0.95),
+    st.floats(0.0, 1.0),
+)
+def test_trace_norm_of_mismatched_resolvent_images(degrees, n, re_z, turn):
+    # the symbol of degree p read at degree q: |trace_norm - dense| within the
+    # allowance, whichever path answers
+    p, q = degrees
+    op = resolvent_window(p, complex(re_z, 2 * np.pi * turn / np.log(p)), q, n)
+    assert abs(trace_norm(op) - dense_trace_norm(op.dense())) <= DEFAULT_TOL * n
+    if _factorize(op)[0] is not None:
+        check_certified_factorization(op)
+
+
+def test_corpus_tail_item_takes_no_window_sized_svd(monkeypatch):
+    # spherical q = 3, s = 0.4i read at q = 2 has a 320-row window of
+    # numerical rank about 45: a grown basis certifies it
+    shapes = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: shapes.append(np.shape(a)) or svd(a, *args, **kw))
+    rep = schur_norm(trace_class_corpus()[6], 2)
+    assert rep.truncation_n == 320 and 2 < rep.sketch_width <= 80
+    assert shapes and all(max(shape) < 320 for shape in shapes)

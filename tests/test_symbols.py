@@ -13,12 +13,14 @@ from hypothesis import strategies as st
 from treeschur.disc import coeff_hankel
 from treeschur.errors import DivergentDiagonals, DivergentSeries, NonFinite
 from treeschur.spectral import trace_norm
+from treeschur.spherical import spherical_symbol
 from treeschur.symbols import (
     INF,
     FiniteSupport,
     Geometric,
     RadialSymbol,
     Undeclared,
+    _evaluate_window,
     _ResolventImage,
     apply_resolvent,
     build_hankel,
@@ -652,7 +654,7 @@ def _doubling_reference(sym, q, target_err):
     n, prev = 32, None
     while True:
         h = build_hankel(sym, n)
-        term = trace_norm(h.entries if q == INF else apply_resolvent(h, q))
+        term = trace_norm(_ResolventImage(h, q))
         par = extract_parity(sym, h, tol=max(target_err, 1e-9))
         total = abs(par.c_plus) + abs(par.c_minus) + term
         if prev is not None and abs(total - prev) + par.certified_error <= target_err:
@@ -666,6 +668,22 @@ def test_undeclared_tail_keeps_the_doubling_rule(q):
     rep = schur_norm(sym, q, target_err=1e-8)
     assert (rep.total, rep.certified_error, rep.truncation_n) == _doubling_reference(sym, q, 1e-8)
     assert not rep.certified and rep.budget is None
+
+
+@pytest.mark.parametrize("make, q, width", [
+    (lambda: power_symbol(0.5), 3, 0),  # a 40-row window: the dense SVD
+    (lambda: spherical_symbol(3, s=0.4j), 3, 2),  # rank 2 at its own degree: the probe
+    (lambda: spherical_symbol(3, s=0.4j), 2, None),  # read at q = 2: a grown basis
+], ids=["dense", "probe", "grown"])
+def test_report_names_the_sketch_width(make, q, width):
+    rep = schur_norm(make(), q)
+    w = _evaluate_window(make(), q, rep.truncation_n)
+    assert rep.sketch_width == (0 if w.q_basis is None else w.q_basis.shape[1])
+    if width is None:
+        assert 2 < rep.sketch_width <= rep.truncation_n / 4
+    else:
+        assert rep.sketch_width == width
+    assert schur_norm(make(), q).sketch_width == rep.sketch_width
 
 
 def _slack_probe():
