@@ -52,7 +52,6 @@ from .spherical import (
     eigenvalue_from_z,
     ellipse_margin,
     hankel_product_sum,
-    is_multiplier_eigenvalue,
     schur_norm_in_s,
     schur_norm_in_z,
     spherical_symbol,

@@ -42,12 +42,6 @@ def ellipse_margin(q, s: complex) -> float:
     return 1.0 - s.real ** 2 - (rho * s.imag) ** 2
 
 
-def is_multiplier_eigenvalue(q, s: complex) -> bool:
-    """Strict ellipse membership plus the two isolated points +-1."""
-    s = complex(s)
-    return s == 1 or s == -1 or ellipse_margin(q, s) > 0.0
-
-
 def eigenvalue_from_z(q: int, z: complex) -> complex:
     """s_z = (1+1/q)^{-1} (q^-z + q^(z-1)) for finite q."""
     q = check_degree(q)

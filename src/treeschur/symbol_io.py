@@ -12,6 +12,7 @@ Numeric entries may be plain numbers, [re, im] pairs, or {"re":..., "im":...}.
 from __future__ import annotations
 
 import math
+import sys
 
 from .spherical import spherical_symbol
 from .symbols import (
@@ -19,6 +20,7 @@ from .symbols import (
     FiniteSupport,
     Geometric,
     RadialSymbol,
+    check_degree,
     explicit_symbol,
     lacunary_counterexample,
 )
@@ -46,11 +48,25 @@ def parse_degree(obj):
         return INF
     if isinstance(obj, float) and not obj.is_integer():
         raise ValueError(f"degree must be an integer or 'inf', got {obj!r}")
-    return int(obj)
+    q = check_degree(int(obj))
+    if q > sys.float_info.max:
+        raise ValueError("degree parameter is out of floating-point range")
+    return q
 
 
 def symbol_from_spec(spec: dict) -> tuple[RadialSymbol, dict]:
-    """Build the symbol and echo a normalized description of the input."""
+    """Build the symbol and echo a normalized description of the input.
+
+    A number beyond float range (a JSON integer such as 10^400, or a value
+    whose closed forms overflow) is refused here as a ``ValueError``.
+    """
+    try:
+        return _symbol_from_spec(spec)
+    except OverflowError as exc:
+        raise ValueError(f"symbol spec holds a number out of floating-point range ({exc})") from exc
+
+
+def _symbol_from_spec(spec: dict) -> tuple[RadialSymbol, dict]:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ValueError("symbol spec must be an object with a 'kind' field")
     kind = spec["kind"]

@@ -132,6 +132,11 @@ class FiniteTreeBall:
         return np.stack(cols, axis=1)
 
     @cached_property
+    def orbit_length(self) -> np.ndarray:
+        """Number of stored orbit nodes: c^i(x) lies in storage iff i < orbit_length[x]."""
+        return (self.orbits >= 0).sum(axis=1)
+
+    @cached_property
     def ancestors(self) -> np.ndarray:
         """Ancestor table of the parent map: ancestors[x, t] is the ancestor of x
         at depth t, and -1 for t > depth(x)."""
@@ -161,8 +166,7 @@ class FiniteTreeBall:
         of the orbit lengths; (m, n) is the first position on that diagonal of
         the orbit table where the two orbits hold the same node.
         """
-        length = (self.orbits >= 0).sum(axis=1)
-        shift = length[xs] - length[ys]
+        shift = self.orbit_length[xs] - self.orbit_length[ys]
         m = np.maximum(shift, 0)
         n = m - shift
         while True:
@@ -306,40 +310,36 @@ def kernel_on_pairs(cert: FactorizationCertificate, tree: FiniteTreeBall, xs, ys
 
     G is the delta' Gram for finite-q certificates and the plain equality
     indicator for infinite-degree ones (then any finite-q ball works, since
-    only chain equality matters).  G(c^i(x), c^j(y)) is nonzero only once the
-    orbits have merged or are one climb from merging, which pins i - j = m - n
-    and i >= m - 1.  So each pair's sum runs along that band only.  The band
-    is walked one offset at a time for all pairs at once, and G is read from
-    node identities in the orbit table: 1 for equal nodes, -1/(q-1) for
-    distinct nodes with the same climb, 0 otherwise.  ``d`` comes from the
-    parent map.  The tests compare it against the full double sum over all
-    (i, j).
+    only chain equality matters).  With (m, n) the meeting indices of a pair,
+    G(c^i(x), c^j(y)) is 1 on the merged diagonal i - m = j - n >= 0, the
+    sibling value -1/(q-1) (0 for the plain indicator) one step before it when
+    min(m, n) >= 1, and 0 elsewhere.  So each pair's sum is
+    diag[m, n] + sibling * weights[m-1, n-1], where diag holds the suffix sums
+    of weights along its diagonals (zero past the window), built once in
+    O(N^2).  The merged diagonal reads c^i(x) up to i = m + N - 1 - max(m, n);
+    if that node lies past the stored chain tip, ``OrbitEscapesBall`` is
+    raised.  The parity sign reads d = m + n.  The tests compare it against a
+    walk along the band and against the full double sum over all (i, j).
     """
     if cert.gram_mode == "delta_prime" and tree.q != cert.q:
         raise ValueError("certificate degree does not match the ball degree")
     xs, ys = np.asarray(xs), np.asarray(ys)
     m, n = tree.meeting(xs, ys)
-    total = cert.c_plus + cert.c_minus * np.where(tree.distances(xs, ys) % 2, -1.0, 1.0)
     size = cert.weights.shape[0]
-    # the band starts at the sibling pair one climb before the merge, if both exist
-    before = np.where(np.minimum(m, n) >= 1, 1, 0)
-    i, j = m - before, n - before
-    last = tree.orbits.shape[1] - 1  # an all -1 column: climbed past the chain tip
-    climb = np.append(tree.climb, -1)
+    lead = np.maximum(m, n)
+    if ((lead < size) & (m + size - 1 - lead >= tree.orbit_length[xs])).any():
+        raise OrbitEscapesBall("climb map undefined inside the window: extend the chain (chain_extra too small)")
+    # a zero last row and column: index size (past the window) and index -1
+    # (no sibling step before a merge at m = 0 or n = 0) both read 0
+    weights = np.zeros((size + 1, size + 1), dtype=complex)
+    weights[:size, :size] = cert.weights
+    diag = weights.copy()
+    for i in range(size - 1, 0, -1):
+        diag[i - 1, :size] += diag[i, 1:]
     sibling = 0.0 if cert.gram_mode == "delta_plain" else -1.0 / (tree.q - 1.0)
-    while True:
-        live = (i < size) & (j < size)
-        if not live.any():
-            return total
-        a = tree.orbits[xs, np.minimum(i, last)]
-        b = tree.orbits[ys, np.minimum(j, last)]
-        if (live & (a < 0)).any():
-            raise OrbitEscapesBall("climb map undefined inside the window: extend the chain (chain_extra too small)")
-        g = np.where(a == b, 1.0, np.where(climb[a] == climb[b], sibling, 0.0))
-        w = cert.weights[np.minimum(i, size - 1), np.minimum(j, size - 1)]
-        total = total + np.where(live, g * w, 0.0)
-        i = i + 1
-        j = j + 1
+    total = cert.c_plus + cert.c_minus * np.where((m + n) % 2, -1.0, 1.0)
+    total = total + diag[np.minimum(m, size), np.minimum(n, size)]
+    return total + sibling * weights[np.minimum(m - 1, size), np.minimum(n - 1, size)]
 
 
 def reconstruct_kernel(cert: FactorizationCertificate, tree: FiniteTreeBall, x: int, y: int) -> complex:
@@ -365,8 +365,8 @@ def empirical_schur_lower_bound(sym: RadialSymbol, tree: FiniteTreeBall, trials:
 
     Restriction plus contractivity of sampling guarantee the estimate never
     exceeds the true Schur norm.  Alongside complex Gaussian trials, the
-    structured U_{m,n} family is sampled: the multiplier scales each U_{m,n}
-    by phi(m+n), so those trials recover sup_n |phi(n)| exactly.
+    structured U_{m,n} family with m + n <= R enters in closed form: the
+    multiplier scales each U_{m,n} by phi(m+n), so its ratio is |phi(m+n)|.
     """
     v = tree.n_ball
     m_arr, n_arr = tree.all_pairs_meeting()
@@ -378,16 +378,4 @@ def empirical_schur_lower_bound(sym: RadialSymbol, tree: FiniteTreeBall, trials:
     for _ in range(trials):
         a = rng.standard_normal((v, v)) + 1j * rng.standard_normal((v, v))
         best = max(best, operator_norm(mult * a) / operator_norm(a))
-    inv_factor = 1.0 / (1.0 - 1.0 / tree.q)
-    for m in range(0, tree.radius + 1):
-        for n in range(0, tree.radius + 1 - m):
-            mask = (m_arr == m) & (n_arr == n)
-            if not mask.any():
-                continue
-            u = np.where(mask, tree.q ** (-(m + n) / 2.0), 0.0)
-            if min(m, n) >= 1:
-                u = u * inv_factor
-            denom = operator_norm(u)
-            if denom > 0:
-                best = max(best, operator_norm(mult * u) / denom)
-    return best
+    return max(best, float(np.max(np.abs(vals[dist[dist <= tree.radius]]))))

@@ -128,6 +128,39 @@ def test_bad_numeric_option_one_line_error(tmp_path, capsys, argv):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command, spec, options", [
+    ("norm", {"kind": "explicit", "values": [1.0, 0.5]}, ["--q", "1"]),
+    ("norm", {"kind": "explicit", "values": [1.0, 0.5]}, ["--q", "-1"]),
+    ("norm", {"kind": "spherical", "q": 1, "s": 0.4}, []),
+    ("norm", {"kind": "explicit", "values": [1.0, 10 ** 400]}, []),
+    ("norm", {"kind": "spherical", "q": 10 ** 400, "s": 0.4}, []),
+    ("norm", {"kind": "explicit", "values": [1.0, 0.5]}, ["--q", str(10 ** 400)]),
+    ("norm", {"kind": "spherical", "q": 3, "s": 1e308}, []),
+    ("peller", {"kind": "spherical", "q": 3, "z": -1e308}, []),
+    ("norm", {"kind": "spherical", "q": 3, "z": -1e308}, []),
+], ids=["q-1", "q-minus-1", "spec-q-1", "huge-int-value", "huge-spec-q", "huge-option-q",
+        "huge-s", "huge-z-peller", "huge-z-norm"])
+def test_bad_degree_or_overflow_one_line_error(tmp_path, capsys, command, spec, options):
+    # a degree below 2 and a number out of float range are refused where the
+    # input is parsed, not as a traceback from the closed forms
+    code, out, err = run_cli(capsys, [command, write_spec(tmp_path, spec), *options])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_symbol_spec_out_of_float_range_is_a_value_error():
+    from treeschur.symbol_io import parse_degree, symbol_from_spec
+
+    with pytest.raises(ValueError):
+        symbol_from_spec({"kind": "explicit", "values": [10 ** 400]})
+    with pytest.raises(ValueError):
+        symbol_from_spec({"kind": "spherical", "q": 3, "s": 1e308})
+    with pytest.raises(ValueError):
+        parse_degree(1)
+    assert parse_degree("3") == 3
+
+
 @pytest.mark.parametrize("q", [3, 3.0, "3"], ids=["int", "float", "string"])
 def test_integral_degree_spellings_agree(tmp_path, capsys, q):
     code, out, _ = run_cli(capsys, ["norm", write_spec(tmp_path, {"kind": "spherical", "q": q, "s": [0.0, 0.4]})])
@@ -333,3 +366,15 @@ def test_overflowing_window_prints_no_numpy_warning(command):
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
+
+
+def test_bad_degree_and_overflow_print_one_stderr_line():
+    for argv, stdin in [
+        (["norm", "-", "--q", "1"], '{"kind":"explicit","values":[1,0.5]}'),
+        (["norm", "-"], '{"kind":"explicit","values":[1,%s]}' % (10 ** 400)),
+        (["peller", "-"], '{"kind":"spherical","q":3,"z":-1e308}'),
+    ]:
+        proc = run_cli_process(argv, stdin)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr

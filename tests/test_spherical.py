@@ -11,8 +11,8 @@ from treeschur.spherical import (
     axis_ratio,
     characteristic_roots,
     eigenvalue_from_z,
+    ellipse_margin,
     hankel_product_sum,
-    is_multiplier_eigenvalue,
     schur_norm_in_s,
     schur_norm_in_z,
     spherical_symbol,
@@ -21,6 +21,12 @@ from treeschur.spherical import (
 )
 from treeschur.errors import NoConvergence
 from treeschur.symbols import INF, N_CAP, N_START, Geometric, _budget, schur_norm
+
+
+def is_multiplier_eigenvalue(q, s: complex) -> bool:
+    """Strict ellipse membership plus the two isolated points +-1."""
+    s = complex(s)
+    return s == 1 or s == -1 or ellipse_margin(q, s) > 0.0
 
 
 def strip_points(rng, count):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from treeschur.errors import OrbitEscapesBall, SizeCap
 from treeschur import symbols
@@ -22,6 +24,7 @@ from treeschur.tree import (
     build_certificate,
     deltaprime_gram,
     empirical_schur_lower_bound,
+    kernel_on_pairs,
     meeting_indices,
     reconstruct_kernel,
     reconstruction_max_error,
@@ -59,6 +62,35 @@ def reconstruct_kernel_dense(cert, tree, x, y):
                 g = deltaprime_gram(tree, ox[i], oy[j])
             total += g * cert.weights[i, j]
     return complex(total)
+
+
+def kernel_on_pairs_band(cert, tree, xs, ys):
+    """Reference for ``kernel_on_pairs``: the band i - j = m - n, i >= m - 1,
+    walked one offset at a time for all pairs, with G read from node
+    identities in the orbit table and d from the parent map, O(pairs x N)."""
+    xs, ys = np.asarray(xs), np.asarray(ys)
+    m, n = tree.meeting(xs, ys)
+    total = cert.c_plus + cert.c_minus * np.where(tree.distances(xs, ys) % 2, -1.0, 1.0)
+    size = cert.weights.shape[0]
+    # the band starts at the sibling pair one climb before the merge, if both exist
+    before = np.where(np.minimum(m, n) >= 1, 1, 0)
+    i, j = m - before, n - before
+    last = tree.orbits.shape[1] - 1  # an all -1 column: climbed past the chain tip
+    climb = np.append(tree.climb, -1)
+    sibling = 0.0 if cert.gram_mode == "delta_plain" else -1.0 / (tree.q - 1.0)
+    while True:
+        live = (i < size) & (j < size)
+        if not live.any():
+            return total
+        a = tree.orbits[xs, np.minimum(i, last)]
+        b = tree.orbits[ys, np.minimum(j, last)]
+        if (live & (a < 0)).any():
+            raise OrbitEscapesBall("climb map undefined inside the window")
+        g = np.where(a == b, 1.0, np.where(climb[a] == climb[b], sibling, 0.0))
+        w = cert.weights[np.minimum(i, size - 1), np.minimum(j, size - 1)]
+        total = total + np.where(live, g * w, 0.0)
+        i = i + 1
+        j = j + 1
 
 
 def test_ball_node_counts():
@@ -309,6 +341,42 @@ def test_reconstruction_band_matches_dense():
             band = reconstruct_kernel(cert, tree, x, y)
             dense = reconstruct_kernel_dense(cert, tree, x, y)
             assert abs(band - dense) <= 1e-12
+
+
+def kernel_or_escape(kernel, cert, tree, xs, ys):
+    try:
+        return kernel(cert, tree, xs, ys)
+    except OrbitEscapesBall:
+        return None
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    q=st.sampled_from((2, 3, 5)),
+    radius=st.integers(1, 4),
+    size=st.sampled_from((1, 2, 7, 24, 128)),
+    plain=st.booleans(),
+    c_plus=st.floats(-2.0, 2.0),
+    c_minus=st.floats(-2.0, 2.0),
+    ratio=st.complex_numbers(max_magnitude=0.8),
+    extra=st.integers(-3, 1),
+)
+@example(q=3, radius=4, size=128, plain=False, c_plus=0.0, c_minus=0.0, ratio=0.5j, extra=1)
+@example(q=3, radius=3, size=64, plain=False, c_plus=0.5, c_minus=-0.25, ratio=0.6, extra=-2)
+@example(q=3, radius=3, size=64, plain=False, c_plus=0.5, c_minus=-0.25, ratio=0.6, extra=-1)
+def test_kernel_on_pairs_matches_the_band_walk(q, radius, size, plain, c_plus, c_minus, ratio, extra):
+    # the merged-diagonal closed form against the band walk on every ordered
+    # ball pair: the same values, and OrbitEscapesBall on exactly the same draws
+    sym = parity_symbol(c_plus, c_minus, power_symbol(ratio))
+    cert = build_certificate(sym, INF if plain else q, size)
+    tree = build_ball(q, radius, chain_extra=max(0, size + extra))
+    nodes = np.arange(tree.n_ball)
+    xs, ys = nodes[:, None], nodes[None, :]
+    got = kernel_or_escape(kernel_on_pairs, cert, tree, xs, ys)
+    want = kernel_or_escape(kernel_on_pairs_band, cert, tree, xs, ys)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert np.max(np.abs(got - want)) <= 1e-13
 
 
 def test_reconstruction_infinite_degree_on_any_ball():
