@@ -1,9 +1,13 @@
 """Command-line front-end.
 
-Subcommands: norm, spherical, verify, padic-distance, peller.  Every command
-emits a JSON run report (schema "treeschur/1") on stdout; ``--out csv`` emits
-a flat projection instead.  Exit codes: 0 success, 1 malformed input,
-2 not a Schur multiplier at certified tolerance, 3 no convergence.
+Subcommands: norm, spherical, verify, padic-distance, peller.  Each command
+returns its exit code, inputs and results; ``main`` builds the JSON run
+report (schema "treeschur/1") from them and prints it on stdout, or a flat
+projection under ``--out csv``.  Exit codes: 0 success; 1 malformed input,
+usage errors included; 2 not a Schur multiplier at certified tolerance;
+3 no convergence.  Exits 1 and 3 print one ``error:`` line on stderr and
+nothing on stdout.  A NaN or infinite number is malformed input, so the
+report is always strict JSON.
 """
 
 from __future__ import annotations
@@ -11,13 +15,14 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import time
 
 import numpy as np
 
 from .disc import PolarQuadrature, coeff_hankel, difference_sequence, g_from_symbol, peller_sandwich
-from .errors import DivergentDiagonals, NoConvergence, NonFinite, TreeSchurError, UndeclaredTail
+from .errors import DivergentDiagonals, NoConvergence, TreeSchurError
 from .padics import PMatrix2, lattice_distance, parse_rational
 from .spherical import eigenvalue_from_z, schur_norm_in_s, schur_norm_in_z
 from .symbol_io import parse_complex, parse_degree, symbol_from_spec
@@ -57,7 +62,7 @@ def _jsonable(value):
 def _emit(report: dict, out: str):
     report = _jsonable(report)
     if out == "json":
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(json.dumps(report, indent=2, sort_keys=True, allow_nan=False))
         return
     rows = report.get("rows")
     if rows:  # grid projection
@@ -98,70 +103,63 @@ def _read_json_input(path: str):
     return json.loads(text)
 
 
-# what reading and parsing a malformed input raises; computation stays outside
-_MALFORMED = (TreeSchurError, ValueError, KeyError, TypeError, json.JSONDecodeError, OSError)
-
-
 def _read_symbol(path: str):
     """The symbol and its echo from the JSON spec at ``path``."""
     return symbol_from_spec(_read_json_input(path))
 
 
-def _check_err(err: float):
+def positive_float(text: str) -> float:
+    """``--err``: a finite positive float."""
+    err = float(text)
     # NaN fails the comparison too
-    if not 0.0 < err < float("inf"):
-        raise ValueError(f"--err must be finite and positive, got {err}")
+    if not 0.0 < err < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text}")
+    return err
 
 
-def _report(command: str, inputs: dict, results: dict, t0: float) -> dict:
+def window_rows(text: str) -> int:
+    """``--n``: a Hankel truncation in 1..N_CAP."""
+    n = int(text)
+    if not 1 <= n <= N_CAP:
+        raise argparse.ArgumentTypeError(f"must lie in 1..{N_CAP}, got {text}")
+    return n
+
+
+def _report(command: str, inputs: dict, results: dict, wall_time_s: float) -> dict:
     return {
         "schema": SCHEMA,
         "command": command,
         "inputs": inputs,
         "results": results,
-        "wall_time_s": time.perf_counter() - t0,
+        "wall_time_s": wall_time_s,
     }
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (exit code, inputs, results), and spherical its
+# rows too; a malformed input raises, and ``main`` maps it to its exit code
 # ---------------------------------------------------------------------------
 
-def cmd_norm(args) -> int:
-    t0 = time.perf_counter()
-    try:
-        _check_err(args.err)
-        sym, echo = _read_symbol(args.symbol)
-        if args.q is not None:
-            q = parse_degree(args.q)
-        elif echo.get("kind") == "spherical":
-            q = parse_degree(echo["q"])
-        else:
-            q = INF
-    except _MALFORMED as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+def cmd_norm(args):
+    sym, echo = _read_symbol(args.symbol)
+    if args.q is not None:
+        q = parse_degree(args.q)
+    elif echo.get("kind") == "spherical":
+        q = parse_degree(echo["q"])
+    else:
+        q = INF
     inputs = {"symbol": echo, "q": "inf" if q == INF else q, "target_err": args.err}
     try:
         rep = schur_norm(sym, q, target_err=args.err)
     except DivergentDiagonals as exc:
-        results = {
-            "multiplier": False,
-            "reason": str(exc),
-        }
+        # a verdict, not a failure: the report still goes out
+        results = {"multiplier": False, "reason": str(exc)}
         if echo.get("kind") == "lacunary":
             results["block_lower_bounds"] = {
                 str(n): counterexample_block_lower_bound(n) for n in (64, 128, 256, 512, 1024)
             }
-        _emit(_report("norm", inputs, results, t0), args.out)
         print("not a Schur multiplier at certified tolerance", file=sys.stderr)
-        return EXIT_NOT_MULTIPLIER
-    except NoConvergence as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    except NonFinite as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        return EXIT_NOT_MULTIPLIER, inputs, results
     results = {
         "multiplier": True,
         "total": rep.total,
@@ -174,8 +172,7 @@ def cmd_norm(args) -> int:
         "budget": None if rep.budget is None else dataclasses.asdict(rep.budget),
         "sketch_width": rep.sketch_width,
     }
-    _emit(_report("norm", inputs, results, t0), args.out)
-    return EXIT_OK
+    return EXIT_OK, inputs, results
 
 
 def _grid_values(spec: str):
@@ -190,27 +187,19 @@ def _grid_values(spec: str):
     return [complex(a, b) for b in ims for a in res]
 
 
-def cmd_spherical(args) -> int:
-    t0 = time.perf_counter()
-    try:
-        q = parse_degree(args.q)
-        if args.grid is not None:
-            points = [("s", s) for s in _grid_values(args.grid)]
-        elif args.s is not None:
-            points = [("s", parse_complex(args.s))]
-        elif args.z is not None:
-            points = [("z", parse_complex(args.z))]
-        else:
-            raise ValueError("provide --s, --z, or --grid")
-    except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+def cmd_spherical(args):
+    q = parse_degree(args.q)
+    if args.grid is not None:
+        points = [("s", s) for s in _grid_values(args.grid)]
+    elif args.s is not None:
+        points = [("s", parse_complex(args.s))]
+    elif args.z is not None:
+        points = [("z", parse_complex(args.z))]
+    else:
+        raise ValueError("provide --s, --z, or --grid")
     rows = []
     for mode, value in points:
         if mode == "z":
-            if q == INF:
-                print("error: --z needs a finite q", file=sys.stderr)
-                return EXIT_BAD_INPUT
             norm = schur_norm_in_z(q, value)
             s_val = eigenvalue_from_z(q, value)
             row = {"z_re": value.real, "z_im": value.imag, "s_re": s_val.real, "s_im": s_val.imag}
@@ -221,19 +210,11 @@ def cmd_spherical(args) -> int:
         row["schur_norm"] = norm if norm is not None else "not-a-multiplier"
         rows.append(row)
     inputs = {"q": "inf" if q == INF else q, "points": len(rows)}
-    report = _report("spherical", inputs, {"closed_form_error": 0.0}, t0)
-    report["rows"] = rows
-    _emit(report, args.out)
-    return EXIT_OK
+    return EXIT_OK, inputs, {"closed_form_error": 0.0}, rows
 
 
-def cmd_verify(args) -> int:
-    t0 = time.perf_counter()
-    try:
-        suite = run_suite(args.suite, seed=args.seed)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+def cmd_verify(args):
+    suite = run_suite(args.suite, seed=args.seed)
     for check in suite.checks:
         status = "PASS" if check.passed else "FAIL"
         print(f"{status} {check.name} (max_err={check.max_err:.3e})", file=sys.stderr)
@@ -243,53 +224,27 @@ def cmd_verify(args) -> int:
             {"name": c.name, "passed": c.passed, "max_err": c.max_err} for c in suite.checks
         ],
     }
-    _emit(_report("verify", {"suite": args.suite, "seed": args.seed}, results, t0), args.out)
-    return EXIT_OK if suite.passed else EXIT_NO_CONVERGENCE
+    code = EXIT_OK if suite.passed else EXIT_NO_CONVERGENCE
+    return code, {"suite": args.suite, "seed": args.seed}, results
 
 
-def cmd_padic_distance(args) -> int:
-    t0 = time.perf_counter()
-    try:
-        payload = _read_json_input(args.input)
-        q = parse_rational(payload["q"])
-        if q.denominator != 1:
-            raise ValueError(f"q must be an integer, got {payload['q']!r}")
-        q = int(q)
-        # a "precision" field is accepted and ignored: the distance is exact
-        a = PMatrix2.from_rationals(q, payload["a"])
-        b = PMatrix2.from_rationals(q, payload["b"])
-    except _MALFORMED as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    results = {"distance": lattice_distance(a, b), "certified_error": 0.0}
-    _emit(_report("padic-distance", {"q": q}, results, t0), args.out)
-    return EXIT_OK
+def cmd_padic_distance(args):
+    payload = _read_json_input(args.input)
+    q = parse_rational(payload["q"])
+    if q.denominator != 1:
+        raise ValueError(f"q must be an integer, got {payload['q']!r}")
+    q = int(q)
+    # a "precision" field is accepted and ignored: the distance is exact
+    a = PMatrix2.from_rationals(q, payload["a"])
+    b = PMatrix2.from_rationals(q, payload["b"])
+    return EXIT_OK, {"q": q}, {"distance": lattice_distance(a, b), "certified_error": 0.0}
 
 
-def cmd_peller(args) -> int:
-    t0 = time.perf_counter()
-    try:
-        _check_err(args.err)
-        if not 1 <= args.n <= N_CAP:
-            raise ValueError(f"--n must lie in 1..{N_CAP}, got {args.n}")
-        sym, echo = _read_symbol(args.symbol)
-    except _MALFORMED as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    try:
-        coeffs = difference_sequence(sym)
-        g = g_from_symbol(coeffs)
-    except (UndeclaredTail, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    try:
-        rep = peller_sandwich(coeff_hankel(coeffs, args.n), g, PolarQuadrature(), target_err=args.err)
-    except NoConvergence as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    except NonFinite as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+def cmd_peller(args):
+    sym, echo = _read_symbol(args.symbol)
+    coeffs = difference_sequence(sym)
+    g = g_from_symbol(coeffs)
+    rep = peller_sandwich(coeff_hankel(coeffs, args.n), g, PolarQuadrature(), target_err=args.err)
     results = {
         "trace_norm": rep.lhs,
         "disc_l1": rep.mid,
@@ -299,14 +254,21 @@ def cmd_peller(args) -> int:
         # the slack carries the disc integral's Richardson estimate, not a bound
         "certified": False,
     }
-    _emit(_report("peller", {"symbol": echo, "n": args.n, "target_err": args.err}, results, t0), args.out)
-    return EXIT_OK
+    return EXIT_OK, {"symbol": echo, "n": args.n, "target_err": args.err}, results
 
 
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors raise, so that ``main`` reads them as
+    malformed input; ``--help`` still prints and exits 0."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="treeschur",
         description="Schur norms of radial kernels on homogeneous trees",
     )
@@ -315,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_norm = sub.add_parser("norm", help="Schur norm of a radial symbol via the Hankel pipeline")
     p_norm.add_argument("symbol", help="path to a symbol JSON spec, or '-' for stdin")
     p_norm.add_argument("--q", default=None, help="tree degree parameter: integer >= 2 or 'inf'")
-    p_norm.add_argument("--err", type=float, default=1e-8, help="target certified error")
+    p_norm.add_argument("--err", type=positive_float, default=1e-8, help="target certified error")
     p_norm.add_argument("--out", choices=("json", "csv"), default="json")
     p_norm.set_defaults(func=cmd_norm)
 
@@ -340,8 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_pel = sub.add_parser("peller", help="disc-integral trace-norm sandwich for a symbol")
     p_pel.add_argument("symbol", help="path to a symbol JSON spec, or '-' for stdin")
-    p_pel.add_argument("--n", type=int, default=96, help="Hankel truncation for the trace norm")
-    p_pel.add_argument("--err", type=float, default=1e-6, help="disc-integral error target")
+    p_pel.add_argument("--n", type=window_rows, default=96, help="Hankel truncation for the trace norm")
+    p_pel.add_argument("--err", type=positive_float, default=1e-6, help="disc-integral error target")
     p_pel.add_argument("--out", choices=("json", "csv"), default="json")
     p_pel.set_defaults(func=cmd_peller)
 
@@ -349,11 +311,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    # an overflow reaches the user as the one error line of the check that
-    # refuses the non-finite result, not as numpy warnings before it
-    with np.errstate(over="ignore", invalid="ignore"):
-        return args.func(args)
+    t0 = time.perf_counter()
+    # the except clause is the one exception-to-exit-code table; any other
+    # exception is a bug in the library and stays a traceback
+    try:
+        args = build_parser().parse_args(argv)
+        # an overflow reaches the user as the one error line of the check that
+        # refuses the non-finite result, not as numpy warnings before it
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, inputs, results, *rows = args.func(args)
+        report = _report(args.command, inputs, results, time.perf_counter() - t0)
+        if rows:  # the spherical grid sits beside the results
+            report["rows"] = rows[0]
+        _emit(report, args.out)
+    except (TreeSchurError, ValueError, KeyError, TypeError, OverflowError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE if isinstance(exc, NoConvergence) else EXIT_BAD_INPUT
+    return code
 
 
 if __name__ == "__main__":

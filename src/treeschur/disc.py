@@ -140,7 +140,11 @@ class AnalyticDiscFunction:
         return self.tail_bound * x ** m * head
 
 
-def g_from_symbol(coeff_seq: RadialSymbol, extra_terms: int = 32) -> AnalyticDiscFunction:
+# coefficients g keeps past the cut where its coefficient bound drops below 1e-22
+EXTRA_TERMS = 32
+
+
+def g_from_symbol(coeff_seq: RadialSymbol) -> AnalyticDiscFunction:
     """g_n = (n+1)(n+2) c_n from a tail-certified coefficient sequence."""
     env = coeff_seq._env
     if env is None or abs(env.c_plus) + abs(env.c_minus) > 0:
@@ -149,7 +153,7 @@ def g_from_symbol(coeff_seq: RadialSymbol, extra_terms: int = 32) -> AnalyticDis
     if env.c > 0.0:
         # cut where the coefficient bound alone drops below 1e-22, or at the first count past 200,000
         m = _first_fit(max(m, 64), 199_999, lambda m: env.c * (m + 1) * (m + 2) * env.r ** m, 1e-22)
-        m += extra_terms
+        m += EXTRA_TERMS
     n = np.arange(m)
     coeffs = (n + 1.0) * (n + 2.0) * coeff_seq.values(m)
     return AnalyticDiscFunction(coeffs=coeffs, tail_ratio=env.r, tail_bound=env.c)
@@ -228,11 +232,14 @@ def _ring_l1(g: AnalyticDiscFunction, radii: np.ndarray, radial_weights: np.ndar
     return float(np.sum((radial_weights / n_theta)[:, None] * np.abs(g.on_rings(radii, n_theta))))
 
 
+# times disc_l1_norm doubles n_r and n_theta before it gives up
+MAX_DOUBLINGS = 4
+
+
 def disc_l1_norm(
     g: AnalyticDiscFunction,
     quad: PolarQuadrature | None = None,
     target_err: float = 1e-9,
-    max_doublings: int = 4,
 ) -> DiscIntegral:
     """(1/pi) int_D |g| by doubling n_r and n_theta until the error estimate
     meets ``target_err``.
@@ -245,7 +252,7 @@ def disc_l1_norm(
         quad = PolarQuadrature()
     prev = _ring_l1(g, quad.radii, quad.radial_weights, quad.n_theta)
     n_r, n_theta = quad.n_r, quad.n_theta
-    for _ in range(max_doublings):
+    for _ in range(MAX_DOUBLINGS):
         n_r *= 2
         n_theta *= 2
         radii, radial_weights = _radial_rule(n_r)
@@ -365,7 +372,6 @@ def optimal_measure(
     quad: PolarQuadrature,
     c_plus: complex = 0.0,
     c_minus: complex = 0.0,
-    series_order: int | None = None,
 ) -> DiscMeasure:
     """Discretize d mu = (1/pi) (1-|z|^2)/(1-z^2) g(conj z) dA on the grid.
 
@@ -377,13 +383,12 @@ def optimal_measure(
     vanishing part of the symbol and their mass equals (1/pi) int |g| up to
     the same tail, realizing the (8/pi)-optimal representation.
     """
-    if series_order is None:
-        if g.tail_bound > 0.0 and g.tail_ratio > 0.0:
-            r = g.tail_ratio
-            target = 1e-10 * (1.0 - r * r) / max(g.tail_bound, 1.0)
-            series_order = int(min(512, max(8, math.ceil(math.log(target) / (2.0 * math.log(r))))))
-        else:
-            series_order = len(g.coeffs) // 2 + 1
+    if g.tail_bound > 0.0 and g.tail_ratio > 0.0:
+        r = g.tail_ratio
+        target = 1e-10 * (1.0 - r * r) / max(g.tail_bound, 1.0)
+        series_order = int(min(512, max(8, math.ceil(math.log(target) / (2.0 * math.log(r))))))
+    else:
+        series_order = len(g.coeffs) // 2 + 1
     z = quad.nodes
     factor = (1.0 - z ** (2 * series_order + 2)) / (1.0 - z * z)
     w = quad.weights * (1.0 - np.abs(z) ** 2) * factor * g.on_rings(quad.radii, quad.n_theta, conj=True).ravel()

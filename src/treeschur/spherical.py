@@ -36,8 +36,11 @@ def axis_ratio(q) -> float:
 
 
 def ellipse_margin(q, s: complex) -> float:
-    """1 - Re(s)^2 - ((q+1)/(q-1))^2 Im(s)^2; positive iff s is strictly inside."""
+    """1 - Re(s)^2 - ((q+1)/(q-1))^2 Im(s)^2; positive iff s is strictly inside.
+    A NaN or infinite s raises ``ValueError``."""
     s = complex(s)
+    if not cmath.isfinite(s):
+        raise ValueError(f"eigenvalue must be finite, got {s}")
     rho = axis_ratio(q)
     return 1.0 - s.real ** 2 - (rho * s.imag) ** 2
 
@@ -155,7 +158,7 @@ def spherical_symbol(q, s: complex | None = None, z: complex | None = None) -> R
 
 def schur_norm_in_s(q, s: complex) -> float | None:
     """|1 - s^2| / (1 - Re(s)^2 - ((q+1)/(q-1))^2 Im(s)^2) inside the ellipse,
-    1 at s = +-1, None (not a multiplier) elsewhere."""
+    1 at s = +-1, None (not a multiplier) elsewhere; a non-finite s raises."""
     q = check_degree(q)
     s = complex(s)
     if s == 1 or s == -1:
@@ -174,7 +177,10 @@ def schur_norm_in_z(q: int, z: complex) -> float | None:
     (1-q^(-2Re z)) (1-q^(2Re z-2)) |1-q^(2i Im z - 1)|^2
 
     with norm 1 on the lattices Re(z)=0, Im(z) in (pi/ln q)Z and their 1-z
-    mirrors; None outside the multiplier set.
+    mirrors; None outside the multiplier set.  Each factor 1 - q^w is taken
+    as -expm1(w ln q), which keeps its relative accuracy as Re(z) nears 0 or
+    1, where 1 - q^w cancels.  Off the real axis the norm grows like
+    1/Re(z), so a subnormal Re(z) gives inf, its rounded value.
     """
     q = check_degree(q)
     if q == INF:
@@ -183,13 +189,10 @@ def schur_norm_in_z(q: int, z: complex) -> float | None:
     x = z.real
     if 0.0 < x < 1.0:
         lnq = math.log(q)
-        num = (1.0 - 1.0 / q) ** 2 * abs(1.0 - q ** (-2.0 * z)) * abs(1.0 - q ** (2.0 * z - 2.0))
-        den = (
-            (1.0 - q ** (-2.0 * x))
-            * (1.0 - q ** (2.0 * x - 2.0))
-            * abs(1.0 - q ** (2.0j * z.imag - 1.0)) ** 2
-        )
-        return num / den
+        # each factor over its twin at Re(z), so no subnormal one underflows
+        left = float(abs(np.expm1(-2.0 * z * lnq))) / -math.expm1(-2.0 * x * lnq)
+        right = float(abs(np.expm1((2.0 * z - 2.0) * lnq))) / -math.expm1((2.0 * x - 2.0) * lnq)
+        return (1.0 - 1.0 / q) ** 2 / float(abs(np.expm1((2.0j * z.imag - 1.0) * lnq))) ** 2 * left * right
     if (x == 0.0 or x == 1.0) and abs(math.sin(z.imag * math.log(q))) < 1e-12:
         return 1.0
     return None

@@ -11,6 +11,7 @@ Numeric entries may be plain numbers, [re, im] pairs, or {"re":..., "im":...}.
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 
@@ -27,15 +28,21 @@ from .symbols import (
 
 
 def parse_complex(obj) -> complex:
+    """A number, a string, an [re, im] pair or {"re":..., "im":...}; a NaN or
+    infinite part raises ``ValueError``."""
     if isinstance(obj, (int, float)):
-        return complex(obj)
-    if isinstance(obj, str):
-        return complex(obj.replace(" ", ""))
-    if isinstance(obj, (list, tuple)) and len(obj) == 2:
-        return complex(float(obj[0]), float(obj[1]))
-    if isinstance(obj, dict):
-        return complex(float(obj.get("re", 0.0)), float(obj.get("im", 0.0)))
-    raise ValueError(f"cannot interpret {obj!r} as a complex number")
+        value = complex(obj)
+    elif isinstance(obj, str):
+        value = complex(obj.replace(" ", ""))
+    elif isinstance(obj, (list, tuple)) and len(obj) == 2:
+        value = complex(float(obj[0]), float(obj[1]))
+    elif isinstance(obj, dict):
+        value = complex(float(obj.get("re", 0.0)), float(obj.get("im", 0.0)))
+    else:
+        raise ValueError(f"cannot interpret {obj!r} as a complex number")
+    if not cmath.isfinite(value):
+        raise ValueError(f"{obj!r} is not a finite complex number")
+    return value
 
 
 def parse_degree(obj):

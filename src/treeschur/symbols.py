@@ -171,8 +171,8 @@ def _checked_envelope(values, onset: int, bound: float, ratio: float, span: int)
     [onset, onset + span), and keep psi exactly up to the last value above the cap."""
     if not 0.0 <= ratio < 1.0:
         raise ValueError(f"geometric ratio must lie in [0, 1), got {ratio}")
-    if not bound >= 0:
-        raise ValueError("geometric bound must be non-negative")
+    if not 0.0 <= bound < math.inf:
+        raise ValueError(f"geometric bound must be finite and non-negative, got {bound}")
     if onset < 0:
         raise ValueError("tail onset must be >= 0")
     psi = values(onset + span)

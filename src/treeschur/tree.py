@@ -25,7 +25,8 @@ from .errors import OrbitEscapesBall, SizeCap
 from .spectral import operator_norm
 from .symbols import INF, RadialSymbol, _evaluate_window, check_degree
 
-DEFAULT_NODE_CAP = 10 ** 6
+# the most nodes a ball may hold
+NODE_CAP = 10 ** 6
 
 
 class FiniteTreeBall:
@@ -37,7 +38,7 @@ class FiniteTreeBall:
     realizes the map c (along the chain it moves *away* from the base).
     """
 
-    def __init__(self, q: int, radius: int, chain_extra: int = 0, node_cap: int = DEFAULT_NODE_CAP):
+    def __init__(self, q: int, radius: int, chain_extra: int = 0):
         q = check_degree(q)
         if q == INF:
             raise ValueError("only finite-degree balls can be materialized")
@@ -45,8 +46,8 @@ class FiniteTreeBall:
             raise ValueError("radius must be >= 1 and chain_extra >= 0")
         n_ball = 1 + (q + 1) * (q ** radius - 1) // (q - 1)
         total = n_ball + chain_extra
-        if total > node_cap:
-            raise SizeCap(f"ball would hold {total} nodes, above the cap {node_cap}")
+        if total > NODE_CAP:
+            raise SizeCap(f"ball would hold {total} nodes, above the cap {NODE_CAP}")
 
         self.q = q
         self.radius = radius
@@ -186,8 +187,8 @@ class FiniteTreeBall:
         return self.meeting(nodes[:, None], nodes[None, :])
 
 
-def build_ball(q: int, radius: int, chain_extra: int = 0, node_cap: int = DEFAULT_NODE_CAP) -> FiniteTreeBall:
-    return FiniteTreeBall(q, radius, chain_extra, node_cap)
+def build_ball(q: int, radius: int, chain_extra: int = 0) -> FiniteTreeBall:
+    return FiniteTreeBall(q, radius, chain_extra)
 
 
 def meeting_indices(tree: FiniteTreeBall, x: int, y: int) -> tuple[int, int]:

@@ -1,5 +1,7 @@
 """CLI surface: exit codes, JSON/CSV reports, determinism."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -8,6 +10,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import treeschur
 from treeschur.cli import main
@@ -378,3 +382,182 @@ def test_bad_degree_and_overflow_print_one_stderr_line():
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
+
+
+@pytest.mark.parametrize("argv, stdin", [
+    (["spherical", "--q", "3", "--z", "1e308"], ""),
+    (["spherical", "--q", "3", "--s", "1e308"], ""),
+    (["spherical", "--q", "3", "--s", "nan"], ""),
+    (["spherical", "--q", "3", "--s", "inf"], ""),
+    (["norm", "-", "--q", "-1e+308"], '{"kind":"explicit","values":[1,0.5]}'),
+    (["peller", "-", "--q", "3"], '{"kind":"explicit","values":[1,0.5]}'),
+    (["peller", "-", "--n", "1.5"], '{"kind":"explicit","values":[1,0.5]}'),
+    (["norm", "-"], '{"kind":"explicit","values":[1,0.5],"tail":{"type":"geometric","ratio":0.5,"bound":"inf"}}'),
+    (["norm", "-"], '{"kind":"spherical","q":3,"s":NaN}'),
+    (["verify"], ""),
+], ids=["z-overflow", "s-overflow", "s-nan", "s-inf", "usage-negative-q", "usage-foreign-option",
+        "usage-fractional-n", "infinite-bound", "spec-nan", "usage-missing-suite"])
+def test_refused_input_exits_1_with_one_line(argv, stdin):
+    code, out, err = run_in_process(argv, stdin)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1, err
+
+
+def test_spherical_subnormal_z_reads_the_real_segment():
+    code, out, _ = run_in_process(["spherical", "--q", "2", "--z", "1e-320"])
+    assert code == 0
+    assert json.loads(out)["rows"][0]["schur_norm"] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_parse_complex_refuses_non_finite_parts():
+    from treeschur.symbol_io import parse_complex
+
+    for obj in (math.nan, "inf", "nan+1j", [0.0, math.inf], {"re": "-inf"}, {"im": math.nan}):
+        with pytest.raises(ValueError):
+            parse_complex(obj)
+    assert parse_complex([0.3, -0.2]) == complex(0.3, -0.2)
+
+
+def test_usage_error_and_help_in_a_process():
+    proc = run_cli_process(["peller", "-", "--q", "3"], '{"kind":"explicit","values":[1,0.5]}')
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
+    proc = run_cli_process(["norm", "--help"], "")
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: treeschur norm") and proc.stderr == ""
+
+
+# ---------------------------------------------------------------------------
+# the contract as a property: every input the grammar below draws ends in a
+# documented exit code, with at most one stderr line and strict JSON or
+# nothing on stdout
+# ---------------------------------------------------------------------------
+
+def run_in_process(argv, stdin=""):
+    """(exit code, stdout, stderr) of ``main`` with ``stdin`` as standard input."""
+    out, err = io.StringIO(), io.StringIO()
+    saved, sys.stdin = sys.stdin, io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+def _refuse_constant(name):
+    raise AssertionError(f"stdout holds the non-JSON constant {name}")
+
+
+# each grammar draws a well-formed value or an odd one with equal odds
+_FINE_NUMBERS = [0, 1, -1, 0.5, 0.4, -0.3, 2, 1e-320, "0.4j", "0.3-0.2j", [0.3, 0.2], {"re": 0.0, "im": 0.4}]
+_ODD_NUMBERS = [10 ** 400, -10 ** 400, 1e308, -1e308, math.nan, math.inf, -math.inf, "nan", "x", None, True,
+                [1e308, -1e308], [0.1], {"re": "nan"}]
+_NUMBERS = st.one_of(st.sampled_from(_FINE_NUMBERS), st.sampled_from(_ODD_NUMBERS))
+_DEGREES = st.one_of(
+    st.sampled_from([2, 3, 5, "inf", 3.0, "3"]),
+    st.sampled_from([1, 0, -1, 3.5, "3.5", 10 ** 400, 1e308, math.nan, math.inf, None, "x", [3]]),
+)
+_TAIL_FIELDS = {
+    "ratio": st.sampled_from([0, 0.5, 0.1, 1e-320, 1, -0.5, 1e308, math.nan, 10 ** 400, "0.5", None]),
+    "bound": st.sampled_from([1, 2, 0, 1e308, -1, "inf", math.nan, 10 ** 400, None, "x"]),
+}
+_TAILS = st.one_of(
+    st.sampled_from([{"type": "finite"}, {"type": "bogus"}, {}, [1], "geometric", None]),
+    st.fixed_dictionaries({"type": st.just("geometric"), **_TAIL_FIELDS}, optional={
+        "onset": st.sampled_from([0, 3, 10 ** 12, -1, 10 ** 400, 1.5, "x", None])}),
+    st.fixed_dictionaries({"type": st.just("geometric")}, optional=_TAIL_FIELDS),
+)
+_SPECS = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("explicit")}, optional={
+        "values": st.one_of(st.lists(st.sampled_from(_FINE_NUMBERS), max_size=5),
+                            st.lists(_NUMBERS, max_size=5), _NUMBERS),
+        "tail": _TAILS}),
+    st.fixed_dictionaries({"kind": st.just("spherical"), "q": _DEGREES, "s": _NUMBERS}),
+    st.fixed_dictionaries({"kind": st.just("spherical"), "q": _DEGREES, "z": _NUMBERS}),
+    st.fixed_dictionaries({}, optional={"kind": st.sampled_from(["spherical", "lacunary", "bogus", None, 3]),
+                                        "q": _DEGREES, "s": _NUMBERS, "z": _NUMBERS}),
+    st.sampled_from([{"kind": "lacunary"}, [], "x", 5, None]),
+)
+_MATRICES = st.sampled_from([
+    [["1", "0"], ["0", "1"]], [["9", "0"], ["0", "1"]], [[1, 1], [1, 1 + 3 ** 70]], [["1/2", 0], [0, 3]],
+    [[0, 0], [0, 0]], [["1/0", "0"], ["0", "1"]], [[1e308, 0], [0, 1]], [[math.nan, 0], [0, 1]],
+    [[10 ** 400, 0], [0, 1]], [[1, 2]], 5, None,
+])
+_PAYLOADS = st.one_of(
+    st.fixed_dictionaries({"q": st.sampled_from([3, 2, 5, "3"]), "a": _MATRICES, "b": _MATRICES}),
+    st.fixed_dictionaries({}, optional={
+        "q": st.sampled_from([4, -3, 3.5, "1/0", 10 ** 400, math.nan, None]), "a": _MATRICES, "b": _MATRICES}),
+    st.sampled_from([[1], "x", None]),
+)
+# (well-formed, odd) values of each option; odd ones include strings that
+# start with '-', which the parser may read as options
+_OPTIONS = {
+    "--q": (["3", "2", "5", "inf"],
+            ["1", "-1", "0", "3.5", "1e308", "-1e+308", str(10 ** 400), "nan", "-inf", "x", ""]),
+    "--err": (["1e-8", "1e-12", "1e-320", "1e308"], ["0", "-1", "nan", "inf", "-1e+308", "x", ""]),
+    "--n": (["1", "96", "128"], ["0", "-3", "4097", "1e3", "1.5", "-1e+308", str(10 ** 400), "x"]),
+    "--s": (["0.4j", "0.3+0.2j", "-0.5", "1", "2", "1e-320"], ["1e308", "-1e308", "nan", "inf", "x", "-x"]),
+    "--z": (["0.5", "0.3+1j", "1e-320", "1e-320+1j", "1"], ["1e308", "-1e308", "nan", "-inf", "x", "-x"]),
+    "--grid": (["-0.5:0.5:3,-0.2:0.2:3", "0:1:2,0:0:1"],
+               ["nan:1:2,0:0:1", "0:1:-1,0:0:1", "-1:-1e+308:2,0:0:1", "x"]),
+    "--seed": (["0", "7"], ["-1", "1e3", str(10 ** 400), "x"]),
+    "--out": (["json"], ["xml", "-x"]),
+}
+_OWN_OPTIONS = {
+    "norm": ["--q", "--err", "--out"], "peller": ["--n", "--err", "--out"],
+    "spherical": ["--s", "--z", "--grid", "--out"], "verify": ["--seed", "--out"], "padic-distance": ["--out"],
+}
+
+
+def _option(flag, command):
+    fine, odd = _OPTIONS[flag]
+    if (command, flag) == ("peller", "--err"):
+        fine = ["1e-6", "1e-3", "1e308"]  # a tighter disc target costs seconds
+    return st.one_of(st.sampled_from(fine), st.sampled_from(odd))
+
+
+@st.composite
+def cli_inputs(draw):
+    """(argv, stdin): a command, its input, and options that may be
+    foreign to it, mistyped or missing their value."""
+    command = draw(st.sampled_from(sorted(_OWN_OPTIONS)))
+    argv, stdin = [command], ""
+    if command in ("norm", "peller"):
+        argv.append("-")
+        stdin = json.dumps(draw(_SPECS))
+    elif command == "padic-distance":
+        argv.append("-")
+        stdin = json.dumps(draw(_PAYLOADS))
+    elif command == "verify":
+        argv.append(draw(st.sampled_from(["padic", "nonsense", "-x", ""])))
+    else:
+        point = draw(st.sampled_from(["--s", "--z", "--grid"]))
+        argv += ["--q", draw(_option("--q", command)), point, draw(_option(point, command))]
+    rare = st.sampled_from([False] * 7 + [True])
+    if draw(rare):
+        argv = argv[:1]  # the input, or spherical's --q and point, is missing
+    for flag in draw(st.lists(st.sampled_from(_OWN_OPTIONS[command]), max_size=2, unique=True)):
+        argv += [flag, draw(_option(flag, command))]
+    if draw(rare):
+        argv += ["--q" if command == "peller" else "--n", "3"]  # an option foreign to the command
+    if draw(rare):
+        argv.append(draw(st.sampled_from(_OWN_OPTIONS[command])))  # an option without its value
+    return argv, stdin
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(cli_inputs())
+def test_every_input_ends_in_a_documented_exit_code(case):
+    argv, stdin = case
+    code, out, err = run_in_process(argv, stdin)
+    assert code in (0, 1, 2, 3)
+    # the PASS/FAIL lines of verify are its per-check results
+    notes = [line for line in err.splitlines() if not line.startswith(("PASS ", "FAIL "))]
+    assert len(notes) <= 1, err
+    if out:
+        json.loads(out, parse_constant=_refuse_constant)
+    if code in (1, 3):
+        assert out == "" and notes and notes[0].startswith("error:"), (out, err)

@@ -107,6 +107,43 @@ def test_schur_norm_in_z_matches_s_form():
             assert abs(in_z - in_s) <= 1e-12 * max(1.0, in_s)
 
 
+def s_form_norm_mp(q: int, z: complex) -> float:
+    """|1 - s^2| / (1 - Re(s)^2 - ((q+1)/(q-1))^2 Im(s)^2) at s = s_z, in
+    700-digit arithmetic from the float value of z, which resolves the
+    margin's cancellation down to Re(z) = 1e-300."""
+    import mpmath
+
+    with mpmath.workdps(700):
+        zm, qm = mpmath.mpc(z.real, z.imag), mpmath.mpf(q)
+        s = (qm ** -zm + qm ** (zm - 1)) / (1 + 1 / qm)
+        rho = (qm + 1) / (qm - 1)
+        return float(abs(1 - s * s) / (1 - s.real ** 2 - (rho * s.imag) ** 2))
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_schur_norm_in_z_near_the_strip_edges(q):
+    # 1 - q^w cancels as Re(z) nears 0 or 1; Im(z) stays off the lattice
+    # (pi/ln q)Z, where the float product Im(z) ln q would set the error
+    for x in (1e-300, 1e-100, 1e-17, 1e-12, 1e-6, 0.25, 0.5, 1.0 - 1e-12, 1.0 - 2.0 ** -52):
+        for y in (0.0, 1.0, -0.3, 7.5):
+            z = complex(x, y)
+            exact = s_form_norm_mp(q, z)
+            assert abs(schur_norm_in_z(q, z) - exact) <= 1e-14 * exact, z
+    # subnormal Re(z): 1 on the real segment; off it the norm is about
+    # 1/Re(z), beyond float range, and reads inf, never NaN or an exception
+    for x in (5e-324, 1e-320, 1e-310):
+        assert schur_norm_in_z(q, complex(x, 0.0)) == pytest.approx(1.0, abs=1e-12)
+        assert schur_norm_in_z(q, complex(x, 1.0)) > 1e300
+
+
+def test_non_finite_eigenvalue_raises():
+    for s in (complex(math.nan, 0.0), complex(0.0, math.inf), complex(-math.inf, 0.0)):
+        with pytest.raises(ValueError):
+            ellipse_margin(3, s)
+        with pytest.raises(ValueError):
+            schur_norm_in_s(3, s)
+
+
 def test_schur_norm_in_z_lattice_and_outside():
     assert schur_norm_in_z(3, 0.0) == 1.0
     assert schur_norm_in_z(3, 1.0 + 1j * math.pi / math.log(3)) == 1.0

@@ -80,6 +80,13 @@ def test_explicit_symbol_rejects_non_finite_values():
         explicit_symbol([1.0, float("nan")])
 
 
+@pytest.mark.parametrize("ratio, bound", [(float("nan"), 1.0), (0.5, float("inf")), (0.5, float("nan")), (0.5, -1.0)])
+def test_geometric_tail_needs_a_finite_bound_and_ratio(ratio, bound):
+    # an infinite bound would only surface later as a cap with no fitting window
+    with pytest.raises(ValueError):
+        explicit_symbol([1.0, 0.5], tail=Geometric(ratio=ratio, bound=bound))
+
+
 def test_explicit_symbol_memory_does_not_grow_with_declared_onset():
     # phi is 0 past the stored values, so a later onset declares nothing more
     # than finite support; an onset-sized exact head would hold 2e6 complex
