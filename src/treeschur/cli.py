@@ -201,7 +201,10 @@ def cmd_spherical(args):
     for mode, value in points:
         if mode == "z":
             norm = schur_norm_in_z(q, value)
-            s_val = eigenvalue_from_z(q, value)
+            try:
+                s_val = eigenvalue_from_z(q, value)
+            except ValueError as exc:
+                raise ValueError(f"--z {args.z}: {exc}") from exc
             row = {"z_re": value.real, "z_im": value.imag, "s_re": s_val.real, "s_im": s_val.imag}
         else:
             norm = schur_norm_in_s(q, value)

@@ -65,16 +65,43 @@ def parse_rational(x) -> Fraction:
         raise ValueError(f"rational input {x!r} is not finite") from None
 
 
-def _valuation(x: Fraction, q: int) -> int:
-    """q-adic valuation of a nonzero rational."""
-    num, den, v = x.numerator, x.denominator, 0
-    while num % q == 0:
-        num //= q
+def _multiplicity(n: int, q: int) -> int:
+    """The largest v with q^v dividing the nonzero integer n.  The first 8
+    factors of q are stripped one at a time, which is cheapest for the small
+    v of most entries.  Past them n is divided by q, q^2, q^4, ... while they
+    divide, then back down the same ladder, so a large v takes O(log v)
+    divisions where stripping one q at a time would take v."""
+    v = 0
+    while n % q == 0:
+        n //= q
         v += 1
-    while den % q == 0:
-        den //= q
-        v -= 1
+        if v == 8:
+            break
+    else:
+        return v
+    ladder, power = [], q
+    while n % power == 0:
+        n //= power
+        v += 1 << len(ladder)
+        ladder.append(power)
+        power *= power
+    while ladder:
+        power = ladder.pop()
+        if n % power == 0:
+            n //= power
+            v += 1 << len(ladder)
     return v
+
+
+def _valuation(x: Fraction, q: int) -> int:
+    """q-adic valuation of a nonzero rational; q divides at most one of its
+    numerator and denominator."""
+    num, den = x.numerator, x.denominator
+    if num % q == 0:
+        return _multiplicity(num, q)
+    if den % q == 0:
+        return -_multiplicity(den, q)
+    return 0
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,10 @@ term from the one allowance ``symbols._svd_allowance``, built on it.
 
 :func:`_factorize` is the one factorization of a window: the trace norm
 and the factorization certificates of ``tree.build_certificate`` both read
-it.  It reads its matrix A through an :class:`_Operator`: the products A X
-and Q* A, the residual A - X in row blocks, and the dense A.  A plain matrix
-is wrapped in :class:`_Matrix`, which runs numpy's dense arithmetic; a window
+it.  It reads its matrix A through an :class:`_Operator`: whether A is
+symmetric, the products A X and Q* A, the residual A - X in blocks of rows
+from a given column on, and the dense A.  A plain matrix is wrapped in
+:class:`_Matrix`, which runs numpy's dense arithmetic; a window
 brings its own operator (``symbols._ResolventImage``), whose products run by
 FFT and whose row blocks are made from its generating sequence, so the
 range finder never forms it.
@@ -20,8 +21,8 @@ The range finder is seeded and certified.  Below 64 rows (n = min(rows,
 cols)) the dense SVD answers.  From 64 rows a probe of width 2 runs first
 (the windows of spherical functions read at their own degree have numerical
 rank at most 2): Q is the Householder basis of Y = A Omega for a Gaussian
-Omega of width 2, and B = Q* A.  Below 128 rows the probe reads the dense A,
-which the dense SVD needs if the probe fails.  From 128 rows a failed probe
+Omega of width 2.  Below 128 rows the probe reads the dense A, which the
+dense SVD needs if the probe fails.  From 128 rows a failed probe
 is followed by one growing basis (Halko, Martinsson and Tropp, SIAM Rev.
 2011, sections 4.3-4.4).  Each fresh sample Z = A Omega of 8 columns, from
 the same seeded stream, estimates the residual of the current Q, since
@@ -39,13 +40,39 @@ columns, for any B
     | ||A||_1 - ||B||_1 | <= sqrt(n) ||A - Q B||_F,
 
 so the residual covers the rounding of Y and B, however they were computed.
-A ~ Q B is returned, with that half-width sqrt(n) ||A - Q B||_F, when the
-half-width is at most half of ``DEFAULT_TOL * rows``; the other half covers
-the rounding of Q, of the residual and of the small SVD.  The residual is
-summed in blocks of 128 rows, so the finder needs O(128 cols + k (rows +
-cols)) memory beyond what the operator holds.  Otherwise the factorization
-is A = I A (Q is None, B is the dense A, checked to be finite, half-width 0)
-and the SVD of B is the dense SVD, so the allowance holds either way.
+A ~ Q B is returned, with a half-width that bounds sqrt(n) ||A - Q B||_F,
+when the half-width is at most half of ``DEFAULT_TOL * rows``; the other
+half covers the rounding of Q, of the residual and of the small SVD.
+
+A plain matrix that is not square or not exactly its own transpose takes
+B = Q* A, and the pass sums ||A - Q B||_F^2 over all of A; so does a pass
+of one block, which has nothing to skip.  A symmetric A (A = A^T, which
+every window's resolvent image is) of more than one block takes the
+two-sided factor B = C Q^T, where C = Q* A conj(Q) is made exactly symmetric as
+(C + C^T)/2.  Then Q B = Q C Q^T is symmetric, and so is A - Q B up to the
+rounding of B, so the pass reads only the row blocks from their diagonal
+block on: ||R[I, I]||^2 + 2 ||R[I, past I]||^2 for each block I of rows.
+The rounding makes the lower part of R differ from the mirror of the upper
+part.  With E = fl(C Q^T) - C Q^T, each real and imaginary part of an
+entry of C Q^T is a real inner product of length 2k, so
+|E| <= sqrt(2) gamma_2k |C| |Q|^T entrywise (Higham, *Accuracy and
+Stability of Numerical Algorithms*, 2nd ed., 2002, section 3.5).  The
+lower part of R minus the mirror of its upper part is the lower part of
+(Q E)^T - Q E, whose Frobenius norm is at most sqrt(2) ||Q E||_F
+<= 2 gamma_2k || |Q| |C|^T ||_F (||Q||_2 = 1 up to the rounding of Q).  The
+half-width is sqrt(n) times the square root of the sum plus that term, and
+the early exit and the limit read the same sum.
+
+The products Q_I B of the pass run in real arithmetic: with B_x the 2k x
+2 cols real form of B ([Re B, Im B] interleaved as numpy stores them, over
+the same for i B), Q_I B is [Re Q_I | Im Q_I] @ B_x, written straight into
+the float view of the block, and the block's squared norm is the dot
+product of that view with itself.  A block holds at most ``_BLOCK_BYTES``
+(512 KB, which fits a typical per-core L2 cache, where the 2.6 MB of 128
+rows of a 1280-row window do not): 8 to 128 rows, 2^15 // cols between them.  So the finder needs 512 KB plus O(k (rows + cols)) memory
+beyond what the operator holds.  When no basis certifies, the factorization
+is A = I A (Q is None, B is the dense A, checked to be finite, half-width
+0) and the SVD of B is the dense SVD, so the allowance holds either way.
 :func:`trace_norm` is the sum of the singular values of B, which for a basis
 come from the k x k triangular factor of B^T; a certificate takes the
 singular vectors of B, which is k x cols on the sketch path.
@@ -54,6 +81,7 @@ singular vectors of B, which is k x cols on the sketch path.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -65,7 +93,8 @@ _DENSE_BELOW = 64     # n below which the dense SVD runs without a sketch
 _GROW_FROM = 128      # n from which a basis grows past the probe
 _PROBE_WIDTH = 2      # the first sample, tried at every n >= _DENSE_BELOW
 _BLOCK = 8            # columns of each fresh sample that estimates the residual
-_RESIDUAL_ROWS = 128  # row block of the residual A - QB, which is never formed whole
+_BLOCK_BYTES = 2**19  # bytes of one block of the residual A - QB, which is never formed whole
+_UNIT = 2.0**-53      # unit roundoff of float64
 
 
 def as_cmatrix(entries) -> np.ndarray:
@@ -112,9 +141,11 @@ def singular_values(m) -> np.ndarray:
 
 
 class _Operator:
-    """A matrix A as :func:`_factorize` reads it: ``shape``, ``matmul(x)`` =
-    A x, ``adjoint_matmul(q)`` = Q* A, ``subtract_rows(start, out)``, which
-    sets out to A[start : start + len(out)] - out, and ``dense()``, A itself."""
+    """A matrix A as :func:`_factorize` reads it: ``shape``, ``symmetric``
+    (A is square and A = A^T exactly), ``matmul(x)`` = A x,
+    ``adjoint_matmul(q)`` = Q* A, ``subtract_block(row, col, out)``, which
+    sets out to A[row : row + len(out), col : col + out.shape[1]] - out, and
+    ``dense()``, A itself."""
 
 
 class _Matrix(_Operator):
@@ -124,14 +155,18 @@ class _Matrix(_Operator):
         self.m = m
         self.shape = m.shape
 
+    @cached_property
+    def symmetric(self) -> bool:
+        return self.shape[0] == self.shape[1] and bool(np.array_equal(self.m, self.m.T))
+
     def matmul(self, x):
         return self.m @ x
 
     def adjoint_matmul(self, q):
         return q.conj().T @ self.m
 
-    def subtract_rows(self, start, out):
-        np.subtract(self.m[start : start + len(out)], out, out=out)
+    def subtract_block(self, row, col, out):
+        np.subtract(self.m[row : row + len(out), col : col + out.shape[1]], out, out=out)
 
     def dense(self):
         return self.m
@@ -152,18 +187,48 @@ def _orthonormal(y: np.ndarray) -> np.ndarray:
         raise NoConvergence(f"range finder did not converge: {exc}") from exc
 
 
+def _gamma(m: int) -> float:
+    """Higham's gamma_m = m u / (1 - m u), u the unit roundoff."""
+    return m * _UNIT / (1.0 - m * _UNIT)
+
+
 def _certify(op: _Operator, q: np.ndarray, limit: float, buf: np.ndarray):
-    """(B, sqrt(n) ||A - Q B||_F) for B = Q* A when ||A - Q B||_F <= limit, else None."""
+    """(B, half-width) for A ~ Q B when the half-width is at most sqrt(n) limit,
+    else None: B = Q* A, or B = C Q^T for a symmetric A (module docstring)."""
+    rows, cols = op.shape
+    k, step = q.shape[1], len(buf) // cols
+    symmetric = rows > step and op.symmetric  # one block has nothing past its diagonal block to skip
     b = op.adjoint_matmul(q)
+    # B_x, the real form of B: Q_I B is [Re Q_I | Im Q_I] @ B_x, viewed as complex
+    bx = np.empty((2 * k, 2 * cols))
+    top = bx[:k].view(complex)
+    slack = 0.0
+    if symmetric:
+        c = b @ q.conj()
+        c = 0.5 * (c + c.T)
+        np.matmul(c, q.T, out=top)
+        slack = 2.0 * _gamma(2 * k) * float(np.linalg.norm(np.abs(q) @ np.abs(c).T))
+    else:
+        np.copyto(top, b)
+    del b
+    np.multiply(top, 1j, out=bx[k:].view(complex))
+    qx = np.concatenate((q.real, q.imag), axis=1)
     ss = 0.0
-    for i in range(0, op.shape[0], _RESIDUAL_ROWS):
-        rows_i = q[i : i + _RESIDUAL_ROWS]
-        block = np.matmul(rows_i, b, out=buf[: len(rows_i)])
-        op.subtract_rows(i, block)
-        ss += np.vdot(block, block).real
-        if not ss <= limit * limit:
+    for i in range(0, rows, step):
+        r = min(step, rows - i)
+        j = i if symmetric else 0
+        block = buf[: r * (cols - j)].reshape(r, cols - j)
+        np.matmul(qx[i : i + r], bx[:, 2 * j :], out=block.view(float))
+        op.subtract_block(i, j, block)
+        flat = block.view(float).ravel()
+        part = float(np.dot(flat, flat))
+        if symmetric and r < cols - j:  # the columns past the diagonal block stand for their mirror too
+            diagonal = block[:, :r].view(float)
+            part = 2.0 * part - float(np.einsum("ij,ij->", diagonal, diagonal))
+        ss += part
+        if not math.sqrt(ss) + slack <= limit:
             return None
-    return b, math.sqrt(min(op.shape) * ss)
+    return top, math.sqrt(min(rows, cols)) * (math.sqrt(ss) + slack)
 
 
 def _predicted_width(estimates: list[tuple[int, float]], limit: float) -> float:
@@ -194,7 +259,8 @@ def _factorize(m) -> tuple[np.ndarray | None, np.ndarray, float]:
     if n < _GROW_FROM:  # the dense SVD needs A if the probe fails, and dense products are cheaper here
         op = _Matrix(op.dense())
     limit = 0.5 * DEFAULT_TOL * rows / math.sqrt(n)
-    buf = np.empty((min(rows, _RESIDUAL_ROWS), cols), dtype=complex)
+    block_rows = min(rows, 128, max(8, _BLOCK_BYTES // (16 * cols)))
+    buf = np.empty(block_rows * cols, dtype=complex)
     rng = np.random.default_rng(0)
     sample = _sample(op, rng.standard_normal((cols, _PROBE_WIDTH)))
     if sample is None:

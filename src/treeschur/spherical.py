@@ -37,21 +37,35 @@ def axis_ratio(q) -> float:
 
 def ellipse_margin(q, s: complex) -> float:
     """1 - Re(s)^2 - ((q+1)/(q-1))^2 Im(s)^2; positive iff s is strictly inside.
-    A NaN or infinite s raises ``ValueError``."""
+    Where the squares overflow it is -inf, their rounded value, so a finite s
+    far outside is decided like any other.  A NaN or infinite s raises
+    ``ValueError``, and so does, at finite q, an s whose adjacency eigenvalue
+    (q+1) s (the sum over the q+1 neighbours, as in
+    q phi(n+1) + phi(n-1) = (q+1) s phi(n)) is beyond float range."""
     s = complex(s)
     if not cmath.isfinite(s):
         raise ValueError(f"eigenvalue must be finite, got {s}")
-    rho = axis_ratio(q)
-    return 1.0 - s.real ** 2 - (rho * s.imag) ** 2
+    q = check_degree(q)
+    if q != INF and not cmath.isfinite((q + 1.0) * s):
+        raise ValueError(f"eigenvalue {s} is out of range at q = {q}: (q+1) s overflows")
+    x, y = s.real, axis_ratio(q) * s.imag
+    return 1.0 - x * x - y * y
 
 
 def eigenvalue_from_z(q: int, z: complex) -> complex:
-    """s_z = (1+1/q)^{-1} (q^-z + q^(z-1)) for finite q."""
+    """s_z = (1+1/q)^{-1} (q^-z + q^(z-1)) for finite q; a z whose eigenvalue
+    is beyond float range raises ``ValueError``."""
     q = check_degree(q)
     if q == INF:
         raise ValueError("the exponent parametrization applies to finite degree only")
     z = complex(z)
-    return (q ** -z + q ** (z - 1.0)) / (1.0 + 1.0 / q)
+    try:
+        s = (q ** -z + q ** (z - 1.0)) / (1.0 + 1.0 / q)
+    except OverflowError:
+        s = complex(math.inf)
+    if not cmath.isfinite(s):
+        raise ValueError(f"the eigenvalue of z = {z} is out of floating-point range")
+    return s
 
 
 def characteristic_roots(q, s: complex) -> tuple[complex, complex]:
@@ -75,15 +89,16 @@ def spherical_values(q, s: complex, count: int) -> np.ndarray:
         return np.zeros(0, dtype=complex)
     if q == INF:
         return s ** np.arange(count)
-    out = np.empty(count, dtype=complex)
-    out[0] = 1.0
-    if count > 1:
-        out[1] = s
+    # Python complex arithmetic gives the bits of numpy's scalars, faster, and
+    # an overflow becomes inf or NaN without a warning
     coeff = s * (1.0 + 1.0 / q)
     inv_q = 1.0 / q
-    for n in range(1, count - 1):
-        out[n + 1] = coeff * out[n] - inv_q * out[n - 1]
-    return out
+    out = [complex(1.0), s]
+    prev, cur = out
+    for _ in range(count - 2):
+        prev, cur = cur, coeff * cur - inv_q * prev
+        out.append(cur)
+    return np.array(out[:count], dtype=complex)
 
 
 def spherical_values_closed_form(q: int, z: complex, count: int) -> np.ndarray:

@@ -484,10 +484,12 @@ class _ResolventImage(_Operator):
     to be finite here (they are finite only if d is).
 
     The products H' X are Hankel correlations with G by FFT of length 2N,
-    minus the border slab; B = Q* H' = (H' conj Q)^T.  Row blocks are made
-    from a strided view of G minus the border, so no N x N array is formed
-    until ``dense``, which is those blocks in one piece.
+    minus the border slab; Q* H' = (H' conj Q)^T.  Blocks of rows, from any
+    column on, are made from a strided view of G minus the border, so no
+    N x N array is formed until ``dense``, which is those rows in one piece.
     """
+
+    symmetric = True
 
     def __init__(self, h: "HankelMatrix", q):
         n, d = h.n, h.d
@@ -534,24 +536,24 @@ class _ResolventImage(_Operator):
     def adjoint_matmul(self, q):
         return self.matmul(q.conj()).T
 
-    def _subtract_border(self, start: int, out: np.ndarray) -> None:
-        k, stop = len(self.border), start + len(out)
-        if start < k:
+    def _subtract_border(self, row: int, col: int, out: np.ndarray) -> None:
+        k, stop, col_stop = len(self.border), row + len(out), col + out.shape[1]
+        if row < k:
             top = min(stop, k)
-            out[: top - start] -= self.border[start:top]
-        if stop > k:
-            lo = max(start, k)
-            out[lo - start :, :k] -= self.border[:, lo:stop].T
+            out[: top - row] -= self.border[row:top, col:col_stop]
+        if stop > k and col < k:
+            lo, left = max(row, k), min(col_stop, k)
+            out[lo - row :, : left - col] -= self.border[col:left, lo:stop].T
 
     def rows(self, start: int, stop: int) -> np.ndarray:
         """Rows start .. stop-1 of H'."""
         out = self._view[start:stop].copy()
-        self._subtract_border(start, out)
+        self._subtract_border(start, 0, out)
         return out
 
-    def subtract_rows(self, start, out):
-        np.subtract(self._view[start : start + len(out)], out, out=out)
-        self._subtract_border(start, out)
+    def subtract_block(self, row, col, out):
+        np.subtract(self._view[row : row + len(out), col : col + out.shape[1]], out, out=out)
+        self._subtract_border(row, col, out)
 
     def dense(self):
         a = self.rows(0, self.n)

@@ -404,6 +404,23 @@ def test_refused_input_exits_1_with_one_line(argv, stdin):
     assert err.startswith("error:") and err.count("\n") == 1, err
 
 
+def test_spherical_s_far_outside_the_ellipse_is_not_a_multiplier():
+    # s^2 overflows, but membership needs no square: the answer is that of --s 2
+    for s in ("2", "1e200", "-1e200j"):
+        code, out, err = run_in_process(["spherical", "--q", "3", f"--s={s}"])
+        assert code == 0 and err == ""
+        row = json.loads(out)["rows"][0]
+        assert row["multiplier"] is False and row["schur_norm"] == "not-a-multiplier"
+
+
+def test_spherical_z_whose_eigenvalue_overflows_names_the_option():
+    for z in ("700", "-700", "1e200"):
+        code, out, err = run_in_process(["spherical", "--q", "3", f"--z={z}"])
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: --z {z}:") and "out of floating-point range" in err
+        assert err.count("\n") == 1
+
+
 def test_spherical_subnormal_z_reads_the_real_segment():
     code, out, _ = run_in_process(["spherical", "--q", "2", "--z", "1e-320"])
     assert code == 0

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treeschur.errors import NotPrime, ZeroDenominator
-from treeschur.padics import PMatrix2, correspondence_check, is_prime, lattice_distance, mautner_spherical
+from treeschur.padics import PMatrix2, _valuation, correspondence_check, is_prime, lattice_distance, mautner_spherical
 from treeschur.spherical import spherical_values_closed_form
 from treeschur.verify import check_chain_powers, check_group_tree_correspondence, check_left_invariance
 
@@ -82,6 +82,40 @@ def test_lattice_distance_deep_cancellation(e):
     a = PMatrix2.from_rationals(3, [[1, 1], [1, 1 + 3 ** e]])
     assert lattice_distance(a, diag(3, 1, 1)) == e
     assert lattice_distance(diag(3, 1, 1), a) == e
+
+
+def valuation_one_step(x, q):
+    """The reference: strip one factor of q per step."""
+    num, den, v = x.numerator, x.denominator, 0
+    while num % q == 0:
+        num //= q
+        v += 1
+    while den % q == 0:
+        den //= q
+        v -= 1
+    return v
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.sampled_from((2, 3, 5, 7, 101)),
+    st.integers(-(10**30), 10**30).filter(lambda n: n != 0),
+    st.integers(1, 10**30),
+    st.integers(0, 300),
+    st.integers(0, 300),
+)
+def test_valuation_matches_the_one_step_loop(q, num, den, up, down):
+    # a unit times q^(up - down), with multiples of q in the unit too
+    x = Fraction(num * q**up, den * q**down)
+    assert _valuation(x, q) == valuation_one_step(x, q)
+
+
+@pytest.mark.parametrize("q", [2, 5])
+def test_lattice_distance_of_a_short_entry_with_a_huge_exponent(q):
+    # 1e20000 = 2^20000 5^20000: its valuation takes O(log 20000) divisions
+    a = PMatrix2.from_rationals(q, [["1e20000", "0"], ["0", "1"]])
+    assert _valuation(a.a, q) == 20000
+    assert lattice_distance(a, diag(q, 1, 1)) == 20000
 
 
 def int_matrices(q, unit):

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import treeschur.spectral as spectral
 from treeschur.corpus import trace_class_corpus
 from treeschur.errors import NonFinite
-from treeschur.spectral import DEFAULT_TOL, _factorize, as_cmatrix, operator_norm, singular_values, trace_norm
+from treeschur.spectral import DEFAULT_TOL, _factorize, _Matrix, as_cmatrix, operator_norm, singular_values, trace_norm
 from treeschur.spherical import eigenvalue_from_z, schur_norm_in_s, spherical_symbol
 from treeschur.symbols import INF, _evaluate_window, _ResolventImage, build_hankel, power_symbol, schur_norm
 
@@ -228,6 +229,34 @@ def test_trace_norm_reads_the_residual_of_every_row_block():
     assert trace_norm(m) == dense_trace_norm(m)
 
 
+def test_trace_norm_reads_the_doubled_upper_residual_of_a_symmetric_matrix():
+    # a complex symmetric rank-one matrix plus noise only below the diagonal
+    # (rows 256-511, columns 0-255), mirrored: the pass reads the mirror above
+    # the diagonal only and counts it twice.  The noise is 0.9 of the residual
+    # limit: read once it would fit, read twice it does not.  It is a scaled
+    # unitary block, whose 512 equal singular values no basis of n/4 columns
+    # can reduce enough, so the dense SVD must answer
+    rng = np.random.default_rng(25)
+    n = 512
+    x = random_complex(rng, n, 1)
+    m = x @ x.T / n
+    limit = 0.5 * DEFAULT_TOL * n / np.sqrt(n)
+    noise = np.linalg.qr(random_complex(rng, 256, 256))[0]
+    noise *= 0.9 * limit / np.linalg.norm(noise)
+    m[256:, :256] += noise
+    m[:256, 256:] += noise.T
+    assert np.array_equal(m, m.T)
+    assert trace_norm(m) == dense_trace_norm(m)
+    # the pass alone, on the basis of the rank-one part (the sampled bases are
+    # tilted by the noise, which adds to their residual): the noise read
+    # twice is over the limit, and its half-width is sqrt(n) times the noise
+    q = x / np.linalg.norm(x)
+    buf = np.empty(64 * n, dtype=complex)
+    assert spectral._certify(_Matrix(m), q, limit, buf) is None
+    half_width = spectral._certify(_Matrix(m), q, 2 * limit, buf)[1]
+    assert half_width == pytest.approx(np.sqrt(n) * np.sqrt(2) * 0.9 * limit, rel=1e-3)
+
+
 def test_range_finder_answers_a_low_rank_window_with_one_small_svd(monkeypatch):
     # rank 3: the probe fails, the first fresh block widens the basis to 10
     # columns, and the next block's estimate lets it certify
@@ -309,16 +338,37 @@ def check_certified_factorization(op):
     the dense residual round the same products and differences, in another
     order, so they differ by a few units u (|A| + |Q| |B|) per entry.  (The
     worst-case bound gamma_(k+2) of Higham, 2nd ed., 2002, lemma 3.5, would
-    exceed the half-width itself.)"""
+    exceed the half-width itself.)
+
+    A symmetric A of more than one block gets B = C Q^T for a symmetric
+    k x k C, and its pass reads the residual R on and above the diagonal
+    blocks only, each block past the diagonal block counted twice.  The rounding of B makes R differ from its
+    transpose by at most ``term`` = 2 gamma_2k || |Q| |C|^T ||_F in Frobenius
+    norm; C is B conj(Q) up to rounding.  The half-width adds
+    sqrt(n) term to sqrt(n) times the norm of the mirrored upper part, which
+    is within sqrt(n) term of the dense residual, so it lies between the dense
+    residual and the dense residual plus 2 sqrt(n) term."""
     q_basis, b, half_width = _factorize(op)
     assert q_basis is not None
-    n, k = op.n, q_basis.shape[1]
+    n, k = op.shape[0], q_basis.shape[1]
     eps = np.finfo(float).eps
     assert np.linalg.norm(q_basis.conj().T @ q_basis - np.eye(k), 2) <= 10 * k * eps
     a = op.dense()
-    dense_half_width = np.sqrt(n) * np.linalg.norm(a - q_basis @ b)
+    residual = a - q_basis @ b
+    dense_half_width = np.sqrt(n) * np.linalg.norm(residual)
     rounding = 4 * np.sqrt(n) * (eps / 2) * np.linalg.norm(np.abs(a) + np.abs(q_basis) @ np.abs(b))
-    assert abs(half_width - dense_half_width) <= rounding
+    # blocks of at most _BLOCK_BYTES; a pass of one block sums all of A
+    block_rows = min(n, 128, max(8, spectral._BLOCK_BYTES // (16 * n)))
+    if not np.array_equal(a, a.T) or block_rows == n:
+        assert abs(half_width - dense_half_width) <= rounding
+        return k
+    c = b @ q_basis.conj()
+    assert np.linalg.norm(c - c.T) <= 4 * k * eps * np.linalg.norm(c)
+    gamma_2k = 2 * k * (eps / 2) / (1 - 2 * k * (eps / 2))
+    term = 2 * gamma_2k * np.linalg.norm(np.abs(q_basis) @ np.abs(c).T)
+    assert np.linalg.norm(residual - residual.T) / np.sqrt(2) <= term
+    assert half_width >= (1 - 1e-9) * np.sqrt(n) * term
+    assert -rounding <= half_width - dense_half_width <= 2 * np.sqrt(n) * term + rounding
     return k
 
 
@@ -343,6 +393,60 @@ def test_trace_norm_of_mismatched_resolvent_images(degrees, n, re_z, turn):
     op = resolvent_window(p, complex(re_z, 2 * np.pi * turn / np.log(p)), q, n)
     assert abs(trace_norm(op) - dense_trace_norm(op.dense())) <= DEFAULT_TOL * n
     if _factorize(op)[0] is not None:
+        check_certified_factorization(op)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.sampled_from([2, 3, 5, INF]),
+    st.sampled_from([2, 3, 5]),
+    st.sampled_from([64, 127, 128, 257, 1024]),
+    st.floats(0.05, 0.95),
+    st.floats(0.0, 1.0),
+)
+def test_two_sided_half_width_of_resolvent_images(q, p, n, re_z, turn):
+    # a spherical symbol read at its own degree, or at q = inf, has a window of
+    # rank 2 that the probe certifies; read at another degree it may take a
+    # grown basis or the dense SVD.  N = 64 to 128 fit one block (the
+    # one-sided pass), N = 257 takes blocks of 127 rows with a last one of 3,
+    # and N = 1024 blocks of 32 rows
+    op = resolvent_window(p, complex(re_z, 2 * np.pi * turn / np.log(p)), q, n)
+    certified = _factorize(op)[0] is not None
+    if p == q or q == INF:
+        assert certified
+    if certified:
+        check_certified_factorization(op)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.sampled_from([64, 127, 128, 257, 1024]),
+    st.integers(1, 12),
+    st.integers(-3, 3),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_half_width_of_plain_matrices(n, rank, exponent, symmetric, seed):
+    # x diag(w) y^T / n, with y = x made exactly symmetric or y drawn apart,
+    # plus noise of a tenth of the residual limit (symmetric with the
+    # matrix), so that the residual stands above the rounding of the check:
+    # the probe certifies rank <= 2 at scales up to 1 (the limit is absolute,
+    # so larger entries may end dense), and from 128 rows a grown basis may
+    # certify a higher rank
+    rng = np.random.default_rng(seed)
+    x = random_complex(rng, n, rank)
+    y = x if symmetric else random_complex(rng, n, rank)
+    m = 10.0**exponent * (x * random_complex(rng, 1, rank)) @ y.T / (rank * n)
+    noise = random_complex(rng, n, n)
+    if symmetric:
+        m, noise = 0.5 * (m + m.T), noise + noise.T
+    m += 0.1 * (0.5 * DEFAULT_TOL * np.sqrt(n)) * noise / np.linalg.norm(noise)
+    op = _Matrix(m)
+    assert op.symmetric == symmetric
+    certified = _factorize(op)[0] is not None
+    if exponent <= 0 and rank <= 2:
+        assert certified
+    if certified:
         check_certified_factorization(op)
 
 

@@ -2,9 +2,12 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treeschur.spherical import (
     CONFLUENCE_EPS,
@@ -19,7 +22,7 @@ from treeschur.spherical import (
     spherical_values,
     spherical_values_closed_form,
 )
-from treeschur.errors import NoConvergence
+from treeschur.errors import NoConvergence, NonFinite
 from treeschur.symbols import INF, N_CAP, N_START, Geometric, _budget, schur_norm
 
 
@@ -65,6 +68,52 @@ def test_recurrence_matches_closed_form_on_strip():
             rec = spherical_values(q, s, 61)
             closed = spherical_values_closed_form(q, z, 61)
             assert np.max(np.abs(rec - closed)) <= 1e-10
+
+
+def spherical_values_numpy_loop(q, s, count):
+    """The reference: the recurrence over numpy complex scalars."""
+    out = np.empty(count, dtype=complex)
+    out[0] = 1.0
+    if count > 1:
+        out[1] = s
+    coeff = s * (1.0 + 1.0 / q)
+    inv_q = 1.0 / q
+    for n in range(1, count - 1):
+        out[n + 1] = coeff * out[n] - inv_q * out[n - 1]
+    return out
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    st.sampled_from([2, 3, 5, 7, 1000]),
+    st.floats(-1.5, 1.5),
+    st.floats(-1.5, 1.5),
+    st.integers(1, 300),
+)
+def test_recurrence_has_the_bits_of_the_numpy_loop(q, re_s, im_s, count):
+    s = complex(re_s, im_s)
+    assert np.array_equal(spherical_values(q, s, count), spherical_values_numpy_loop(q, s, count))
+
+
+def test_overflowing_recurrence_is_non_finite_without_a_warning():
+    # s = 1e100 is finite and far outside the ellipse: phi(4) overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals = spherical_values(3, 1e100, 8)
+        assert np.isfinite(vals[:4]).all() and not np.isfinite(vals[4:]).any()
+        with pytest.raises(NonFinite):
+            schur_norm(spherical_symbol(3, s=1e100), 3)
+
+
+def test_membership_far_outside_the_ellipse():
+    # the squares of s overflow from |s| ~ 1.3e154; the margin then reads -inf
+    for s in (2.0, 1e200, -1e200j, complex(1e300, -1e300)):
+        assert ellipse_margin(3, s) < 0 and schur_norm_in_s(3, s) is None
+    assert ellipse_margin(3, 1e200) == -math.inf
+    assert schur_norm_in_s(INF, 1e308) is None
+    # at finite q an s whose adjacency eigenvalue (q+1) s overflows is refused
+    with pytest.raises(ValueError):
+        schur_norm_in_s(3, 1e308)
 
 
 def test_laplace_eigen_relation():

@@ -396,7 +396,8 @@ def symbols_window(sym, q, n):
 @pytest.mark.parametrize("q", [2, 3, 5, INF])
 def test_resolvent_operator_products_and_blocks(q, n):
     # the FFT products agree with the dense products of the operator's own
-    # matrix, and its row blocks, in one piece or as residuals, are that matrix
+    # matrix, and its row blocks, in one piece or as residuals from any column
+    # on, are that matrix
     from treeschur.spherical import spherical_symbol
 
     rng = np.random.default_rng(n)
@@ -421,12 +422,20 @@ def test_resolvent_operator_products_and_blocks(q, n):
             norms = np.linalg.norm(x, axis=0)
             norms = norms[None, :] if got.shape == (n, 3) else norms[:, None]
             assert np.all(np.abs(got - want) <= fft_err * norms + 2 * dense_err)
+        assert op.symmetric and np.array_equal(a, a.T)
         blocks = [op.rows(i, min(i + 128, n)) for i in range(0, n, 128)]
         assert np.array_equal(np.concatenate(blocks), a)
-        for i, block in zip(range(0, n, 128), blocks):
-            residual = np.zeros_like(block)
-            op.subtract_rows(i, residual)
-            assert np.array_equal(residual, block)
+        # rows i .. i+r-1 from column j on, to the last column or short of it,
+        # for row blocks of 128 and of 8 (the byte-sized blocks of wide windows),
+        # with columns that start inside the border (below 59 at q = 2) and past it
+        for rows in (128, 8):
+            for i in range(0, n, rows):
+                r = min(rows, n - i)
+                for j in sorted({0, 1, 30, i, min(i + 3, n - 1), n - 1}):
+                    for width in {n - j, min(40, n - j)}:
+                        residual = np.zeros((r, width), dtype=complex)
+                        op.subtract_block(i, j, residual)
+                        assert np.array_equal(residual, a[i : i + r, j : j + width])
 
 
 def test_shift_conjugation_preserves_trace_norm():
