@@ -20,7 +20,7 @@ from .errors import (
     UndeclaredTail,
     ZeroDenominator,
 )
-from .spectral import as_cmatrix, operator_norm, singular_values, trace_norm
+from .spectral import as_cmatrix, trace_norm
 from .symbols import (
     INF,
     FiniteSupport,

@@ -66,11 +66,21 @@ def parse_rational(x) -> Fraction:
 
 
 def _multiplicity(n: int, q: int) -> int:
-    """The largest v with q^v dividing the nonzero integer n.  The first 8
-    factors of q are stripped one at a time, which is cheapest for the small
-    v of most entries.  Past them n is divided by q, q^2, q^4, ... while they
-    divide, then back down the same ladder, so a large v takes O(log v)
-    divisions where stripping one q at a time would take v."""
+    """The largest v with q^v dividing the nonzero integer n.  At q = 2 it is
+    the count of trailing zero bits, read from the lowest set bit n & -n in
+    time linear in the size of n; other q take :func:`_ladder`."""
+    if q == 2:
+        return (n & -n).bit_length() - 1
+    return _ladder(n, q)
+
+
+def _ladder(n: int, q: int) -> int:
+    """The largest v with q^v dividing the nonzero integer n, by division.  The
+    first 8 factors of q are stripped one at a time, which is cheapest for the
+    small v of most entries.  Past them n is divided by q, q^2, q^4, ... while
+    they divide, then back down the same ladder, so a large v takes O(log v)
+    divisions where stripping one q at a time would take v.  Each division of
+    a huge n is quadratic in its size."""
     v = 0
     while n % q == 0:
         n //= q

@@ -1,5 +1,6 @@
-"""Singular values, trace norm and operator norm of complex matrices and of
-the structured operators of Hankel windows.
+"""Singular values and trace norm of complex matrices and of the structured
+operators of Hankel windows, and a rounding-aware lower bound on the trace
+norm of a plain matrix (:func:`_trace_norm_below`).
 
 A plain matrix is a 2-D complex numpy array; every public entry point
 validates shape and finiteness via :func:`as_cmatrix`.  Singular values are
@@ -81,6 +82,7 @@ singular vectors of B, which is k x cols on the sketch path.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -94,7 +96,6 @@ _GROW_FROM = 128      # n from which a basis grows past the probe
 _PROBE_WIDTH = 2      # the first sample, tried at every n >= _DENSE_BELOW
 _BLOCK = 8            # columns of each fresh sample that estimates the residual
 _BLOCK_BYTES = 2**19  # bytes of one block of the residual A - QB, which is never formed whole
-_UNIT = 2.0**-53      # unit roundoff of float64
 
 
 def as_cmatrix(entries) -> np.ndarray:
@@ -133,11 +134,6 @@ def _factor_norm(q: np.ndarray | None, b: np.ndarray) -> float:
     if q is not None:
         b = np.linalg.qr(b.T, mode="r")
     return float(np.sum(_svdvals(b)))
-
-
-def singular_values(m) -> np.ndarray:
-    """Singular values of ``m``, descending."""
-    return _svdvals(as_cmatrix(m))
 
 
 class _Operator:
@@ -187,9 +183,10 @@ def _orthonormal(y: np.ndarray) -> np.ndarray:
         raise NoConvergence(f"range finder did not converge: {exc}") from exc
 
 
-def _gamma(m: int) -> float:
-    """Higham's gamma_m = m u / (1 - m u), u the unit roundoff."""
-    return m * _UNIT / (1.0 - m * _UNIT)
+def _gamma(m: int) -> Fraction:
+    """Higham's gamma_m = m u / (1 - m u) = m / (2^53 - m), u = 2^-53 the unit
+    roundoff of float64, as an exact rational."""
+    return Fraction(m, 2**53 - m)
 
 
 def _certify(op: _Operator, q: np.ndarray, limit: float, buf: np.ndarray):
@@ -207,7 +204,7 @@ def _certify(op: _Operator, q: np.ndarray, limit: float, buf: np.ndarray):
         c = b @ q.conj()
         c = 0.5 * (c + c.T)
         np.matmul(c, q.T, out=top)
-        slack = 2.0 * _gamma(2 * k) * float(np.linalg.norm(np.abs(q) @ np.abs(c).T))
+        slack = 2.0 * float(_gamma(2 * k)) * float(np.linalg.norm(np.abs(q) @ np.abs(c).T))
     else:
         np.copyto(top, b)
     del b
@@ -307,6 +304,64 @@ def trace_norm(m) -> float:
     return _factor_norm(*_factorize(m)[:2])
 
 
-def operator_norm(m) -> float:
-    """Largest singular value of ``m``."""
-    return float(singular_values(m)[0])
+def _trace_norm_below(m) -> float:
+    """A float at most ||M||_1, from the dual pairing with W = U V* of the
+    computed SVD M ~ U S V*.
+
+    For any W, |tr(W* M)| <= ||W||_2 ||M||_1, so Re tr(W* M) / ||W||_2 bounds
+    ||M||_1 below however far the computed U and V* are from exact; W is near
+    the polar factor of M, so the bound is near ||M||_1.  Only the rounding of
+    the two numbers read from W is deducted, with gamma_k = k u / (1 - k u) of
+    Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed., 2002,
+    section 3.5: |fl(x^T y) - x^T y| <= gamma_k |x|^T |y| for real vectors of
+    length k, in any order of summation, and for |x|^T |y| itself the exact
+    value is at most the computed one over 1 - gamma_k.
+    - The pairing Re tr(W* M) is the real inner product t of the float views of
+      W and M, of length k = 2 rows cols.  With a the computed |W|^T |M|, it is
+      at least t - gamma_k a / (1 - gamma_k).
+    - ||W||_2^2 = rho(W* W) <= ||W* W||_inf.  W is replaced by W* when it
+      has more columns than rows, so that G = W* W is the smaller Gram, near
+      the identity; below, W is r x c with r >= c.  |G| <= |Re G| + |Im G|
+      for each entry.  With P = [Re W; Im W], Re G = P^T P and
+      Im G = P^T [Im W; -Re W], real inner products of length 2r whose errors
+      add up to at most gamma_2r S^T S, S = |Re W| + |Im W|.  Each row sum of
+      S^T S is (S^T S 1)_i = (|P|^T [y; y])_i with y = S 1, the sum of the row
+      k of |P| and of the row r + k.  So with h the computed row sums of
+      |P^T P| + |P^T [Im W; -Re W]| (2c terms each) and z the computed
+      |P|^T [y; y],
+      ||W* W||_inf <= max h / (1 - gamma_2c)
+                      + gamma_2r max z / ((1 - gamma_2r) (1 - gamma_2c)).
+    The scalar steps run in exact rationals, and the quotient is rounded down.
+    """
+    m = as_cmatrix(m)
+    try:
+        u, _, vh = np.linalg.svd(m, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"SVD did not converge: {exc}") from exc
+    w = u @ vh
+    wf, mf = w.view(float).ravel(), m.view(float).ravel()
+    with np.errstate(over="ignore", invalid="ignore"):
+        t, a = float(np.dot(wf, mf)), float(np.dot(np.abs(wf), np.abs(mf)))
+    if not math.isfinite(a):  # the pairing overflowed: 0 is the bound left
+        return 0.0
+    g = _gamma(wf.size)
+    pairing = Fraction(t) - g / (1 - g) * Fraction(a)
+    if pairing <= 0:
+        return 0.0
+    if w.shape[0] < w.shape[1]:
+        w = w.conj().T
+    r, c = w.shape
+    p = np.concatenate((w.real, w.imag))
+    h = (np.abs(p.T @ p) + np.abs(p.T @ np.concatenate((w.imag, -w.real)))).sum(axis=1)
+    ap = np.abs(p)
+    y = ap.sum(axis=1)
+    y = y[:r] + y[r:]
+    z = ap.T @ np.concatenate((y, y))
+    g_r, g_c = _gamma(2 * r), _gamma(2 * c)
+    gram = Fraction(float(h.max())) / (1 - g_c) + g_r * Fraction(float(z.max())) / ((1 - g_r) * (1 - g_c))
+    w_norm = math.sqrt(float(gram))
+    while Fraction(w_norm) ** 2 < gram:
+        w_norm = math.nextafter(w_norm, math.inf)
+    bound = pairing / Fraction(w_norm)
+    low = float(bound)
+    return low if Fraction(low) <= bound else math.nextafter(low, 0.0)

@@ -265,6 +265,14 @@ def test_padic_distance_is_exact_at_any_precision_field(tmp_path, capsys):
     assert json.loads(out)["results"]["distance"] == 70
 
 
+def test_padic_distance_of_a_huge_power_of_ten_at_q2(tmp_path, capsys):
+    # 1e200000 = 2^200000 5^200000: its 2-adic valuation is read from the bits
+    payload = {"q": 2, "a": [["1e200000", "0"], ["0", "1"]], "b": [["1", "0"], ["0", "1"]]}
+    code, out, _ = run_cli(capsys, ["padic-distance", write_spec(tmp_path, payload)])
+    assert code == 0
+    assert json.loads(out)["results"]["distance"] == 200000
+
+
 def test_peller_command(tmp_path, capsys):
     spec = write_spec(tmp_path, {"kind": "explicit", "values": [1.0, 0.5, 0.25]})
     code, out, _ = run_cli(capsys, ["peller", spec])

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treeschur.errors import NotPrime, ZeroDenominator
-from treeschur.padics import PMatrix2, _valuation, correspondence_check, is_prime, lattice_distance, mautner_spherical
+from treeschur.padics import PMatrix2, _ladder, _multiplicity, _valuation, correspondence_check, is_prime, lattice_distance, mautner_spherical
 from treeschur.spherical import spherical_values_closed_form
 from treeschur.verify import check_chain_powers, check_group_tree_correspondence, check_left_invariance
 
@@ -108,6 +108,21 @@ def test_valuation_matches_the_one_step_loop(q, num, den, up, down):
     # a unit times q^(up - down), with multiples of q in the unit too
     x = Fraction(num * q**up, den * q**down)
     assert _valuation(x, q) == valuation_one_step(x, q)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    st.one_of(
+        st.integers(-(10**30), 10**30).map(lambda u: 2 * u + 1),
+        st.integers(1, 20000).map(lambda k: 3**k),
+    ),
+    st.booleans(),
+    st.one_of(st.integers(0, 64), st.integers(0, 5000)),
+)
+def test_multiplicity_at_two_matches_the_ladder(odd, negative, v):
+    # the trailing zero bits of +-odd * 2^v, odd units of up to 31,700 bits
+    n = (-odd if negative else odd) << v
+    assert _multiplicity(n, 2) == _ladder(n, 2) == v
 
 
 @pytest.mark.parametrize("q", [2, 5])

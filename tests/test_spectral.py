@@ -1,4 +1,4 @@
-"""Singular values, trace norm, operator norm: examples, oracle, invariants."""
+"""Singular values, trace norm and its lower bound, operator norm: examples, oracle, invariants."""
 
 import tracemalloc
 
@@ -10,9 +10,19 @@ from hypothesis import strategies as st
 import treeschur.spectral as spectral
 from treeschur.corpus import trace_class_corpus
 from treeschur.errors import NonFinite
-from treeschur.spectral import DEFAULT_TOL, _factorize, _Matrix, as_cmatrix, operator_norm, singular_values, trace_norm
+from treeschur.spectral import DEFAULT_TOL, _factorize, _Matrix, _svdvals, as_cmatrix, trace_norm
 from treeschur.spherical import eigenvalue_from_z, schur_norm_in_s, spherical_symbol
 from treeschur.symbols import INF, _evaluate_window, _ResolventImage, build_hankel, power_symbol, schur_norm
+
+
+def singular_values(m):
+    """Reference: the singular values of a validated matrix, descending."""
+    return _svdvals(as_cmatrix(m))
+
+
+def operator_norm(m):
+    """Reference: the largest singular value."""
+    return float(singular_values(m)[0])
 
 
 def random_complex(rng, rows, cols):
@@ -153,6 +163,42 @@ def test_adjoint_has_same_singular_values():
         s1 = singular_values(m)
         s2 = singular_values(m.conj().T)
         assert np.max(np.abs(s1 - s2)) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the dual lower bound on the trace norm
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    rows=st.integers(1, 7),
+    cols=st.integers(1, 7),
+    entries=st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9)), min_size=49, max_size=49),
+    scale=st.sampled_from((1.0, 2.0**-30, 3e5)),
+)
+def test_trace_norm_below_is_under_the_exact_norm(rows, cols, entries, scale):
+    # Gaussian-integer matrices times a scale, against their singular values
+    # at 50 digits: the bound never exceeds the exact norm and is near it
+    import mpmath
+
+    m = scale * np.array([complex(a, b) for a, b in entries[: rows * cols]]).reshape(rows, cols)
+    below = spectral._trace_norm_below(m)
+    with mpmath.workdps(50):
+        exact = mpmath.fsum(mpmath.svd_c(mpmath.matrix(m.tolist()), compute_uv=False))
+        assert mpmath.mpf(below) <= exact
+        assert exact - mpmath.mpf(below) <= 1e-12 * exact
+
+
+@pytest.mark.parametrize("n", [1, 2, 17, 53, 100])
+def test_trace_norm_below_the_all_ones_matrix(n):
+    # ||J||_1 = n exactly, while the sum of the computed singular values can read above it
+    assert n * (1.0 - 1e-10) <= spectral._trace_norm_below(np.ones((n, n))) <= n
+
+
+def test_trace_norm_below_zero_matrix_and_overflow_give_zero():
+    # 0 is the trivial bound, also where the pairing overflows
+    assert spectral._trace_norm_below(np.zeros((3, 4))) == 0.0
+    assert spectral._trace_norm_below(np.full((5, 5), 1e308)) == 0.0
 
 
 # ---------------------------------------------------------------------------
