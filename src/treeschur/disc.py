@@ -27,6 +27,7 @@ from .symbols import (
     HankelMatrix,
     RadialSymbol,
     _Envelope,
+    _Majorant,
     _first_fit,
     _svd_allowance,
     check_degree,
@@ -289,7 +290,7 @@ def coeff_hankel(coeff_seq: RadialSymbol, n: int) -> HankelMatrix:
     env = coeff_seq._env
     if env is not None and abs(env.c_plus) + abs(env.c_minus) > 0:
         raise UndeclaredTail("a nonzero parity part makes the plain coefficient Hankel non-trace-class")
-    majorant = None if env is None else (np.abs(env.head), env.c, env.r)
+    majorant = None if env is None else _Majorant(np.abs(env.head), env.c, env.r)
     return HankelMatrix(n=n, d=coeff_seq.values(2 * n - 1), majorant=majorant)
 
 

@@ -28,6 +28,7 @@ INF = math.inf
 
 N_START = 32
 N_CAP = 4096
+_UNIT_ROUNDOFF = 2.0**-53  # |fl(x) - x| <= 2^-53 |x| for a float x in range
 
 
 def check_degree(q) -> int | float:
@@ -132,7 +133,9 @@ class _Envelope(_Tail):
     psi(n) = head[n] exactly for n < len(head) and |psi(n)| <= c * r**n beyond.
 
     Symbols derived from a checked one carry a transformed envelope as their
-    tail, which is taken as it is.
+    tail, which is taken as it is.  ``hankel_majorant``, built once, bounds
+    |h_m| = |psi(m) - psi(m+2)| and holds the suffix tables that every
+    truncation term reads (:class:`_Majorant`).
     """
 
     c_plus: complex
@@ -149,14 +152,14 @@ class _Envelope(_Tail):
         return _Envelope(self.c_plus + d_plus, self.c_minus + d_minus, self.head, self.c, self.r)
 
     @cached_property
-    def hankel_majorant(self) -> tuple[np.ndarray, float, float]:
+    def hankel_majorant(self) -> "_Majorant":
         """|h_m| = |psi(m) - psi(m+2)| <= major[m] for m < len(head), c(1+r^2) r^m beyond."""
         size = len(self.head)
         ext = np.concatenate([np.abs(self.head), self.c * self.r ** np.arange(size, size + 2)])
         major = ext[:-2] + ext[2:]
         inner = max(size - 2, 0)
         major[:inner] = np.abs(self.head[:inner] - self.head[2:])
-        return major, self.c * (1.0 + self.r * self.r), self.r
+        return _Majorant(major, self.c * (1.0 + self.r * self.r), self.r)
 
 
 TailModel = Union[FiniteSupport, Geometric, ParityLimit, LacunarySupport, Undeclared]
@@ -335,35 +338,122 @@ def lacunary_counterexample() -> RadialSymbol:
 # certified truncation bounds
 # ---------------------------------------------------------------------------
 
-def _weighted_tail(major: np.ndarray, c: float, r: float, n: int) -> float:
-    """sum_{m >= n} (m+1) M(m) for M(m) = major[m] below len(major), c r^m beyond."""
-    size = len(major)
-    k = max(n, size)
-    one_minus = 1.0 - r
-    total = c * r ** k * ((k + 1) * one_minus + r) / (one_minus * one_minus)
-    if n < size:
-        m = np.arange(size, dtype=float)
-        total += float(np.sum((m[n:] + 1.0) * major[n:]))
-    return total
+@dataclass(frozen=True, eq=False)
+class _Majorant:
+    """A declared majorant |h_m| <= M(m) of a Hankel sequence: M(m) = major[m]
+    for m < len(major) and c r^m beyond (0 <= r < 1).
+
+    Every truncation term reads one quantity of it, the l2 suffix
+
+        S(k) = ( sum_{m >= k} M(m)^2 )^(1/2),
+
+    which bounds the 2-norm of any row or column of H that starts at
+    antidiagonal k, and the l1 suffix L(k) = sum_{m >= k} M(m) for the
+    parity series.  Past the stored head, S(k) = g r^k with
+    g = c / sqrt(1 - r^2) and L(k) = c r^k / (1 - r); over the head both come
+    from one reversed cumsum each (``_tables``), together with the suffix
+    sums of S, so :meth:`tail`, :meth:`parity_tail` and the geometric part of
+    :meth:`spill` are O(1) per window, and the spill adds one dot over
+    min(N, len(major)).  S(k) <= L(k), so no term here exceeds its l1 form.
+    The sums are exact but for floating rounding: a relative error of order
+    len(major) * 2^-53, and, since the squares are taken at the scale s of
+    the largest M(m) (a power of two, so the scaling itself is exact),
+    squares under 2^-1022 s^2, which are subnormal or 0, lose under
+    sqrt(len(major)) 2^-537 s of each S(k); both are far under the SVD
+    allowance of every budget of a symbol of moderate size.  A sum that
+    overflows gives inf.
+    """
+
+    major: np.ndarray
+    c: float
+    r: float
+
+    @cached_property
+    def _g(self) -> float:
+        """S(k) = g r^k for k >= len(major)."""
+        return self.c / math.sqrt(1.0 - self.r * self.r)
+
+    @cached_property
+    def _tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(S(k) for k < size, sum_{size > j >= k} S(j) and L(k) for k <= size)."""
+        size = len(self.major)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow makes its bounds inf
+            beyond = self._g * self.r ** size
+            # square at the scale of the largest term, a power of two not above
+            # it, so entries up to the float limit do not overflow their squares
+            top = max(float(np.max(self.major, initial=0.0)), beyond)
+            scale = math.ldexp(1.0, math.frexp(top)[1] - 1) if 0.0 < top < INF else 1.0
+            major, beyond = self.major / scale, beyond / scale
+            l2 = scale * np.sqrt(np.cumsum((major * major)[::-1])[::-1] + beyond * beyond)
+            sums = np.zeros(size + 1)
+            sums[:size] = np.cumsum(l2[::-1])[::-1]
+            l1 = np.zeros(size + 1)
+            l1[:size] = np.cumsum(self.major[::-1])[::-1]
+        return l2, sums, l1
+
+    def tail(self, n: int) -> float:
+        """sum_{k=N}^{2N-1} S(k) + sum_{k >= N} S(k) (``hankel_tail_bound``)."""
+        _, sums, _ = self._tables
+        size, r = len(self.major), self.r
+        lo, hi, a = min(n, size), min(2 * n, size), max(n, size)
+        # sum_{k=a}^{2N-1} r^k + sum_{k >= a} r^k = r^a (2 - r^(2N-a)) / (1 - r), the first sum empty for a >= 2N
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = float(2.0 * sums[lo] - sums[hi]) + self._g * r ** a * (2.0 - r ** max(2 * n - a, 0)) / (1.0 - r)
+        return total if math.isfinite(total) else INF
+
+    def spill(self, n: int, q: int) -> float:
+        """2 sum_{i<N} q^-(N-i) S(i) (``resolvent_spill_bound``)."""
+        l2, _, _ = self._tables
+        size, r = len(self.major), self.r
+        m = min(n, size)
+        with np.errstate(over="ignore", invalid="ignore"):
+            head = float(np.dot(float(q) ** (np.arange(m) - n), l2[:m]))
+            beyond = self._g * _scaled_geometric(q, r, size, n) if n > size else 0.0
+            total = 2.0 * (head + beyond)
+        return total if math.isfinite(total) else INF
+
+    def parity_tail(self, start: int) -> float:
+        """L(start) = sum_{m >= start} M(m)."""
+        _, _, l1 = self._tables
+        size = len(self.major)
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = float(l1[min(start, size)]) + self.c * self.r ** max(start, size) / (1.0 - self.r)
+        return total if math.isfinite(total) else INF
 
 
-def _suffix_sums(major: np.ndarray, c: float, r: float, count: int) -> np.ndarray:
-    """sum_{m >= i} M(m) for i = 0 .. count-1, M as in _weighted_tail."""
-    size = len(major)
-    out = c * r ** np.maximum(np.arange(count), size) / (1.0 - r)
-    out[:size] += np.cumsum(major[::-1])[::-1][:count]
-    return out
+def _scaled_geometric(q: int, r: float, a: int, n: int) -> float:
+    """sum_{i=a}^{N-1} q^-(N-i) r^i for a < N, as its largest term times
+    sum_{j < N-a} y^j with y = min(qr, 1/(qr)) = exp(-|log q + log r|), summed
+    as expm1(-(N-a) l) / expm1(-l) for l = |log q + log r|: no cancellation
+    when qr is near 1, where the terms are nearly equal, and no overflow of
+    q^N."""
+    count = n - a
+    if r == 0.0:  # only i = 0 contributes
+        return float(q) ** -n if a == 0 else 0.0
+    log_x = math.log(q) + math.log(r)
+    largest = float(q) ** -count * r ** a if log_x <= 0.0 else r ** (n - 1) / q
+    ell = abs(log_x)
+    return largest * (math.expm1(-count * ell) / math.expm1(-ell) if ell else float(count))
 
 
 def hankel_tail_bound(sym: RadialSymbol, n: int) -> float:
     """Upper bound on || H_infinity - (N-window padded by zeros) ||_1.
 
-    Rank-one-per-antidiagonal majorization: the antidiagonal i+j = m has trace
-    norm (m+1)|h_m|, and every discarded entry lies on an antidiagonal m >= N.
+    The trace norm of a matrix is at most the sum of the 2-norms of its
+    columns (each column is a rank-one term).  Column j < N of the discarded
+    part holds the entries of rows i >= N, on antidiagonals m >= N + j, so its
+    2-norm is at most S(N+j); column j >= N is whole and at most S(j).  Hence
+
+        tail(N) = sum_{k=N}^{2N-1} S(k) + sum_{k >= N} S(k)
+
+    with S the l2 suffix of the declared majorant (:class:`_Majorant`).  It
+    is never above the rank-one-per-antidiagonal bound sum_{m >= N} (m+1) M(m):
+    S(k) <= sum_{m >= k} M(m), and each M(m), m >= N, is then counted
+    min(N, m-N+1) + (m-N+1) <= m+1 times.
     """
     if sym._env is None:
         return INF
-    return _weighted_tail(*sym._env.hankel_majorant, n)
+    return sym._env.hankel_majorant.tail(n)
 
 
 def resolvent_spill_bound(sym: RadialSymbol, n: int, q: int) -> float:
@@ -373,20 +463,23 @@ def resolvent_spill_bound(sym: RadialSymbol, n: int, q: int) -> float:
     finitely supported H has entries on all deeper diagonals: the shift tau^k
     relocates the width-k border of the window outside it, so
 
-        spill <= (1-1/q) * sum_{k>=1} q^{-k} * l1(border of width k)
+        spill <= (1-1/q) * sum_{k>=1} q^{-k} * ||border of width k||_1.
 
-    with the entrywise l1 norm dominating the trace norm.  Row i of the window
-    has l1 norm at most sum_{m >= i} |h_m|; a border of width k >= N is the
-    whole window.  A majorant whose sums overflow gives inf.
+    The border of width k is the last k rows of the window and the last k
+    columns above them.  Row i of the window and column i both start at
+    antidiagonal i, so each has 2-norm at most S(i), and the border has trace
+    norm at most 2 sum_{i=N-k}^{N-1} S(i) (the whole window for k >= N).
+    Summed over k, S(i) collects 2 (1-1/q) sum_{k >= N-i} q^-k = 2 q^-(N-i):
+
+        spill(N) = 2 sum_{i<N} q^-(N-i) S(i).
+
+    Each row charged its l1 norm sum_{m >= i} M(m) instead gives the same
+    sum with the l1 suffix, which is never smaller.  A majorant whose sums
+    overflow gives inf.
     """
     if sym._env is None:
         return INF
-    with np.errstate(over="ignore", invalid="ignore"):
-        suffix = _suffix_sums(*sym._env.hankel_majorant, n)
-        border = 2.0 * np.cumsum(suffix[::-1])
-        weights = float(q) ** -np.arange(1.0, n + 1.0)
-        total = float(np.dot(weights, border)) + border[-1] * q ** float(-n) / (q - 1.0)
-    return (1.0 - 1.0 / q) * total if math.isfinite(total) else INF
+    return sym._env.hankel_majorant.spill(n, q)
 
 
 def _diag_series_tail(sym: RadialSymbol, n: int) -> float:
@@ -394,9 +487,7 @@ def _diag_series_tail(sym: RadialSymbol, n: int) -> float:
     the even series drops h_m for even m >= 2n, the odd one odd m >= 2n-1."""
     if sym._env is None:
         return INF
-    major, c, r = sym._env.hankel_majorant
-    start = 2 * n - 1
-    return float(np.sum(major[start:])) + c * r ** max(start, len(major)) / (1.0 - r)
+    return sym._env.hankel_majorant.parity_tail(2 * n - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -409,16 +500,16 @@ class HankelMatrix:
     a symbol, d[m] = phi(m) - phi(m+2)), with truncation metadata.
 
     The window is kept as ``d`` alone; ``entries`` copies it into a dense
-    N x N array once, when first read.  ``majorant`` is (major, c, r) with
-    |h_m| <= major[m] below len(major) and c r^m beyond, or None when the
-    tail model certifies nothing; ``tail_bound``, read from it when first
-    asked for, dominates the trace norm of the discarded infinite part of H
-    itself (math.inf when uncertified).
+    N x N array once, when first read.  ``majorant`` is the
+    :class:`_Majorant` of |h_m|, or None when the tail model certifies
+    nothing; ``tail_bound``, its ``tail(N)`` read when first asked for,
+    dominates the trace norm of the discarded infinite part of H itself
+    (math.inf when uncertified).
     """
 
     n: int
     d: np.ndarray
-    majorant: tuple[np.ndarray, float, float] | None = field(repr=False)
+    majorant: _Majorant | None = field(repr=False)
 
     @cached_property
     def entries(self) -> np.ndarray:
@@ -427,7 +518,7 @@ class HankelMatrix:
 
     @cached_property
     def tail_bound(self) -> float:
-        return INF if self.majorant is None else _weighted_tail(*self.majorant, self.n)
+        return INF if self.majorant is None else self.majorant.tail(self.n)
 
 
 def _window_view(d: np.ndarray, n: int) -> np.ndarray:
@@ -660,10 +751,19 @@ class _Budget:
         return self.tail + self.spill + self.parity + self.svd
 
 
-def _budget(sym: RadialSymbol, q, n: int) -> _Budget:
-    """The error budget of the N-window, from the closed-form bounds alone."""
+def _budget(sym: RadialSymbol, q, n: int, limit: float = INF) -> _Budget | None:
+    """The error budget of the N-window, from the closed-form bounds alone, or
+    None when its tail, parity and SVD terms alone exceed ``limit``.  The
+    spill is then not computed: it costs about as much as the other three
+    together (about 9 against 8 us per window on a 2-vCPU Xeon, mostly numpy
+    call overhead), and those three alone reject about a third of the
+    windows that the first fit tries on hankel-sweep and three quarters on
+    hankel-boundary."""
+    tail, parity, svd = hankel_tail_bound(sym, n), _diag_series_tail(sym, n), _svd_allowance(n)
+    if tail + parity + svd > limit:
+        return None
     spill = 0.0 if q == INF else resolvent_spill_bound(sym, n, q)
-    return _Budget(hankel_tail_bound(sym, n), spill, _diag_series_tail(sym, n), _svd_allowance(n))
+    return _Budget(tail, spill, parity, svd)
 
 
 def _first_fit(n: int, cap: int, remainder: Callable[[int], float], limit: float) -> int:
@@ -736,7 +836,11 @@ def schur_norm(sym: RadialSymbol, q, target_err: float = 1e-8) -> SchurNormRepor
     if none does, so N lies on the grid 2**a * {5, 6, 7, 8} and every FFT
     length 2N has no prime factor above 7.  It evaluates that one window
     and reports the budget's sum as ``certified_error``; if no n fits, it
-    raises NoConvergence before building any window.
+    raises NoConvergence before building any window.  It raises
+    NoConvergence too when ``target_err`` is under 2^-53 times the total,
+    the rounding that the float total alone may carry, so no certificate
+    claims less (the budget's absolute SVD allowance does not grow with the
+    entries).
     Symbols without a decay certificate keep the doubling rule of
     ``_doubling_window`` and are flagged uncertified, with no budget.
     """
@@ -747,14 +851,8 @@ def schur_norm(sym: RadialSymbol, q, target_err: float = 1e-8) -> SchurNormRepor
         budgets = {}
 
         def remainder(n):
-            # the spill is the costly term and never negative: a window the
-            # other three terms already reject is rejected without it
-            tail, parity, svd = hankel_tail_bound(sym, n), _diag_series_tail(sym, n), _svd_allowance(n)
-            if tail + parity + svd > target_err:
-                return tail + parity + svd
-            spill = 0.0 if q == INF else resolvent_spill_bound(sym, n, q)
-            budgets[n] = _Budget(tail, spill, parity, svd)
-            return budgets[n].total
+            budgets[n] = _budget(sym, q, n, limit=target_err)
+            return INF if budgets[n] is None else budgets[n].total
 
         n = _first_fit(N_START, N_CAP, remainder, target_err)
         if n > N_CAP:
@@ -766,9 +864,15 @@ def schur_norm(sym: RadialSymbol, q, target_err: float = 1e-8) -> SchurNormRepor
     else:
         w, err = _doubling_window(sym, q, target_err, parity_tol)
     parity = w.parity
+    total = abs(parity.c_plus) + abs(parity.c_minus) + w.term
+    if certified and target_err < _UNIT_ROUNDOFF * total:
+        raise NoConvergence(
+            f"no truncation certifies the target error {target_err:.1e}: "
+            f"the rounding of the norm {total:.3e} to a float alone may exceed it"
+        )
     return SchurNormReport(
         q=float(q), c_plus=parity.c_plus, c_minus=parity.c_minus, hankel_term=w.term,
-        total=abs(parity.c_plus) + abs(parity.c_minus) + w.term, truncation_n=w.hankel.n,
+        total=total, truncation_n=w.hankel.n,
         certified_error=err, certified=certified, budget=w.budget if certified else None,
         sketch_width=0 if w.q_basis is None else w.q_basis.shape[1],
     )

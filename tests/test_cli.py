@@ -351,7 +351,8 @@ def run_cli_process(argv, stdin):
 
 
 def test_norm_overflowing_symbol_stderr_is_one_line():
-    # the spill bound of [1e308, 5e307] overflows; it must read as inf, silently
+    # [1e308, 5e307] certifies no truncation, since the rounding of its float
+    # total dwarfs the target; the refusal is one line, with no numpy warning
     proc = run_cli_process(["norm", "-", "--q", "3"], '{"kind":"explicit","values":[1e308,5e307]}')
     assert proc.returncode == 3
     assert proc.stdout == ""

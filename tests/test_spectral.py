@@ -360,9 +360,9 @@ def test_range_finder_memory_stays_at_block_size():
 
 
 def test_range_finder_spherical_norm_at_2048_rows():
-    # a hankel-boundary point at q = 3: tail ratio 3^-0.015 first fits at N = 2048,
-    # and none of 1280, 1536 and 1792 below it does
-    s = eigenvalue_from_z(3, complex(0.015, 0.7))
+    # a hankel-boundary point at q = 3: tail ratio 3^-0.013 first fits at N = 2048,
+    # and none of 1280, 1536 and 1792 below it does (at 3^-0.015, 1792 fits)
+    s = eigenvalue_from_z(3, complex(0.013, 0.7))
     rep = schur_norm(spherical_symbol(3, s=s), 3)
     exact = schur_norm_in_s(3, s)
     assert rep.certified and rep.truncation_n == 2048
@@ -497,11 +497,11 @@ def test_half_width_of_plain_matrices(n, rank, exponent, symmetric, seed):
 
 
 def test_corpus_tail_item_takes_no_window_sized_svd(monkeypatch):
-    # spherical q = 3, s = 0.4i read at q = 2 has a 320-row window of
+    # spherical q = 3, s = 0.4i read at q = 2 has a 256-row window of
     # numerical rank about 45: a grown basis certifies it
     shapes = []
     svd = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: shapes.append(np.shape(a)) or svd(a, *args, **kw))
     rep = schur_norm(trace_class_corpus()[6], 2)
-    assert rep.truncation_n == 320 and 2 < rep.sketch_width <= 80
-    assert shapes and all(max(shape) < 320 for shape in shapes)
+    assert rep.truncation_n == 256 and 2 < rep.sketch_width <= 64
+    assert shapes and all(max(shape) < 256 for shape in shapes)

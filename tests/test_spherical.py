@@ -309,9 +309,9 @@ def test_spherical_hankel_rank_one_closed_forms():
 
 
 @pytest.mark.parametrize("q, ladder", [
-    (2, [0.2j, 0.3j, 0.32j, 0.325j, 0.33j, 0.6 + 0.2j]),
-    (3, [0.4j, 0.45j, 0.48j, 0.49j, 0.491j, 0.495j, 0.7 + 0.3j]),
-    (INF, [0.9, 0.98, 0.99, 0.995, 0.99j, 0.6 + 0.79j]),
+    (2, [0.2j, 0.3j, 0.32j, 0.325j, 0.32575j, 0.33j, 0.6 + 0.2j]),
+    (3, [0.4j, 0.45j, 0.48j, 0.49j, 0.491j, 0.4926j, 0.495j, 0.7 + 0.3j]),
+    (INF, [0.9, 0.98, 0.99, 0.9925, 0.995, 0.99j, 0.6 + 0.79j]),
 ])
 def test_boundary_ladder_certifies_truly_or_gives_up(q, ladder):
     # spherical symbols toward the edge of the multiplier ellipse, down to

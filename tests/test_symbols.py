@@ -21,6 +21,7 @@ from treeschur.symbols import (
     RadialSymbol,
     Undeclared,
     _evaluate_window,
+    _Majorant,
     _ResolventImage,
     apply_resolvent,
     build_hankel,
@@ -33,6 +34,7 @@ from treeschur.symbols import (
     ma_upper_bound,
     parity_symbol,
     power_symbol,
+    resolvent_spill_bound,
     scale_symbol,
     schur_norm,
     subtree_sandwich_check,
@@ -656,11 +658,31 @@ def test_unreachable_target_raises_before_any_svd(monkeypatch):
 
 
 def test_overflowing_budget_never_fits():
-    # the spill bound of [1e308, 5e307] overflows to NaN at q = 3; NaN must not pass for a fit
+    # [1e308, 5e307] at q = 3 must not pass for a fit: its bounds stay finite,
+    # but the rounding of its float total dwarfs the target
     from treeschur.errors import NoConvergence
 
     with np.errstate(all="ignore"), pytest.raises(NoConvergence):
         schur_norm(explicit_symbol([1e308, 5e307]), 3)
+
+
+def test_huge_entries_keep_finite_bounds_and_are_refused_for_their_rounding():
+    # the square of 1e200 overflows, but the l2 suffix is taken at the scale of
+    # the largest entry: tail and spill scale with it exactly, as at 1.0
+    from treeschur.errors import NoConvergence
+
+    values = np.array([1.0, 0.5, 0.25, 0.125])
+    huge, unit = explicit_symbol(1e200 * values), explicit_symbol(values)
+    for n in (1, 2, 32, 448):
+        assert math.isclose(hankel_tail_bound(huge, n), 1e200 * hankel_tail_bound(unit, n), rel_tol=1e-15)
+        assert math.isclose(resolvent_spill_bound(huge, n, 3), 1e200 * resolvent_spill_bound(unit, n, 3), rel_tol=1e-15)
+    assert hankel_tail_bound(unit, 1) > 0.0
+    # the budget fits, and the refusal names the rounding of the norm, which
+    # exceeds any absolute target far below 1e184
+    with np.errstate(all="ignore"), pytest.raises(NoConvergence, match="rounding of the norm"):
+        schur_norm(explicit_symbol([1e200]), 3)
+    rep = schur_norm(explicit_symbol([1e7]), 3)
+    assert rep.certified and rep.total == pytest.approx(1e7, rel=1e-12)
 
 
 def _doubling_reference(sym, q, target_err):
@@ -784,6 +806,107 @@ def test_tail_plus_spill_budget_dominates_window_gap(sym, q, ns, big):
         t_n = trace_norm(apply_resolvent(build_hankel(sym, n), q))
         budget = hankel_tail_bound(sym, n) + resolvent_spill_bound(sym, n, q)
         assert abs(t_big - t_n) <= budget + 1e-12 * n, (q, n)
+
+
+def _direct_bounds(maj, n, q):
+    """tail(N), spill(N) and L(2N-1) of a majorant summed over explicit arrays:
+    M(m) written out up to m = max(len(major), 2N), S(k) by a reversed cumsum
+    of M^2 over that range plus the squares past it, and only the geometric
+    remainders past the range in closed form."""
+    size, c, r = len(maj.major), maj.c, maj.r
+    end = max(size, 2 * n) + 1
+    m_all = np.concatenate([maj.major, c * r ** np.arange(size, end)])
+    past = c * r**end
+    s = np.sqrt(np.cumsum((m_all * m_all)[::-1])[::-1] + past * past / (1.0 - r * r))
+    tail = float(np.sum(s[n : 2 * n]) + np.sum(s[n:])) + c / math.sqrt(1.0 - r * r) * r**end / (1.0 - r)
+    spill = 2.0 * float(np.sum(float(q) ** -(n - np.arange(n, dtype=float)) * s[:n]))
+    parity = float(np.sum(m_all[2 * n - 1 :])) + past / (1.0 - r)
+    return tail, spill, parity
+
+
+def _antidiagonal_tail(maj, n):
+    """The rank-one-per-antidiagonal bound sum_{m >= N} (m+1) M(m) on the
+    discarded part of H, which the column-norm tail never exceeds."""
+    major, c, r = maj.major, maj.c, maj.r
+    size = len(major)
+    k = max(n, size)
+    total = c * r**k * ((k + 1) * (1.0 - r) + r) / (1.0 - r) ** 2
+    if n < size:
+        total += float(np.sum((np.arange(n, size) + 1.0) * major[n:]))
+    return total
+
+
+def _l1_spill(maj, n, q):
+    """The spill with each border row charged its l1 norm sum_{m >= i} M(m),
+    (1-1/q) sum_k q^-k l1(border of width k), which the l2 spill never
+    exceeds."""
+    major, c, r = maj.major, maj.c, maj.r
+    size = len(major)
+    suffix = c * r ** np.maximum(np.arange(n), size) / (1.0 - r)
+    suffix[:size] += np.cumsum(major[::-1])[::-1][:n]
+    border = 2.0 * np.cumsum(suffix[::-1])
+    weights = float(q) ** -np.arange(1.0, n + 1.0)
+    return (1.0 - 1.0 / q) * (float(np.dot(weights, border)) + border[-1] * q ** float(-n) / (q - 1.0))
+
+
+@st.composite
+def majorants(draw):
+    """(majorant, q, N): a head of 0-60 entries, some small enough that their
+    squares underflow, and r = 0, r in [0, 0.99] or r within 1e-3 of 1/q,
+    where sum q^-(N-i) r^i has nearly equal terms."""
+    q = draw(st.sampled_from((2, 3, 5)))
+    entry = st.one_of(st.floats(0.0, 2.0), st.just(1e-170))
+    major = np.array(draw(st.lists(entry, min_size=0, max_size=60)), dtype=float)
+    r = draw(st.one_of(st.just(0.0), st.floats(0.0, 0.99), st.floats(-1e-3, 1e-3).map(lambda e: 1.0 / q + e)))
+    n = draw(st.one_of(st.integers(1, 64), st.integers(1, 4096)))  # N < len(major) or past it
+    return _Majorant(major, draw(st.floats(0.0, 2.0)), r), q, n
+
+
+_SPILL_EDGES = [
+    # qr = 1 up to rounding: the terms of the geometric part are equal
+    (_Majorant(np.ones(3), 1.0, 1.0 / 3.0), 3, 200),
+    (_Majorant(np.zeros(0), 1.0, 0.2), 5, 100),
+    (_Majorant(np.zeros(0), 1.0, (1.0 + 1.2345e-9) / 3.0), 3, 200),
+    (_Majorant(np.ones(3), 1.0, np.nextafter(0.5, 1.0)), 2, 300),
+    (_Majorant(np.zeros(0), 1.0, 0.0), 5, 7),  # r = 0 and no head: M(0) = c alone
+    (_Majorant(np.full(60, 1e-170), 1e-3, 0.01), 5, 4096),  # underflowing squares and terms
+]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=majorants())
+@example(case=_SPILL_EDGES[0])
+@example(case=_SPILL_EDGES[1])
+@example(case=_SPILL_EDGES[2])
+@example(case=_SPILL_EDGES[3])
+@example(case=_SPILL_EDGES[4])
+@example(case=_SPILL_EDGES[5])
+def test_closed_form_bounds_match_their_direct_sums_and_undercut_the_l1_forms(case):
+    maj, q, n = case
+    tail, spill, parity = maj.tail(n), maj.spill(n, q), maj.parity_tail(2 * n - 1)
+    # squares under 2^-1022 are subnormal or 0 in both evaluations, and each
+    # loses under 1e-161 of its S(k); 1e-150 covers that over 10^4 terms
+    for got, want in zip((tail, spill, parity), _direct_bounds(maj, n, q)):
+        assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-150), (got, want)
+    # never above the forms they replace; the two evaluations round the same
+    # sums in other orders, by a relative 1e-12 at most
+    assert tail <= _antidiagonal_tail(maj, n) * (1.0 + 1e-12) + 1e-150
+    assert spill <= _l1_spill(maj, n, q) * (1.0 + 1e-12) + 1e-150
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(sym=tail_shapes(), n=st.integers(1, 128))
+@example(sym=_spherical(2, 0.3j), n=64)
+@example(sym=_spherical(3, 0.4j), n=20)
+def test_column_norm_tail_dominates_the_discarded_trace_norm(sym, n):
+    # H_big minus its zero-padded N-window is a compression of the discarded
+    # infinite part, so its trace norm (dense SVD) is at most the tail bound
+    big = 256
+    h_big = build_hankel(sym, big).entries
+    padded = np.zeros_like(h_big)
+    padded[:n, :n] = h_big[:n, :n]
+    discarded = float(np.sum(np.linalg.svd(h_big - padded, compute_uv=False)))
+    assert discarded <= hankel_tail_bound(sym, n) + 1e-12 * big
 
 
 def test_resolvent_trace_norm_sandwich_on_random_windows():
