@@ -350,23 +350,32 @@ class _Majorant:
     which bounds the 2-norm of any row or column of H that starts at
     antidiagonal k, and the l1 suffix L(k) = sum_{m >= k} M(m) for the
     parity series.  Past the stored head, S(k) = g r^k with
-    g = c / sqrt(1 - r^2) and L(k) = c r^k / (1 - r); over the head both come
-    from one reversed cumsum each (``_tables``), together with the suffix
-    sums of S, so :meth:`tail`, :meth:`parity_tail` and the geometric part of
-    :meth:`spill` are O(1) per window, and the spill adds one dot over
-    min(N, len(major)).  S(k) <= L(k), so no term here exceeds its l1 form.
-    The sums are exact but for floating rounding: a relative error of order
-    len(major) * 2^-53, and, since the squares are taken at the scale s of
-    the largest M(m) (a power of two, so the scaling itself is exact),
-    squares under 2^-1022 s^2, which are subnormal or 0, lose under
-    sqrt(len(major)) 2^-537 s of each S(k); both are far under the SVD
-    allowance of every budget of a symbol of moderate size.  A sum that
-    overflows gives inf.
+    g = c / sqrt(1 - r^2) and L(k) = c r^k / (1 - r); over the head both,
+    and the suffix sums of S, come from one reversed cumsum each
+    (``_tables``), kept as Python floats, so :meth:`tail` and
+    :meth:`parity_tail` are O(1) float reads.  :meth:`spill` reads the prefix
+    T(0) = 0, T(m+1) = (T(m) + S(m)) / q = sum_{i<=m} q^-(m+1-i) S(i), kept
+    per q and extended only as far as a window asks, then a closed form past
+    the head.  S(k) <= L(k), so no term exceeds its l1 form.  Rounding: the
+    tables carry a relative error of order len(major) 2^-53; each step of T
+    rounds a sum of non-negative terms and a quotient, an error later steps
+    divide by q, so T(N) is within 2 sum_{i<N} (N-i) q^-(N-i) S(i) 2^-53 (a
+    few units of roundoff unless S falls much faster than 1/q per step).
+    Squares are taken at the scale s of the largest M(m), a power of two, so
+    those under 2^-1022 s^2 lose under sqrt(len(major)) 2^-537 s of each
+    S(k).  All of it is far under the SVD allowance of a symbol of moderate
+    size.  Python floats overflow to inf under * and /, and r^k only
+    underflows, so no term raises.
     """
 
     major: np.ndarray
     c: float
     r: float
+    _prefixes: dict[int, list[float]] = field(default_factory=dict, init=False, repr=False)  # q -> [T(0), ...]
+
+    def __post_init__(self):  # plain floats, so no per-window term warns on overflow
+        object.__setattr__(self, "c", float(self.c))
+        object.__setattr__(self, "r", float(self.r))
 
     @cached_property
     def _g(self) -> float:
@@ -374,7 +383,7 @@ class _Majorant:
         return self.c / math.sqrt(1.0 - self.r * self.r)
 
     @cached_property
-    def _tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _tables(self) -> tuple[list[float], list[float], list[float]]:
         """(S(k) for k < size, sum_{size > j >= k} S(j) and L(k) for k <= size)."""
         size = len(self.major)
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow makes its bounds inf
@@ -389,7 +398,7 @@ class _Majorant:
             sums[:size] = np.cumsum(l2[::-1])[::-1]
             l1 = np.zeros(size + 1)
             l1[:size] = np.cumsum(self.major[::-1])[::-1]
-        return l2, sums, l1
+        return l2.tolist(), sums.tolist(), l1.tolist()
 
     def tail(self, n: int) -> float:
         """sum_{k=N}^{2N-1} S(k) + sum_{k >= N} S(k) (``hankel_tail_bound``)."""
@@ -397,27 +406,30 @@ class _Majorant:
         size, r = len(self.major), self.r
         lo, hi, a = min(n, size), min(2 * n, size), max(n, size)
         # sum_{k=a}^{2N-1} r^k + sum_{k >= a} r^k = r^a (2 - r^(2N-a)) / (1 - r), the first sum empty for a >= 2N
-        with np.errstate(over="ignore", invalid="ignore"):
-            total = float(2.0 * sums[lo] - sums[hi]) + self._g * r ** a * (2.0 - r ** max(2 * n - a, 0)) / (1.0 - r)
+        total = 2.0 * sums[lo] - sums[hi] + self._g * r ** a * (2.0 - r ** max(2 * n - a, 0)) / (1.0 - r)
         return total if math.isfinite(total) else INF
 
     def spill(self, n: int, q: int) -> float:
-        """2 sum_{i<N} q^-(N-i) S(i) (``resolvent_spill_bound``)."""
+        """2 sum_{i<N} q^-(N-i) S(i) = 2 T(N) (``resolvent_spill_bound``)."""
         l2, _, _ = self._tables
-        size, r = len(self.major), self.r
-        m = min(n, size)
-        with np.errstate(over="ignore", invalid="ignore"):
-            head = float(np.dot(float(q) ** (np.arange(m) - n), l2[:m]))
-            beyond = self._g * _scaled_geometric(q, r, size, n) if n > size else 0.0
-            total = 2.0 * (head + beyond)
+        size = len(l2)
+        t = self._prefixes.get(q, [0.0])
+        if len(t) <= min(n, size):  # extend a copy: a stored prefix never changes under a reader
+            t = list(t)
+            for s in l2[len(t) - 1 : min(n, size)]:
+                t.append((t[-1] + s) / q)
+            self._prefixes[q] = t
+        if n <= size:
+            total = 2.0 * t[n]
+        else:  # T(N) = q^-(N-size) T(size) + sum_{i=size}^{N-1} q^-(N-i) g r^i
+            total = 2.0 * (float(q) ** (size - n) * t[size] + self._g * _scaled_geometric(q, self.r, size, n))
         return total if math.isfinite(total) else INF
 
     def parity_tail(self, start: int) -> float:
         """L(start) = sum_{m >= start} M(m)."""
         _, _, l1 = self._tables
         size = len(self.major)
-        with np.errstate(over="ignore", invalid="ignore"):
-            total = float(l1[min(start, size)]) + self.c * self.r ** max(start, size) / (1.0 - self.r)
+        total = l1[min(start, size)] + self.c * self.r ** max(start, size) / (1.0 - self.r)
         return total if math.isfinite(total) else INF
 
 
@@ -471,11 +483,12 @@ def resolvent_spill_bound(sym: RadialSymbol, n: int, q: int) -> float:
     norm at most 2 sum_{i=N-k}^{N-1} S(i) (the whole window for k >= N).
     Summed over k, S(i) collects 2 (1-1/q) sum_{k >= N-i} q^-k = 2 q^-(N-i):
 
-        spill(N) = 2 sum_{i<N} q^-(N-i) S(i).
+        spill(N) = 2 sum_{i<N} q^-(N-i) S(i) = 2 T(N),
 
-    Each row charged its l1 norm sum_{m >= i} M(m) instead gives the same
-    sum with the l1 suffix, which is never smaller.  A majorant whose sums
-    overflow gives inf.
+    with T(m+1) = (T(m) + S(m)) / q over the head (:class:`_Majorant`; a few
+    units of roundoff).  Each row charged its l1 norm sum_{m >= i} M(m)
+    instead gives the same sum with the l1 suffix, which is never smaller.
+    A majorant whose sums overflow gives inf.
     """
     if sym._env is None:
         return INF
@@ -751,19 +764,13 @@ class _Budget:
         return self.tail + self.spill + self.parity + self.svd
 
 
-def _budget(sym: RadialSymbol, q, n: int, limit: float = INF) -> _Budget | None:
-    """The error budget of the N-window, from the closed-form bounds alone, or
-    None when its tail, parity and SVD terms alone exceed ``limit``.  The
-    spill is then not computed: it costs about as much as the other three
-    together (about 9 against 8 us per window on a 2-vCPU Xeon, mostly numpy
-    call overhead), and those three alone reject about a third of the
-    windows that the first fit tries on hankel-sweep and three quarters on
-    hankel-boundary."""
-    tail, parity, svd = hankel_tail_bound(sym, n), _diag_series_tail(sym, n), _svd_allowance(n)
-    if tail + parity + svd > limit:
-        return None
+def _budget(sym: RadialSymbol, q, n: int) -> _Budget:
+    """The error budget of the N-window, from the closed-form bounds alone:
+    float reads of the symbol's :class:`_Majorant`, the spill its prefix
+    T(N), one recurrence step per row not read before, within a few units
+    of roundoff."""
     spill = 0.0 if q == INF else resolvent_spill_bound(sym, n, q)
-    return _Budget(tail, spill, parity, svd)
+    return _Budget(hankel_tail_bound(sym, n), spill, _diag_series_tail(sym, n), _svd_allowance(n))
 
 
 def _first_fit(n: int, cap: int, remainder: Callable[[int], float], limit: float) -> int:
@@ -793,18 +800,14 @@ class _Window:
         return _factor_norm(self.q_basis, self.b)
 
 
-def _evaluate_window(
-    sym: RadialSymbol, q, n: int, parity_tol: float = 1e-9, budget: _Budget | None = None
-) -> _Window:
+def _evaluate_window(sym: RadialSymbol, q, n: int, parity_tol: float = 1e-9) -> _Window:
     """Build the N-window, factorize its resolvent image (H itself at q = inf),
-    and extract the parity limits; ``budget`` is the window's ``_budget`` when
-    the caller has it already."""
+    and extract the parity limits and the window's ``_budget``."""
     h = build_hankel(sym, n)
     q_basis, b, half_width = _factorize(_ResolventImage(h, q))
     parity = extract_parity(sym, h, tol=parity_tol)
     return _Window(
-        hankel=h, parity=parity, q_basis=q_basis, b=b, half_width=half_width,
-        budget=_budget(sym, q, n) if budget is None else budget,
+        hankel=h, parity=parity, q_basis=q_basis, b=b, half_width=half_width, budget=_budget(sym, q, n)
     )
 
 
@@ -848,18 +851,12 @@ def schur_norm(sym: RadialSymbol, q, target_err: float = 1e-8) -> SchurNormRepor
     parity_tol = max(target_err, 1e-9)
     certified = sym._env is not None
     if certified:
-        budgets = {}
-
-        def remainder(n):
-            budgets[n] = _budget(sym, q, n, limit=target_err)
-            return INF if budgets[n] is None else budgets[n].total
-
-        n = _first_fit(N_START, N_CAP, remainder, target_err)
+        n = _first_fit(N_START, N_CAP, lambda m: _budget(sym, q, m).total, target_err)
         if n > N_CAP:
             raise NoConvergence(f"no truncation up to the cap {N_CAP} fits the target error {target_err:.1e}")
         # right-size within the octave: the first eighth-step below n that fits
-        n = next((m for m in (n * 5 // 8, n * 6 // 8, n * 7 // 8) if remainder(m) <= target_err), n)
-        w = _evaluate_window(sym, q, n, parity_tol=parity_tol, budget=budgets[n])
+        n = next((m for m in (n * 5 // 8, n * 6 // 8, n * 7 // 8) if _budget(sym, q, m).total <= target_err), n)
+        w = _evaluate_window(sym, q, n, parity_tol=parity_tol)
         err = w.budget.total
     else:
         w, err = _doubling_window(sym, q, target_err, parity_tol)

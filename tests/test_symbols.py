@@ -870,6 +870,9 @@ _SPILL_EDGES = [
     (_Majorant(np.ones(3), 1.0, np.nextafter(0.5, 1.0)), 2, 300),
     (_Majorant(np.zeros(0), 1.0, 0.0), 5, 7),  # r = 0 and no head: M(0) = c alone
     (_Majorant(np.full(60, 1e-170), 1e-3, 0.01), 5, 4096),  # underflowing squares and terms
+    # N inside a long head: the spill prefix stops at N, or runs to the 5,000th entry
+    (_Majorant(np.abs(np.sin(np.arange(5000.0))) * 0.999 ** np.arange(5000.0), 1e-3, 0.9), 3, 64),
+    (_Majorant(np.abs(np.sin(np.arange(5000.0))) * 0.999 ** np.arange(5000.0), 1e-3, 0.9), 2, 4096),
 ]
 
 
@@ -881,6 +884,8 @@ _SPILL_EDGES = [
 @example(case=_SPILL_EDGES[3])
 @example(case=_SPILL_EDGES[4])
 @example(case=_SPILL_EDGES[5])
+@example(case=_SPILL_EDGES[6])
+@example(case=_SPILL_EDGES[7])
 def test_closed_form_bounds_match_their_direct_sums_and_undercut_the_l1_forms(case):
     maj, q, n = case
     tail, spill, parity = maj.tail(n), maj.spill(n, q), maj.parity_tail(2 * n - 1)
@@ -892,6 +897,19 @@ def test_closed_form_bounds_match_their_direct_sums_and_undercut_the_l1_forms(ca
     # sums in other orders, by a relative 1e-12 at most
     assert tail <= _antidiagonal_tail(maj, n) * (1.0 + 1e-12) + 1e-150
     assert spill <= _l1_spill(maj, n, q) * (1.0 + 1e-12) + 1e-150
+
+
+def test_spill_prefix_does_not_depend_on_call_history():
+    # one majorant read at interleaved degrees, N ascending then descending on
+    # both sides of its 40-entry head, answers bit for bit as a fresh one does
+    def make():
+        return _Majorant(0.8 ** np.arange(40.0), 0.5, 0.7)
+
+    shared = make()
+    ns = [1, 7, 39, 40, 41, 64, 300]
+    for n in ns + ns[::-1]:
+        for q in (2, 3, 5):
+            assert shared.spill(n, q) == make().spill(n, q), (n, q)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
