@@ -4,7 +4,9 @@ The vertices of the degree-(q+1) tree are the homothety classes of lattices
 in Q_q^2; a lattice is spanned by the columns of an invertible 2x2 matrix.
 All the matrices here have rational entries, so the distance between the
 lattices spanned by A and B, v(det C) - 2 min_entry_valuation(C) with
-C = A^{-1}B, is computed exactly from q-adic valuations of rationals.
+C = A^{-1}B, is exact.  Scaling a basis by a nonzero rational does not move
+its lattice class, so each matrix keeps one integer multiple of itself and
+the distance is read from q-adic valuations of integers.
 
 The spherical function of the projective matrix group appears through its
 explicit bi-invariant formula and coincides with the tree spherical function
@@ -13,7 +15,8 @@ under the quotient parametrization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -120,18 +123,32 @@ def _valuation(x: Fraction, q: int) -> int:
 
 @dataclass(frozen=True)
 class PMatrix2:
-    """Invertible rational 2x2 matrix [[a, b], [c, d]] read over Q_q."""
+    """Invertible rational 2x2 matrix [[a, b], [c, d]] read over Q_q.
+
+    On construction it keeps the integer multiple s [[a, b], [c, d]], with s
+    the lcm of the four denominators, as ``_ints`` (row by row) and the q-adic
+    valuation of that multiple's determinant as ``_det_valuation``; the
+    integer determinant decides singularity.
+    """
 
     q: int
     a: Fraction
     b: Fraction
     c: Fraction
     d: Fraction
+    _ints: tuple[int, int, int, int] = field(init=False, repr=False, compare=False)
+    _det_valuation: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_prime(self.q)
-        if self.det == 0:
+        entries = (self.a, self.b, self.c, self.d)
+        s = math.lcm(*(x.denominator for x in entries))
+        a, b, c, d = ints = tuple(x.numerator * (s // x.denominator) for x in entries)
+        det = a * d - b * c
+        if det == 0:
             raise ValueError("matrix is singular")
+        object.__setattr__(self, "_ints", ints)
+        object.__setattr__(self, "_det_valuation", _valuation(det, self.q))
 
     @cached_property
     def det(self) -> Fraction:
@@ -166,16 +183,23 @@ def lattice_distance(a: PMatrix2, b: PMatrix2) -> int:
     divisors of q^{-m} C are 1 and q^(v(det C) - 2m), so the distance is
     v(det C) - 2m.  Since C = adj(a) b / det a, this is
     v(det a) + v(det b) - 2 min v((adj(a) b)_ij), computed without division.
+
+    It is read from the integer multiples A = s a and B = t b that the
+    matrices keep, in integer arithmetic only: v(det A) = v(det a) + 2 v(s)
+    and adj(A) B = s t adj(a) b, so the scales cancel from
+    v(det A) + v(det B) - 2 min v((adj(A) B)_ij).
     """
     q = _common_q(a, b)
+    a11, a12, a21, a22 = a._ints
+    b11, b12, b21, b22 = b._ints
     m = (
-        a.d * b.a - a.b * b.c,
-        a.d * b.b - a.b * b.d,
-        a.a * b.c - a.c * b.a,
-        a.a * b.d - a.c * b.b,
+        a22 * b11 - a12 * b21,
+        a22 * b12 - a12 * b22,
+        a11 * b21 - a21 * b11,
+        a11 * b22 - a21 * b12,
     )
-    m_min = min(_valuation(e, q) for e in m if e != 0)
-    return _valuation(a.det, q) + _valuation(b.det, q) - 2 * m_min
+    m_min = min(_valuation(e, q) for e in m if e)
+    return a._det_valuation + b._det_valuation - 2 * m_min
 
 
 # ---------------------------------------------------------------------------

@@ -152,6 +152,19 @@ class _Envelope(_Tail):
         return _Envelope(self.c_plus + d_plus, self.c_minus + d_minus, self.head, self.c, self.r)
 
     @cached_property
+    def norm_floor(self) -> float:
+        """max(|c_plus| + |c_minus|, max over the head of |phi(n)|), a lower
+        bound on the Schur norm: it is at least sup |phi(n)|, and the closed
+        form adds a non-negative Hankel term to |c_plus| + |c_minus|.  It is
+        the trivial bound 0 when the Hankel majorant overflows, so that such
+        a head reaches its window, whose NonFinite names the bad input."""
+        if not np.isfinite(self.hankel_majorant.major).all():
+            return 0.0
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is a floor of inf
+            stored = np.abs(self.c_plus + self.c_minus * _signs(len(self.head)) + self.head)
+        return max(abs(self.c_plus) + abs(self.c_minus), float(np.max(stored, initial=0.0)))
+
+    @cached_property
     def hankel_majorant(self) -> "_Majorant":
         """|h_m| = |psi(m) - psi(m+2)| <= major[m] for m < len(head), c(1+r^2) r^m beyond."""
         size = len(self.head)
@@ -210,7 +223,10 @@ class RadialSymbol:
     The values come from exactly one generator: ``values_fn(count)`` returns
     phi(0), ..., phi(count-1) as an array; a scalar ``fn(n)`` is evaluated
     index by index.  A declared tail is checked at construction on every
-    index from its onset to onset + 1024.
+    index from its onset to onset + 1024.  The values the generator returns
+    are taken as exact: a certified error covers the truncation and the
+    trace norm of the window, not how far those floats lie from the
+    sequence they round.
     """
 
     fn: Callable[[int], complex] | None = None
@@ -843,7 +859,9 @@ def schur_norm(sym: RadialSymbol, q, target_err: float = 1e-8) -> SchurNormRepor
     NoConvergence too when ``target_err`` is under 2^-53 times the total,
     the rounding that the float total alone may carry, so no certificate
     claims less (the budget's absolute SVD allowance does not grow with the
-    entries).
+    entries): before building any window against the envelope's
+    ``norm_floor``, and after it against the total, which can lie far above
+    that floor.
     Symbols without a decay certificate keep the doubling rule of
     ``_doubling_window`` and are flagged uncertified, with no budget.
     """
@@ -851,6 +869,7 @@ def schur_norm(sym: RadialSymbol, q, target_err: float = 1e-8) -> SchurNormRepor
     parity_tol = max(target_err, 1e-9)
     certified = sym._env is not None
     if certified:
+        _check_rounding(target_err, sym._env.norm_floor, "at least ")
         n = _first_fit(N_START, N_CAP, lambda m: _budget(sym, q, m).total, target_err)
         if n > N_CAP:
             raise NoConvergence(f"no truncation up to the cap {N_CAP} fits the target error {target_err:.1e}")
@@ -862,17 +881,24 @@ def schur_norm(sym: RadialSymbol, q, target_err: float = 1e-8) -> SchurNormRepor
         w, err = _doubling_window(sym, q, target_err, parity_tol)
     parity = w.parity
     total = abs(parity.c_plus) + abs(parity.c_minus) + w.term
-    if certified and target_err < _UNIT_ROUNDOFF * total:
-        raise NoConvergence(
-            f"no truncation certifies the target error {target_err:.1e}: "
-            f"the rounding of the norm {total:.3e} to a float alone may exceed it"
-        )
+    if certified:
+        _check_rounding(target_err, total)
     return SchurNormReport(
         q=float(q), c_plus=parity.c_plus, c_minus=parity.c_minus, hankel_term=w.term,
         total=total, truncation_n=w.hankel.n,
         certified_error=err, certified=certified, budget=w.budget if certified else None,
         sketch_width=0 if w.q_basis is None else w.q_basis.shape[1],
     )
+
+
+def _check_rounding(target_err: float, norm: float, what: str = "") -> None:
+    """Refuse a ``target_err`` under 2^-53 times the norm, or a lower bound
+    on it: the rounding of the norm to a float alone may exceed it."""
+    if target_err < _UNIT_ROUNDOFF * norm:
+        raise NoConvergence(
+            f"no truncation certifies the target error {target_err:.1e}: "
+            f"the rounding of the norm, {what}{norm:.3e}, to a float alone may exceed it"
+        )
 
 
 def _doubling_window(sym: RadialSymbol, q, target_err: float, parity_tol: float) -> tuple[_Window, float]:

@@ -14,7 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import treeschur
+from test_padics import _fraction_distance
 from treeschur.cli import main
+from treeschur.padics import PMatrix2
 from treeschur.verify import run_suite
 
 
@@ -271,6 +273,30 @@ def test_padic_distance_of_a_huge_power_of_ten_at_q2(tmp_path, capsys):
     code, out, _ = run_cli(capsys, ["padic-distance", write_spec(tmp_path, payload)])
     assert code == 0
     assert json.loads(out)["results"]["distance"] == 200000
+
+
+@pytest.mark.parametrize("q, a, b", [
+    (3, [["5/12", "7/18"], ["-2/15", "1/81"]], [["9/14", "0"], ["4/55", "27/2"]]),
+    (2, [["3/40", "1/6"], ["5/7", "-9/8"]], [["1", "1/14"], ["7/96", "0"]]),
+    (5, [["2/75", "0"], ["0", "125/6"]], [["3/10", "1"], ["-1", "7/250"]]),
+])
+def test_padic_distance_with_mixed_denominators(tmp_path, capsys, q, a, b):
+    # denominators with powers of q and other primes scale to one integer
+    # multiple per matrix; the answer is the distance read from the fractions
+    payload = {"q": q, "a": a, "b": b}
+    code, out, _ = run_cli(capsys, ["padic-distance", write_spec(tmp_path, payload)])
+    assert code == 0
+    want = _fraction_distance(PMatrix2.from_rationals(q, a), PMatrix2.from_rationals(q, b))
+    assert json.loads(out)["results"]["distance"] == want
+
+
+@pytest.mark.parametrize("q", [2, 5])
+def test_padic_distance_of_1e100000(tmp_path, capsys, q):
+    # 1e100000 = 2^100000 5^100000 stays one integer entry of valuation 100000
+    payload = {"q": q, "a": [["1e100000", "0"], ["0", "1"]], "b": [["1", "0"], ["0", "1"]]}
+    code, out, _ = run_cli(capsys, ["padic-distance", write_spec(tmp_path, payload)])
+    assert code == 0
+    assert json.loads(out)["results"]["distance"] == 100000
 
 
 def test_peller_command(tmp_path, capsys):

@@ -1,10 +1,11 @@
 """Lattice distance, and the group/tree correspondence."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from treeschur.errors import NotPrime, ZeroDenominator
@@ -161,6 +162,58 @@ def test_lattice_distance_cartan_decomposition(case):
     a, b, want = case
     assert lattice_distance(a, b) == want
     assert lattice_distance(b, a) == want
+
+
+def _fraction_distance(a, b):
+    """The lattice distance in Fraction arithmetic on the entries themselves:
+    v(det a) + v(det b) - 2 min v((adj(a) b)_ij)."""
+    q = a.q
+    m = (a.d * b.a - a.b * b.c, a.d * b.b - a.b * b.d, a.a * b.c - a.c * b.a, a.a * b.d - a.c * b.b)
+    return _valuation(a.det, q) + _valuation(b.det, q) - 2 * min(_valuation(e, q) for e in m if e != 0)
+
+
+def assert_integer_multiple(m):
+    """The stored integers are s times the entries, s the lcm of their denominators."""
+    entries = (m.a, m.b, m.c, m.d)
+    s = math.lcm(*(x.denominator for x in entries))
+    assert all(type(n) is int and Fraction(n, s) == x for n, x in zip(m._ints, entries))
+
+
+def scaled_matrices(q):
+    """Invertible matrices of entries num q^up / (den q^down), units of up to 40 bits."""
+    entry = st.builds(
+        lambda num, den, up, down: Fraction(num * q**up, den * q**down),
+        st.integers(-(10**12), 10**12), st.integers(1, 10**12), st.integers(0, 60), st.integers(0, 60),
+    )
+    rows = st.lists(entry, min_size=4, max_size=4).filter(lambda e: e[0] * e[3] != e[1] * e[2])
+    return rows.map(lambda e: PMatrix2(q, *e))
+
+
+@st.composite
+def scaled_pairs(draw):
+    """(x y, x z) for three drawn matrices x, y, z over one q."""
+    q = draw(st.sampled_from((2, 3, 5, 7, 101)))
+    x, y, z = (draw(scaled_matrices(q)) for _ in range(3))
+    return x @ y, x @ z
+
+
+_SHARED = PMatrix2.from_rationals(3, [["5/18", "-4"], ["27/7", "1/45"]])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(scaled_pairs())
+@example((_SHARED, _SHARED))  # adj(a) a = det(a) I: two exact zeros
+@example((_SHARED, _SHARED @ diag(3, "1/9", 6)))
+@example((  # denominators prime to q, and an exact zero in b
+    PMatrix2.from_rationals(5, [["1/3", "2/7"], ["4/11", "-1/13"]]),
+    PMatrix2.from_rationals(5, [["3/7", "0"], ["1/9", "5/2"]]),
+))
+def test_lattice_distance_matches_the_fraction_formula(pair):
+    a, b = pair
+    assert_integer_multiple(a)
+    assert_integer_multiple(b)
+    assert lattice_distance(a, b) == _fraction_distance(a, b)
+    assert lattice_distance(b, a) == _fraction_distance(b, a)
 
 
 def test_mautner_normalization_and_values():

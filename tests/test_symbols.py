@@ -666,6 +666,20 @@ def test_overflowing_budget_never_fits():
         schur_norm(explicit_symbol([1e308, 5e307]), 3)
 
 
+def test_rounding_refusal_comes_before_any_window(monkeypatch):
+    # sup |phi| = 1e308 bounds the norm below, so the stored head alone shows
+    # that the rounding of the norm dwarfs the target: no window is built
+    import treeschur.symbols as symbols
+    from treeschur.errors import NoConvergence
+
+    def no_window(*args, **kwargs):
+        raise AssertionError("a window was built")
+
+    monkeypatch.setattr(symbols, "_evaluate_window", no_window)
+    with pytest.raises(NoConvergence, match="rounding of the norm, at least 1.000e[+]308"):
+        schur_norm(explicit_symbol([1e308, 5e307]), 3)
+
+
 def test_huge_entries_keep_finite_bounds_and_are_refused_for_their_rounding():
     # the square of 1e200 overflows, but the l2 suffix is taken at the scale of
     # the largest entry: tail and spill scale with it exactly, as at 1.0
