@@ -101,16 +101,19 @@ class AnalyticDiscFunction:
 
         Horner over blocks of n_theta coefficients, highest block first:
         acc = acc r^n_theta + block, then b = r^j acc.  Memory stays at
-        len(radii) x n_theta whatever the number of coefficients.
+        len(radii) x n_theta whatever the number of coefficients; only the
+        first min(len(coeffs), n_theta) columns are ever nonzero, so only
+        they are multiplied.
         """
         radii = np.asarray(radii, dtype=float)
         acc = np.zeros((radii.size, n_theta), dtype=complex)
+        width = min(len(self.coeffs), n_theta)
         r_block = (radii ** n_theta)[:, None]
         for start in range((len(self.coeffs) - 1) // n_theta * n_theta, -1, -n_theta):
             block = self.coeffs[start:start + n_theta]
-            acc *= r_block
+            acc[:, :width] *= r_block
             acc[:, :len(block)] += block
-        acc *= radii[:, None] ** np.arange(n_theta)
+        acc[:, :width] *= radii[:, None] ** np.arange(width)
         return acc
 
     def on_rings(self, radii, n_theta: int, conj: bool = False) -> np.ndarray:
@@ -352,12 +355,12 @@ class DiscMeasure:
         return complex(self.c_plus + self.c_minus * (-1) ** n + np.sum(self.atoms_w * self.atoms_z ** n))
 
     def moments(self, count: int) -> np.ndarray:
-        """c+ + c-(-1)^n + sum_j w_j z_j^n for n < count, with a running power of z."""
+        """c+ + c-(-1)^n + sum_j w_j z_j^n for n < count, with a running weighted power."""
         out = np.empty(count, dtype=complex)
-        zpow = np.ones_like(self.atoms_z)
+        wpow = self.atoms_w.copy()  # w_j z_j^n, updated in place
         for n in range(count):
-            out[n] = self.c_plus + self.c_minus * (-1) ** n + complex(np.sum(self.atoms_w * zpow))
-            zpow = zpow * self.atoms_z
+            out[n] = self.c_plus + self.c_minus * (-1) ** n + complex(np.sum(wpow))
+            wpow *= self.atoms_z
         return out
 
     def mass(self) -> float:

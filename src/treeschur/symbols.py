@@ -368,8 +368,9 @@ class _Majorant:
     parity series.  Past the stored head, S(k) = g r^k with
     g = c / sqrt(1 - r^2) and L(k) = c r^k / (1 - r); over the head both,
     and the suffix sums of S, come from one reversed cumsum each
-    (``_tables``), kept as Python floats, so :meth:`tail` and
-    :meth:`parity_tail` are O(1) float reads.  :meth:`spill` reads the prefix
+    (``_tables``), whose entries are read one by one as Python floats, so
+    :meth:`tail` and :meth:`parity_tail` are O(1) float reads and no read
+    converts more of a long head than it uses.  :meth:`spill` reads the prefix
     T(0) = 0, T(m+1) = (T(m) + S(m)) / q = sum_{i<=m} q^-(m+1-i) S(i), kept
     per q and extended only as far as a window asks, then a closed form past
     the head.  S(k) <= L(k), so no term exceeds its l1 form.  Rounding: the
@@ -399,7 +400,7 @@ class _Majorant:
         return self.c / math.sqrt(1.0 - self.r * self.r)
 
     @cached_property
-    def _tables(self) -> tuple[list[float], list[float], list[float]]:
+    def _tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(S(k) for k < size, sum_{size > j >= k} S(j) and L(k) for k <= size)."""
         size = len(self.major)
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow makes its bounds inf
@@ -414,7 +415,7 @@ class _Majorant:
             sums[:size] = np.cumsum(l2[::-1])[::-1]
             l1 = np.zeros(size + 1)
             l1[:size] = np.cumsum(self.major[::-1])[::-1]
-        return l2.tolist(), sums.tolist(), l1.tolist()
+        return l2, sums, l1
 
     def tail(self, n: int) -> float:
         """sum_{k=N}^{2N-1} S(k) + sum_{k >= N} S(k) (``hankel_tail_bound``)."""
@@ -422,7 +423,8 @@ class _Majorant:
         size, r = len(self.major), self.r
         lo, hi, a = min(n, size), min(2 * n, size), max(n, size)
         # sum_{k=a}^{2N-1} r^k + sum_{k >= a} r^k = r^a (2 - r^(2N-a)) / (1 - r), the first sum empty for a >= 2N
-        total = 2.0 * sums[lo] - sums[hi] + self._g * r ** a * (2.0 - r ** max(2 * n - a, 0)) / (1.0 - r)
+        stored = 2.0 * sums.item(lo) - sums.item(hi)
+        total = stored + self._g * r ** a * (2.0 - r ** max(2 * n - a, 0)) / (1.0 - r)
         return total if math.isfinite(total) else INF
 
     def spill(self, n: int, q: int) -> float:
@@ -432,7 +434,7 @@ class _Majorant:
         t = self._prefixes.get(q, [0.0])
         if len(t) <= min(n, size):  # extend a copy: a stored prefix never changes under a reader
             t = list(t)
-            for s in l2[len(t) - 1 : min(n, size)]:
+            for s in l2[len(t) - 1 : min(n, size)].tolist():
                 t.append((t[-1] + s) / q)
             self._prefixes[q] = t
         if n <= size:
@@ -445,7 +447,7 @@ class _Majorant:
         """L(start) = sum_{m >= start} M(m)."""
         _, _, l1 = self._tables
         size = len(self.major)
-        total = l1[min(start, size)] + self.c * self.r ** max(start, size) / (1.0 - self.r)
+        total = l1.item(min(start, size)) + self.c * self.r ** max(start, size) / (1.0 - self.r)
         return total if math.isfinite(total) else INF
 
 
@@ -982,8 +984,13 @@ def subtree_sandwich_check(sym: RadialSymbol, q: int, target_err: float = 1e-8) 
     if q == INF:
         raise ValueError("the sandwich compares a finite degree against infinite degree")
     rep_q = schur_norm(sym, q, target_err=target_err)
-    rep_inf = schur_norm(sym, INF, target_err=target_err)
-    slack = rep_q.certified_error + rep_inf.certified_error + target_err
+    return _sandwich(rep_q, schur_norm(sym, INF, target_err=target_err), target_err)
+
+
+def _sandwich(rep_q: SchurNormReport, rep_inf: SchurNormReport, target_err: float) -> SubtreeSandwichReport:
+    """The sandwich of a degree-q report against the infinite-degree one, each
+    side within both certified errors plus ``target_err``."""
+    q, slack = rep_q.q, rep_q.certified_error + rep_inf.certified_error + target_err
     holds = ((q - 1.0) / (q + 1.0) * rep_inf.total <= rep_q.total + slack) and (
         rep_q.total <= rep_inf.total + slack
     )

@@ -213,26 +213,30 @@ def meeting_indices(tree: FiniteTreeBall, x: int, y: int) -> tuple[int, int]:
     return pos[node], n
 
 
-def deltaprime_gram(tree: FiniteTreeBall, x: int, y: int) -> float:
-    """<delta'_x, delta'_y>: 1, -1/(q-1) for distinct c-siblings, else 0."""
-    if x == y:
-        return 1.0
-    if tree.climb_step(x) == tree.climb_step(y):
-        return -1.0 / (tree.q - 1.0)
-    return 0.0
+def deltaprime_gram(tree: FiniteTreeBall, x, y):
+    """<delta'_x, delta'_y>: 1, -1/(q-1) for distinct c-siblings, else 0.
+
+    Elementwise over numpy node arrays (broadcast together), a float for two
+    nodes; products of booleans pick each case, so both take one expression.
+    """
+    cx, cy = tree.climb[x], tree.climb[y]
+    apart = x != y
+    if (apart & ((cx < 0) | (cy < 0))).any():
+        raise OrbitEscapesBall("climb map undefined at the chain tip: extend the chain (chain_extra too small)")
+    return (x == y) * 1.0 - apart * (cx == cy) / (tree.q - 1.0)
 
 
-def smn_entry(q: int, m: int, n: int, i: int, j: int) -> float:
-    """Closed-form matrix entry of S_{m,n} on the chain basis."""
+def smn_entry(q: int, m, n, i, j):
+    """Closed-form matrix entry of S_{m,n} on the chain basis: 1 on the diagonal
+    i - m = j - n >= 0, -1/(q-1) one step before it, else 0.  Elementwise over
+    integer arrays (broadcast together), a float for scalars, as in
+    :func:`deltaprime_gram`."""
     q = check_degree(q)
     if q == INF:
         raise ValueError("use the plain shift entries at infinite degree")
-    if i - m == j - n:
-        if i - m >= 0:
-            return 1.0
-        if i - m == -1:
-            return -1.0 / (q - 1.0)
-    return 0.0
+    lag = i - m
+    on = lag == j - n
+    return (lag >= 0) * on * 1.0 - (lag == -1) * on / (q - 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -175,8 +175,7 @@ def test_criterion_10_lacunary_counterexample(tmp_path, capsys):
 
 def test_criterion_11_subtree_sandwich():
     worst = 0.0
-    for q in (2, 3):
-        res = check_subtree_sandwich(trace_class_corpus(), q)
+    for q, res in zip((2, 3), check_subtree_sandwich(trace_class_corpus(), (2, 3))):
         assert res.passed, (res.detail, q)
         worst = max(worst, res.max_err)
     print(f"criterion 11 PASS subtree sandwich: worst slack={worst:.2e}")

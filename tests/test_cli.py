@@ -17,6 +17,7 @@ import treeschur
 from test_padics import _fraction_distance
 from treeschur.cli import main
 from treeschur.padics import PMatrix2
+from treeschur import symbols, verify
 from treeschur.verify import run_suite
 
 
@@ -248,6 +249,27 @@ def test_run_suite_every_suite_passes_and_all_concatenates():
     assert all(rep.passed for rep in reports)
     assert run_suite("all", seed=0).checks == [c for rep in reports for c in rep.checks]
     assert all(type(c.passed) is bool for rep in reports for c in rep.checks)
+
+
+def test_sandwich_suite_reads_each_norm_once(monkeypatch):
+    # ten corpus symbols at q = 2, 3 and infinity: one corpus, 30 norms, so
+    # each symbol's infinite-degree norm serves both finite degrees
+    calls = {"schur_norm": 0, "trace_class_corpus": 0}
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(symbols, "schur_norm")
+    count(verify, "schur_norm")
+    count(verify, "trace_class_corpus")
+    assert run_suite("sandwich", seed=0).passed
+    assert calls == {"schur_norm": 30, "trace_class_corpus": 1}
 
 
 def test_padic_distance(tmp_path, capsys):

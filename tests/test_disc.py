@@ -151,6 +151,33 @@ def test_moments_from_g_matches_node_loop(n_r, n_theta, maxdeg):
     assert np.max(np.abs(got - moments_by_node_loop(g, quad, maxdeg))) <= 1e-13 * horner_scale(g, quad)
 
 
+def ring_folds_full_width(g, radii, n_theta):
+    """Reference for ``ring_folds``: the same Horner loop over blocks, with
+    every step applied to all n_theta columns, occupied or not."""
+    radii = np.asarray(radii, dtype=float)
+    acc = np.zeros((radii.size, n_theta), dtype=complex)
+    r_block = (radii ** n_theta)[:, None]
+    for start in range((len(g.coeffs) - 1) // n_theta * n_theta, -1, -n_theta):
+        block = g.coeffs[start:start + n_theta]
+        acc *= r_block
+        acc[:, :len(block)] += block
+    acc *= radii[:, None] ** np.arange(n_theta)
+    return acc
+
+
+@pytest.mark.parametrize("n_r, n_theta", [(80, 256), (160, 512)])
+def test_ring_folds_match_the_full_width_loop_bit_for_bit(n_r, n_theta):
+    rng = np.random.default_rng(n_theta)
+    radii = PolarQuadrature(n_r, n_theta, validate=False).radii
+    for count in (0, 1, n_theta - 1, n_theta, n_theta + 1, 3 * n_theta + 5):
+        coeffs = rng.normal(size=count) + 1j * rng.normal(size=count)
+        coeffs[: count // 7] = -0.0  # signed zeros in the head
+        g = AnalyticDiscFunction(coeffs=coeffs)
+        got = g.ring_folds(radii, n_theta)
+        assert got.dtype == complex and got.shape == (n_r, n_theta)
+        assert got.tobytes() == ring_folds_full_width(g, radii, n_theta).tobytes(), count
+
+
 def test_ring_folds_memory_stays_at_grid_size(quad):
     # a power table over all 200,000 coefficients would take 80 x 200,000 x 16 bytes (256 MB)
     g = AnalyticDiscFunction(coeffs=np.full(200_000, 1.0 + 1.0j))

@@ -16,6 +16,7 @@ from treeschur.spectral import trace_norm
 from treeschur.spherical import spherical_symbol
 from treeschur.symbols import (
     INF,
+    N_CAP,
     FiniteSupport,
     Geometric,
     RadialSymbol,
@@ -924,6 +925,23 @@ def test_spill_prefix_does_not_depend_on_call_history():
     for n in ns + ns[::-1]:
         for q in (2, 3, 5):
             assert shared.spill(n, q) == make().spill(n, q), (n, q)
+
+
+def test_majorant_reads_past_earlier_reads_match_a_fresh_majorant():
+    # a 20,000-entry head read first at small N, then at N past everything
+    # read so far (inside the head, at 2 N_CAP and past the head), answers
+    # tail, spill and parity bit for bit as a fresh majorant does
+    def make():
+        rng = np.random.default_rng(8)
+        return _Majorant(np.abs(rng.standard_normal(20_000)) * 0.9995 ** np.arange(20_000.0), 1e-3, 0.9995)
+
+    shared = make()
+    for n in (20, 32, 4096, 2 * N_CAP, 10_000, 20_000, 25_000):
+        for q in (2, 3):
+            fresh = make()
+            got = shared.tail(n), shared.spill(n, q), shared.parity_tail(2 * n - 1)
+            assert got == (fresh.tail(n), fresh.spill(n, q), fresh.parity_tail(2 * n - 1)), (n, q)
+            assert all(type(v) is float for v in got)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -201,6 +201,33 @@ def test_smn_entry_cases():
     assert smn_entry(2, 1, 3, 0, 2) == -1.0
 
 
+def test_gram_and_smn_array_forms_match_scalar_calls():
+    # every node pair of the ball and its chain but the tip, whose climb is
+    # undefined, and every (i, j) with i, j < 5 at the pair's meeting indices
+    tree = build_ball(3, 2, chain_extra=6)
+    tip = tree.chain[-1]
+    nodes = np.array([v for v in range(tree.n_nodes) if v != tip])
+    gram = deltaprime_gram(tree, nodes[:, None], nodes[None, :])
+    m, n = tree.meeting(nodes[:, None], nodes[None, :])
+    i = np.arange(5)
+    smn = smn_entry(3, m[:, :, None, None], n[:, :, None, None], i[:, None], i[None, :])
+    assert gram.shape == (len(nodes),) * 2 and smn.shape == (len(nodes),) * 2 + (5, 5)
+    for a, x in enumerate(nodes.tolist()):
+        for b, y in enumerate(nodes.tolist()):
+            scalar = deltaprime_gram(tree, x, y)
+            assert isinstance(scalar, float) and gram[a, b] == scalar, (x, y)
+            for k in range(5):
+                for t in range(5):
+                    scalar = smn_entry(3, int(m[a, b]), int(n[a, b]), k, t)
+                    assert isinstance(scalar, float) and smn[a, b, k, t] == scalar, (x, y, k, t)
+    with pytest.raises(OrbitEscapesBall):
+        deltaprime_gram(tree, tip, int(nodes[1]))
+    with pytest.raises(OrbitEscapesBall):
+        deltaprime_gram(tree, np.array([nodes[0], tip]), nodes[1])
+    with pytest.raises(OrbitEscapesBall):
+        deltaprime_gram(tree, nodes[:3, None], np.array([nodes[2], tip]))
+
+
 def test_gram_agreement_with_smn():
     # Lemma-level identity: closed form equals the node-level Gram, exactly
     tree = build_ball(3, 3, chain_extra=9)
