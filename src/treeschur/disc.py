@@ -28,6 +28,7 @@ from .symbols import (
     RadialSymbol,
     _Envelope,
     _Majorant,
+    _ResolventImage,
     _first_fit,
     _svd_allowance,
     check_degree,
@@ -54,7 +55,12 @@ def gamma_coeffs(n: int) -> np.ndarray:
 
 def gamma_convolution_error(n: int) -> float:
     """Relative error of sum_i gamma_i gamma_{n-i} against (n+1)(n+2)/2."""
-    g = gamma_coeffs(n)
+    return _convolution_error(gamma_coeffs(n))
+
+
+def _convolution_error(g: np.ndarray) -> float:
+    """``gamma_convolution_error(n)`` from g = gamma_0..gamma_n, a prefix of any longer table."""
+    n = len(g) - 1
     conv = float(np.sum(g * g[::-1]))
     target = (n + 1.0) * (n + 2.0) / 2.0
     return abs(conv - target) / target
@@ -314,12 +320,14 @@ def peller_sandwich(
 ) -> SandwichReport:
     """Checks ||H||_1 <= (1/pi) int |g| <= (8/pi) ||H||_1 for matching data.
 
+    ||H||_1 is read through the window operator of ``schur_norm`` at q = inf,
+    which forms no N x N array where a basis certifies (``spectral``).
     ``slack`` adds the Hankel tail bound, the SVD allowance of the window
     (``symbols._svd_allowance``, shared with ``schur_norm``) and the disc
     integral's ``error_estimate``; the last is a Richardson difference (see
     ``disc_l1_norm``), so the slack is an estimate, not a proven bound.
     """
-    lhs = trace_norm(h.entries)
+    lhs = trace_norm(_ResolventImage(h, INF))
     integral = disc_l1_norm(g, quad, target_err=target_err)
     mid = integral.value
     slack = h.tail_bound + _svd_allowance(h.n) + integral.error_estimate

@@ -364,20 +364,18 @@ class _Majorant:
         S(k) = ( sum_{m >= k} M(m)^2 )^(1/2),
 
     which bounds the 2-norm of any row or column of H that starts at
-    antidiagonal k, and the l1 suffix L(k) = sum_{m >= k} M(m) for the
-    parity series.  Past the stored head, S(k) = g r^k with
-    g = c / sqrt(1 - r^2) and L(k) = c r^k / (1 - r); over the head both,
-    and the suffix sums of S, come from one reversed cumsum each
-    (``_tables``), whose entries are read one by one as Python floats, so
-    :meth:`tail` and :meth:`parity_tail` are O(1) float reads and no read
-    converts more of a long head than it uses.  :meth:`spill` reads the prefix
-    T(0) = 0, T(m+1) = (T(m) + S(m)) / q = sum_{i<=m} q^-(m+1-i) S(i), kept
-    per q and extended only as far as a window asks, then a closed form past
-    the head.  S(k) <= L(k), so no term exceeds its l1 form.  Rounding: the
-    tables carry a relative error of order len(major) 2^-53; each step of T
-    rounds a sum of non-negative terms and a quotient, an error later steps
-    divide by q, so T(N) is within 2 sum_{i<N} (N-i) q^-(N-i) S(i) 2^-53 (a
-    few units of roundoff unless S falls much faster than 1/q per step).
+    antidiagonal k, and is at most its l1 form sum_{m >= k} M(m).  Past the
+    stored head, S(k) = g r^k with g = c / sqrt(1 - r^2); over the head S,
+    and its suffix sums, come from one reversed cumsum each (``_tables``),
+    whose entries are read one by one as Python floats, so :meth:`tail` is
+    an O(1) float read and no read converts more of a long head than it
+    uses.  :meth:`spill` reads the prefix T(0) = 0, T(m+1) = (T(m) + S(m)) / q
+    = sum_{i<=m} q^-(m+1-i) S(i), kept per q and extended only as far as a
+    window asks, then a closed form past the head.  Rounding: the tables
+    carry a relative error of order len(major) 2^-53; each step of T rounds
+    a sum of non-negative terms and a quotient, an error later steps divide
+    by q, so T(N) is within 2 sum_{i<N} (N-i) q^-(N-i) S(i) 2^-53 (a few
+    units of roundoff unless S falls much faster than 1/q per step).
     Squares are taken at the scale s of the largest M(m), a power of two, so
     those under 2^-1022 s^2 lose under sqrt(len(major)) 2^-537 s of each
     S(k).  All of it is far under the SVD allowance of a symbol of moderate
@@ -400,8 +398,8 @@ class _Majorant:
         return self.c / math.sqrt(1.0 - self.r * self.r)
 
     @cached_property
-    def _tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(S(k) for k < size, sum_{size > j >= k} S(j) and L(k) for k <= size)."""
+    def _tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """(S(k) for k < size, sum_{size > j >= k} S(j) for k <= size)."""
         size = len(self.major)
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow makes its bounds inf
             beyond = self._g * self.r ** size
@@ -413,13 +411,11 @@ class _Majorant:
             l2 = scale * np.sqrt(np.cumsum((major * major)[::-1])[::-1] + beyond * beyond)
             sums = np.zeros(size + 1)
             sums[:size] = np.cumsum(l2[::-1])[::-1]
-            l1 = np.zeros(size + 1)
-            l1[:size] = np.cumsum(self.major[::-1])[::-1]
-        return l2, sums, l1
+        return l2, sums
 
     def tail(self, n: int) -> float:
         """sum_{k=N}^{2N-1} S(k) + sum_{k >= N} S(k) (``hankel_tail_bound``)."""
-        _, sums, _ = self._tables
+        _, sums = self._tables
         size, r = len(self.major), self.r
         lo, hi, a = min(n, size), min(2 * n, size), max(n, size)
         # sum_{k=a}^{2N-1} r^k + sum_{k >= a} r^k = r^a (2 - r^(2N-a)) / (1 - r), the first sum empty for a >= 2N
@@ -429,7 +425,7 @@ class _Majorant:
 
     def spill(self, n: int, q: int) -> float:
         """2 sum_{i<N} q^-(N-i) S(i) = 2 T(N) (``resolvent_spill_bound``)."""
-        l2, _, _ = self._tables
+        l2, _ = self._tables
         size = len(l2)
         t = self._prefixes.get(q, [0.0])
         if len(t) <= min(n, size):  # extend a copy: a stored prefix never changes under a reader
@@ -441,13 +437,6 @@ class _Majorant:
             total = 2.0 * t[n]
         else:  # T(N) = q^-(N-size) T(size) + sum_{i=size}^{N-1} q^-(N-i) g r^i
             total = 2.0 * (float(q) ** (size - n) * t[size] + self._g * _scaled_geometric(q, self.r, size, n))
-        return total if math.isfinite(total) else INF
-
-    def parity_tail(self, start: int) -> float:
-        """L(start) = sum_{m >= start} M(m)."""
-        _, _, l1 = self._tables
-        size = len(self.major)
-        total = l1.item(min(start, size)) + self.c * self.r ** max(start, size) / (1.0 - self.r)
         return total if math.isfinite(total) else INF
 
 
@@ -511,14 +500,6 @@ def resolvent_spill_bound(sym: RadialSymbol, n: int, q: int) -> float:
     if sym._env is None:
         return INF
     return sym._env.hankel_majorant.spill(n, q)
-
-
-def _diag_series_tail(sym: RadialSymbol, n: int) -> float:
-    """Bound on the discarded parts of sum h[i,i] and sum h[i+1,i] past the window:
-    the even series drops h_m for even m >= 2n, the odd one odd m >= 2n-1."""
-    if sym._env is None:
-        return INF
-    return sym._env.hankel_majorant.parity_tail(2 * n - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -716,7 +697,7 @@ def apply_resolvent(h: HankelMatrix | np.ndarray, q: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ParityDecomposition:
-    """phi(n) = c_plus + c_minus*(-1)**n + psi(n) with psi -> 0."""
+    """phi(n) = c_plus + c_minus*(-1)**n + psi(n) with psi -> 0 (``extract_parity``)."""
 
     c_plus: complex
     c_minus: complex
@@ -724,25 +705,28 @@ class ParityDecomposition:
 
 
 def extract_parity(sym: RadialSymbol, h: HankelMatrix, tol: float = 1e-9) -> ParityDecomposition:
-    """Parity limits via the absolutely convergent diagonal series of H:
+    """The envelope's declared c_plus and c_minus, exact, for a certified tail;
+    without one the absolutely convergent diagonal series of the window,
 
-    lim phi(2i) = phi(0) - sum_i h[i,i],  lim phi(2i+1) = phi(1) - sum_i h[i+1,i].
+    lim phi(2i) = phi(0) - sum_i h[i,i],  lim phi(2i+1) = phi(1) - sum_i h[i+1,i],
+
+    whose error, their change from the half window, must be at most ``tol``.
     """
+    env = sym._env
+    if env is not None:
+        return ParityDecomposition(c_plus=env.c_plus, c_minus=env.c_minus, certified_error=0.0)
     d, n = h.d, h.n
     # h[i,i] = d[2i] for i < n and h[i+1,i] = d[2i+1] for i < n-1
     diag_sum = complex(np.sum(d[0 : 2 * n - 1 : 2]))
     sub_sum = complex(np.sum(d[1 : 2 * n - 2 : 2]))
-    tail_err = _diag_series_tail(sym, n)
-    if not math.isfinite(tail_err):
-        # no certificate: require the Cauchy criterion on the half window
-        half = max(n // 2, 1)
-        diag_half = complex(np.sum(d[0 : 2 * half - 1 : 2]))
-        sub_half = complex(np.sum(d[1 : 2 * half - 2 : 2]))
-        tail_err = abs(diag_sum - diag_half) + abs(sub_sum - sub_half)
-        if tail_err > tol:
-            raise DivergentDiagonals(
-                f"diagonal partial sums fail the Cauchy criterion at tolerance ({tail_err:.3e} > {tol:.1e})"
-            )
+    half = max(n // 2, 1)
+    diag_half = complex(np.sum(d[0 : 2 * half - 1 : 2]))
+    sub_half = complex(np.sum(d[1 : 2 * half - 2 : 2]))
+    tail_err = abs(diag_sum - diag_half) + abs(sub_sum - sub_half)
+    if tail_err > tol:
+        raise DivergentDiagonals(
+            f"diagonal partial sums fail the Cauchy criterion at tolerance ({tail_err:.3e} > {tol:.1e})"
+        )
     phi = sym.values(2)
     lim_even = complex(phi[0]) - diag_sum
     lim_odd = complex(phi[1]) - sub_sum
@@ -769,8 +753,9 @@ def _svd_allowance(n: int) -> float:
 
 @dataclass(frozen=True)
 class _Budget:
-    """The error terms of an N-window: Hankel tail, resolvent spill (0 at q = inf),
-    parity-series tail and SVD allowance; the first three are inf when uncertified."""
+    """The error terms of an N-window: Hankel tail, resolvent spill (0 at q = inf)
+    and SVD allowance, the first two inf when uncertified.  ``parity`` is 0.0,
+    kept for the schema: a certified tail declares its parity limits."""
 
     tail: float
     spill: float
@@ -779,7 +764,7 @@ class _Budget:
 
     @property
     def total(self) -> float:
-        return self.tail + self.spill + self.parity + self.svd
+        return self.tail + self.spill + self.svd
 
 
 def _budget(sym: RadialSymbol, q, n: int) -> _Budget:
@@ -788,7 +773,7 @@ def _budget(sym: RadialSymbol, q, n: int) -> _Budget:
     T(N), one recurrence step per row not read before, within a few units
     of roundoff."""
     spill = 0.0 if q == INF else resolvent_spill_bound(sym, n, q)
-    return _Budget(hankel_tail_bound(sym, n), spill, _diag_series_tail(sym, n), _svd_allowance(n))
+    return _Budget(hankel_tail_bound(sym, n), spill, 0.0, _svd_allowance(n))
 
 
 def _first_fit(n: int, cap: int, remainder: Callable[[int], float], limit: float) -> int:
@@ -851,11 +836,11 @@ def schur_norm(sym: RadialSymbol, q, target_err: float = 1e-8) -> SchurNormRepor
     """The Schur norm from one truncation window.
 
     A symbol with a certified tail takes the first n = 32 * 2**k <= N_CAP
-    whose ``budget`` (Hankel tail, resolvent spill, parity-series tail and
-    SVD allowance, all closed forms) is at most ``target_err``, then the
-    first of N = n * 5/8, n * 6/8, n * 7/8 whose budget fits too, or N = n
-    if none does, so N lies on the grid 2**a * {5, 6, 7, 8} and every FFT
-    length 2N has no prime factor above 7.  It evaluates that one window
+    whose ``budget`` (Hankel tail, resolvent spill and SVD allowance, all
+    closed forms) is at most ``target_err``, then the first of N = n * 5/8,
+    n * 6/8, n * 7/8 whose budget fits too, or N = n if none does, so N lies
+    on the grid 2**a * {5, 6, 7, 8} and every FFT length 2N has no prime
+    factor above 7.  It evaluates that one window
     and reports the budget's sum as ``certified_error``; if no n fits, it
     raises NoConvergence before building any window.  It raises
     NoConvergence too when ``target_err`` is under 2^-53 times the total,

@@ -279,7 +279,8 @@ def build_certificate(sym: RadialSymbol, q, n: int) -> FactorizationCertificate:
     tail, the resolvent spill, dropped singular values (below 1e-15 absolute
     or relative), the residual half-width sqrt(n) ||A - Q B||_F and the SVD
     allowance (``symbols._svd_allowance``), scaled by the operator norm
-    (q+1)/(q-1) of the S_{m,n} family, plus the parity-series tail.
+    (q+1)/(q-1) of the S_{m,n} family.  The parity limits are the declared
+    ones of a certified tail (``symbols.extract_parity``), so they add no term.
     """
     q = check_degree(q)
     w = _evaluate_window(sym, q, n)
@@ -296,7 +297,7 @@ def build_certificate(sym: RadialSymbol, q, n: int) -> FactorizationCertificate:
     weights = xi.T @ eta.conj() if xi.size else np.zeros((n, n), dtype=complex)
     smn_opnorm = 1.0 if q == INF else (q + 1.0) / (q - 1.0)
     b = w.budget
-    err = smn_opnorm * (b.tail + b.spill + dropped + w.half_width + b.svd) + b.parity
+    err = smn_opnorm * (b.tail + b.spill + dropped + w.half_width + b.svd)
     return FactorizationCertificate(
         q=float(q),
         c_plus=w.parity.c_plus,

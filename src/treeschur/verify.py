@@ -21,10 +21,11 @@ import numpy as np
 
 from .corpus import trace_class_corpus
 from .disc import (
+    _convolution_error,
     coeff_hankel,
     difference_sequence,
     g_from_symbol,
-    gamma_convolution_error,
+    gamma_coeffs,
     measure_bound,
     moments_from_g,
     optimal_measure,
@@ -132,7 +133,8 @@ def check_sampled_lower_bound(symbols, q: int, target_err: float) -> CheckResult
 
 def check_gamma_convolution(n_max: int) -> CheckResult:
     """sum_i gamma_i gamma_{n-i} = (n+1)(n+2)/2 to 1e-10 relative, for every n <= n_max."""
-    worst = np.max([gamma_convolution_error(n) for n in range(n_max + 1)])
+    g = gamma_coeffs(n_max)
+    worst = np.max([_convolution_error(g[: n + 1]) for n in range(n_max + 1)])
     return CheckResult("gamma-convolution", worst <= 1e-10, worst)
 
 

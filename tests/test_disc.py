@@ -26,7 +26,16 @@ from treeschur.disc import (
 )
 from treeschur.errors import UndeclaredTail
 from treeschur.spectral import trace_norm
-from treeschur.symbols import explicit_symbol, lacunary_counterexample, parity_symbol, power_symbol, scale_symbol
+from treeschur.spherical import spherical_symbol
+from treeschur.symbols import (
+    INF,
+    _svd_allowance,
+    explicit_symbol,
+    lacunary_counterexample,
+    parity_symbol,
+    power_symbol,
+    scale_symbol,
+)
 from treeschur.verify import check_moment_round_trip, check_optimal_measure
 
 
@@ -257,6 +266,27 @@ def test_peller_sandwich_cases(quad):
     rep2 = peller_sandwich(coeff_hankel(c2, 96), g_from_symbol(c2), quad, target_err=1e-6)
     assert rep2.holds
     assert rep2.lhs - rep2.slack <= rep2.mid <= EIGHT_OVER_PI * rep2.lhs + EIGHT_OVER_PI * rep2.slack
+
+
+def test_peller_reads_its_window_through_the_window_operator(quad):
+    # the sandwich's ||H||_1 comes from the same operator schur_norm reads: the
+    # dense window's bits below 128 rows, within the SVD allowance from 128
+    # rows, where a window the sketch certifies forms no N x N array
+    coeffs = difference_sequence(spherical_symbol(INF, s=0.9))
+    g = g_from_symbol(coeffs)
+    h = coeff_hankel(coeffs, 96)
+    assert peller_sandwich(h, g, quad).lhs == trace_norm(h.entries)
+    n = 1024
+    peller_sandwich(coeff_hankel(coeffs, 128), g, quad)
+    h = coeff_hankel(coeffs, n)
+    tracemalloc.start()
+    try:
+        rep = peller_sandwich(h, g, quad)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * 16 * n * n
+    assert abs(rep.lhs - trace_norm(h.entries)) <= _svd_allowance(n)
 
 
 def test_coeff_hankel_tail_dominates_truncation():

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from treeschur.disc import coeff_hankel
 from treeschur.errors import DivergentDiagonals, DivergentSeries, NonFinite
 from treeschur.spectral import trace_norm
-from treeschur.spherical import spherical_symbol
+from treeschur.spherical import schur_norm_in_s, spherical_symbol
 from treeschur.symbols import (
     INF,
     N_CAP,
@@ -268,15 +268,13 @@ def test_window_and_resolvent_match_reference_bit_for_bit(n):
         assert np.array_equal(coeff_hankel(sym, n).entries, vals[np.add.outer(np.arange(n), np.arange(n))])
 
 
-def reference_parity(sym, entries, half_window):
+def reference_parity(sym, entries):
     """(c_plus, c_minus, Cauchy error) from np.diagonal sums of the dense window, as first written."""
     n = entries.shape[0]
     diag, sub = np.diagonal(entries), np.diagonal(entries, offset=-1)
     diag_sum, sub_sum = complex(np.sum(diag)), complex(np.sum(sub))
-    err = None
-    if half_window:
-        half = max(n // 2, 1)
-        err = abs(diag_sum - complex(np.sum(diag[:half]))) + abs(sub_sum - complex(np.sum(sub[: max(half - 1, 0)])))
+    half = max(n // 2, 1)
+    err = abs(diag_sum - complex(np.sum(diag[:half]))) + abs(sub_sum - complex(np.sum(sub[: max(half - 1, 0)])))
     phi = sym.values(2)
     even, odd = complex(phi[0]) - diag_sum, complex(phi[1]) - sub_sum
     return 0.5 * (even + odd), 0.5 * (even - odd), err
@@ -287,7 +285,9 @@ def test_evaluated_window_and_parity_match_the_dense_references(monkeypatch, n):
     # the window reaches _factorize as an operator whose matrix is the
     # gathered dense window at q = inf, bit for bit, and the resolvent image
     # within the rounding bound of the definition sum at finite q; the parity
-    # limits come from d, with the bits of the dense diagonal sums
+    # limits of the declared symbol are its envelope's, (0j, 0j) exactly, and
+    # those of the undeclared one come from d, with the bits of the dense
+    # diagonal sums and their half-window error
     import treeschur.symbols as symbols
 
     seen = []
@@ -300,16 +300,17 @@ def test_evaluated_window_and_parity_match_the_dense_references(monkeypatch, n):
     for sym in (declared, undeclared):
         dense = reference_hankel(sym, n)
         vals = sym.values(2 * n + 1)
-        cp, cm, half_err = reference_parity(sym, dense, sym is undeclared)
+        cp, cm, half_err = reference_parity(sym, dense)
         for q in (2, 3, 5, INF):
             w = symbols._evaluate_window(sym, q, n, parity_tol=1.0)
             if q == INF:
                 assert np.array_equal(seen.pop(), dense)
             else:
                 check_resolvent_against_oracle(vals[:-2] - vals[2:], n, q, seen.pop())
-            assert (w.parity.c_plus, w.parity.c_minus) == (cp, cm)
-            if half_err is not None:
-                assert w.parity.certified_error == half_err
+            if sym is declared:
+                assert (w.parity.c_plus, w.parity.c_minus, w.parity.certified_error) == (0j, 0j, 0.0)
+            else:
+                assert (w.parity.c_plus, w.parity.c_minus, w.parity.certified_error) == (cp, cm, half_err)
 
 
 def test_finite_degree_window_keeps_one_n_by_n_array():
@@ -824,7 +825,7 @@ def test_tail_plus_spill_budget_dominates_window_gap(sym, q, ns, big):
 
 
 def _direct_bounds(maj, n, q):
-    """tail(N), spill(N) and L(2N-1) of a majorant summed over explicit arrays:
+    """tail(N) and spill(N) of a majorant summed over explicit arrays:
     M(m) written out up to m = max(len(major), 2N), S(k) by a reversed cumsum
     of M^2 over that range plus the squares past it, and only the geometric
     remainders past the range in closed form."""
@@ -835,8 +836,7 @@ def _direct_bounds(maj, n, q):
     s = np.sqrt(np.cumsum((m_all * m_all)[::-1])[::-1] + past * past / (1.0 - r * r))
     tail = float(np.sum(s[n : 2 * n]) + np.sum(s[n:])) + c / math.sqrt(1.0 - r * r) * r**end / (1.0 - r)
     spill = 2.0 * float(np.sum(float(q) ** -(n - np.arange(n, dtype=float)) * s[:n]))
-    parity = float(np.sum(m_all[2 * n - 1 :])) + past / (1.0 - r)
-    return tail, spill, parity
+    return tail, spill
 
 
 def _antidiagonal_tail(maj, n):
@@ -903,10 +903,10 @@ _SPILL_EDGES = [
 @example(case=_SPILL_EDGES[7])
 def test_closed_form_bounds_match_their_direct_sums_and_undercut_the_l1_forms(case):
     maj, q, n = case
-    tail, spill, parity = maj.tail(n), maj.spill(n, q), maj.parity_tail(2 * n - 1)
+    tail, spill = maj.tail(n), maj.spill(n, q)
     # squares under 2^-1022 are subnormal or 0 in both evaluations, and each
     # loses under 1e-161 of its S(k); 1e-150 covers that over 10^4 terms
-    for got, want in zip((tail, spill, parity), _direct_bounds(maj, n, q)):
+    for got, want in zip((tail, spill), _direct_bounds(maj, n, q)):
         assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-150), (got, want)
     # never above the forms they replace; the two evaluations round the same
     # sums in other orders, by a relative 1e-12 at most
@@ -930,7 +930,7 @@ def test_spill_prefix_does_not_depend_on_call_history():
 def test_majorant_reads_past_earlier_reads_match_a_fresh_majorant():
     # a 20,000-entry head read first at small N, then at N past everything
     # read so far (inside the head, at 2 N_CAP and past the head), answers
-    # tail, spill and parity bit for bit as a fresh majorant does
+    # tail and spill bit for bit as a fresh majorant does
     def make():
         rng = np.random.default_rng(8)
         return _Majorant(np.abs(rng.standard_normal(20_000)) * 0.9995 ** np.arange(20_000.0), 1e-3, 0.9995)
@@ -939,8 +939,8 @@ def test_majorant_reads_past_earlier_reads_match_a_fresh_majorant():
     for n in (20, 32, 4096, 2 * N_CAP, 10_000, 20_000, 25_000):
         for q in (2, 3):
             fresh = make()
-            got = shared.tail(n), shared.spill(n, q), shared.parity_tail(2 * n - 1)
-            assert got == (fresh.tail(n), fresh.spill(n, q), fresh.parity_tail(2 * n - 1)), (n, q)
+            got = shared.tail(n), shared.spill(n, q)
+            assert got == (fresh.tail(n), fresh.spill(n, q)), (n, q)
             assert all(type(v) is float for v in got)
 
 
@@ -975,3 +975,56 @@ def test_resolvent_trace_norm_sandwich_on_random_windows():
             tp_norm = trace_norm(apply_resolvent(padded, q))
             assert (q - 1.0) / (q + 1.0) * t_norm <= tp_norm + 1e-10
             assert tp_norm <= t_norm + 1e-10
+
+
+# ---------------------------------------------------------------------------
+# parity limits of certified symbols
+# ---------------------------------------------------------------------------
+
+@st.composite
+def declared_parity(draw, q, scaled=True):
+    """(symbol, closed-form norm or None) at degree q: parity_symbol(c+, c-, psi)
+    with psi a power, explicit or spherical symbol, constant_symbol,
+    spherical_symbol(q, s=+-1), and scale_symbol of one of them at any scale.
+    The closed form is known for a spherical psi read at its own degree, for
+    a power psi at q = inf, and for the constant and s = +-1 symbols; scaled
+    totals are left out."""
+    shapes = ["power", "explicit", "spherical", "constant", "pm1"] + (["scaled"] if scaled else [])
+    shape = draw(st.sampled_from(shapes))
+    if shape == "scaled":
+        sym, _ = draw(declared_parity(q, scaled=False))
+        scale = draw(st.one_of(st.just(0j), st.builds(lambda e, u: 10.0**e * u, st.floats(-6.0, 6.0), _COMPLEX)))
+        return scale_symbol(sym, scale), None
+    if shape == "constant":
+        c = draw(_COMPLEX)
+        return constant_symbol(c), abs(c)
+    if shape == "pm1":
+        return spherical_symbol(q, s=draw(st.sampled_from((1.0, -1.0)))), 1.0
+    cp, cm = draw(_COMPLEX), draw(_COMPLEX)
+    if shape == "power":
+        s = 0.3 * draw(_COMPLEX)
+        closed = abs(cp) + abs(cm) + abs(1.0 - s * s) / (1.0 - abs(s) ** 2)
+        return parity_symbol(cp, cm, power_symbol(s)), closed if q == INF else None
+    if shape == "explicit":
+        return parity_symbol(cp, cm, explicit_symbol(draw(st.lists(_COMPLEX, min_size=1, max_size=12)))), None
+    s = complex(draw(st.floats(-0.5, 0.5)), draw(st.floats(-0.15, 0.15)))
+    return parity_symbol(cp, cm, spherical_symbol(q, s=s)), abs(cp) + abs(cm) + schur_norm_in_s(q, s)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(case=st.sampled_from((2, 3, 5, INF)).flatmap(lambda q: st.tuples(st.just(q), declared_parity(q))))
+@example(case=(2, (spherical_symbol(2, s=-1.0), 1.0)))
+@example(case=(3, (scale_symbol(parity_symbol(2.0, 3.0, half_symbol()), 1e6j), None)))
+def test_certified_parity_limits_are_the_envelopes_and_cost_no_budget(case):
+    # the limits of a certified symbol are declared: the report carries the
+    # envelope's c+- bit for bit, and the budget charges nothing for them
+    q, (sym, closed) = case
+    env = sym._env
+    # a target relative to the envelope's lower bound on the norm, so that a
+    # symbol scaled by up to 1e6 is not refused for the rounding of its total
+    rep = schur_norm(sym, q, target_err=1e-8 * max(1.0, env.norm_floor))
+    assert rep.certified
+    assert (rep.c_plus, rep.c_minus) == (env.c_plus, env.c_minus)
+    assert rep.budget.parity == 0.0
+    if closed is not None:
+        assert abs(rep.total - closed) <= rep.certified_error, (rep.total, closed)

@@ -48,22 +48,21 @@ def umn_entry(tree, m, n, x, y):
 
 
 def reconstruct_kernel_dense(cert, tree, x, y):
-    """Reference for ``reconstruct_kernel``: the full double sum over all (i, j)
-    with node-level Gram calls, O(N^2)."""
+    """Reference for ``reconstruct_kernel``: the full double sum over all (i, j),
+    O(N^2), with the Gram block of the two climb orbits from one array call
+    and the terms added one at a time in (i, j) order (a running sum)."""
     size = cert.weights.shape[0]
     ox, oy = [x], [y]
     for _ in range(size - 1):
         ox.append(tree.climb_step(ox[-1]))
         oy.append(tree.climb_step(oy[-1]))
+    ox, oy = np.array(ox)[:, None], np.array(oy)[None, :]
+    if cert.gram_mode == "delta_plain":
+        g = (ox == oy) * 1.0
+    else:
+        g = deltaprime_gram(tree, ox, oy)
     total = cert.c_plus + cert.c_minus * (-1) ** tree.distance(x, y)
-    for i in range(size):
-        for j in range(size):
-            if cert.gram_mode == "delta_plain":
-                g = 1.0 if ox[i] == oy[j] else 0.0
-            else:
-                g = deltaprime_gram(tree, ox[i], oy[j])
-            total += g * cert.weights[i, j]
-    return complex(total)
+    return complex(np.cumsum(np.append(total, g * cert.weights))[-1])
 
 
 def kernel_on_pairs_band(cert, tree, xs, ys):
