@@ -65,7 +65,6 @@ from .tree import (
     build_certificate,
     deltaprime_gram,
     empirical_schur_lower_bound,
-    meeting_indices,
     reconstruct_kernel,
     reconstruction_max_error,
     smn_entry,

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -237,9 +237,24 @@ class DiscIntegral:
     n_theta: int
 
 
+# bytes of complex ring values _ring_l1 holds at once: 32 rings of 256 angles
+RING_BLOCK_BYTES = 1 << 17
+
+
 def _ring_l1(g: AnalyticDiscFunction, radii: np.ndarray, radial_weights: np.ndarray, n_theta: int) -> float:
-    """sum of w |g| over the rings of ``radii`` with n_theta angles each."""
-    return float(np.sum((radial_weights / n_theta)[:, None] * np.abs(g.on_rings(radii, n_theta))))
+    """sum of w |g| over the rings of ``radii`` with n_theta angles each.
+
+    The rings are read in blocks of at most ``RING_BLOCK_BYTES`` of values
+    (one ring at least), each by the folds and FFTs of ``on_rings``; a block's
+    ring sums of |g| meet the radial weights in one dot product.  So the
+    memory stays at a few blocks whatever the grid.
+    """
+    rows = max(1, RING_BLOCK_BYTES // (16 * n_theta))
+    total = 0.0
+    for start in range(0, radii.size, rows):
+        ring_sums = np.abs(g.on_rings(radii[start:start + rows], n_theta)).sum(axis=1)
+        total += float(ring_sums @ radial_weights[start:start + rows])
+    return total / n_theta
 
 
 # times disc_l1_norm doubles n_r and n_theta before it gives up
@@ -342,12 +357,21 @@ def peller_sandwich(
 
 @dataclass(frozen=True)
 class DiscMeasure:
-    """Finitely many atoms (z_j, w_j), all strictly inside the disc."""
+    """Finitely many atoms (z_j, w_j), all strictly inside the disc.
+
+    A measure from ``optimal_measure`` also keeps its ring layout in
+    ``_radii``: atom k n_theta + j sits at radii[k] e^(2 pi i j / n_theta).
+    Its moments then read one table W, the per-ring inverse FFT of the
+    weights, W[k, m] = sum_j w[k, j] e^(2 pi i j m / n_theta), built once:
+    sum_j w_j z_j^n = sum_k radii[k]^n W[k, n mod n_theta].  Atoms without a
+    layout take a running product of their powers.
+    """
 
     atoms_z: np.ndarray
     atoms_w: np.ndarray
     c_plus: complex = 0.0
     c_minus: complex = 0.0
+    _radii: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         z = np.asarray(self.atoms_z, dtype=complex)
@@ -359,11 +383,26 @@ class DiscMeasure:
         object.__setattr__(self, "atoms_z", z)
         object.__setattr__(self, "atoms_w", w)
 
+    @functools.cached_property
+    def _ring_table(self) -> np.ndarray:
+        return np.fft.ifft(self.atoms_w.reshape(self._radii.size, -1), axis=1, norm="forward")
+
     def moment(self, n: int) -> complex:
-        return complex(self.c_plus + self.c_minus * (-1) ** n + np.sum(self.atoms_w * self.atoms_z ** n))
+        if self._radii is None:
+            atoms = np.sum(self.atoms_w * self.atoms_z ** n)
+        else:
+            table = self._ring_table
+            atoms = self._radii ** n @ table[:, n % table.shape[1]]
+        return complex(self.c_plus + self.c_minus * (-1) ** n + atoms)
 
     def moments(self, count: int) -> np.ndarray:
-        """c+ + c-(-1)^n + sum_j w_j z_j^n for n < count, with a running weighted power."""
+        """c+ + c-(-1)^n + sum_j w_j z_j^n for n < count: from the ring table,
+        or with a running weighted power for atoms without a ring layout."""
+        if self._radii is not None:
+            n = np.arange(count)
+            table = self._ring_table
+            atoms = np.sum(self._radii[:, None] ** n * table[:, n % table.shape[1]], axis=0)
+            return self.c_plus + self.c_minus * np.where(n % 2, -1.0, 1.0) + atoms
         out = np.empty(count, dtype=complex)
         wpow = self.atoms_w.copy()  # w_j z_j^n, updated in place
         for n in range(count):
@@ -377,6 +416,29 @@ class DiscMeasure:
         if not z.size:
             return 0.0
         return float(np.sum(np.abs(w) * np.abs(1.0 - z * z) / (1.0 - np.abs(z) ** 2)))
+
+
+def _density_factor(radii: np.ndarray, n_theta: int, order: int) -> np.ndarray:
+    """(1 - z^(2K+2)) / (1 - z^2), K = ``order``, at z = r e^(2 pi i j / n_theta)
+    for r in ``radii`` (rows) and j < n_theta (columns), in polar form:
+    1 - r^n e^(i a) = (1 - r^n) + r^n (1 - e^(i a)), with 1 - r^n by expm1,
+    1 - r^2 = (1 - r)(1 + r) and 1 - e^(i a) = 2 sin^2(a/2) - i sin(a) at the
+    angle index n j mod n_theta.  Both parts have nonnegative real parts, so
+    nothing cancels near z = +-1, where the quotient of the two float
+    differences loses its digits.  It takes len(radii) real powers and one
+    table of n_theta angles."""
+    n = 2 * order + 2
+    j = np.arange(n_theta)
+    # angles in (-pi, pi], where sin keeps its relative accuracy
+    angle = 2.0 * math.pi * np.where(2 * j > n_theta, j - n_theta, j) / n_theta
+    chord = 2.0 * np.sin(0.5 * angle) ** 2 - 1j * np.sin(angle)  # 1 - e^(i angle)
+    r = radii[:, None]
+    top = r ** n * chord[n * j % n_theta]
+    top -= np.expm1(n * np.log(r))
+    bottom = r * r * chord[2 * j % n_theta]
+    bottom += (1.0 - r) * (1.0 + r)
+    top /= bottom
+    return top
 
 
 def optimal_measure(
@@ -394,6 +456,12 @@ def optimal_measure(
     telescoped coefficient tail beyond index 2K.  The atoms reproduce the
     vanishing part of the symbol and their mass equals (1/pi) int |g| up to
     the same tail, realizing the (8/pi)-optimal representation.
+
+    The grid is read ring by ring: the polynomial in polar form
+    (``_density_factor``), g(conj z) by one FFT per ring, and the weights
+    wu_r (1 - r^2) / n_theta once per ring.  The measure keeps the ring
+    layout, so its moments take one inverse FFT per ring (see
+    ``DiscMeasure``).
     """
     if g.tail_bound > 0.0 and g.tail_ratio > 0.0:
         r = g.tail_ratio
@@ -401,10 +469,14 @@ def optimal_measure(
         series_order = int(min(512, max(8, math.ceil(math.log(target) / (2.0 * math.log(r))))))
     else:
         series_order = len(g.coeffs) // 2 + 1
-    z = quad.nodes
-    factor = (1.0 - z ** (2 * series_order + 2)) / (1.0 - z * z)
-    w = quad.weights * (1.0 - np.abs(z) ** 2) * factor * g.on_rings(quad.radii, quad.n_theta, conj=True).ravel()
-    return DiscMeasure(atoms_z=z, atoms_w=w, c_plus=c_plus, c_minus=c_minus)
+    radii, n_theta = quad.radii, quad.n_theta
+    ring_weights = quad.radial_weights * (1.0 - radii * radii) / n_theta
+    w = _density_factor(radii, n_theta, series_order)
+    w *= g.on_rings(radii, n_theta, conj=True)
+    w *= ring_weights[:, None]
+    mu = DiscMeasure(atoms_z=quad.nodes, atoms_w=w.ravel(), c_plus=c_plus, c_minus=c_minus)
+    object.__setattr__(mu, "_radii", radii)
+    return mu
 
 
 @dataclass(frozen=True)

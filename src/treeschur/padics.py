@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NotPrime, ZeroDenominator
+from .errors import NotPrime, SizeCap, ZeroDenominator
 from .spherical import eigenvalue_from_z, spherical_values, spherical_values_closed_form
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -58,8 +58,29 @@ def check_prime(q: int) -> int:
     return q
 
 
+# digits a string entry may have, its decimal exponent counted: "1e200000"
+# (200,001 digits) is admitted.  Past q = 2 the valuation of an entry is
+# quadratic in its size (see ``_ladder``), so the limit bounds its time.
+MAX_ENTRY_DIGITS = 250_000
+
+
+def _entry_digits(text: str) -> int:
+    """The digits of a decimal string, its exponent e counted as |e| more,
+    read before any integer is built (0 past a malformed exponent, which
+    ``Fraction`` refuses)."""
+    mantissa, _, exponent = text.lower().partition("e")
+    try:
+        scale = abs(int(exponent)) if exponent else 0
+    except ValueError:
+        scale = 0
+    return sum(map(str.isdigit, mantissa)) + scale
+
+
 def parse_rational(x) -> Fraction:
-    """An int, Fraction, finite float or "n/d" string as an exact rational."""
+    """An int, Fraction, finite float or "n/d" string as an exact rational.
+    A string of more than ``MAX_ENTRY_DIGITS`` digits is refused unbuilt."""
+    if isinstance(x, str) and _entry_digits(x) > MAX_ENTRY_DIGITS:
+        raise SizeCap(f"rational input {x[:40]!r} has more than {MAX_ENTRY_DIGITS:,} digits")
     try:
         return Fraction(x)
     except ZeroDivisionError:

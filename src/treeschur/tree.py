@@ -192,27 +192,6 @@ def build_ball(q: int, radius: int, chain_extra: int = 0) -> FiniteTreeBall:
     return FiniteTreeBall(q, radius, chain_extra)
 
 
-def meeting_indices(tree: FiniteTreeBall, x: int, y: int) -> tuple[int, int]:
-    """Smallest (m, n) with c^m(x) = c^n(y); then m + n = d(x, y).
-
-    Both orbits end at the stored chain tip, so the merge node always lies in
-    storage for stored arguments.
-    """
-    pos: dict[int, int] = {}
-    v, step = x, 0
-    while v >= 0 and v not in pos:
-        pos[v] = step
-        v = int(tree.climb[v])
-        step += 1
-    node, n = y, 0
-    while node not in pos:
-        node = int(tree.climb[node])
-        if node < 0:
-            raise OrbitEscapesBall("orbits failed to meet inside storage")
-        n += 1
-    return pos[node], n
-
-
 def deltaprime_gram(tree: FiniteTreeBall, x, y):
     """<delta'_x, delta'_y>: 1, -1/(q-1) for distinct c-siblings, else 0.
 

@@ -5,8 +5,10 @@ import io
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -387,15 +389,40 @@ def test_json_determinism_modulo_wall_time(tmp_path, capsys):
     assert run_verify() == run_verify()
 
 
-def run_cli_process(argv, stdin):
+def run_cli_process(argv, stdin, timeout=120, preexec_fn=None, **env_extra):
     """The CLI in a fresh interpreter, where numpy warnings reach stderr
     instead of pytest's capture."""
     src = Path(treeschur.__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]), **env_extra}
     return subprocess.run(
         [sys.executable, "-W", "default", "-c", "import sys; from treeschur.cli import main; sys.exit(main())", *argv],
-        input=stdin, capture_output=True, text=True, env=env, timeout=120,
+        input=stdin, capture_output=True, text=True, env=env, timeout=timeout, preexec_fn=preexec_fn,
     )
+
+
+# inputs of a few bytes that ask for a huge structure: 2e15 grid points
+# (7 PiB of rows), and a 1,000,001-digit entry whose 5-adic valuation is
+# quadratic in its size
+HUGE_GRID = "0:0.1:1000000000000000,0:0.1:2"
+HUGE_ENTRY = [["1e1000000", "0"], ["0", "1"]]
+ADDRESS_SPACE = 512 << 20
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
+
+
+@pytest.mark.parametrize("argv, stdin", [
+    (["spherical", "--q", "3", "--grid", HUGE_GRID], ""),
+    (["padic-distance", "-"], json.dumps({"q": 5, "a": HUGE_ENTRY, "b": [["1", "0"], ["0", "1"]]})),
+])
+def test_huge_inputs_are_refused_in_bounded_time_and_memory(argv, stdin):
+    # each in its own interpreter under a 512 MB address space and a wall limit
+    start = time.perf_counter()
+    proc = run_cli_process(argv, stdin, timeout=10, preexec_fn=_limit_address_space, OPENBLAS_NUM_THREADS="1")
+    assert time.perf_counter() - start < 2.5
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error:"), proc.stderr
 
 
 def test_norm_overflowing_symbol_stderr_is_one_line():
@@ -558,7 +585,7 @@ _SPECS = st.one_of(
 _MATRICES = st.sampled_from([
     [["1", "0"], ["0", "1"]], [["9", "0"], ["0", "1"]], [[1, 1], [1, 1 + 3 ** 70]], [["1/2", 0], [0, 3]],
     [[0, 0], [0, 0]], [["1/0", "0"], ["0", "1"]], [[1e308, 0], [0, 1]], [[math.nan, 0], [0, 1]],
-    [[10 ** 400, 0], [0, 1]], [[1, 2]], 5, None,
+    [[10 ** 400, 0], [0, 1]], HUGE_ENTRY, [[1, 2]], 5, None,
 ])
 _PAYLOADS = st.one_of(
     st.fixed_dictionaries({"q": st.sampled_from([3, 2, 5, "3"]), "a": _MATRICES, "b": _MATRICES}),
@@ -576,7 +603,7 @@ _OPTIONS = {
     "--s": (["0.4j", "0.3+0.2j", "-0.5", "1", "2", "1e-320"], ["1e308", "-1e308", "nan", "inf", "x", "-x"]),
     "--z": (["0.5", "0.3+1j", "1e-320", "1e-320+1j", "1"], ["1e308", "-1e308", "nan", "-inf", "x", "-x"]),
     "--grid": (["-0.5:0.5:3,-0.2:0.2:3", "0:1:2,0:0:1"],
-               ["nan:1:2,0:0:1", "0:1:-1,0:0:1", "-1:-1e+308:2,0:0:1", "x"]),
+               ["nan:1:2,0:0:1", "0:1:-1,0:0:1", "-1:-1e+308:2,0:0:1", HUGE_GRID, "x"]),
     "--seed": (["0", "7"], ["-1", "1e3", str(10 ** 400), "x"]),
     "--out": (["json"], ["xml", "-x"]),
 }

@@ -4,6 +4,7 @@ import cmath
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,9 @@ from treeschur.disc import (
     AnalyticDiscFunction,
     DiscMeasure,
     PolarQuadrature,
+    _density_factor,
+    _radial_rule,
+    _ring_l1,
     coeff_hankel,
     difference_sequence,
     disc_l1_norm,
@@ -36,7 +40,7 @@ from treeschur.symbols import (
     power_symbol,
     scale_symbol,
 )
-from treeschur.verify import check_moment_round_trip, check_optimal_measure
+from treeschur.verify import SANDWICH_POINTS, check_moment_round_trip, check_optimal_measure
 
 
 @pytest.fixture(scope="module")
@@ -200,6 +204,51 @@ def test_ring_folds_memory_stays_at_grid_size(quad):
     assert peak < 8_000_000
 
 
+def ring_l1_whole_grid(g, radii, radial_weights, n_theta):
+    """Reference for ``_ring_l1``: w |g| summed over the whole grid at once."""
+    return float(np.sum((radial_weights / n_theta)[:, None] * np.abs(g.on_rings(radii, n_theta))))
+
+
+def sandwich_g(s):
+    return g_from_symbol(rank_one_coeffs(s))
+
+
+@pytest.mark.parametrize("n_r, n_theta", [(80, 256), (160, 512)])
+def test_ring_blocks_match_the_whole_grid_sum(n_r, n_theta):
+    # the ring blocks reorder the sum only; the block edges fall inside the
+    # grid (32 and 16 rings), and a coefficient count past n_theta folds
+    radii, radial_weights = _radial_rule(n_r)
+    rng = np.random.default_rng(n_r)
+    count = 3 * n_theta + 5
+    noise = AnalyticDiscFunction(coeffs=(rng.normal(size=count) + 1j * rng.normal(size=count)) * 0.99 ** np.arange(count))
+    for g in [sandwich_g(s) for s in SANDWICH_POINTS] + [noise]:
+        want = ring_l1_whole_grid(g, radii, radial_weights, n_theta)
+        assert _ring_l1(g, radii, radial_weights, n_theta) == pytest.approx(want, rel=1e-14, abs=0)
+
+
+def test_disc_l1_norm_matches_the_whole_grid_sum_at_its_last_level(quad):
+    for s in SANDWICH_POINTS:
+        g = sandwich_g(s)
+        res = disc_l1_norm(g, quad, target_err=1e-6)
+        assert (res.n_r, res.n_theta) == (160, 512)
+        want = ring_l1_whole_grid(g, *_radial_rule(160), 512)
+        assert res.value == pytest.approx(want, rel=1e-14, abs=0)
+
+
+def test_disc_l1_norm_memory_stays_at_ring_blocks(quad):
+    # the whole-grid sum held four 160 x 512 temporaries: a 2.6 MB peak
+    g = sandwich_g(0.8 * cmath.exp(1j * math.pi / 5))
+    disc_l1_norm(g, quad, target_err=1e-6)  # the radial rules are cached
+    tracemalloc.start()
+    try:
+        res = disc_l1_norm(g, quad, target_err=1e-6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.n_r == 160
+    assert peak < 1_000_000
+
+
 def test_disc_l1_norm_examples(quad):
     g2 = AnalyticDiscFunction(coeffs=np.array([2.0 + 0j]))
     res = disc_l1_norm(g2, quad)
@@ -339,6 +388,42 @@ def test_measure_moments_match_moment():
     assert np.max(np.abs(mu.moments(25) - want)) <= 1e-13 * np.sum(np.abs(mu.atoms_w))
     empty = DiscMeasure(atoms_z=np.zeros(0, dtype=complex), atoms_w=np.zeros(0, dtype=complex), c_plus=1.0, c_minus=0.5)
     assert np.array_equal(empty.moments(4), [1.5, 0.5, 1.5, 0.5])
+
+
+@pytest.mark.parametrize("n_r, n_theta", [(6, 16), (80, 256)])
+def test_ring_moments_match_the_running_product(n_r, n_theta):
+    # the same atoms without their ring layout take the running product;
+    # counts past n_theta alias in both
+    quad = PolarQuadrature(n_r, n_theta, validate=False)
+    mu = optimal_measure(g_from_symbol(difference_sequence(power_symbol(0.45 - 0.3j))), quad, c_plus=0.3, c_minus=-0.2j)
+    plain = DiscMeasure(atoms_z=mu.atoms_z, atoms_w=mu.atoms_w, c_plus=mu.c_plus, c_minus=mu.c_minus)
+    count = 3 * n_theta + 5
+    want = plain.moments(count)
+    tol = 1e-13 * np.sum(np.abs(mu.atoms_w))
+    assert np.max(np.abs(mu.moments(count) - want)) <= tol
+    assert max(abs(mu.moment(n) - want[n]) for n in range(count)) <= tol
+
+
+@pytest.mark.parametrize("n_r, n_theta, order", [
+    (80, 256, 8), (80, 256, 19), (80, 256, 60), (80, 256, 512), (160, 512, 19), (160, 512, 512),
+])
+def test_density_factor_matches_the_quotient_in_mpmath(n_r, n_theta, order):
+    # (1 - z^(2K+2)) / (1 - z^2) at z = r e^(2 pi i j / n_theta), 40 digits,
+    # on every ring at the angles next to z = +-1 and +-i and a stride of
+    # others; K = 19 is the order of the measure of verify's optimal-measure
+    # check, and 512 is the cap.  The same quotient in floats at the float
+    # nodes is off by up to 7e-12 of the largest factor near z = +-1
+    radii, _ = _radial_rule(n_r)
+    got = _density_factor(radii, n_theta, order)
+    h = n_theta // 2
+    angles = sorted({0, 1, h // 2, h - 1, h, h + 1, n_theta - 1} | set(range(3, n_theta, 29)))
+    n = 2 * order + 2
+    with mpmath.workdps(40):
+        want = np.array([[
+            complex((1 - z ** n) / (1 - z * z))
+            for z in (mpmath.mpf(float(r)) * mpmath.expjpi(mpmath.mpf(2 * j) / n_theta) for j in angles)
+        ] for r in radii])
+    assert np.max(np.abs(got[:, angles] - want)) <= 1e-14 * np.max(np.abs(got))
 
 
 def test_optimal_measure_reproduces_symbol(quad):

@@ -27,12 +27,33 @@ from treeschur.tree import (
     deltaprime_gram,
     empirical_schur_lower_bound,
     kernel_on_pairs,
-    meeting_indices,
     reconstruct_kernel,
     reconstruction_max_error,
     smn_entry,
 )
 from treeschur.verify import check_chain_gram, check_meeting_indices
+
+
+def meeting_indices(tree, x, y):
+    """Reference for ``FiniteTreeBall.meeting``: the smallest (m, n) with
+    c^m(x) = c^n(y), one pair at a time; then m + n = d(x, y).
+
+    Both orbits end at the stored chain tip, so the merge node always lies in
+    storage for stored arguments.
+    """
+    pos = {}
+    v, step = x, 0
+    while v >= 0 and v not in pos:
+        pos[v] = step
+        v = int(tree.climb[v])
+        step += 1
+    node, n = y, 0
+    while node not in pos:
+        node = int(tree.climb[node])
+        if node < 0:
+            raise OrbitEscapesBall("orbits failed to meet inside storage")
+        n += 1
+    return pos[node], n
 
 
 def umn_entry(tree, m, n, x, y):
