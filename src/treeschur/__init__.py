@@ -46,7 +46,6 @@ from .symbols import (
     power_symbol,
     scale_symbol,
     schur_norm,
-    subtree_sandwich_check,
 )
 from .spherical import (
     eigenvalue_from_z,
@@ -78,7 +77,6 @@ from .disc import (
     disc_l1_norm,
     g_from_symbol,
     gamma_coeffs,
-    gamma_convolution_error,
     measure_bound,
     moments_from_g,
     optimal_measure,

@@ -201,10 +201,8 @@ def cmd_spherical(args):
         points = [("s", s) for s in _grid_values(args.grid)]
     elif args.s is not None:
         points = [("s", parse_complex(args.s))]
-    elif args.z is not None:
-        points = [("z", parse_complex(args.z))]
     else:
-        raise ValueError("provide --s, --z, or --grid")
+        points = [("z", parse_complex(args.z))]
     rows = []
     for mode, value in points:
         if mode == "z":
@@ -294,9 +292,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sph = sub.add_parser("spherical", help="closed-form spherical norms (single point or grid)")
     p_sph.add_argument("--q", required=True, help="integer >= 2 or 'inf'")
-    p_sph.add_argument("--s", default=None, help="eigenvalue, e.g. '0.4j' or '0.3+0.2j'")
-    p_sph.add_argument("--z", default=None, help="exponent parameter (finite q only)")
-    p_sph.add_argument("--grid", default=None, help=f"s-grid 're0:re1:n,im0:im1:n', at most {MAX_GRID_POINTS:,} points")
+    point = p_sph.add_mutually_exclusive_group(required=True)
+    point.add_argument("--s", default=None, help="eigenvalue, e.g. '0.4j' or '0.3+0.2j'")
+    point.add_argument("--z", default=None, help="exponent parameter (finite q only)")
+    point.add_argument("--grid", default=None, help=f"s-grid 're0:re1:n,im0:im1:n', at most {MAX_GRID_POINTS:,} points")
     p_sph.add_argument("--out", choices=("json", "csv"), default="json")
     p_sph.set_defaults(func=cmd_spherical)
 

@@ -53,13 +53,9 @@ def gamma_coeffs(n: int) -> np.ndarray:
     return out
 
 
-def gamma_convolution_error(n: int) -> float:
-    """Relative error of sum_i gamma_i gamma_{n-i} against (n+1)(n+2)/2."""
-    return _convolution_error(gamma_coeffs(n))
-
-
 def _convolution_error(g: np.ndarray) -> float:
-    """``gamma_convolution_error(n)`` from g = gamma_0..gamma_n, a prefix of any longer table."""
+    """Relative error of sum_i gamma_i gamma_{n-i} against (n+1)(n+2)/2, from
+    g = gamma_0..gamma_n, a prefix of any longer table."""
     n = len(g) - 1
     conv = float(np.sum(g * g[::-1]))
     target = (n + 1.0) * (n + 2.0) / 2.0

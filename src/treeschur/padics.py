@@ -77,8 +77,11 @@ def _entry_digits(text: str) -> int:
 
 
 def parse_rational(x) -> Fraction:
-    """An int, Fraction, finite float or "n/d" string as an exact rational.
-    A string of more than ``MAX_ENTRY_DIGITS`` digits is refused unbuilt."""
+    """An int, Fraction, finite float or "n/d" string as an exact rational; a
+    boolean is refused, and so is a string of more than ``MAX_ENTRY_DIGITS``
+    digits, unbuilt."""
+    if isinstance(x, bool):
+        raise ValueError(f"rational input {x!r} is a boolean, not a number")
     if isinstance(x, str) and _entry_digits(x) > MAX_ENTRY_DIGITS:
         raise SizeCap(f"rational input {x[:40]!r} has more than {MAX_ENTRY_DIGITS:,} digits")
     try:

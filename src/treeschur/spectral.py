@@ -298,8 +298,9 @@ def trace_norm(m) -> float:
     """Sum of singular values; the error it may carry is ``symbols._svd_allowance``.
 
     It is ||B||_1 for A ~ Q B from :func:`_factorize`, so a certified range
-    finder answers from 128 rows when the matrix is numerically of low rank and
-    the dense SVD otherwise.  The result is deterministic: the sketch is seeded.
+    finder answers from 64 rows (``_DENSE_BELOW``) when the matrix is
+    numerically of low rank and the dense SVD otherwise.  The result is
+    deterministic: the sketch is seeded.
     """
     return _factor_norm(*_factorize(m)[:2])
 

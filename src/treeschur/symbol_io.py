@@ -27,17 +27,24 @@ from .symbols import (
 )
 
 
+def _real(obj) -> float:
+    """A number or numeric string as a float; a JSON boolean is refused."""
+    if isinstance(obj, bool):
+        raise ValueError(f"{obj!r} is a boolean, not a number")
+    return float(obj)
+
+
 def parse_complex(obj) -> complex:
-    """A number, a string, an [re, im] pair or {"re":..., "im":...}; a NaN or
-    infinite part raises ``ValueError``."""
+    """A number, a string, an [re, im] pair or {"re":..., "im":...}; a boolean
+    or a NaN or infinite part raises ``ValueError``."""
     if isinstance(obj, (int, float)):
-        value = complex(obj)
+        value = complex(_real(obj))
     elif isinstance(obj, str):
         value = complex(obj.replace(" ", ""))
     elif isinstance(obj, (list, tuple)) and len(obj) == 2:
-        value = complex(float(obj[0]), float(obj[1]))
+        value = complex(_real(obj[0]), _real(obj[1]))
     elif isinstance(obj, dict):
-        value = complex(float(obj.get("re", 0.0)), float(obj.get("im", 0.0)))
+        value = complex(_real(obj.get("re", 0.0)), _real(obj.get("im", 0.0)))
     else:
         raise ValueError(f"cannot interpret {obj!r} as a complex number")
     if not cmath.isfinite(value):
@@ -86,11 +93,12 @@ def _symbol_from_spec(spec: dict) -> tuple[RadialSymbol, dict]:
         if ttype == "finite":
             tail = FiniteSupport(len(values))
         elif ttype == "geometric":
-            tail = Geometric(
-                ratio=float(tail_spec["ratio"]),
-                bound=float(tail_spec["bound"]),
-                onset=int(tail_spec.get("onset", 0)),
-            )
+            onset = tail_spec.get("onset", 0)
+            if isinstance(onset, str) or (isinstance(onset, float) and onset.is_integer()):
+                onset = int(onset)
+            if not isinstance(onset, int) or isinstance(onset, bool):
+                raise ValueError(f"tail onset must be an integer, got {onset!r}")
+            tail = Geometric(ratio=_real(tail_spec["ratio"]), bound=_real(tail_spec["bound"]), onset=onset)
         else:
             raise ValueError(f"unknown tail type {ttype!r}")
         sym = explicit_symbol(values, tail=tail, name="explicit")

@@ -15,7 +15,7 @@ truncation error driven by a declared tail model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from typing import Callable, Union
 
@@ -220,33 +220,32 @@ def _checked_envelope(values, onset: int, bound: float, ratio: float, span: int)
 class RadialSymbol:
     """A total, deterministic sequence phi: N0 -> C with a declared tail model.
 
-    The values come from exactly one generator: ``values_fn(count)`` returns
-    phi(0), ..., phi(count-1) as an array; a scalar ``fn(n)`` is evaluated
-    index by index.  A declared tail is checked at construction on every
-    index from its onset to onset + 1024.  The values the generator returns
-    are taken as exact: a certified error covers the truncation and the
-    trace norm of the window, not how far those floats lie from the
-    sequence they round.
+    The values come from one generator: ``values_fn(count)`` returns phi(0),
+    ..., phi(count-1) as an array.  A scalar ``fn(n)`` may be passed instead
+    at construction; it becomes that generator, evaluated index by index.  A
+    declared tail is checked at construction on every index from its onset
+    to onset + 1024.  The values the generator returns are taken as exact: a
+    certified error covers the truncation and the trace norm of the window,
+    not how far those floats lie from the sequence they round.
     """
 
-    fn: Callable[[int], complex] | None = None
+    fn: InitVar[Callable[[int], complex] | None] = None
     tail: TailModel = Undeclared()
     name: str = ""
     values_fn: Callable[[int], np.ndarray] | None = None
     _env: _Envelope | None = field(default=None, init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        if (self.fn is None) == (self.values_fn is None):
+    def __post_init__(self, fn):
+        if (fn is None) == (self.values_fn is None):
             raise ValueError("a radial symbol needs exactly one of fn and values_fn")
+        if fn is not None:
+            object.__setattr__(self, "values_fn", lambda count: np.array([fn(n) for n in range(count)], dtype=complex))
         object.__setattr__(self, "_env", self.tail._normalize(self.values, _CHECK_SPAN))
 
     def eval(self, n: int) -> complex:
         if n < 0:
             raise ValueError("radial symbols are defined on n >= 0")
-        n = int(n)
-        if self.fn is not None:
-            return complex(self.fn(n))
-        return complex(self.values(n + 1)[n])
+        return complex(self.values(int(n) + 1)[int(n)])
 
     __call__ = eval
 
@@ -254,8 +253,6 @@ class RadialSymbol:
         """phi(0), ..., phi(count-1) as a complex array."""
         if count <= 0:
             return np.zeros(0, dtype=complex)
-        if self.values_fn is None:
-            return np.array([self.fn(n) for n in range(count)], dtype=complex)
         vals = np.asarray(self.values_fn(count), dtype=complex)
         if vals.shape != (count,):
             raise ValueError("values_fn returned wrong length")
@@ -961,15 +958,6 @@ class SubtreeSandwichReport:
     norm_q: float
     norm_inf: float
     holds: bool
-
-
-def subtree_sandwich_check(sym: RadialSymbol, q: int, target_err: float = 1e-8) -> SubtreeSandwichReport:
-    """Restriction to a degree-(q+1) subtree: (q-1)/(q+1) ||.||_inf <= ||.||_q <= ||.||_inf."""
-    q = check_degree(q)
-    if q == INF:
-        raise ValueError("the sandwich compares a finite degree against infinite degree")
-    rep_q = schur_norm(sym, q, target_err=target_err)
-    return _sandwich(rep_q, schur_norm(sym, INF, target_err=target_err), target_err)
 
 
 def _sandwich(rep_q: SchurNormReport, rep_inf: SchurNormReport, target_err: float) -> SubtreeSandwichReport:

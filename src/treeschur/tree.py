@@ -56,37 +56,19 @@ class FiniteTreeBall:
         self.n_ball = n_ball
         self.n_nodes = total
 
-        depth = np.zeros(total, dtype=np.int64)
+        # level l >= 1 holds (q+1) q^(l-1) nodes; the chain runs through the
+        # first node of each level, then through the extras
+        sizes = [1] + [(q + 1) * q ** (level - 1) for level in range(1, radius + 1)]
+        start = np.cumsum([0] + sizes)  # start[l]: the first node of level l
+        chain = start[:-1].tolist() + list(range(n_ball, total))
+        depth = np.concatenate([np.repeat(np.arange(radius + 1), sizes), np.arange(radius + 1, radius + 1 + chain_extra)])
+        # offset t on level l hangs under offset t // q of level l-1 (all of level 1 under the base)
+        level = depth[1:n_ball]
         tree_parent = np.full(total, -1, dtype=np.int64)
-        chain = [0]
-
-        next_id = 1
-        frontier = [0]
-        for level in range(1, radius + 1):
-            new_frontier = []
-            for v in frontier:
-                n_children = q + 1 if v == 0 else q
-                for _ in range(n_children):
-                    w = next_id
-                    next_id += 1
-                    tree_parent[w] = v
-                    depth[w] = level
-                    new_frontier.append(w)
-                    if v == chain[-1] and len(chain) == level:
-                        chain.append(w)  # first child of the last chain node
-            frontier = new_frontier
-        for step in range(chain_extra):
-            w = next_id
-            next_id += 1
-            tree_parent[w] = chain[-1]
-            depth[w] = radius + 1 + step
-            chain.append(w)
-        assert next_id == total
-
+        tree_parent[1:n_ball] = start[level - 1] + (np.arange(1, n_ball) - start[level]) // np.where(level == 1, q + 1, q)
+        tree_parent[n_ball:] = chain[radius:-1]
         climb = tree_parent.copy()
-        for i, v in enumerate(chain[:-1]):
-            climb[v] = chain[i + 1]
-        climb[chain[-1]] = -1  # climbing past the stored chain tip escapes
+        climb[chain] = chain[1:] + [-1]  # climbing past the stored chain tip escapes
 
         self.depth = depth
         self.tree_parent = tree_parent

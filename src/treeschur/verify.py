@@ -44,8 +44,6 @@ from .tree import (
     smn_entry,
 )
 
-SUITES = ("tree", "peller", "padic", "sandwich", "all")
-
 # spherical (q, s) pairs of the kernel-reconstruction check.  s = 0.4i is not a
 # multiplier at q=2 (3^2 * 0.16 >= 1), and at q=3 its decay rate |a| = 0.9026
 # caps an N=64 reconstruction near 3e-6, hence s = 0.2i at q=2 and N = 128.
@@ -281,14 +279,12 @@ _RUNNERS = {
     "padic": _padic_suite,
     "sandwich": _sandwich_suite,
 }
+SUITES = (*_RUNNERS, "all")
 
 
 def run_suite(name: str, seed: int = 0) -> SuiteReport:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
     if name == "all":
-        checks = []
-        for key in ("tree", "peller", "padic", "sandwich"):
-            checks.extend(_RUNNERS[key](seed))
-        return SuiteReport(suite="all", checks=checks)
+        return SuiteReport(suite="all", checks=[c for run in _RUNNERS.values() for c in run(seed)])
     return SuiteReport(suite=name, checks=_RUNNERS[name](seed))

@@ -110,6 +110,15 @@ def test_norm_declared_tail_violation_exits_1(tmp_path, capsys):
     {"kind": "spherical", "q": None, "s": 0.4},
     {"kind": "spherical", "q": 3.5, "s": 0.4},
     {"kind": "spherical", "q": "3.5", "s": 0.4},
+    # a JSON boolean is not a number, and an onset is an integer
+    {"kind": "explicit", "values": [True, False]},
+    {"kind": "explicit", "values": [[0.5, True]]},
+    {"kind": "spherical", "q": 3, "s": True},
+    {"kind": "spherical", "q": 3, "s": {"re": 0.0, "im": True}},
+    {"kind": "explicit", "values": [1.0, 0.5], "tail": {"type": "geometric", "ratio": True, "bound": 1.0}},
+    {"kind": "explicit", "values": [1.0, 0.5], "tail": {"type": "geometric", "ratio": 0.5, "bound": True}},
+    {"kind": "explicit", "values": [1.0, 0.5], "tail": {"type": "geometric", "ratio": 0.5, "bound": 1.0, "onset": True}},
+    {"kind": "explicit", "values": [1.0, 0.5], "tail": {"type": "geometric", "ratio": 0.5, "bound": 1.0, "onset": 1.7}},
 ])
 def test_malformed_symbol_spec_one_line_error(tmp_path, capsys, command, spec):
     code, out, err = run_cli(capsys, [command, write_spec(tmp_path, spec)])
@@ -185,6 +194,8 @@ def test_integral_degree_spellings_agree(tmp_path, capsys, q):
     {"q": 3, "a": [["1/0", "0"], ["0", "1"]], "b": [["1", "0"], ["0", "1"]]},
     {"q": 3, "a": [[1e400, 0], [0, 1]], "b": [[1, 0], [0, 1]]},
     {"q": 3.5, "a": [["1", "0"], ["0", "1"]], "b": [["9", "0"], ["0", "1"]]},
+    {"q": 3, "a": [[True, 0], [0, 1]], "b": [[1, 0], [0, 1]]},
+    {"q": True, "a": [["1", "0"], ["0", "1"]], "b": [["9", "0"], ["0", "1"]]},
 ])
 def test_padic_distance_malformed_one_line_error(tmp_path, capsys, payload):
     code, out, err = run_cli(capsys, ["padic-distance", write_spec(tmp_path, payload)])
@@ -479,8 +490,9 @@ def test_bad_degree_and_overflow_print_one_stderr_line():
     (["norm", "-"], '{"kind":"explicit","values":[1,0.5],"tail":{"type":"geometric","ratio":0.5,"bound":"inf"}}'),
     (["norm", "-"], '{"kind":"spherical","q":3,"s":NaN}'),
     (["verify"], ""),
+    (["spherical", "--q", "3", "--s", "0.1", "--z", "0.3", "--grid", "0:0.1:2,0:0:1"], ""),
 ], ids=["z-overflow", "s-overflow", "s-nan", "s-inf", "usage-negative-q", "usage-foreign-option",
-        "usage-fractional-n", "infinite-bound", "spec-nan", "usage-missing-suite"])
+        "usage-fractional-n", "infinite-bound", "spec-nan", "usage-missing-suite", "usage-two-points"])
 def test_refused_input_exits_1_with_one_line(argv, stdin):
     code, out, err = run_in_process(argv, stdin)
     assert code == 1

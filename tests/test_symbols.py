@@ -37,8 +37,8 @@ from treeschur.symbols import (
     power_symbol,
     resolvent_spill_bound,
     scale_symbol,
+    _sandwich,
     schur_norm,
-    subtree_sandwich_check,
 )
 
 
@@ -63,6 +63,27 @@ def test_geometric_spot_check_rejects_bad_bound():
 def test_finite_support_spot_check():
     with pytest.raises(ValueError):
         RadialSymbol(fn=lambda n: 1.0, tail=FiniteSupport(3))
+
+
+@pytest.mark.parametrize("f, tail", [
+    (lambda n: 0.35 ** n * math.cos(1.3 * n), Undeclared()),  # the benchmark's undeclared damped cosine
+    (lambda n: 0.5 ** n * math.cos(0.7 * n), Geometric(ratio=0.5, bound=1.0)),
+], ids=["undeclared", "geometric"])
+def test_scalar_fn_builds_the_same_symbol_as_its_values_fn(f, tail):
+    # the generator a scalar fn becomes: its values index by index, as a complex array
+    by_fn = RadialSymbol(fn=f, tail=tail)
+    by_values = RadialSymbol(tail=tail, values_fn=lambda count: np.array([f(n) for n in range(count)], dtype=complex))
+    assert np.array_equal(by_fn.values(300), by_values.values(300))
+    assert all(by_fn.eval(n) == by_values.eval(n) == complex(f(n)) for n in (0, 1, 7, 40))
+    env_fn, env_values = by_fn._env, by_values._env
+    if env_fn is None:
+        assert env_values is None
+    else:
+        assert (env_fn.c_plus, env_fn.c_minus, env_fn.c, env_fn.r) == (
+            env_values.c_plus, env_values.c_minus, env_values.c, env_values.r)
+        assert np.array_equal(env_fn.head, env_values.head)
+    for q in (3, INF):
+        assert schur_norm(by_fn, q) == schur_norm(by_values, q)
 
 
 def test_declared_tail_checked_on_every_stored_value():
@@ -564,14 +585,18 @@ def test_block_lower_bound_values():
 # ---------------------------------------------------------------------------
 
 def test_subtree_sandwich_examples():
-    rep = subtree_sandwich_check(constant_symbol(1.0), 2)
+    def sandwich(sym, q, target_err=1e-8):
+        return _sandwich(schur_norm(sym, q, target_err=target_err), schur_norm(sym, INF, target_err=target_err),
+                         target_err)
+
+    rep = sandwich(constant_symbol(1.0), 2)
     assert rep.holds and rep.norm_q == pytest.approx(1.0, abs=1e-9)
 
-    rep2 = subtree_sandwich_check(half_symbol(), 3, target_err=1e-9)
+    rep2 = sandwich(half_symbol(), 3, target_err=1e-9)
     assert rep2.holds and rep2.norm_q <= rep2.norm_inf + 1e-8
 
     sym = power_symbol(-0.3)
-    rep3 = subtree_sandwich_check(sym, 2, target_err=1e-9)
+    rep3 = sandwich(sym, 2, target_err=1e-9)
     assert rep3.holds
 
 

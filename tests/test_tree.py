@@ -138,6 +138,46 @@ def test_ball_structure():
             assert tree.climb[v] == 0
 
 
+def breadth_first_ball(q, radius, chain_extra):
+    """Reference for the ``FiniteTreeBall`` layout, node by node: (depth,
+    tree_parent, climb, chain) of a breadth-first walk whose chain takes the
+    first child of its last node, then ``chain_extra`` nodes past the ball."""
+    depth, parent, chain, frontier = [0], [-1], [0], [0]
+    for level in range(1, radius + 1):
+        new_frontier = []
+        for v in frontier:
+            for _ in range(q + 1 if v == 0 else q):
+                w = len(depth)
+                depth.append(level)
+                parent.append(v)
+                new_frontier.append(w)
+                if v == chain[-1] and len(chain) == level:
+                    chain.append(w)
+        frontier = new_frontier
+    for step in range(chain_extra):
+        depth.append(radius + 1 + step)
+        parent.append(chain[-1])
+        chain.append(len(depth) - 1)
+    climb = list(parent)
+    for v, w in zip(chain, chain[1:]):
+        climb[v] = w
+    climb[chain[-1]] = -1
+    return np.array(depth), np.array(parent), np.array(climb), chain
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+@pytest.mark.parametrize("chain_extra", [0, 1, 9])
+def test_ball_layout_matches_the_breadth_first_walk(q, chain_extra):
+    for radius in range(1, 5):
+        tree = build_ball(q, radius, chain_extra=chain_extra)
+        depth, parent, climb, chain = breadth_first_ball(q, radius, chain_extra)
+        for got, want in ((tree.depth, depth), (tree.tree_parent, parent), (tree.climb, climb)):
+            assert got.dtype == np.int64 and np.array_equal(got, want)
+        assert tree.chain == chain and all(type(v) is int for v in tree.chain)
+        assert np.array_equal(np.flatnonzero(tree.on_chain), chain)
+        assert tree.n_nodes == len(depth) == tree.n_ball + chain_extra
+
+
 def test_size_cap():
     with pytest.raises(SizeCap):
         build_ball(2, 25)
