@@ -31,7 +31,6 @@ from .symbols import (
     ParityLimit,
     RadialSymbol,
     SchurNormReport,
-    SubtreeSandwichReport,
     Undeclared,
     apply_resolvent,
     build_hankel,
@@ -64,7 +63,6 @@ from .tree import (
     build_certificate,
     deltaprime_gram,
     empirical_schur_lower_bound,
-    reconstruct_kernel,
     reconstruction_max_error,
     smn_entry,
 )

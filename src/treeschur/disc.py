@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import NoConvergence, UndeclaredTail
 from .spectral import trace_norm
+from .spherical import axis_ratio
 from .symbols import (
     INF,
     HankelMatrix,
@@ -31,7 +32,6 @@ from .symbols import (
     _ResolventImage,
     _first_fit,
     _svd_allowance,
-    check_degree,
     schur_norm,
 )
 
@@ -204,16 +204,17 @@ class PolarQuadrature:
         if validate:
             self._validate()
 
-    def _validate(self, max_deg: int = 12, tol: float = 1e-12):
-        # the moment of z^a conj(z)^b (1-|z|^2) is a radial sum of r^(a+b)
-        # times the angular mean of e^(i (a-b) theta)
+    def _validate(self):
+        """The moments of z^a conj(z)^b (1-|z|^2) for a, b <= 12 are exact to 1e-12."""
+        # each is a radial sum of r^(a+b) times the angular mean of e^(i (a-b) theta)
+        max_deg = 12
         deg = np.arange(max_deg + 1)
         radial = (self.radial_weights * (1.0 - self.radii ** 2)) @ self.radii[:, None] ** np.arange(2 * max_deg + 1)
         theta = 2.0 * math.pi * np.arange(self.n_theta) / self.n_theta
         angular = np.exp(1j * np.outer(np.arange(-max_deg, max_deg + 1), theta)).mean(axis=1)
         moments = radial[np.add.outer(deg, deg)] * angular[np.subtract.outer(deg, deg) + max_deg]
         expect = np.diag(1.0 / ((deg + 1.0) * (deg + 2.0)))
-        if not np.allclose(moments, expect, atol=tol):
+        if not np.allclose(moments, expect, atol=1e-12):
             worst = float(np.max(np.abs(moments - expect)))
             raise NoConvergence(f"quadrature failed moment validation: max error {worst:.3e}")
 
@@ -257,11 +258,7 @@ def _ring_l1(g: AnalyticDiscFunction, radii: np.ndarray, radial_weights: np.ndar
 MAX_DOUBLINGS = 4
 
 
-def disc_l1_norm(
-    g: AnalyticDiscFunction,
-    quad: PolarQuadrature | None = None,
-    target_err: float = 1e-9,
-) -> DiscIntegral:
+def disc_l1_norm(g: AnalyticDiscFunction, quad: PolarQuadrature, target_err: float = 1e-9) -> DiscIntegral:
     """(1/pi) int_D |g| by doubling n_r and n_theta until the error estimate
     meets ``target_err``.
 
@@ -269,8 +266,6 @@ def disc_l1_norm(
     the dropped coefficient tail at the outermost ring.  The difference is a
     Richardson estimate, not a proven bound on the quadrature error.
     """
-    if quad is None:
-        quad = PolarQuadrature()
     prev = _ring_l1(g, quad.radii, quad.radial_weights, quad.n_theta)
     n_r, n_theta = quad.n_r, quad.n_theta
     for _ in range(MAX_DOUBLINGS):
@@ -324,10 +319,7 @@ class SandwichReport:
 
 
 def peller_sandwich(
-    h: HankelMatrix,
-    g: AnalyticDiscFunction,
-    quad: PolarQuadrature | None = None,
-    target_err: float = 1e-9,
+    h: HankelMatrix, g: AnalyticDiscFunction, quad: PolarQuadrature, target_err: float = 1e-9
 ) -> SandwichReport:
     """Checks ||H||_1 <= (1/pi) int |g| <= (8/pi) ||H||_1 for matching data.
 
@@ -485,37 +477,27 @@ class MeasureBoundReport:
     finite_q_constant: float | None
 
 
-def measure_bound(
-    sym_target: RadialSymbol,
-    mu: DiscMeasure,
-    q=None,
-    check_n: int = 64,
-    match_tol: float = 1e-9,
-    target_err: float = 1e-8,
-) -> MeasureBoundReport:
-    """Verify phi(n) = c+ + c-(-1)^n + int z^n dmu and bound the Schur norm.
+def measure_bound(sym_target: RadialSymbol, mu: DiscMeasure, q=None, match_tol: float = 1e-9) -> MeasureBoundReport:
+    """Verify phi(n) = c+ + c-(-1)^n + int z^n dmu for n <= 64 and bound the
+    Schur norm.
 
     When the moments match, the infinite-degree Schur norm is computed through
-    the Hankel pipeline and checked against |c+| + |c-| + mass(mu).  With a
-    finite q supplied, the recovery constant (8/pi)(q+1)/(q-1) relating the
-    optimal measure to the finite-degree norm is reported as well.
+    the Hankel pipeline (to 1e-8) and checked against |c+| + |c-| + mass(mu).
+    With a q supplied, the recovery constant (8/pi)(q+1)/(q-1) (8/pi at
+    q = inf) relating the optimal measure to the degree-q norm is reported
+    as well.
     """
-    mismatch = float(np.max(np.abs(mu.moments(check_n + 1) - sym_target.values(check_n + 1))))
+    count = 65
+    mismatch = float(np.max(np.abs(mu.moments(count) - sym_target.values(count))))
     matches = mismatch <= match_tol
     upper = abs(mu.c_plus) + abs(mu.c_minus) + mu.mass()
     schur_total = None
     bound_holds = None
     if matches:
-        rep = schur_norm(sym_target, INF, target_err=target_err)
+        rep = schur_norm(sym_target, INF, target_err=1e-8)
         schur_total = rep.total
-        bound_holds = rep.total <= upper + rep.certified_error + match_tol * (check_n + 1)
-    constant = None
-    if q is not None:
-        q = check_degree(q)
-        if q == INF:
-            constant = EIGHT_OVER_PI
-        else:
-            constant = EIGHT_OVER_PI * (q + 1.0) / (q - 1.0)
+        bound_holds = rep.total <= upper + rep.certified_error + match_tol * count
+    constant = None if q is None else EIGHT_OVER_PI * axis_ratio(q)
     return MeasureBoundReport(
         matches=matches,
         max_mismatch=mismatch,

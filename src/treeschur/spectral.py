@@ -4,7 +4,9 @@ norm of a plain matrix (:func:`_trace_norm_below`).
 
 A plain matrix is a 2-D complex numpy array; every public entry point
 validates shape and finiteness via :func:`as_cmatrix`.  Singular values are
-computed with LAPACK through numpy.  ``DEFAULT_TOL`` is the absolute
+computed with LAPACK through numpy, by :func:`_svd` for every caller (the
+certificates of ``tree.build_certificate`` too), which raises a LAPACK
+failure as ``NoConvergence``.  ``DEFAULT_TOL`` is the absolute
 accuracy per row assumed of a dense SVD; the certified budgets take their SVD
 term from the one allowance ``symbols._svd_allowance``, built on it.
 
@@ -119,12 +121,16 @@ def _all_finite(m: np.ndarray) -> bool:
     return bool(np.isfinite(total)) or bool(np.all(np.isfinite(m)))
 
 
-def _svdvals(m: np.ndarray) -> np.ndarray:
+def _svd(m: np.ndarray, **kwargs):
+    """``np.linalg.svd`` with a LAPACK failure raised as ``NoConvergence``."""
     try:
-        s = np.linalg.svd(m, compute_uv=False)
+        return np.linalg.svd(m, **kwargs)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"SVD did not converge: {exc}") from exc
-    return np.maximum(s, 0.0)
+
+
+def _svdvals(m: np.ndarray) -> np.ndarray:
+    return np.maximum(_svd(m, compute_uv=False), 0.0)
 
 
 def _factor_norm(q: np.ndarray | None, b: np.ndarray) -> float:
@@ -335,10 +341,7 @@ def _trace_norm_below(m) -> float:
     The scalar steps run in exact rationals, and the quotient is rounded down.
     """
     m = as_cmatrix(m)
-    try:
-        u, _, vh = np.linalg.svd(m, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"SVD did not converge: {exc}") from exc
+    u, _, vh = _svd(m, full_matrices=False)
     w = u @ vh
     wf, mf = w.view(float).ravel(), m.view(float).ravel()
     with np.errstate(over="ignore", invalid="ignore"):

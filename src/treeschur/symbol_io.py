@@ -106,6 +106,8 @@ def _symbol_from_spec(spec: dict) -> tuple[RadialSymbol, dict]:
         return sym, echo
     if kind == "spherical":
         q = parse_degree(spec["q"])
+        if "s" in spec and "z" in spec:
+            raise ValueError("spherical symbol takes 's' or 'z', not both")
         if "s" in spec:
             s = parse_complex(spec["s"])
             sym = spherical_symbol(q, s=s)

@@ -557,9 +557,7 @@ def _border_width(c: float, n: int) -> int:
     """The first k with c^(k+1) <= 2^-60, at most n (0 at c = 0)."""
     if not c:
         return 0
-    k = max(math.ceil(60.0 / -math.log2(c)) - 1, 0)  # then corrected against the definition
-    while k > 0 and c ** k <= _BORDER_CUT:
-        k -= 1
+    k = max(math.ceil(60.0 / -math.log2(c)) - 2, 0)  # one below the estimate, then up to the definition
     while c ** (k + 1) > _BORDER_CUT:
         k += 1
     return min(k, n)
@@ -952,19 +950,3 @@ def counterexample_block_lower_bound(n: int) -> float:
         k += 1
     return total
 
-
-@dataclass(frozen=True)
-class SubtreeSandwichReport:
-    norm_q: float
-    norm_inf: float
-    holds: bool
-
-
-def _sandwich(rep_q: SchurNormReport, rep_inf: SchurNormReport, target_err: float) -> SubtreeSandwichReport:
-    """The sandwich of a degree-q report against the infinite-degree one, each
-    side within both certified errors plus ``target_err``."""
-    q, slack = rep_q.q, rep_q.certified_error + rep_inf.certified_error + target_err
-    holds = ((q - 1.0) / (q + 1.0) * rep_inf.total <= rep_q.total + slack) and (
-        rep_q.total <= rep_inf.total + slack
-    )
-    return SubtreeSandwichReport(norm_q=rep_q.total, norm_inf=rep_inf.total, holds=holds)

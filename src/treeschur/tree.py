@@ -23,7 +23,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import OrbitEscapesBall, SizeCap
-from .spectral import _trace_norm_below
+from .spectral import _svd, _trace_norm_below
+from .spherical import axis_ratio
 from .symbols import INF, RadialSymbol, _evaluate_window, check_degree
 
 # the most nodes a ball may hold
@@ -213,7 +214,8 @@ class FactorizationCertificate:
     delta'_{c^j(y)} satisfy sum_k <P_k(x), Q_k(y)> = phi(d(x,y)) - parity
     terms, and sum_k ||xi_k|| ||eta_k|| equals the Hankel norm contribution.
     ``weights`` caches sum_k outer(xi_k, conj(eta_k)) (the reconstructed
-    window of H or H').
+    window of H or H').  The Gram of the chain vectors is the delta' one at
+    finite q and the plain equality indicator at q = inf.
     """
 
     q: float
@@ -221,7 +223,6 @@ class FactorizationCertificate:
     c_minus: complex
     xi: np.ndarray
     eta: np.ndarray
-    gram_mode: str  # "delta_prime" (finite q) or "delta_plain" (infinite degree)
     value: float
     truncation_n: int
     certified_error: float
@@ -245,7 +246,7 @@ def build_certificate(sym: RadialSymbol, q, n: int) -> FactorizationCertificate:
     """
     q = check_degree(q)
     w = _evaluate_window(sym, q, n)
-    u, s, vh = np.linalg.svd(w.b, full_matrices=False)
+    u, s, vh = _svd(w.b, full_matrices=False)
     if w.q_basis is not None:
         u = w.q_basis @ u
     keep = s > max(1e-15, s[0] * 1e-15)
@@ -256,16 +257,14 @@ def build_certificate(sym: RadialSymbol, q, n: int) -> FactorizationCertificate:
     eta = (vh[keep, :].conj().T * roots).T
     # weights[i, j] = sum_k xi[k][i] * conj(eta[k][j])
     weights = xi.T @ eta.conj() if xi.size else np.zeros((n, n), dtype=complex)
-    smn_opnorm = 1.0 if q == INF else (q + 1.0) / (q - 1.0)
     b = w.budget
-    err = smn_opnorm * (b.tail + b.spill + dropped + w.half_width + b.svd)
+    err = axis_ratio(q) * (b.tail + b.spill + dropped + w.half_width + b.svd)
     return FactorizationCertificate(
         q=float(q),
         c_plus=w.parity.c_plus,
         c_minus=w.parity.c_minus,
         xi=xi,
         eta=eta,
-        gram_mode="delta_plain" if q == INF else "delta_prime",
         value=float(np.sum(s_kept)),
         truncation_n=n,
         certified_error=err,
@@ -289,7 +288,8 @@ def kernel_on_pairs(cert: FactorizationCertificate, tree: FiniteTreeBall, xs, ys
     raised.  The parity sign reads d = m + n.  The tests compare it against a
     walk along the band and against the full double sum over all (i, j).
     """
-    if cert.gram_mode == "delta_prime" and tree.q != cert.q:
+    plain = cert.q == INF
+    if not plain and tree.q != cert.q:
         raise ValueError("certificate degree does not match the ball degree")
     xs, ys = np.asarray(xs), np.asarray(ys)
     m, n = tree.meeting(xs, ys)
@@ -304,19 +304,14 @@ def kernel_on_pairs(cert: FactorizationCertificate, tree: FiniteTreeBall, xs, ys
     diag = weights.copy()
     for i in range(size - 1, 0, -1):
         diag[i - 1, :size] += diag[i, 1:]
-    sibling = 0.0 if cert.gram_mode == "delta_plain" else -1.0 / (tree.q - 1.0)
+    sibling = 0.0 if plain else -1.0 / (tree.q - 1.0)
     total = cert.c_plus + cert.c_minus * np.where((m + n) % 2, -1.0, 1.0)
     total = total + diag[np.minimum(m, size), np.minimum(n, size)]
     return total + sibling * weights[np.minimum(m - 1, size), np.minimum(n - 1, size)]
 
 
-def reconstruct_kernel(cert: FactorizationCertificate, tree: FiniteTreeBall, x: int, y: int) -> complex:
-    """The certificate's kernel at one pair (x, y): ``kernel_on_pairs`` on that pair."""
-    return complex(kernel_on_pairs(cert, tree, [x], [y])[0])
-
-
 def reconstruction_max_error(cert: FactorizationCertificate, tree: FiniteTreeBall, sym: RadialSymbol) -> float:
-    """max over ball pairs x <= y of |reconstruct_kernel - phi(d(x, y))|."""
+    """max over ball pairs x <= y of |kernel_on_pairs - phi(d(x, y))|."""
     xs, ys = np.triu_indices(tree.n_ball)
     vals = sym.values(2 * tree.radius + 1)
     diff = kernel_on_pairs(cert, tree, xs, ys) - vals[tree.distances(xs, ys)]
@@ -351,4 +346,5 @@ def empirical_schur_lower_bound(
     dist = m_arr + n_arr
     vals = sym.values(int(dist.max()) + 1)
     dual = math.nextafter(_trace_norm_below(vals[dist]) / tree.n_ball, 0.0)
-    return max(dual, float(np.max(np.abs(vals[dist[dist <= tree.radius]]))))
+    # every distance d <= R occurs on the ball
+    return max(dual, float(np.max(np.abs(vals[: tree.radius + 1]))))

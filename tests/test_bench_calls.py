@@ -3,8 +3,8 @@
 ``perfbench/workloads.py`` builds its inputs through the public library:
 ``RadialSymbol(fn=...)``, ``empirical_schur_lower_bound(..., trials=, seed=)``,
 ``DiscMeasure.moment`` and others.  A deletion or rename there would break
-the benchmark, not a test, so every item of the workloads that make those
-calls is built and run once here.  Only a call that no longer binds fails:
+the benchmark, not a test, so every item of every workload is built and
+run once here.  Only a call that no longer binds fails:
 a ``TypeError`` or ``AttributeError``.  Library verdicts, such as
 ``DivergentDiagonals`` or the refusal of a declared tail, are the bench
 gate's to judge.
@@ -30,7 +30,7 @@ def workloads():
         yield module
 
 
-@pytest.mark.parametrize("workload", ["hankel-sweep", "routes"])
+@pytest.mark.parametrize("workload", ["hankel-boundary", "hankel-sweep", "routes"])
 def test_every_item_of_the_workload_binds_its_library_calls(workloads, workload):
     items = {item.id: item for item in workloads.make_items(workload, 0)}
     for item in items.values():

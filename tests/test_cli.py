@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -119,6 +120,8 @@ def test_norm_declared_tail_violation_exits_1(tmp_path, capsys):
     {"kind": "explicit", "values": [1.0, 0.5], "tail": {"type": "geometric", "ratio": 0.5, "bound": True}},
     {"kind": "explicit", "values": [1.0, 0.5], "tail": {"type": "geometric", "ratio": 0.5, "bound": 1.0, "onset": True}},
     {"kind": "explicit", "values": [1.0, 0.5], "tail": {"type": "geometric", "ratio": 0.5, "bound": 1.0, "onset": 1.7}},
+    # s and z name the same eigenvalue twice: neither is read over the other
+    {"kind": "spherical", "q": 3, "s": 0.4, "z": 0.3},
 ])
 def test_malformed_symbol_spec_one_line_error(tmp_path, capsys, command, spec):
     code, out, err = run_cli(capsys, [command, write_spec(tmp_path, spec)])
@@ -283,6 +286,24 @@ def test_sandwich_suite_reads_each_norm_once(monkeypatch):
     count(verify, "trace_class_corpus")
     assert run_suite("sandwich", seed=0).passed
     assert calls == {"schur_norm": 30, "trace_class_corpus": 1}
+
+
+@pytest.mark.parametrize("norm_q, passed", [
+    (0.5 - 2.0 ** -22, False),  # under (q-1)/(q+1) ||phi||_inf by 2.4e-7: past 1e-7, inside 1e-6
+    (1.0 + 2.0 ** -22, False),  # over ||phi||_inf by as much
+    (1.0 + 1e-7, True),  # over ||phi||_inf by the allowance exactly
+    (0.75, True),
+])
+def test_subtree_sandwich_check_on_synthetic_totals(monkeypatch, norm_q, passed):
+    # exact norms (certified_error 0) at q = 3 against ||phi||_inf = 1: the
+    # allowance is 1e-7, so the first two fail on the sandwich, not on the 1e-6 cap
+    def fake_norm(sym, q, target_err):
+        return SimpleNamespace(total=1.0 if q == math.inf else norm_q, certified_error=0.0)
+
+    monkeypatch.setattr(verify, "schur_norm", fake_norm)
+    (res,) = verify.check_subtree_sandwich([SimpleNamespace(name="synthetic")], (3,))
+    assert res.passed is passed and res.max_err <= 1e-6
+    assert res.detail == ("" if passed else "synthetic")
 
 
 def test_padic_distance(tmp_path, capsys):

@@ -21,6 +21,7 @@ from treeschur.symbols import (
     Geometric,
     RadialSymbol,
     Undeclared,
+    _border_width,
     _evaluate_window,
     _Majorant,
     _ResolventImage,
@@ -37,9 +38,9 @@ from treeschur.symbols import (
     power_symbol,
     resolvent_spill_bound,
     scale_symbol,
-    _sandwich,
     schur_norm,
 )
+from treeschur.verify import _sandwich
 
 
 def half_symbol():
@@ -586,18 +587,54 @@ def test_block_lower_bound_values():
 
 def test_subtree_sandwich_examples():
     def sandwich(sym, q, target_err=1e-8):
-        return _sandwich(schur_norm(sym, q, target_err=target_err), schur_norm(sym, INF, target_err=target_err),
-                         target_err)
+        rep_q, rep_inf = schur_norm(sym, q, target_err=target_err), schur_norm(sym, INF, target_err=target_err)
+        allowance = rep_q.certified_error + rep_inf.certified_error + target_err
+        return rep_q.total, rep_inf.total, _sandwich(q, rep_q.total, rep_inf.total, allowance)[1]
 
-    rep = sandwich(constant_symbol(1.0), 2)
-    assert rep.holds and rep.norm_q == pytest.approx(1.0, abs=1e-9)
+    norm_q, _, holds = sandwich(constant_symbol(1.0), 2)
+    assert holds and norm_q == pytest.approx(1.0, abs=1e-9)
 
-    rep2 = sandwich(half_symbol(), 3, target_err=1e-9)
-    assert rep2.holds and rep2.norm_q <= rep2.norm_inf + 1e-8
+    norm_q, norm_inf, holds = sandwich(half_symbol(), 3, target_err=1e-9)
+    assert holds and norm_q <= norm_inf + 1e-8
 
     sym = power_symbol(-0.3)
-    rep3 = sandwich(sym, 2, target_err=1e-9)
-    assert rep3.holds
+    assert sandwich(sym, 2, target_err=1e-9)[2]
+
+
+@pytest.mark.parametrize("norm_q, norm_inf, allowance, slack, holds", [
+    # at q = 3 the lower side is 0.5 ||phi||_inf <= ||phi||_q; dyadic totals round nowhere
+    (1.0, 1.5, 0.0, -0.25, True),
+    (0.5 - 2.0 ** -9, 1.0, 2.0 ** -10, 2.0 ** -9, False),  # below the lower side by twice the allowance
+    (1.0 + 2.0 ** -9, 1.0, 2.0 ** -10, 2.0 ** -9, False),  # above the upper side by twice the allowance
+    (0.25, 1.0, 0.25, 0.25, True),  # on the lower side's allowance exactly
+    (1.25, 1.0, 0.25, 0.25, True),  # on the upper side's allowance exactly
+    (0.25, 1.0, 0.125, 0.25, False),
+    (1.25, 1.0, 0.125, 0.25, False),
+])
+def test_subtree_sandwich_decides_each_side(norm_q, norm_inf, allowance, slack, holds):
+    assert _sandwich(3, norm_q, norm_inf, allowance) == (slack, holds)
+
+
+# ---------------------------------------------------------------------------
+# the border of the resolvent image
+# ---------------------------------------------------------------------------
+
+def first_border_k(c, n):
+    """The definition: the first k with c^(k+1) <= 2^-60, at most n."""
+    return next(k for k in range(n + 1) if k == n or c ** (k + 1) <= 2.0 ** -60)
+
+
+def test_border_width_is_the_first_k_of_its_definition():
+    # every degree up to 5000 and, where the log2 estimate is off by one either
+    # way, each c = 2^(-60/m) and its two float neighbours
+    cs = [1.0 / q for q in range(2, 5001)]
+    for m in range(1, 2000):
+        b = 2.0 ** (-60.0 / m)
+        cs += [math.nextafter(b, 0.0), b, math.nextafter(b, 1.0)]
+    for c in cs:
+        assert _border_width(c, 10 ** 6) == first_border_k(c, 10 ** 6), c
+    assert _border_width(0.0, 64) == 0
+    assert (_border_width(0.5, 64), _border_width(0.5, 40)) == (59, 40)
 
 
 # ---------------------------------------------------------------------------

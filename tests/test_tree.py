@@ -7,9 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from treeschur.errors import OrbitEscapesBall, SizeCap
+from treeschur.errors import NoConvergence, OrbitEscapesBall, SizeCap
 from treeschur import symbols
-from treeschur.spectral import DEFAULT_TOL, _factorize
+from treeschur.spectral import DEFAULT_TOL, _factorize, _trace_norm_below, trace_norm
 from treeschur.spherical import schur_norm_in_s, spherical_symbol
 from treeschur.symbols import (
     INF,
@@ -27,7 +27,6 @@ from treeschur.tree import (
     deltaprime_gram,
     empirical_schur_lower_bound,
     kernel_on_pairs,
-    reconstruct_kernel,
     reconstruction_max_error,
     smn_entry,
 )
@@ -69,7 +68,7 @@ def umn_entry(tree, m, n, x, y):
 
 
 def reconstruct_kernel_dense(cert, tree, x, y):
-    """Reference for ``reconstruct_kernel``: the full double sum over all (i, j),
+    """Reference for ``kernel_on_pairs`` at one pair: the full double sum over all (i, j),
     O(N^2), with the Gram block of the two climb orbits from one array call
     and the terms added one at a time in (i, j) order (a running sum)."""
     size = cert.weights.shape[0]
@@ -78,7 +77,7 @@ def reconstruct_kernel_dense(cert, tree, x, y):
         ox.append(tree.climb_step(ox[-1]))
         oy.append(tree.climb_step(oy[-1]))
     ox, oy = np.array(ox)[:, None], np.array(oy)[None, :]
-    if cert.gram_mode == "delta_plain":
+    if cert.q == INF:
         g = (ox == oy) * 1.0
     else:
         g = deltaprime_gram(tree, ox, oy)
@@ -99,7 +98,7 @@ def kernel_on_pairs_band(cert, tree, xs, ys):
     i, j = m - before, n - before
     last = tree.orbits.shape[1] - 1  # an all -1 column: climbed past the chain tip
     climb = np.append(tree.climb, -1)
-    sibling = 0.0 if cert.gram_mode == "delta_plain" else -1.0 / (tree.q - 1.0)
+    sibling = 0.0 if cert.q == INF else -1.0 / (tree.q - 1.0)
     while True:
         live = (i < size) & (j < size)
         if not live.any():
@@ -329,7 +328,7 @@ def test_certificate_constant_symbol():
     assert cert.xi.shape[0] == 0
     assert cert.c_plus == pytest.approx(1.0)
     tree = build_ball(3, 2, chain_extra=17)
-    assert reconstruct_kernel(cert, tree, 0, 0) == pytest.approx(1.0)
+    assert kernel_on_pairs(cert, tree, [0], [0])[0] == pytest.approx(1.0)
 
 
 def test_certificate_rank_one_infinite_degree():
@@ -376,6 +375,22 @@ def recording_svd(monkeypatch):
     return shapes
 
 
+@pytest.mark.parametrize("run", [
+    lambda: build_certificate(spherical_symbol(3, s=0.4j), 3, 32),
+    lambda: trace_norm(np.eye(32)),
+    lambda: _trace_norm_below(np.eye(32)),
+], ids=["certificate", "trace_norm", "trace_norm_below"])
+def test_svd_failure_is_no_convergence(monkeypatch, run):
+    # LinAlgError is a ValueError, which the CLI reads as malformed input (exit
+    # 1); a LAPACK failure is a failure to converge (exit 3) on every SVD path
+    def failing_svd(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", failing_svd)
+    with pytest.raises(NoConvergence):
+        run()
+
+
 @pytest.mark.parametrize("n", [128, 512])
 def test_certificate_reads_the_range_finder(monkeypatch, n):
     sym = spherical_symbol(3, s=0.4j)
@@ -415,21 +430,20 @@ def test_reconstruction_spherical_finite_q():
     tree = build_ball(3, 3, chain_extra=n + 1)
     rng = np.random.default_rng(32)
     vals = sym.values(2 * tree.radius + 1)
-    for _ in range(40):
-        x, y = rng.integers(0, tree.n_ball, size=2)
-        got = reconstruct_kernel(cert, tree, int(x), int(y))
-        assert abs(got - vals[tree.distance(int(x), int(y))]) <= 1e-8
+    xs, ys = rng.integers(0, tree.n_ball, size=(40, 2)).T
+    got = kernel_on_pairs(cert, tree, xs, ys)
+    assert np.max(np.abs(got - vals[tree.distances(xs, ys)])) <= 1e-8
 
 
 def test_reconstruction_band_matches_dense():
     sym = spherical_symbol(2, s=0.25 + 0.1j)
     cert = build_certificate(sym, 2, 32)
     tree = build_ball(2, 2, chain_extra=33)
-    for x in range(tree.n_ball):
-        for y in range(0, tree.n_ball, 3):
-            band = reconstruct_kernel(cert, tree, x, y)
-            dense = reconstruct_kernel_dense(cert, tree, x, y)
-            assert abs(band - dense) <= 1e-12
+    xs, ys = np.arange(tree.n_ball)[:, None], np.arange(0, tree.n_ball, 3)[None, :]
+    band = kernel_on_pairs(cert, tree, xs, ys)
+    for a, x in enumerate(xs[:, 0]):
+        for b, y in enumerate(ys[0]):
+            assert abs(band[a, b] - reconstruct_kernel_dense(cert, tree, int(x), int(y))) <= 1e-12
 
 
 def kernel_or_escape(kernel, cert, tree, xs, ys):
@@ -474,10 +488,9 @@ def test_reconstruction_infinite_degree_on_any_ball():
     cert = build_certificate(sym, INF, 64)
     tree = build_ball(5, 2, chain_extra=65)
     vals = sym.values(2 * tree.radius + 1)
-    for x in range(0, tree.n_ball, 7):
-        for y in range(0, tree.n_ball, 5):
-            got = reconstruct_kernel(cert, tree, x, y)
-            assert abs(got - vals[tree.distance(x, y)]) <= 1e-8
+    xs, ys = np.arange(0, tree.n_ball, 7)[:, None], np.arange(0, tree.n_ball, 5)[None, :]
+    got = kernel_on_pairs(cert, tree, xs, ys)
+    assert np.max(np.abs(got - vals[tree.distances(xs, ys)])) <= 1e-8
 
 
 def test_reconstruction_max_error_within_certificate():
@@ -521,10 +534,9 @@ def test_certificate_parity_terms():
     cert = build_certificate(sym, INF, n)
     tree = build_ball(2, 2, chain_extra=n + 1)
     vals = sym.values(2 * tree.radius + 1)
-    for x in range(0, tree.n_ball, 2):
-        for y in range(0, tree.n_ball, 3):
-            got = reconstruct_kernel(cert, tree, x, y)
-            assert abs(got - vals[tree.distance(x, y)]) <= 1e-8
+    xs, ys = np.arange(0, tree.n_ball, 2)[:, None], np.arange(0, tree.n_ball, 3)[None, :]
+    got = kernel_on_pairs(cert, tree, xs, ys)
+    assert np.max(np.abs(got - vals[tree.distances(xs, ys)])) <= 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -607,6 +619,6 @@ def test_reconstruction_orbit_escape_with_short_chain():
     cert = build_certificate(spherical_symbol(3, s=0.4j), 3, 64)
     tree = build_ball(3, 2, chain_extra=3)  # far shorter than the vector length
     with pytest.raises(OrbitEscapesBall):
-        reconstruct_kernel(cert, tree, 1, 2)
+        kernel_on_pairs(cert, tree, [1], [2])
     with pytest.raises(OrbitEscapesBall):
         reconstruction_max_error(cert, tree, spherical_symbol(3, s=0.4j))
