@@ -13,22 +13,37 @@ term from the one allowance ``symbols._svd_allowance``, built on it.
 :func:`_factorize` is the one factorization of a window: the trace norm
 and the factorization certificates of ``tree.build_certificate`` both read
 it.  It reads its matrix A through an :class:`_Operator`: whether A is
-symmetric, the products A X and Q* A, the residual A - X in blocks of rows
-from a given column on, and the dense A.  A plain matrix is wrapped in
-:class:`_Matrix`, which runs numpy's dense arithmetic; a window
-brings its own operator (``symbols._ResolventImage``), whose products run by
-FFT and whose row blocks are made from its generating sequence, so the
-range finder never forms it.
+symmetric, its border rows, the products A X and Q* A, rows of A, the
+residual A - X in blocks of rows from a given column on, and the dense A.
+A plain matrix is wrapped in :class:`_Matrix`, which runs numpy's dense
+arithmetic; a window brings its own operator (``symbols._ResolventImage``),
+whose products run by FFT and whose row blocks are made from its generating
+sequence, so the range finder never forms it.
 
-The range finder is seeded and certified.  Below 64 rows (n = min(rows,
-cols)) the dense SVD answers.  From 64 rows a probe of width 2 runs first
-(the windows of spherical functions read at their own degree have numerical
-rank at most 2): Q is the Householder basis of Y = A Omega for a Gaussian
-Omega of width 2.  Below 128 rows the probe reads the dense A, which the
-dense SVD needs if the probe fails.  From 128 rows a failed probe
-is followed by one growing basis (Halko, Martinsson and Tropp, SIAM Rev.
-2011, sections 4.3-4.4).  Each fresh sample Z = A Omega of 8 columns, from
-the same seeded stream, estimates the residual of the current Q, since
+The range finder is seeded and certified, and tries its bases in the order
+probe, split, grown, then answers by the dense SVD.  Below 64 rows (n =
+min(rows, cols)) the dense SVD answers.  From 64 rows a probe of width 2
+runs first (the windows of spherical functions read at their own degree have
+numerical rank at most 2): Q is the Householder basis of Y = A Omega for a
+Gaussian Omega of width 2.  Below 128 rows the probe reads the dense A,
+which the dense SVD needs if neither the probe nor the split certifies.
+
+A failed probe on an A with m border rows (``symbols._ResolventImage``: the
+rows and columns below m carry the resolvent's correction, and the rows past
+m are numerically of low rank where A is not) tries the split basis
+Q = E_m (+) Q_J next, where m + 2 <= n/2: E_m is the first m unit vectors,
+exactly, and Q_J the Householder basis of Y[m:], the probe's own sample
+below the border, so nothing new is drawn.  The first m rows of B = Q* A
+are A's, read exactly, and so are those of Q B: the m x m corner of the
+residual A - Q B is 0, the m x (n - m) block beside it is read (twice, for
+its mirror, when A is symmetric), and the rows from m on are read as for any
+basis.
+
+From 128 rows a split that does not certify, or a failed probe on an A
+without border, is followed by one growing basis (Halko, Martinsson and
+Tropp, SIAM Rev. 2011, sections 4.3-4.4), which starts again from the
+probe.  Each fresh sample Z = A Omega of 8 columns, from the same seeded
+stream, estimates the residual of the current Q, since
 E ||(I - Q Q*) A omega||^2 = ||A - Q Q* A||_F^2 for a Gaussian column
 omega; Z then joins the sample.  The last two estimates, extrapolated
 geometrically, predict the width at which the estimate reaches the limit
@@ -64,16 +79,21 @@ lower part of R minus the mirror of its upper part is the lower part of
 (Q E)^T - Q E, whose Frobenius norm is at most sqrt(2) ||Q E||_F
 <= 2 gamma_2k || |Q| |C|^T ||_F (||Q||_2 = 1 up to the rounding of Q).  The
 half-width is sqrt(n) times the square root of the sum plus that term, and
-the early exit and the limit read the same sum.
+the early exit and the limit read the same sum.  For the split basis, k =
+m + 2, the first m columns of C are those of B, and |Q| = I (+) |Q_J|, so
+|| |Q| |C|^T ||_F reads the first m columns of C and one (n - m) x 2
+product.
 
 The products Q_I B of the pass run in real arithmetic: with B_x the 2k x
 2 cols real form of B ([Re B, Im B] interleaved as numpy stores them, over
 the same for i B), Q_I B is [Re Q_I | Im Q_I] @ B_x, written straight into
 the float view of the block, and the block's squared norm is the dot
-product of that view with itself.  A block holds at most ``_BLOCK_BYTES``
-(512 KB, which fits a typical per-core L2 cache, where the 2.6 MB of 128
-rows of a 1280-row window do not): 8 to 128 rows, 2^15 // cols between them.  So the finder needs 512 KB plus O(k (rows + cols)) memory
-beyond what the operator holds.  When no basis certifies, the factorization
+product of that view with itself.  For the split basis only Q_J and the
+rows of B past m enter the product past the border, and within the border
+Q_I B is B_I.  A block holds at most ``_BLOCK_BYTES`` (512 KB, which fits a
+typical per-core L2 cache, where the 2.6 MB of 128 rows of a 1280-row
+window do not): 8 to 128 rows, 2^15 // cols between them.  So the finder
+needs 512 KB plus O(k (rows + cols)) memory beyond what the operator holds.  When no basis certifies, the factorization
 is A = I A (Q is None, B is the dense A, checked to be finite, half-width
 0) and the SVD of B is the dense SVD, so the allowance holds either way.
 :func:`trace_norm` is the sum of the singular values of B, which for a basis
@@ -144,10 +164,15 @@ def _factor_norm(q: np.ndarray | None, b: np.ndarray) -> float:
 
 class _Operator:
     """A matrix A as :func:`_factorize` reads it: ``shape``, ``symmetric``
-    (A is square and A = A^T exactly), ``matmul(x)`` = A x,
-    ``adjoint_matmul(q)`` = Q* A, ``subtract_block(row, col, out)``, which
-    sets out to A[row : row + len(out), col : col + out.shape[1]] - out, and
-    ``dense()``, A itself."""
+    (A is square and A = A^T exactly), ``border_rows``, the m of a symmetric
+    A whose rows and columns past m are numerically of low rank (0 when none
+    are known), ``matmul(x)`` = A x, ``adjoint_matmul(q)`` = Q* A,
+    ``rows(start, stop)``, a copy of those rows of A,
+    ``subtract_block(row, col, out)``, which sets out to
+    A[row : row + len(out), col : col + out.shape[1]] - out, and ``dense()``,
+    A itself."""
+
+    border_rows = 0
 
 
 class _Matrix(_Operator):
@@ -166,6 +191,9 @@ class _Matrix(_Operator):
 
     def adjoint_matmul(self, q):
         return q.conj().T @ self.m
+
+    def rows(self, start, stop):
+        return self.m[start:stop].copy()
 
     def subtract_block(self, row, col, out):
         np.subtract(self.m[row : row + len(out), col : col + out.shape[1]], out, out=out)
@@ -195,38 +223,53 @@ def _gamma(m: int) -> Fraction:
     return Fraction(m, 2**53 - m)
 
 
-def _certify(op: _Operator, q: np.ndarray, limit: float, buf: np.ndarray):
+def _certify(op: _Operator, q: np.ndarray, limit: float, buf: np.ndarray, lead: int = 0):
     """(B, half-width) for A ~ Q B when the half-width is at most sqrt(n) limit,
-    else None: B = Q* A, or B = C Q^T for a symmetric A (module docstring)."""
+    else None: B = Q* A, or B = C Q^T for a symmetric A (module docstring).
+
+    The first ``lead`` columns of Q are the first ``lead`` unit vectors, and
+    its other columns are 0 on those rows (the split basis; ``lead`` = 0 is
+    any basis).  So B's first ``lead`` rows are A's, read exactly, and so
+    are those of Q B: the residual is 0 there, up to the columns past
+    ``lead`` of a symmetric A, whose mirror block it also stands for."""
     rows, cols = op.shape
     k, step = q.shape[1], len(buf) // cols
     symmetric = rows > step and op.symmetric  # one block has nothing past its diagonal block to skip
-    b = op.adjoint_matmul(q)
-    # B_x, the real form of B: Q_I B is [Re Q_I | Im Q_I] @ B_x, viewed as complex
-    bx = np.empty((2 * k, 2 * cols))
+    qj = q[:, lead:]
+    # B_x, the real form of B past its first lead rows: for rows I past lead,
+    # Q_I B is [Re Q_I | Im Q_I] @ B_x, viewed as complex
+    bx = np.empty((2 * k - lead, 2 * cols))
     top = bx[:k].view(complex)
+    top[:lead] = op.rows(0, lead)
+    top[lead:] = op.adjoint_matmul(qj)
     slack = 0.0
     if symmetric:
-        c = b @ q.conj()
+        c = np.empty((k, k), dtype=complex)
+        c[:, :lead] = top[:, :lead]  # the unit columns of conj(Q) pick B's columns exactly
+        c[:, lead:] = top @ qj.conj()
         c = 0.5 * (c + c.T)
-        np.matmul(c, q.T, out=top)
-        slack = 2.0 * float(_gamma(2 * k)) * float(np.linalg.norm(np.abs(q) @ np.abs(c).T))
-    else:
-        np.copyto(top, b)
-    del b
-    np.multiply(top, 1j, out=bx[k:].view(complex))
-    qx = np.concatenate((q.real, q.imag), axis=1)
+        np.matmul(c[:, lead:], qj.T, out=top)
+        top[:, :lead] = c[:, :lead]
+        # || |Q| |C|^T ||_F, whose rows above lead are the columns of |C|
+        mirror = math.hypot(np.linalg.norm(c[:, :lead]), np.linalg.norm(np.abs(qj[lead:]) @ np.abs(c[:, lead:]).T))
+        slack = 2.0 * float(_gamma(2 * k)) * mirror
+    np.multiply(bx[lead:k].view(complex), 1j, out=bx[k:].view(complex))
+    qx = np.concatenate((qj.real, qj.imag), axis=1)
+    above = range(0, lead, step) if symmetric else ()
     ss = 0.0
-    for i in range(0, rows, step):
-        r = min(step, rows - i)
-        j = i if symmetric else 0
+    for i in [*above, *range(lead, rows, step)]:
+        r = min(step, (lead if i < lead else rows) - i)
+        j = max(i, lead) if symmetric else 0
         block = buf[: r * (cols - j)].reshape(r, cols - j)
-        np.matmul(qx[i : i + r], bx[:, 2 * j :], out=block.view(float))
+        if i < lead:  # unit rows of Q: Q_I B is B_I
+            np.copyto(block, top[i : i + r, j:])
+        else:
+            np.matmul(qx[i : i + r], bx[lead:, 2 * j :], out=block.view(float))
         op.subtract_block(i, j, block)
         flat = block.view(float).ravel()
         part = float(np.dot(flat, flat))
         if symmetric and r < cols - j:  # the columns past the diagonal block stand for their mirror too
-            diagonal = block[:, :r].view(float)
+            diagonal = block[:, : r if j == i else 0].view(float)
             part = 2.0 * part - float(np.einsum("ij,ij->", diagonal, diagonal))
         ss += part
         if not math.sqrt(ss) + slack <= limit:
@@ -250,8 +293,9 @@ def _predicted_width(estimates: list[tuple[int, float]], limit: float) -> float:
 
 def _factorize(m) -> tuple[np.ndarray | None, np.ndarray, float]:
     """(Q, B, sqrt(n) ||A - Q B||_F) from the first basis that certifies its
-    residual, or (None, A, 0.0) below 64 rows and when none does (module
-    docstring).
+    residual, of the probe, the split basis and a grown basis in that order,
+    or (None, A, 0.0) below 64 rows and when none does (module docstring).
+    Q is dense in every case, N x (m + 2) for the split basis.
 
     ``m`` is an :class:`_Operator` or anything :func:`as_cmatrix` accepts."""
     op = m if isinstance(m, _Operator) else _Matrix(as_cmatrix(m))
@@ -259,6 +303,7 @@ def _factorize(m) -> tuple[np.ndarray | None, np.ndarray, float]:
     n = min(rows, cols)
     if n < _DENSE_BELOW:
         return None, op.dense(), 0.0
+    lead = op.border_rows
     if n < _GROW_FROM:  # the dense SVD needs A if the probe fails, and dense products are cheaper here
         op = _Matrix(op.dense())
     limit = 0.5 * DEFAULT_TOL * rows / math.sqrt(n)
@@ -272,6 +317,13 @@ def _factorize(m) -> tuple[np.ndarray | None, np.ndarray, float]:
     found = _certify(op, q, limit, buf)
     if found is not None:
         return q, *found
+    if lead and 2 * (lead + _PROBE_WIDTH) <= n:  # the split basis, where it is at most half as wide as A
+        split = np.zeros((rows, lead + _PROBE_WIDTH), dtype=complex)
+        split[:lead, :lead] = np.eye(lead)
+        split[lead:, lead:] = _orthonormal(sample[lead:])
+        found = _certify(op, split, limit, buf, lead)
+        if found is not None:
+            return split, *found
     if n < _GROW_FROM:
         return None, op.dense(), 0.0
     estimates = []
@@ -305,8 +357,11 @@ def trace_norm(m) -> float:
 
     It is ||B||_1 for A ~ Q B from :func:`_factorize`, so a certified range
     finder answers from 64 rows (``_DENSE_BELOW``) when the matrix is
-    numerically of low rank and the dense SVD otherwise.  The result is
-    deterministic: the sketch is seeded.
+    numerically of low rank and the dense SVD otherwise.  The bases come in
+    the order probe (width 2), split (the m border rows kept as unit
+    vectors, the probe's sample below them; the residual is 0 on the m x m
+    corner and read on the m x (n - m) block beside it and from row m on),
+    grown, then dense.  The result is deterministic: the sketch is seeded.
     """
     return _factor_norm(*_factorize(m)[:2])
 

@@ -585,6 +585,13 @@ class _ResolventImage(_Operator):
     minus the border slab; Q* H' = (H' conj Q)^T.  Blocks of rows, from any
     column on, are made from a strided view of G minus the border, so no
     N x N array is formed until ``dense``, which is those rows in one piece.
+
+    The border also sizes the split basis of ``spectral._factorize``: the
+    rows of H' past its ``border_rows`` = k are numerically of low rank
+    where H' is not (rank 1-2 against 16-36 for the corpus's spherical
+    functions read at another degree), so a probe that fails is followed by
+    the basis of the k unit vectors and of the probe's sample below them,
+    k + 2 columns (61 at q = 2, 39 at q = 3, 27 at q = 5).
     """
 
     symmetric = True
@@ -606,7 +613,7 @@ class _ResolventImage(_Operator):
         self.g = (1.0 - c) * f if c else f
         self._view = _window_view(self.g, n)
         self.border = np.zeros((0, n), dtype=complex)
-        k = _border_width(c, n)
+        k = self.border_rows = _border_width(c, n)
         if k:
             # border[i, j] = (1-c) c^(min(i,j)+1) F[|i-j|-2]: row i of the
             # Toeplitz matrix z[n-1+j-i] = F[|i-j|-2], weighted by
@@ -824,7 +831,7 @@ class SchurNormReport:
     certified_error: float
     certified: bool
     budget: _Budget | None
-    sketch_width: int  # columns of the certified basis Q of the window, 0 when the dense SVD answered
+    sketch_width: int  # columns of the certified basis Q of the window (border rows + 2 for a split one), 0 when dense
 
 
 def schur_norm(sym: RadialSymbol, q, target_err: float = 1e-8) -> SchurNormReport:

@@ -109,12 +109,22 @@ class FiniteTreeBall:
     @cached_property
     def orbits(self) -> np.ndarray:
         """Orbit table: orbits[x, i] = c^i(x), and -1 once the orbit has
-        climbed past the stored chain tip; the last column is all -1."""
+        climbed past the stored chain tip; the last column is all -1.
+
+        Within ``radius`` climbs every node is on the chain or past its tip,
+        and from chain[p] the orbit runs chain[p + 1], chain[p + 2], ...: so
+        the table is ``radius`` climbs and one shift along the chain."""
         climb = np.append(self.climb, -1)  # index -1 (escaped) stays at -1
         cols = [np.arange(self.n_nodes)]
-        while cols[-1].max() >= 0:
+        for _ in range(self.radius):
             cols.append(climb[cols[-1]])
-        return np.stack(cols, axis=1)
+        length = len(self.chain)
+        pos = np.full(self.n_nodes + 1, length)  # position along the chain; past the tip for -1
+        pos[self.chain] = np.arange(length)
+        start = pos[cols[-1]]
+        ahead = np.concatenate((self.chain, np.full(length + 1, -1)))
+        tail = ahead[start[:, None] + np.arange(1, length - start.min() + 1)]
+        return np.concatenate((np.stack(cols, axis=1), tail), axis=1)
 
     @cached_property
     def orbit_length(self) -> np.ndarray:
@@ -124,14 +134,19 @@ class FiniteTreeBall:
     @cached_property
     def ancestors(self) -> np.ndarray:
         """Ancestor table of the parent map: ancestors[x, t] is the ancestor of x
-        at depth t, and -1 for t > depth(x)."""
+        at depth t, and -1 for t > depth(x).
+
+        The ancestors of a chain extra are the chain up to its depth; those
+        of a ball node take one parent step per level of the ball."""
         top = int(self.depth.max())
-        parent = np.append(self.tree_parent, -1)
-        nodes = np.arange(self.n_nodes)
         table = np.full((self.n_nodes, top + 1), -1, dtype=np.int64)
-        table[nodes, self.depth] = nodes
-        for t in range(top, 0, -1):
-            table[:, t - 1] = np.where(table[:, t] >= 0, parent[table[:, t]], table[:, t - 1])
+        below = np.arange(top + 1) <= self.depth[self.n_ball :, None]
+        table[self.n_ball :] = np.where(below, self.chain[: top + 1], -1)
+        ball = table[: self.n_ball]
+        nodes = np.arange(self.n_ball)
+        ball[nodes, self.depth[: self.n_ball]] = nodes
+        for t in range(self.radius, 0, -1):
+            ball[:, t - 1] = np.where(ball[:, t] >= 0, self.tree_parent[ball[:, t]], ball[:, t - 1])
         return table
 
     def distances(self, xs, ys) -> np.ndarray:

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import treeschur.spectral as spectral
@@ -12,7 +12,15 @@ from treeschur.corpus import trace_class_corpus
 from treeschur.errors import NonFinite
 from treeschur.spectral import DEFAULT_TOL, _factorize, _Matrix, _svdvals, as_cmatrix, trace_norm
 from treeschur.spherical import eigenvalue_from_z, schur_norm_in_s, spherical_symbol
-from treeschur.symbols import INF, _evaluate_window, _ResolventImage, build_hankel, power_symbol, schur_norm
+from treeschur.symbols import (
+    INF,
+    RadialSymbol,
+    _evaluate_window,
+    _ResolventImage,
+    build_hankel,
+    power_symbol,
+    schur_norm,
+)
 
 
 def singular_values(m):
@@ -393,7 +401,14 @@ def check_certified_factorization(op):
     norm; C is B conj(Q) up to rounding.  The half-width adds
     sqrt(n) term to sqrt(n) times the norm of the mirrored upper part, which
     is within sqrt(n) term of the dense residual, so it lies between the dense
-    residual and the dense residual plus 2 sqrt(n) term."""
+    residual and the dense residual plus 2 sqrt(n) term.
+
+    A split basis (``_certify`` with a leading identity block) has Q = E_m (+)
+    Q_J, E_m the first m = ``border_rows`` unit vectors, exactly.  Then the
+    first m rows of Q B are A's, so the m x m corner of the residual is 0, and
+    its half-width is the dense residual plus sqrt(n) term, within rounding:
+    the mirrored part differs from the dense one by the rounding of B, which
+    is far below its bound ``term`` here."""
     q_basis, b, half_width = _factorize(op)
     assert q_basis is not None
     n, k = op.shape[0], q_basis.shape[1]
@@ -403,6 +418,12 @@ def check_certified_factorization(op):
     residual = a - q_basis @ b
     dense_half_width = np.sqrt(n) * np.linalg.norm(residual)
     rounding = 4 * np.sqrt(n) * (eps / 2) * np.linalg.norm(np.abs(a) + np.abs(q_basis) @ np.abs(b))
+    lead = op.border_rows
+    split = lead > 0 and np.array_equal(q_basis[:lead, :lead], np.eye(lead))
+    if split:
+        assert k == lead + 2
+        assert not q_basis[:lead, lead:].any() and not q_basis[lead:, :lead].any()
+        assert not residual[:lead, :lead].any()
     # blocks of at most _BLOCK_BYTES; a pass of one block sums all of A
     block_rows = min(n, 128, max(8, spectral._BLOCK_BYTES // (16 * n)))
     if not np.array_equal(a, a.T) or block_rows == n:
@@ -415,12 +436,16 @@ def check_certified_factorization(op):
     assert np.linalg.norm(residual - residual.T) / np.sqrt(2) <= term
     assert half_width >= (1 - 1e-9) * np.sqrt(n) * term
     assert -rounding <= half_width - dense_half_width <= 2 * np.sqrt(n) * term + rounding
+    if split:
+        assert abs(half_width - np.sqrt(n) * term - dense_half_width) <= rounding
     return k
 
 
 @pytest.mark.parametrize("p, q, n", [(3, 2, 320), (2, 3, 512), (2, 5, 128), (3, 5, 320)])
 def test_grown_basis_is_orthonormal_and_its_half_width_is_the_dense_residual(p, q, n):
-    # spherical symbols read at another degree have numerical rank well above 2
+    # spherical symbols read at another degree have numerical rank well above
+    # 2; they now certify on the split basis (border rows + 2 columns), whose
+    # factorization passes the same check as a grown one
     k = check_certified_factorization(resolvent_window(p, complex(0.4, 0.7), q, n))
     assert 2 < k <= n / 4
 
@@ -497,11 +522,114 @@ def test_half_width_of_plain_matrices(n, rank, exponent, symmetric, seed):
 
 
 def test_corpus_tail_item_takes_no_window_sized_svd(monkeypatch):
-    # spherical q = 3, s = 0.4i read at q = 2 has a 256-row window of
-    # numerical rank about 45: a grown basis certifies it
-    shapes = []
-    svd = np.linalg.svd
+    # spherical q = 3, s = 0.4i read at q = 2 has a 256-row window whose rows
+    # past the 59-row border are numerically of rank 2 or less: the split
+    # basis E_59 (+) orth(Y[59:]) of the probe's own sample certifies it
+    shapes, draws = [], []
+    svd, sample = np.linalg.svd, spectral._sample
     monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: shapes.append(np.shape(a)) or svd(a, *args, **kw))
+    monkeypatch.setattr(spectral, "_sample", lambda op, omega: draws.append(omega.shape) or sample(op, omega))
     rep = schur_norm(trace_class_corpus()[6], 2)
-    assert rep.truncation_n == 256 and 2 < rep.sketch_width <= 64
-    assert shapes and all(max(shape) < 256 for shape in shapes)
+    assert rep.truncation_n == 256 and rep.sketch_width == 61
+    assert draws == [(256, 2)]
+    assert shapes and all(max(shape) <= 61 for shape in shapes)
+
+
+# ---------------------------------------------------------------------------
+# the split basis
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "p, q, n",
+    [(3, 2, 256), (3, 2, 320), (2, 3, 512), (2, 3, 112), (2, 5, 64), (2, 5, 112), (3, 5, 224), (5, 3, 128)],
+)
+def test_split_basis_is_certified_and_its_half_width_is_the_dense_residual(p, q, n):
+    # a spherical symbol read at another degree: the probe fails and the split
+    # basis certifies, two-sided from 129 rows (blocks of 128) and one-sided
+    # below; its width is the border plus the probe's 2 columns
+    op = resolvent_window(p, complex(0.4, 0.7), q, n)
+    assert op.border_rows == {2: 59, 3: 37, 5: 25}[q]
+    assert check_certified_factorization(op) == op.border_rows + 2
+    assert np.array_equal(_factorize(op)[0][: op.border_rows, : op.border_rows], np.eye(op.border_rows))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.sampled_from([(2, 3), (2, 5), (3, 2), (3, 5), (5, 2), (5, 3)]),
+    st.sampled_from([64, 96, 112, 128, 224, 256, 320, 512]),
+    st.floats(0.05, 0.95),
+    st.floats(0.0, 1.0),
+)
+@example((5, 2), 512, 0.33, 0.42)
+@example((3, 5), 64, 0.4, 0.1)
+def test_every_path_of_mismatched_windows_keeps_the_allowance(degrees, n, re_z, turn):
+    # the probe, the split basis, a grown basis or the dense SVD: whichever
+    # answers, |trace_norm - dense| <= 1e-12 N, and a certified basis passes
+    # the factorization check
+    p, q = degrees
+    op = resolvent_window(p, complex(re_z, 2 * np.pi * turn / np.log(p)), q, n)
+    assert abs(trace_norm(op) - dense_trace_norm(op.dense())) <= 1e-12 * n
+    if _factorize(op)[0] is not None:
+        check_certified_factorization(op)
+
+
+def test_a_failed_split_falls_through_to_the_grown_basis(monkeypatch):
+    # 0.9^n + (-0.8)^n + (0.7i)^n has rank 3 past the border: the split pass
+    # fails, and the growth starts from the probe's basis and sample as it
+    # would without the split, with fresh blocks of 8 from the same stream
+    draws, passes = [], []
+    sample, certify = spectral._sample, spectral._certify
+    monkeypatch.setattr(spectral, "_sample", lambda op, omega: draws.append(omega.shape) or sample(op, omega))
+
+    def recording_certify(op, q, limit, buf, lead=0):
+        found = certify(op, q, limit, buf, lead)
+        passes.append((lead, q.shape[1], found is not None))
+        return found
+
+    monkeypatch.setattr(spectral, "_certify", recording_certify)
+    sym = RadialSymbol(values_fn=lambda count: sum(a ** np.arange(count) for a in (0.9, -0.8, 0.7j)))
+    k = check_certified_factorization(_ResolventImage(build_hankel(sym, 256), 2))
+    assert passes[:2] == [(0, 2, False), (59, 61, False)]
+    assert passes[-1] == (0, k, True) and 2 < k <= 64 and k != 61
+    assert draws[:2] == [(256, 2), (256, 8)]
+
+
+def test_plain_matrices_and_infinite_degree_have_no_border():
+    assert _Matrix(np.eye(3)).border_rows == 0
+    assert resolvent_window(3, complex(0.4, 0.7), INF, 128).border_rows == 0
+    assert resolvent_window(3, complex(0.4, 0.7), 3, 16).border_rows == 16  # at most n
+
+
+# the path of every corpus norm that samples, (symbol index, q): (path, _sample
+# calls, residual passes); the other norms read windows under 64 rows, which
+# the dense SVD answers with no sample and no pass
+CORPUS_PATHS = {
+    (6, 2): ("split", 1, 2), (6, 3): ("probe", 1, 1), (6, 5): ("split", 1, 2), (6, INF): ("probe", 1, 1),
+    (7, 2): ("probe", 1, 1), (7, 3): ("split", 1, 2), (7, 5): ("split", 1, 2), (7, INF): ("probe", 1, 1),
+    (9, 2): ("dense", 1, 1), (9, 3): ("dense", 1, 1), (9, 5): ("split", 1, 2), (9, INF): ("probe", 1, 1),
+}
+
+
+def test_corpus_norms_take_their_pinned_paths(monkeypatch):
+    # a change that moves a corpus window to a costlier path (the split to a
+    # grown basis, the probe to the dense SVD) or adds samples or passes fails
+    # here; the path is that of the pass that certified, dense when none did
+    draws, passes = [], []
+    sample, certify = spectral._sample, spectral._certify
+    monkeypatch.setattr(spectral, "_sample", lambda op, omega: draws.append(omega.shape) or sample(op, omega))
+
+    def recording_certify(op, q, limit, buf, lead=0):
+        found = certify(op, q, limit, buf, lead)
+        passes.append((lead, q.shape[1], found is not None))
+        return found
+
+    monkeypatch.setattr(spectral, "_certify", recording_certify)
+    for k, sym in enumerate(trace_class_corpus()):
+        for q in (2, 3, 5, INF):
+            draws.clear()
+            passes.clear()
+            rep = schur_norm(sym, q)
+            lead, width, _ = passes[-1] if passes and passes[-1][2] else (0, 0, True)
+            path = "split" if lead else {0: "dense", 2: "probe"}.get(width, "grown")
+            assert (path, len(draws), len(passes)) == CORPUS_PATHS.get((k, q), ("dense", 0, 0)), (k, q)
+            assert rep.sketch_width == width

@@ -786,11 +786,21 @@ def test_undeclared_tail_keeps_the_doubling_rule(q):
     assert not rep.certified and rep.budget is None
 
 
+def _three_exponentials():
+    """0.9^n + (-0.8)^n + (0.7i)^n: its window has rank 3 past the resolvent
+    border too, so neither the probe nor the split basis certifies it."""
+    return RadialSymbol(
+        values_fn=lambda count: sum(a ** np.arange(count) for a in (0.9, -0.8, 0.7j)),
+        tail=Geometric(ratio=0.9, bound=3.0),
+    )
+
+
 @pytest.mark.parametrize("make, q, width", [
     (lambda: power_symbol(0.5), 3, 0),  # a 40-row window: the dense SVD
     (lambda: spherical_symbol(3, s=0.4j), 3, 2),  # rank 2 at its own degree: the probe
-    (lambda: spherical_symbol(3, s=0.4j), 2, None),  # read at q = 2: a grown basis
-], ids=["dense", "probe", "grown"])
+    (lambda: spherical_symbol(3, s=0.4j), 2, 61),  # read at q = 2: the split basis, 59 border rows + 2
+    (_three_exponentials, 2, None),  # a 256-row window at q = 2: a grown basis
+], ids=["dense", "probe", "split", "grown"])
 def test_report_names_the_sketch_width(make, q, width):
     rep = schur_norm(make(), q)
     w = _evaluate_window(make(), q, rep.truncation_n)

@@ -177,6 +177,39 @@ def test_ball_layout_matches_the_breadth_first_walk(q, chain_extra):
         assert tree.n_nodes == len(depth) == tree.n_ball + chain_extra
 
 
+def walked_orbits(tree):
+    """Reference for ``FiniteTreeBall.orbits``: one climb step per column
+    until every orbit has climbed past the chain tip."""
+    climb = np.append(tree.climb, -1)
+    cols = [np.arange(tree.n_nodes)]
+    while cols[-1].max() >= 0:
+        cols.append(climb[cols[-1]])
+    return np.stack(cols, axis=1)
+
+
+def walked_ancestors(tree):
+    """Reference for ``FiniteTreeBall.ancestors``: one parent step per level,
+    from the deepest node of the chain down to the base."""
+    top = int(tree.depth.max())
+    parent = np.append(tree.tree_parent, -1)
+    nodes = np.arange(tree.n_nodes)
+    table = np.full((tree.n_nodes, top + 1), -1, dtype=np.int64)
+    table[nodes, tree.depth] = nodes
+    for t in range(top, 0, -1):
+        table[:, t - 1] = np.where(table[:, t] >= 0, parent[table[:, t]], table[:, t - 1])
+    return table
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+@pytest.mark.parametrize("chain_extra", [0, 1, 4, 129])
+def test_orbit_and_ancestor_tables_match_the_walks(q, chain_extra):
+    for radius in range(1, 5):
+        tree = build_ball(q, radius, chain_extra=chain_extra)
+        for got, want in ((tree.orbits, walked_orbits(tree)), (tree.ancestors, walked_ancestors(tree))):
+            assert got.dtype == want.dtype == np.int64 and got.shape == want.shape
+            assert np.array_equal(got, want)
+
+
 def test_size_cap():
     with pytest.raises(SizeCap):
         build_ball(2, 25)
