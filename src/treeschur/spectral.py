@@ -20,40 +20,41 @@ arithmetic; a window brings its own operator (``symbols._ResolventImage``),
 whose products run by FFT and whose row blocks are made from its generating
 sequence, so the range finder never forms it.
 
-The range finder is seeded and certified, and tries its bases in the order
-probe, split, grown, then answers by the dense SVD.  Below 64 rows (n =
-min(rows, cols)) the dense SVD answers.  From 64 rows a probe of width 2
-runs first (the windows of spherical functions read at their own degree have
-numerical rank at most 2): Q is the Householder basis of Y = A Omega for a
-Gaussian Omega of width 2.  Below 128 rows the probe reads the dense A,
-which the dense SVD needs if neither the probe nor the split certifies.
+The range finder is seeded and certified, and every basis it tries belongs
+to one family, Q = E_lead (+) Q_J (:func:`_basis`): E_lead is the first
+``lead`` unit vectors, exactly, and Q_J the Householder basis of a Gaussian
+sample Y = A Omega below its first ``lead`` rows.  Below 64 rows (n =
+min(rows, cols)) the dense SVD answers.  From 64 rows the probe runs first,
+``lead`` = 0 and a sample of width 2 (the windows of spherical functions
+read at their own degree have numerical rank at most 2).  Below 128 rows the
+probe reads the dense A, which the dense SVD needs if no basis certifies.
 
-A failed probe on an A with m border rows (``symbols._ResolventImage``: the
-rows and columns below m carry the resolvent's correction, and the rows past
-m are numerically of low rank where A is not) tries the split basis
-Q = E_m (+) Q_J next, where m + 2 <= n/2: E_m is the first m unit vectors,
-exactly, and Q_J the Householder basis of Y[m:], the probe's own sample
-below the border, so nothing new is drawn.  The first m rows of B = Q* A
-are A's, read exactly, and so are those of Q B: the m x m corner of the
-residual A - Q B is 0, the m x (n - m) block beside it is read (twice, for
-its mirror, when A is symmetric), and the rows from m on are read as for any
-basis.
+An A with m border rows (``symbols._ResolventImage``: the rows and columns
+below m carry the resolvent's correction, and the rows past m are
+numerically of low rank where A is not) takes ``lead`` = m where
+m + 2 <= n/2, else 0 as any other A.  A failed probe on it tries the split
+basis next, E_m (+) Q_J for the probe's own sample Y[m:] below the border,
+so nothing new is drawn.  The first m rows of B = Q* A are A's, read
+exactly, and so are those of Q B: the m x m corner of the residual A - Q B
+is 0, the m x (n - m) block beside it is read (twice, for its mirror, when A
+is symmetric), and the rows from m on are read as for any basis.
 
-From 128 rows a split that does not certify, or a failed probe on an A
-without border, is followed by one growing basis (Halko, Martinsson and
-Tropp, SIAM Rev. 2011, sections 4.3-4.4), which starts again from the
-probe.  Each fresh sample Z = A Omega of 8 columns, from the same seeded
-stream, estimates the residual of the current Q, since
+From 128 rows a basis that does not certify grows its sample below the same
+``lead`` rows (Halko, Martinsson and Tropp, SIAM Rev. 2011, sections
+4.3-4.4), so the growth continues from the split where there is one and from
+the probe elsewhere.  Each fresh sample Z = A Omega of 8 columns, from the
+same seeded stream, estimates the residual of the current Q, since
 E ||(I - Q Q*) A omega||^2 = ||A - Q Q* A||_F^2 for a Gaussian column
-omega; Z then joins the sample.  The last two estimates, extrapolated
-geometrically, predict the width at which the estimate reaches the limit
-below, and the sample grows to that width plus 8 columns at once, up to
-n/4 columns; Q is the Householder basis of the whole sample, so it stays
-orthonormal to working precision.  Only an estimate under the limit pays the
-residual pass that certifies.  The dense SVD answers as soon as the
-predicted width exceeds n/4, when the basis has no room for another block
-of 8 within n/4, or when a sample is not finite.  Since Q has orthonormal
-columns, for any B
+omega, and (I - Q Q*) A omega is 0 on the ``lead`` rows; Z then joins the
+sample.  The last two estimates, extrapolated geometrically, predict the
+sample width at which the estimate reaches the limit below, and the sample
+grows to that width plus 8 columns at once, up to n/4 columns past the
+``lead`` ones; Q_J is the Householder basis of the whole sample below
+``lead``, so Q stays orthonormal to working precision.  Only an estimate
+under the limit pays the residual pass that certifies.  The dense SVD
+answers as soon as the predicted width exceeds n/4, when the sample has no
+room for another block of 8 within n/4, or when a sample is not finite.
+Since Q has orthonormal columns, for any B
 
     | ||A||_1 - ||B||_1 | <= sqrt(n) ||A - Q B||_F,
 
@@ -79,23 +80,24 @@ lower part of R minus the mirror of its upper part is the lower part of
 (Q E)^T - Q E, whose Frobenius norm is at most sqrt(2) ||Q E||_F
 <= 2 gamma_2k || |Q| |C|^T ||_F (||Q||_2 = 1 up to the rounding of Q).  The
 half-width is sqrt(n) times the square root of the sum plus that term, and
-the early exit and the limit read the same sum.  For the split basis, k =
-m + 2, the first m columns of C are those of B, and |Q| = I (+) |Q_J|, so
-|| |Q| |C|^T ||_F reads the first m columns of C and one (n - m) x 2
-product.
+the early exit and the limit read the same sum.  For a basis with
+``lead`` = m > 0, the first m columns of C are those of B, and
+|Q| = I (+) |Q_J|, so || |Q| |C|^T ||_F reads the first m columns of C and
+one (n - m) x (k - m) product.
 
 The products Q_I B of the pass run in real arithmetic: with B_x the 2k x
 2 cols real form of B ([Re B, Im B] interleaved as numpy stores them, over
 the same for i B), Q_I B is [Re Q_I | Im Q_I] @ B_x, written straight into
 the float view of the block, and the block's squared norm is the dot
-product of that view with itself.  For the split basis only Q_J and the
-rows of B past m enter the product past the border, and within the border
-Q_I B is B_I.  A block holds at most ``_BLOCK_BYTES`` (512 KB, which fits a
-typical per-core L2 cache, where the 2.6 MB of 128 rows of a 1280-row
-window do not): 8 to 128 rows, 2^15 // cols between them.  So the finder
-needs 512 KB plus O(k (rows + cols)) memory beyond what the operator holds.  When no basis certifies, the factorization
-is A = I A (Q is None, B is the dense A, checked to be finite, half-width
-0) and the SVD of B is the dense SVD, so the allowance holds either way.
+product of that view with itself.  For a basis with ``lead`` = m > 0 only
+Q_J and the rows of B past m enter the product past the border, and within
+the border Q_I B is B_I.  A block holds at most ``_BLOCK_BYTES`` (512 KB,
+which fits a typical per-core L2 cache, where the 2.6 MB of 128 rows of a
+1280-row window do not): 8 to 128 rows, 2^15 // cols between them.  So
+the finder needs 512 KB plus O(k (rows + cols)) memory beyond what the
+operator holds.  When no basis certifies, the factorization is A = I A (Q
+is None, B is the dense A, checked to be finite, half-width 0) and the SVD
+of B is the dense SVD, so the allowance holds either way.
 :func:`trace_norm` is the sum of the singular values of B, which for a basis
 come from the k x k triangular factor of B^T; a certificate takes the
 singular vectors of B, which is k x cols on the sketch path.
@@ -209,12 +211,19 @@ def _sample(op: _Operator, omega: np.ndarray) -> np.ndarray | None:
     return y if _all_finite(y) else None
 
 
-def _orthonormal(y: np.ndarray) -> np.ndarray:
-    """The Householder Q of y."""
+def _basis(sample: np.ndarray, lead: int) -> np.ndarray:
+    """Q = E_lead (+) Q_J: the first ``lead`` unit vectors, exactly, and Q_J
+    the Householder Q of the sample's rows past ``lead`` (all of it when
+    ``lead`` = 0)."""
     try:
-        return np.linalg.qr(y)[0]
+        qj = np.linalg.qr(sample[lead:])[0]
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"range finder did not converge: {exc}") from exc
+    if not lead:
+        return qj
+    q = np.eye(len(sample), lead + qj.shape[1], dtype=complex)  # past the lead rows, its diagonal is overwritten
+    q[lead:, lead:] = qj
+    return q
 
 
 def _gamma(m: int) -> Fraction:
@@ -228,10 +237,10 @@ def _certify(op: _Operator, q: np.ndarray, limit: float, buf: np.ndarray, lead: 
     else None: B = Q* A, or B = C Q^T for a symmetric A (module docstring).
 
     The first ``lead`` columns of Q are the first ``lead`` unit vectors, and
-    its other columns are 0 on those rows (the split basis; ``lead`` = 0 is
-    any basis).  So B's first ``lead`` rows are A's, read exactly, and so
-    are those of Q B: the residual is 0 there, up to the columns past
-    ``lead`` of a symmetric A, whose mirror block it also stands for."""
+    its other columns are 0 on those rows (:func:`_basis`).  So B's first
+    ``lead`` rows are A's, read exactly, and so are those of Q B: the
+    residual is 0 there, up to the columns past ``lead`` of a symmetric A,
+    whose mirror block it also stands for."""
     rows, cols = op.shape
     k, step = q.shape[1], len(buf) // cols
     symmetric = rows > step and op.symmetric  # one block has nothing past its diagonal block to skip
@@ -293,9 +302,10 @@ def _predicted_width(estimates: list[tuple[int, float]], limit: float) -> float:
 
 def _factorize(m) -> tuple[np.ndarray | None, np.ndarray, float]:
     """(Q, B, sqrt(n) ||A - Q B||_F) from the first basis that certifies its
-    residual, of the probe, the split basis and a grown basis in that order,
-    or (None, A, 0.0) below 64 rows and when none does (module docstring).
-    Q is dense in every case, N x (m + 2) for the split basis.
+    residual, of the probe, the split basis and the growth of the split's
+    sample (of the probe's where A has no border) below its border rows, in
+    that order, or (None, A, 0.0) below 64 rows and when none does (module
+    docstring).  Q is dense in every case, N x (lead + sample width).
 
     ``m`` is an :class:`_Operator` or anything :func:`as_cmatrix` accepts."""
     op = m if isinstance(m, _Operator) else _Matrix(as_cmatrix(m))
@@ -303,8 +313,8 @@ def _factorize(m) -> tuple[np.ndarray | None, np.ndarray, float]:
     n = min(rows, cols)
     if n < _DENSE_BELOW:
         return None, op.dense(), 0.0
-    lead = op.border_rows
-    if n < _GROW_FROM:  # the dense SVD needs A if the probe fails, and dense products are cheaper here
+    lead = op.border_rows if 2 * (op.border_rows + _PROBE_WIDTH) <= n else 0  # a split at most half as wide as A
+    if n < _GROW_FROM:  # the dense SVD needs A if no basis certifies, and dense products are cheaper here
         op = _Matrix(op.dense())
     limit = 0.5 * DEFAULT_TOL * rows / math.sqrt(n)
     block_rows = min(rows, 128, max(8, _BLOCK_BYTES // (16 * cols)))
@@ -313,17 +323,11 @@ def _factorize(m) -> tuple[np.ndarray | None, np.ndarray, float]:
     sample = _sample(op, rng.standard_normal((cols, _PROBE_WIDTH)))
     if sample is None:
         return None, op.dense(), 0.0
-    q = _orthonormal(sample)
-    found = _certify(op, q, limit, buf)
-    if found is not None:
-        return q, *found
-    if lead and 2 * (lead + _PROBE_WIDTH) <= n:  # the split basis, where it is at most half as wide as A
-        split = np.zeros((rows, lead + _PROBE_WIDTH), dtype=complex)
-        split[:lead, :lead] = np.eye(lead)
-        split[lead:, lead:] = _orthonormal(sample[lead:])
-        found = _certify(op, split, limit, buf, lead)
+    for tried in sorted({0, lead}):  # the probe, then the split
+        q = _basis(sample, tried)
+        found = _certify(op, q, limit, buf, tried)
         if found is not None:
-            return split, *found
+            return q, *found
     if n < _GROW_FROM:
         return None, op.dense(), 0.0
     estimates = []
@@ -331,11 +335,12 @@ def _factorize(m) -> tuple[np.ndarray | None, np.ndarray, float]:
         fresh = _sample(op, rng.standard_normal((cols, _BLOCK)))
         if fresh is None:
             break
-        k = q.shape[1]
-        # E ||(I - Q Q*) A omega||^2 = ||A - Q Q* A||_F^2 for a Gaussian column omega
-        estimates.append((k, float(np.linalg.norm(fresh - q @ (q.conj().T @ fresh))) / math.sqrt(_BLOCK)))
+        k, qj, z = sample.shape[1], q[lead:, lead:], fresh[lead:]
+        # E ||(I - Q Q*) A omega||^2 = ||A - Q Q* A||_F^2 for a Gaussian column omega,
+        # and (I - Q Q*) A omega is 0 on the lead rows
+        estimates.append((k, float(np.linalg.norm(z - qj @ (qj.conj().T @ z))) / math.sqrt(_BLOCK)))
         if estimates[-1][1] <= limit:
-            found = _certify(op, q, limit, buf)
+            found = _certify(op, q, limit, buf, lead)
             if found is not None:
                 return q, *found
         predicted = _predicted_width(estimates, limit)
@@ -348,7 +353,7 @@ def _factorize(m) -> tuple[np.ndarray | None, np.ndarray, float]:
             if parts[-1] is None:
                 break
         sample = np.hstack(parts)
-        q = _orthonormal(sample)
+        q = _basis(sample, lead)
     return None, op.dense(), 0.0
 
 
@@ -357,11 +362,13 @@ def trace_norm(m) -> float:
 
     It is ||B||_1 for A ~ Q B from :func:`_factorize`, so a certified range
     finder answers from 64 rows (``_DENSE_BELOW``) when the matrix is
-    numerically of low rank and the dense SVD otherwise.  The bases come in
-    the order probe (width 2), split (the m border rows kept as unit
-    vectors, the probe's sample below them; the residual is 0 on the m x m
-    corner and read on the m x (n - m) block beside it and from row m on),
-    grown, then dense.  The result is deterministic: the sketch is seeded.
+    numerically of low rank and the dense SVD otherwise.  The bases are one
+    family, the m border rows kept as unit vectors and a Gaussian sample
+    below them, in the order probe (m = 0, width 2), split (the probe's
+    sample below the border; the residual is 0 on the m x m corner and read
+    on the m x (n - m) block beside it and from row m on), then the sample
+    grown below the same border, then dense.  The result is deterministic:
+    the sketch is seeded.
     """
     return _factor_norm(*_factorize(m)[:2])
 

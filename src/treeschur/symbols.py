@@ -591,7 +591,8 @@ class _ResolventImage(_Operator):
     where H' is not (rank 1-2 against 16-36 for the corpus's spherical
     functions read at another degree), so a probe that fails is followed by
     the basis of the k unit vectors and of the probe's sample below them,
-    k + 2 columns (61 at q = 2, 39 at q = 3, 27 at q = 5).
+    k + 2 columns (61 at q = 2, 39 at q = 3, 27 at q = 5), whose sample then
+    grows below the same k rows if it fails too.
     """
 
     symmetric = True
@@ -831,7 +832,7 @@ class SchurNormReport:
     certified_error: float
     certified: bool
     budget: _Budget | None
-    sketch_width: int  # columns of the certified basis Q of the window (border rows + 2 for a split one), 0 when dense
+    sketch_width: int  # columns of the certified basis Q of the window: 2, border rows + 2, border rows + grown sample, 0 when dense
 
 
 def schur_norm(sym: RadialSymbol, q, target_err: float = 1e-8) -> SchurNormReport:

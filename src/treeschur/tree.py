@@ -248,8 +248,9 @@ def build_certificate(sym: RadialSymbol, q, n: int) -> FactorizationCertificate:
     """Factorization of the (resolvent-transformed) Hankel window.
 
     The window comes from the same evaluator as ``schur_norm``, factorized as
-    A ~ Q B by ``spectral._factorize``: Q is the probe's or a grown basis,
-    or the identity below 64 rows and where the range finder gives up.  With
+    A ~ Q B by ``spectral._factorize``: Q is the probe's, the split's or a
+    basis grown below the resolvent border, or the identity below 64 rows and
+    where the range finder gives up.  With
     U_B S V_B* the thin SVD of B, xi^(k) = sqrt(s_k) (Q U_B)_k and
     eta^(k) = sqrt(s_k) (V_B)_k, so that sum_k xi^(k) (x) eta^(k) reproduces
     Q B and sum_k s_k its trace norm.  The certified error covers the window
