@@ -469,6 +469,32 @@ def check_certified_factorization(op):
     return k
 
 
+@pytest.mark.parametrize("p, q, n", [(3, 2, 320), (2, 3, 512), (2, 5, 128), (3, 5, 320)])
+def test_grown_basis_is_orthonormal_and_its_half_width_is_the_dense_residual(p, q, n):
+    # spherical symbols read at another degree have numerical rank well above
+    # 2; they now certify on the split basis (border rows + 2 columns), whose
+    # factorization passes the same check as a grown one
+    k = check_certified_factorization(resolvent_window(p, complex(0.4, 0.7), q, n))
+    assert 2 < k <= n / 4
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.sampled_from([(2, 3), (2, 5), (3, 2), (3, 5), (5, 2), (5, 3)]),
+    st.sampled_from([64, 96, 128, 320, 512]),
+    st.floats(0.05, 0.95),
+    st.floats(0.0, 1.0),
+)
+def test_trace_norm_of_mismatched_resolvent_images(degrees, n, re_z, turn):
+    # the symbol of degree p read at degree q: |trace_norm - dense| within the
+    # allowance, whichever path answers
+    p, q = degrees
+    op = resolvent_window(p, complex(re_z, 2 * np.pi * turn / np.log(p)), q, n)
+    assert abs(trace_norm(op) - dense_trace_norm(op.dense())) <= DEFAULT_TOL * n
+    if _factorize(op)[0] is not None:
+        check_certified_factorization(op)
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(
     st.sampled_from([2, 3, 5, INF]),
@@ -543,10 +569,7 @@ def test_corpus_tail_item_takes_no_window_sized_svd(monkeypatch):
 
 @pytest.mark.parametrize(
     "p, q, n",
-    [
-        (3, 2, 256), (3, 2, 320), (2, 3, 512), (2, 3, 112), (2, 5, 64), (2, 5, 112), (2, 5, 128),
-        (3, 5, 224), (3, 5, 320), (5, 3, 128),
-    ],
+    [(3, 2, 256), (3, 2, 320), (2, 3, 512), (2, 3, 112), (2, 5, 64), (2, 5, 112), (3, 5, 224), (5, 3, 128)],
 )
 def test_split_basis_is_certified_and_its_half_width_is_the_dense_residual(p, q, n):
     # a spherical symbol read at another degree: the probe fails and the split
