@@ -12,38 +12,43 @@ term from the one allowance ``symbols._svd_allowance``, built on it.
 
 :func:`_factorize` is the one factorization of a window: the trace norm
 and the factorization certificates of ``tree.build_certificate`` both read
-it.  It reads its matrix A through an :class:`_Operator`: whether A is
-symmetric, its border rows, the products A X and Q* A, rows of A, the
-residual A - X in blocks of rows from a given column on, and the dense A.
-A plain matrix is wrapped in :class:`_Matrix`, which runs numpy's dense
-arithmetic; a window brings its own operator (``symbols._ResolventImage``),
-whose products run by FFT and whose row blocks are made from its generating
+it.  Every window is complex symmetric, and the factorization has one form,
+A ~ Q C Q^T with a k x k symmetric core C = Q* A conj(Q), the two-sided
+projection of Halko, Martinsson and Tropp (SIAM Rev. 2011, section 5).
+Since Q has orthonormal columns, ||Q C Q^T||_1 = ||C||_1.  It reads its
+matrix A through an :class:`_Operator`: whether A is symmetric, its border
+rows, the product A X (so Q* A = (A conj(Q))^T), rows of A, the residual
+A - X in blocks of rows from a given column on, and the dense A.  A plain
+matrix is wrapped in :class:`_Matrix`, which runs numpy's dense arithmetic;
+one that is not square or not exactly its own transpose takes the dense
+SVD.  A window brings its own operator (``symbols._ResolventImage``), whose
+products run by FFT and whose row blocks are made from its generating
 sequence, so the range finder never forms it.
 
 The range finder is seeded and certified, and every basis it tries belongs
 to one family, Q = E_lead (+) Q_J (:func:`_basis`): E_lead is the first
 ``lead`` unit vectors, exactly, and Q_J the Householder basis of a Gaussian
-sample Y = A Omega below its first ``lead`` rows.  Below 64 rows (n =
-min(rows, cols)) the dense SVD answers.  From 64 rows the probe runs first,
-``lead`` = 0 and a sample of width 2 (the windows of spherical functions
-read at their own degree have numerical rank at most 2).  Below 128 rows the
-probe reads the dense A, which the dense SVD needs if no basis certifies.
+sample Y = A Omega below its first ``lead`` rows.  Below 64 rows the dense
+SVD answers.  From 64 rows the probe runs first, ``lead`` = 0 and a sample
+of width 2 (the windows of spherical functions read at their own degree
+have numerical rank at most 2).  Below 128 rows the probe reads the dense
+A, which the dense SVD needs if no basis certifies.
 
 An A with m border rows (``symbols._ResolventImage``: the rows and columns
 below m carry the resolvent's correction, and the rows past m are
 numerically of low rank where A is not) takes ``lead`` = m where
 m + 2 <= n/2, else 0 as any other A.  A failed probe on it tries the split
 basis next, E_m (+) Q_J for the probe's own sample Y[m:] below the border,
-so nothing new is drawn.  The first m rows of B = Q* A are A's, read
-exactly, and so are those of Q B: the m x m corner of the residual A - Q B
-is 0, the m x (n - m) block beside it is read (twice, for its mirror, when A
-is symmetric), and the rows from m on are read as for any basis.
+so nothing new is drawn.  The first m columns of C are those of Q* A, read
+exactly from A's first m rows, so the m x m corner of the residual
+A - Q C Q^T is 0, the m x (n - m) block beside it is read and counted twice,
+for its mirror, and the rows from m on are read as for any basis.
 
 From 128 rows a basis that does not certify grows its sample below the same
-``lead`` rows (Halko, Martinsson and Tropp, SIAM Rev. 2011, sections
-4.3-4.4), so the growth continues from the split where there is one and from
-the probe elsewhere.  Each fresh sample Z = A Omega of 8 columns, from the
-same seeded stream, estimates the residual of the current Q, since
+``lead`` rows (Halko, Martinsson and Tropp, sections 4.3-4.4), so the growth
+continues from the split where there is one and from the probe elsewhere.
+Each fresh sample Z = A Omega of 8 columns, from the same seeded stream,
+estimates the residual of the current Q, since
 E ||(I - Q Q*) A omega||^2 = ||A - Q Q* A||_F^2 for a Gaussian column
 omega, and (I - Q Q*) A omega is 0 on the ``lead`` rows; Z then joins the
 sample.  The last two estimates, extrapolated geometrically, predict the
@@ -54,53 +59,50 @@ grows to that width plus 8 columns at once, up to n/4 columns past the
 under the limit pays the residual pass that certifies.  The dense SVD
 answers as soon as the predicted width exceeds n/4, when the sample has no
 room for another block of 8 within n/4, or when a sample is not finite.
-Since Q has orthonormal columns, for any B
+For any C,
 
-    | ||A||_1 - ||B||_1 | <= sqrt(n) ||A - Q B||_F,
+    | ||A||_1 - ||C||_1 | <= sqrt(n) ||A - Q C Q^T||_F,
 
-so the residual covers the rounding of Y and B, however they were computed.
-A ~ Q B is returned, with a half-width that bounds sqrt(n) ||A - Q B||_F,
-when the half-width is at most half of ``DEFAULT_TOL * rows``; the other
-half covers the rounding of Q, of the residual and of the small SVD.
+so the residual covers the rounding of Y and C, however they were computed.
+A ~ Q C Q^T is returned, with a half-width that bounds
+sqrt(n) ||A - Q C Q^T||_F, when the half-width is at most half of
+``DEFAULT_TOL * n``; the other half covers the rounding of Q, of the
+residual and of the small SVD.
 
-A plain matrix that is not square or not exactly its own transpose takes
-B = Q* A, and the pass sums ||A - Q B||_F^2 over all of A; so does a pass
-of one block, which has nothing to skip.  A symmetric A (A = A^T, which
-every window's resolvent image is) of more than one block takes the
-two-sided factor B = C Q^T, where C = Q* A conj(Q) is made exactly symmetric as
-(C + C^T)/2.  Then Q B = Q C Q^T is symmetric, and so is A - Q B up to the
-rounding of B, so the pass reads only the row blocks from their diagonal
-block on: ||R[I, I]||^2 + 2 ||R[I, past I]||^2 for each block I of rows.
-The rounding makes the lower part of R differ from the mirror of the upper
+Every pass forms C = Q* A conj(Q), made exactly symmetric as (C + C^T)/2,
+and B = C Q^T for its row blocks.  Q B = Q C Q^T is symmetric, and so is
+R = A - Q B up to the rounding of B, so the pass reads only the row blocks
+from their diagonal block on: ||R[I, I]||^2 + 2 ||R[I, past I]||^2 for each
+block I of rows.  A pass of one block with no border reads all of R.  The
+rounding makes the lower part of R differ from the mirror of the upper
 part.  With E = fl(C Q^T) - C Q^T, each real and imaginary part of an
 entry of C Q^T is a real inner product of length 2k, so
 |E| <= sqrt(2) gamma_2k |C| |Q|^T entrywise (Higham, *Accuracy and
 Stability of Numerical Algorithms*, 2nd ed., 2002, section 3.5).  The
 lower part of R minus the mirror of its upper part is the lower part of
 (Q E)^T - Q E, whose Frobenius norm is at most sqrt(2) ||Q E||_F
-<= 2 gamma_2k || |Q| |C|^T ||_F (||Q||_2 = 1 up to the rounding of Q).  The
-half-width is sqrt(n) times the square root of the sum plus that term, and
-the early exit and the limit read the same sum.  For a basis with
-``lead`` = m > 0, the first m columns of C are those of B, and
-|Q| = I (+) |Q_J|, so || |Q| |C|^T ||_F reads the first m columns of C and
-one (n - m) x (k - m) product.
+<= 2 gamma_2k || |Q| |C|^T ||_F (||Q||_2 = 1 up to the rounding of Q), a
+term that also bounds ||Q E||_F, by which the computed R differs from
+A - Q C Q^T.  The half-width is sqrt(n) times the square root of the sum
+plus that term, and the early exit and the limit read the same sum.  For a
+basis with ``lead`` = m > 0, |Q| = I (+) |Q_J|, so || |Q| |C|^T ||_F reads
+the first m columns of C and one (n - m) x (k - m) product.
 
 The products Q_I B of the pass run in real arithmetic: with B_x the 2k x
-2 cols real form of B ([Re B, Im B] interleaved as numpy stores them, over
+2n real form of B ([Re B, Im B] interleaved as numpy stores them, over
 the same for i B), Q_I B is [Re Q_I | Im Q_I] @ B_x, written straight into
 the float view of the block, and the block's squared norm is the dot
 product of that view with itself.  For a basis with ``lead`` = m > 0 only
 Q_J and the rows of B past m enter the product past the border, and within
 the border Q_I B is B_I.  A block holds at most ``_BLOCK_BYTES`` (512 KB,
 which fits a typical per-core L2 cache, where the 2.6 MB of 128 rows of a
-1280-row window do not): 8 to 128 rows, 2^15 // cols between them.  So
-the finder needs 512 KB plus O(k (rows + cols)) memory beyond what the
-operator holds.  When no basis certifies, the factorization is A = I A (Q
-is None, B is the dense A, checked to be finite, half-width 0) and the SVD
-of B is the dense SVD, so the allowance holds either way.
-:func:`trace_norm` is the sum of the singular values of B, which for a basis
-come from the k x k triangular factor of B^T; a certificate takes the
-singular vectors of B, which is k x cols on the sketch path.
+1280-row window do not): 8 to 128 rows, 2^15 // n between them.  So the
+finder needs 512 KB plus O(k n) memory beyond what the operator holds.
+When no basis certifies, the factorization is A = I A I^T (Q is None, C is
+the dense A, checked to be finite, half-width 0) and the SVD of C is the
+dense SVD, so the allowance holds either way.  :func:`trace_norm` is the
+sum of the singular values of C; a certificate takes the singular vectors
+of C, U S V*, as those of A, Q U and conj(Q) V.
 """
 
 from __future__ import annotations
@@ -155,21 +157,12 @@ def _svdvals(m: np.ndarray) -> np.ndarray:
     return np.maximum(_svd(m, compute_uv=False), 0.0)
 
 
-def _factor_norm(q: np.ndarray | None, b: np.ndarray) -> float:
-    """||B||_1 for A ~ Q B from :func:`_factorize`.  A basis's k x cols B
-    gives its singular values through the k x k triangular factor of B^T,
-    which has the same ones; the dense A (Q is None) takes its own SVD."""
-    if q is not None:
-        b = np.linalg.qr(b.T, mode="r")
-    return float(np.sum(_svdvals(b)))
-
-
 class _Operator:
     """A matrix A as :func:`_factorize` reads it: ``shape``, ``symmetric``
-    (A is square and A = A^T exactly), ``border_rows``, the m of a symmetric
-    A whose rows and columns past m are numerically of low rank (0 when none
-    are known), ``matmul(x)`` = A x, ``adjoint_matmul(q)`` = Q* A,
-    ``rows(start, stop)``, a copy of those rows of A,
+    (A is square and A = A^T exactly; the range finder reads no other A),
+    ``border_rows``, the m of A whose rows and columns past m are numerically
+    of low rank (0 when none are known), ``matmul(x)`` = A x, so that
+    Q* A = (A conj(Q))^T, ``rows(start, stop)``, a copy of those rows of A,
     ``subtract_block(row, col, out)``, which sets out to
     A[row : row + len(out), col : col + out.shape[1]] - out, and ``dense()``,
     A itself."""
@@ -190,9 +183,6 @@ class _Matrix(_Operator):
 
     def matmul(self, x):
         return self.m @ x
-
-    def adjoint_matmul(self, q):
-        return q.conj().T @ self.m
 
     def rows(self, start, stop):
         return self.m[start:stop].copy()
@@ -233,43 +223,40 @@ def _gamma(m: int) -> Fraction:
 
 
 def _certify(op: _Operator, q: np.ndarray, limit: float, buf: np.ndarray, lead: int = 0):
-    """(B, half-width) for A ~ Q B when the half-width is at most sqrt(n) limit,
-    else None: B = Q* A, or B = C Q^T for a symmetric A (module docstring).
+    """(C, half-width) for A ~ Q C Q^T, C = Q* A conj(Q) made exactly
+    symmetric, when the half-width is at most sqrt(n) limit, else None
+    (module docstring).
 
     The first ``lead`` columns of Q are the first ``lead`` unit vectors, and
-    its other columns are 0 on those rows (:func:`_basis`).  So B's first
-    ``lead`` rows are A's, read exactly, and so are those of Q B: the
-    residual is 0 there, up to the columns past ``lead`` of a symmetric A,
-    whose mirror block it also stands for."""
-    rows, cols = op.shape
-    k, step = q.shape[1], len(buf) // cols
-    symmetric = rows > step and op.symmetric  # one block has nothing past its diagonal block to skip
+    its other columns are 0 on those rows (:func:`_basis`).  So the first
+    ``lead`` columns of C are those of B = C Q^T, and the ``lead`` x ``lead``
+    corner of the residual is 0; the block beside it stands for its mirror
+    too."""
+    n = op.shape[0]
+    k, step = q.shape[1], len(buf) // n
     qj = q[:, lead:]
-    # B_x, the real form of B past its first lead rows: for rows I past lead,
-    # Q_I B is [Re Q_I | Im Q_I] @ B_x, viewed as complex
-    bx = np.empty((2 * k - lead, 2 * cols))
-    top = bx[:k].view(complex)
+    # B_x, the real form of B = C Q^T past its first lead rows: for rows I
+    # past lead, Q_I B is [Re Q_I | Im Q_I] @ B_x, viewed as complex
+    bx = np.empty((2 * k - lead, 2 * n))
+    top = bx[:k].view(complex)  # Q* A, then B
     top[:lead] = op.rows(0, lead)
-    top[lead:] = op.adjoint_matmul(qj)
-    slack = 0.0
-    if symmetric:
-        c = np.empty((k, k), dtype=complex)
-        c[:, :lead] = top[:, :lead]  # the unit columns of conj(Q) pick B's columns exactly
-        c[:, lead:] = top @ qj.conj()
-        c = 0.5 * (c + c.T)
-        np.matmul(c[:, lead:], qj.T, out=top)
-        top[:, :lead] = c[:, :lead]
-        # || |Q| |C|^T ||_F, whose rows above lead are the columns of |C|
-        mirror = math.hypot(np.linalg.norm(c[:, :lead]), np.linalg.norm(np.abs(qj[lead:]) @ np.abs(c[:, lead:]).T))
-        slack = 2.0 * float(_gamma(2 * k)) * mirror
+    top[lead:] = op.matmul(qj.conj()).T
+    c = np.empty((k, k), dtype=complex)
+    c[:, :lead] = top[:, :lead]  # the unit columns of conj(Q) pick the columns of Q* A exactly
+    c[:, lead:] = top @ qj.conj()
+    c = 0.5 * (c + c.T)
+    np.matmul(c[:, lead:], qj.T, out=top)
+    top[:, :lead] = c[:, :lead]
+    # || |Q| |C|^T ||_F, whose rows above lead are the columns of |C|
+    mirror = math.hypot(np.linalg.norm(c[:, :lead]), np.linalg.norm(np.abs(qj[lead:]) @ np.abs(c[:, lead:]).T))
+    slack = 2.0 * float(_gamma(2 * k)) * mirror
     np.multiply(bx[lead:k].view(complex), 1j, out=bx[k:].view(complex))
     qx = np.concatenate((qj.real, qj.imag), axis=1)
-    above = range(0, lead, step) if symmetric else ()
     ss = 0.0
-    for i in [*above, *range(lead, rows, step)]:
-        r = min(step, (lead if i < lead else rows) - i)
-        j = max(i, lead) if symmetric else 0
-        block = buf[: r * (cols - j)].reshape(r, cols - j)
+    for i in [*range(0, lead, step), *range(lead, n, step)]:
+        r = min(step, (lead if i < lead else n) - i)
+        j = max(i, lead)
+        block = buf[: r * (n - j)].reshape(r, n - j)
         if i < lead:  # unit rows of Q: Q_I B is B_I
             np.copyto(block, top[i : i + r, j:])
         else:
@@ -277,13 +264,13 @@ def _certify(op: _Operator, q: np.ndarray, limit: float, buf: np.ndarray, lead: 
         op.subtract_block(i, j, block)
         flat = block.view(float).ravel()
         part = float(np.dot(flat, flat))
-        if symmetric and r < cols - j:  # the columns past the diagonal block stand for their mirror too
+        if r < n - j:  # the columns past the diagonal block stand for their mirror too
             diagonal = block[:, : r if j == i else 0].view(float)
             part = 2.0 * part - float(np.einsum("ij,ij->", diagonal, diagonal))
         ss += part
         if not math.sqrt(ss) + slack <= limit:
             return None
-    return top, math.sqrt(min(rows, cols)) * (math.sqrt(ss) + slack)
+    return c, math.sqrt(n) * (math.sqrt(ss) + slack)
 
 
 def _predicted_width(estimates: list[tuple[int, float]], limit: float) -> float:
@@ -301,26 +288,28 @@ def _predicted_width(estimates: list[tuple[int, float]], limit: float) -> float:
 
 
 def _factorize(m) -> tuple[np.ndarray | None, np.ndarray, float]:
-    """(Q, B, sqrt(n) ||A - Q B||_F) from the first basis that certifies its
-    residual, of the probe, the split basis and the growth of the split's
-    sample (of the probe's where A has no border) below its border rows, in
-    that order, or (None, A, 0.0) below 64 rows and when none does (module
-    docstring).  Q is dense in every case, N x (lead + sample width).
+    """(Q, C, half-width) for A ~ Q C Q^T, C the exactly symmetric k x k core
+    and the half-width a bound on sqrt(n) ||A - Q C Q^T||_F, from the first
+    basis that certifies its residual, of the probe, the split basis and the
+    growth of the split's sample (of the probe's where A has no border)
+    below its border rows, in that order, or (None, A, 0.0) below 64 rows,
+    for an A that is not square or not its own transpose, and when no basis
+    certifies (module docstring).  Q is dense in every case, N x (lead +
+    sample width).
 
     ``m`` is an :class:`_Operator` or anything :func:`as_cmatrix` accepts."""
     op = m if isinstance(m, _Operator) else _Matrix(as_cmatrix(m))
-    rows, cols = op.shape
-    n = min(rows, cols)
-    if n < _DENSE_BELOW:
+    n = op.shape[0]
+    if n < _DENSE_BELOW or not op.symmetric:
         return None, op.dense(), 0.0
     lead = op.border_rows if 2 * (op.border_rows + _PROBE_WIDTH) <= n else 0  # a split at most half as wide as A
     if n < _GROW_FROM:  # the dense SVD needs A if no basis certifies, and dense products are cheaper here
         op = _Matrix(op.dense())
-    limit = 0.5 * DEFAULT_TOL * rows / math.sqrt(n)
-    block_rows = min(rows, 128, max(8, _BLOCK_BYTES // (16 * cols)))
-    buf = np.empty(block_rows * cols, dtype=complex)
+    limit = 0.5 * DEFAULT_TOL * n / math.sqrt(n)
+    block_rows = min(n, 128, max(8, _BLOCK_BYTES // (16 * n)))
+    buf = np.empty(block_rows * n, dtype=complex)
     rng = np.random.default_rng(0)
-    sample = _sample(op, rng.standard_normal((cols, _PROBE_WIDTH)))
+    sample = _sample(op, rng.standard_normal((n, _PROBE_WIDTH)))
     if sample is None:
         return None, op.dense(), 0.0
     for tried in sorted({0, lead}):  # the probe, then the split
@@ -332,7 +321,7 @@ def _factorize(m) -> tuple[np.ndarray | None, np.ndarray, float]:
         return None, op.dense(), 0.0
     estimates = []
     while True:
-        fresh = _sample(op, rng.standard_normal((cols, _BLOCK)))
+        fresh = _sample(op, rng.standard_normal((n, _BLOCK)))
         if fresh is None:
             break
         k, qj, z = sample.shape[1], q[lead:, lead:], fresh[lead:]
@@ -349,7 +338,7 @@ def _factorize(m) -> tuple[np.ndarray | None, np.ndarray, float]:
         parts = [sample, fresh]
         extra = min(math.ceil(predicted) + _BLOCK, n // 4) - k - _BLOCK
         if extra > 0:
-            parts.append(_sample(op, rng.standard_normal((cols, extra))))
+            parts.append(_sample(op, rng.standard_normal((n, extra))))
             if parts[-1] is None:
                 break
         sample = np.hstack(parts)
@@ -360,17 +349,17 @@ def _factorize(m) -> tuple[np.ndarray | None, np.ndarray, float]:
 def trace_norm(m) -> float:
     """Sum of singular values; the error it may carry is ``symbols._svd_allowance``.
 
-    It is ||B||_1 for A ~ Q B from :func:`_factorize`, so a certified range
-    finder answers from 64 rows (``_DENSE_BELOW``) when the matrix is
-    numerically of low rank and the dense SVD otherwise.  The bases are one
-    family, the m border rows kept as unit vectors and a Gaussian sample
-    below them, in the order probe (m = 0, width 2), split (the probe's
-    sample below the border; the residual is 0 on the m x m corner and read
-    on the m x (n - m) block beside it and from row m on), then the sample
-    grown below the same border, then dense.  The result is deterministic:
-    the sketch is seeded.
+    It is ||C||_1 for A ~ Q C Q^T from :func:`_factorize`, so a certified
+    range finder answers from 64 rows (``_DENSE_BELOW``) when the matrix is
+    complex symmetric and numerically of low rank, and the dense SVD
+    otherwise.  The bases are one family, the m border rows kept as unit
+    vectors and a Gaussian sample below them, in the order probe (m = 0,
+    width 2), split (the probe's sample below the border; the residual is 0
+    on the m x m corner and read on the m x (n - m) block beside it and from
+    row m on), then the sample grown below the same border, then dense.  The
+    result is deterministic: the sketch is seeded.
     """
-    return _factor_norm(*_factorize(m)[:2])
+    return float(np.sum(_svdvals(_factorize(m)[1])))
 
 
 def _trace_norm_below(m) -> float:

@@ -22,7 +22,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import DivergentDiagonals, DivergentSeries, NoConvergence, NonFinite
-from .spectral import DEFAULT_TOL, _all_finite, _factor_norm, _factorize, _Operator, as_cmatrix
+from .spectral import DEFAULT_TOL, _all_finite, _factorize, _Operator, _svdvals, as_cmatrix
 
 INF = math.inf
 
@@ -582,9 +582,9 @@ class _ResolventImage(_Operator):
     to be finite here (they are finite only if d is).
 
     The products H' X are Hankel correlations with G by FFT of length 2N,
-    minus the border slab; Q* H' = (H' conj Q)^T.  Blocks of rows, from any
-    column on, are made from a strided view of G minus the border, so no
-    N x N array is formed until ``dense``, which is those rows in one piece.
+    minus the border slab.  Blocks of rows, from any column on, are made
+    from a strided view of G minus the border, so no N x N array is formed
+    until ``dense``, which is those rows in one piece.
 
     The border also sizes the split basis of ``spectral._factorize``: the
     rows of H' past its ``border_rows`` = k are numerically of low rank
@@ -638,9 +638,6 @@ class _ResolventImage(_Operator):
             y[:k] -= self.border @ x
             y[k:] -= self.border[:, k:].T @ x[:k]
         return y
-
-    def adjoint_matmul(self, q):
-        return self.matmul(q.conj()).T
 
     def _subtract_border(self, row: int, col: int, out: np.ndarray) -> None:
         k, stop, col_stop = len(self.border), row + len(out), col + out.shape[1]
@@ -788,32 +785,32 @@ def _first_fit(n: int, cap: int, remainder: Callable[[int], float], limit: float
 
 @dataclass(frozen=True)
 class _Window:
-    """The N-window of H, its parity limits, the factorization H ~ Q B (q = inf)
-    or H' ~ Q B (finite q) of ``spectral._factorize`` with its residual
-    ``half_width`` (Q is None when B is the window itself), and the window's
-    error ``budget``."""
+    """The N-window of H, its parity limits, the factorization H ~ Q C Q^T
+    (q = inf) or H' ~ Q C Q^T (finite q) of ``spectral._factorize`` with its
+    residual ``half_width`` (Q is None when the ``core`` C is the window
+    itself), and the window's error ``budget``."""
 
     hankel: HankelMatrix
     parity: ParityDecomposition
     q_basis: np.ndarray | None
-    b: np.ndarray
+    core: np.ndarray
     half_width: float
     budget: _Budget
 
     @cached_property
     def term(self) -> float:
-        """The trace norm ||B||_1 of the window (``spectral._factor_norm``)."""
-        return _factor_norm(self.q_basis, self.b)
+        """The trace norm ||C||_1 of the window's core."""
+        return float(np.sum(_svdvals(self.core)))
 
 
 def _evaluate_window(sym: RadialSymbol, q, n: int, parity_tol: float = 1e-9) -> _Window:
     """Build the N-window, factorize its resolvent image (H itself at q = inf),
     and extract the parity limits and the window's ``_budget``."""
     h = build_hankel(sym, n)
-    q_basis, b, half_width = _factorize(_ResolventImage(h, q))
+    q_basis, core, half_width = _factorize(_ResolventImage(h, q))
     parity = extract_parity(sym, h, tol=parity_tol)
     return _Window(
-        hankel=h, parity=parity, q_basis=q_basis, b=b, half_width=half_width, budget=_budget(sym, q, n)
+        hankel=h, parity=parity, q_basis=q_basis, core=core, half_width=half_width, budget=_budget(sym, q, n)
     )
 
 
@@ -832,7 +829,7 @@ class SchurNormReport:
     certified_error: float
     certified: bool
     budget: _Budget | None
-    sketch_width: int  # columns of the certified basis Q of the window: 2, border rows + 2, border rows + grown sample, 0 when dense
+    sketch_width: int  # columns of the basis Q of the window's A ~ Q C Q^T: 2, border rows + 2, border rows + grown sample, 0 when dense
 
 
 def schur_norm(sym: RadialSymbol, q, target_err: float = 1e-8) -> SchurNormReport:

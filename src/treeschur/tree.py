@@ -248,23 +248,24 @@ def build_certificate(sym: RadialSymbol, q, n: int) -> FactorizationCertificate:
     """Factorization of the (resolvent-transformed) Hankel window.
 
     The window comes from the same evaluator as ``schur_norm``, factorized as
-    A ~ Q B by ``spectral._factorize``: Q is the probe's, the split's or a
+    A ~ Q C Q^T by ``spectral._factorize``: Q is the probe's, the split's or a
     basis grown below the resolvent border, or the identity below 64 rows and
-    where the range finder gives up.  With
-    U_B S V_B* the thin SVD of B, xi^(k) = sqrt(s_k) (Q U_B)_k and
-    eta^(k) = sqrt(s_k) (V_B)_k, so that sum_k xi^(k) (x) eta^(k) reproduces
-    Q B and sum_k s_k its trace norm.  The certified error covers the window
-    tail, the resolvent spill, dropped singular values (below 1e-15 absolute
-    or relative), the residual half-width sqrt(n) ||A - Q B||_F and the SVD
-    allowance (``symbols._svd_allowance``), scaled by the operator norm
+    where the range finder gives up (C is then A).  With U S V* the SVD of
+    the k x k core C, xi^(k) = sqrt(s_k) (Q U)_k and
+    eta^(k) = sqrt(s_k) (conj(Q) V)_k, so that sum_k xi^(k) (x) eta^(k)
+    reproduces Q C Q^T and sum_k s_k its trace norm.  The certified error
+    covers the window tail, the resolvent spill, dropped singular values
+    (below 1e-15 absolute or relative), the residual half-width
+    sqrt(n) ||A - Q C Q^T||_F and the SVD allowance
+    (``symbols._svd_allowance``), scaled by the operator norm
     (q+1)/(q-1) of the S_{m,n} family.  The parity limits are the declared
     ones of a certified tail (``symbols.extract_parity``), so they add no term.
     """
     q = check_degree(q)
     w = _evaluate_window(sym, q, n)
-    u, s, vh = _svd(w.b, full_matrices=False)
+    u, s, vh = _svd(w.core, full_matrices=False)
     if w.q_basis is not None:
-        u = w.q_basis @ u
+        u, vh = w.q_basis @ u, vh @ w.q_basis.T
     keep = s > max(1e-15, s[0] * 1e-15)
     dropped = float(np.sum(s[~keep]))
     s_kept = s[keep]

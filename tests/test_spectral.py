@@ -127,8 +127,8 @@ def test_sketch_that_overflows_goes_to_the_dense_path(monkeypatch):
     qr = np.linalg.qr
     monkeypatch.setattr(np.linalg, "qr", lambda a, *args, **kw: calls.append(a.shape) or qr(a, *args, **kw))
     m = np.full((256, 256), 1e308, dtype=complex)
-    q_basis, b, half_width = spectral._factorize(m)
-    assert q_basis is None and b is m and half_width == 0.0
+    q_basis, core, half_width = spectral._factorize(m)
+    assert q_basis is None and core is m and half_width == 0.0
     assert calls == []
 
 
@@ -222,6 +222,14 @@ def low_rank_complex(rng, n, rank, scale):
     return scale * (x @ y.conj().T) / rank
 
 
+def low_rank_symmetric(rng, n, rank, scale):
+    """The complex symmetric form x diag(w) x^T of :func:`low_rank_complex`,
+    made exactly symmetric, with entries of order ``scale``."""
+    x = random_complex(rng, n, n if rank is None else rank)
+    m = scale * (x * random_complex(rng, 1, x.shape[1])) @ x.T / x.shape[1]
+    return 0.5 * (m + m.T)
+
+
 def dense_trace_norm(m):
     return float(np.sum(singular_values(m)))
 
@@ -237,49 +245,67 @@ def test_trace_norm_agrees_with_the_dense_sum(n, rank, exponent, seed):
     # compares the two routes with each other: the allowance DEFAULT_TOL * n is
     # absolute, so against the true value it is too small at scales of 1e6 and
     # above whichever route runs
-    m = low_rank_complex(np.random.default_rng(seed), n, rank, 10.0 ** exponent)
+    m = low_rank_symmetric(np.random.default_rng(seed), n, rank, 10.0 ** exponent)
     assert abs(trace_norm(m) - dense_trace_norm(m)) <= DEFAULT_TOL * n
 
 
-def test_trace_norm_below_64_rows_is_the_dense_sum():
+def test_trace_norm_below_64_rows_is_the_dense_sum(monkeypatch):
+    draws, _ = record_paths(monkeypatch)
     rng = np.random.default_rng(21)
     for n in (1, 7, 63):
         m = low_rank_complex(rng, n, 1, 1.0)
         assert trace_norm(m) == dense_trace_norm(m)
     wide = low_rank_complex(rng, 63, 1, 1.0) @ random_complex(rng, 63, 300)
     assert trace_norm(wide) == dense_trace_norm(wide)
-    # from 64 rows a full-rank matrix fails the probe and takes the dense sum
+    assert draws == []
+    # from 64 rows a full-rank symmetric matrix fails the probe and takes the dense sum
     for n in (64, 127):
-        m = random_complex(rng, n, n)
+        m = low_rank_symmetric(rng, n, None, 1.0)
         assert trace_norm(m) == dense_trace_norm(m)
 
 
 def test_probe_answers_a_rank_one_matrix_from_64_rows(monkeypatch):
+    draws, _ = record_paths(monkeypatch)
     rng = np.random.default_rng(21)
     shapes = []
     svd = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: shapes.append(a.shape) or svd(a, *args, **kw))
     for n in (64, 96, 127):
-        m = low_rank_complex(rng, n, 1, 1.0)
+        m = low_rank_symmetric(rng, n, 1, 1.0)
         assert abs(trace_norm(m) - dense_trace_norm(m)) <= DEFAULT_TOL * n
+    assert draws == [(64, 2), (96, 2), (127, 2)]
+    # a matrix that is not square, or not its own transpose, takes the dense
+    # SVD without a sample
     wide = low_rank_complex(rng, 127, 1, 1.0) @ random_complex(rng, 127, 300)
-    assert abs(trace_norm(wide) - dense_trace_norm(wide)) <= DEFAULT_TOL * 127
-    # one 2 x 2 SVD per trace norm (the triangular factor of B), then the dense references
-    assert shapes == [(2, 2), (64, 64), (2, 2), (96, 96), (2, 2), (127, 127), (2, 2), (127, 300)]
+    assert trace_norm(wide) == dense_trace_norm(wide)
+    square = low_rank_complex(rng, 127, 1, 1.0)
+    assert trace_norm(square) == dense_trace_norm(square)
+    assert len(draws) == 3
+    # one SVD of the 2 x 2 core per trace norm, then the dense references
+    assert shapes == [(2, 2), (64, 64), (2, 2), (96, 96), (2, 2), (127, 127)] + [(127, 300)] * 2 + [(127, 127)] * 2
 
 
 def test_trace_norm_falls_back_to_the_dense_sum_at_full_rank():
-    m = random_complex(np.random.default_rng(22), 256, 256)
+    m = low_rank_symmetric(np.random.default_rng(22), 256, None, 1.0)
     assert trace_norm(m) == dense_trace_norm(m)
 
 
 def test_trace_norm_reads_the_residual_of_every_row_block():
-    # rank one plus noise in the last 128 of 512 rows, small enough that the
-    # first residual block fits the limit: only the last block shows that the
-    # sketch misses mass, so the dense SVD must answer
+    # rank one plus symmetric noise on the last 128 rows and columns of 256,
+    # which make the last of its two row blocks of 128.  The noise is
+    # orthogonal to the probe's draw (the seeded stream's first two columns),
+    # so the probe's basis holds the rank-one part and the first block's
+    # residual fits the limit: only the last block shows that the sketch
+    # misses mass.  No basis of n/4 columns holds the noise's rank of 126, so
+    # the dense SVD must answer
     rng = np.random.default_rng(25)
-    m = low_rank_complex(rng, 512, 1, 1.0)
-    m[384:] += 1e-13 * random_complex(rng, 128, 512)
+    n = 256
+    m = low_rank_symmetric(rng, n, 1, 1.0)
+    omega = np.random.default_rng(0).standard_normal((n, 2))[128:]
+    p = np.eye(128) - omega @ np.linalg.pinv(omega)
+    noise = 1e-13 * random_complex(rng, 128, 128)
+    noise = p @ (noise + noise.T) @ p
+    m[128:, 128:] += 0.5 * (noise + noise.T)
     assert trace_norm(m) == dense_trace_norm(m)
 
 
@@ -322,7 +348,7 @@ def test_range_finder_answers_a_low_rank_window_with_one_small_svd(monkeypatch):
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", recording_svd)
-    trace_norm(low_rank_complex(np.random.default_rng(26), 512, 3, 1.0))
+    trace_norm(low_rank_symmetric(np.random.default_rng(26), 512, 3, 1.0))
     assert shapes == [(10, 10)]
 
 
@@ -340,24 +366,26 @@ def test_width_two_probe_answers_a_rank_one_window(monkeypatch):
 
 def test_grown_basis_extends_the_probe_sample():
     # one seeded stream: the probe's first draw of width 2, then fresh blocks
-    # of 8; the basis is the Householder Q of the whole sample so far
-    m = low_rank_complex(np.random.default_rng(26), 512, 3, 1.0)
+    # of 8; the basis is the Householder Q of the whole sample so far, and the
+    # trace norm is that of its core C = Q* A conj(Q)
+    m = low_rank_symmetric(np.random.default_rng(26), 512, 3, 1.0)
     rng = np.random.default_rng(0)
     probe = m @ rng.standard_normal((512, 2))
     first_block = m @ rng.standard_normal((512, 8))
     q, _ = np.linalg.qr(np.hstack([probe, first_block]))
-    assert np.array_equal(_factorize(m)[0], q)
-    r = np.linalg.qr((q.conj().T @ m).T, mode="r")
-    assert trace_norm(m) == float(np.sum(np.linalg.svd(r, compute_uv=False)))
+    q_basis, core, _ = _factorize(m)
+    assert np.array_equal(q_basis, q)
+    assert np.linalg.norm(core - q.conj().T @ m @ q.conj()) <= 1e-13 * np.linalg.norm(m)
+    assert trace_norm(m) == float(np.sum(np.linalg.svd(core, compute_uv=False)))
 
 
 def test_trace_norm_is_deterministic():
-    m = low_rank_complex(np.random.default_rng(23), 512, 3, 1.0)
+    m = low_rank_symmetric(np.random.default_rng(23), 512, 3, 1.0)
     assert trace_norm(m) == trace_norm(m)
 
 
 def test_range_finder_memory_stays_at_block_size():
-    m = low_rank_complex(np.random.default_rng(24), 1024, 1, 1.0)
+    m = low_rank_symmetric(np.random.default_rng(24), 1024, 1, 1.0)
     tracemalloc.start()
     try:
         trace_norm(m)
@@ -415,35 +443,40 @@ def record_paths(monkeypatch):
 
 
 def check_certified_factorization(op):
-    """Q of a certified return is orthonormal to 10 k eps, and its half-width is
-    sqrt(n) ||A - Q B||_F recomputed densely, within rounding: the blocked and
-    the dense residual round the same products and differences, in another
-    order, so they differ by a few units u (|A| + |Q| |B|) per entry.  (The
+    """Q of a certified return is orthonormal to 10 k eps, its core C is
+    k x k and exactly symmetric, and its half-width is
+    sqrt(n) ||A - Q C Q^T||_F recomputed densely, within rounding and the
+    mirror term below.  The blocked and the dense residual round the same
+    products and differences, in another order, so they differ by a few
+    units u (|A| + |Q| |B|) per entry, B = C Q^T.  (The
     worst-case bound gamma_(k+2) of Higham, 2nd ed., 2002, lemma 3.5, would
     exceed the half-width itself.)
 
-    A symmetric A of more than one block gets B = C Q^T for a symmetric
-    k x k C, and its pass reads the residual R on and above the diagonal
-    blocks only, each block past the diagonal block counted twice.  The rounding of B makes R differ from its
-    transpose by at most ``term`` = 2 gamma_2k || |Q| |C|^T ||_F in Frobenius
-    norm; C is B conj(Q) up to rounding.  The half-width adds
-    sqrt(n) term to sqrt(n) times the norm of the mirrored upper part, which
-    is within sqrt(n) term of the dense residual, so it lies between the dense
-    residual and the dense residual plus 2 sqrt(n) term.
+    The pass reads the residual R on and past the diagonal blocks only, each
+    block past the diagonal block counted twice.  The rounding of B makes R
+    differ from its transpose by at most ``term`` = 2 gamma_2k || |Q| |C|^T ||_F
+    in Frobenius norm.  The half-width adds sqrt(n) term to sqrt(n) times
+    the norm of the mirrored upper part, which is within sqrt(n) term of the
+    dense residual, so it lies between the dense residual and the dense
+    residual plus 2 sqrt(n) term.  A pass of one block with no border reads
+    all of R, so its half-width is the dense residual plus sqrt(n) term,
+    within rounding.
 
     A basis with a border (``_certify`` with a leading identity block, the
     split or a growth below it) has Q = E_m (+) Q_J, E_m the first m =
     ``border_rows`` unit vectors, exactly, and 2 to n/4 columns in Q_J.  Then
-    the first m rows of Q B are A's, so the m x m corner of the residual is
-    0, and its half-width is the dense residual plus sqrt(n) term, within
-    rounding: the mirrored part differs from the dense one by the rounding of
-    B, which is far below its bound ``term`` here."""
-    q_basis, b, half_width = _factorize(op)
+    the m x m corner of the residual is 0, and its half-width is the dense
+    residual plus sqrt(n) term, within rounding: the mirrored part differs
+    from the dense one by the rounding of B, which is far below its bound
+    ``term`` here."""
+    q_basis, c, half_width = _factorize(op)
     assert q_basis is not None
     n, k = op.shape[0], q_basis.shape[1]
+    assert c.shape == (k, k) and np.array_equal(c, c.T)
     eps = np.finfo(float).eps
     assert np.linalg.norm(q_basis.conj().T @ q_basis - np.eye(k), 2) <= 10 * k * eps
     a = op.dense()
+    b = c @ q_basis.T
     residual = a - q_basis @ b
     dense_half_width = np.sqrt(n) * np.linalg.norm(residual)
     rounding = 4 * np.sqrt(n) * (eps / 2) * np.linalg.norm(np.abs(a) + np.abs(q_basis) @ np.abs(b))
@@ -452,19 +485,14 @@ def check_certified_factorization(op):
         assert lead + 2 <= k <= lead + n / 4
         assert not q_basis[:lead, lead:].any() and not q_basis[lead:, :lead].any()
         assert not residual[:lead, :lead].any()
-    # blocks of at most _BLOCK_BYTES; a pass of one block sums all of A
-    block_rows = min(n, 128, max(8, spectral._BLOCK_BYTES // (16 * n)))
-    if not np.array_equal(a, a.T) or block_rows == n:
-        assert abs(half_width - dense_half_width) <= rounding
-        return k
-    c = b @ q_basis.conj()
-    assert np.linalg.norm(c - c.T) <= 4 * k * eps * np.linalg.norm(c)
     gamma_2k = 2 * k * (eps / 2) / (1 - 2 * k * (eps / 2))
     term = 2 * gamma_2k * np.linalg.norm(np.abs(q_basis) @ np.abs(c).T)
     assert np.linalg.norm(residual - residual.T) / np.sqrt(2) <= term
     assert half_width >= (1 - 1e-9) * np.sqrt(n) * term
     assert -rounding <= half_width - dense_half_width <= 2 * np.sqrt(n) * term + rounding
-    if lead:
+    # blocks of at most _BLOCK_BYTES
+    block_rows = min(n, 128, max(8, spectral._BLOCK_BYTES // (16 * n)))
+    if lead or block_rows == n:
         assert abs(half_width - np.sqrt(n) * term - dense_half_width) <= rounding
     return k
 
@@ -506,9 +534,9 @@ def test_trace_norm_of_mismatched_resolvent_images(degrees, n, re_z, turn):
 def test_two_sided_half_width_of_resolvent_images(q, p, n, re_z, turn):
     # a spherical symbol read at its own degree, or at q = inf, has a window of
     # rank 2 that the probe certifies; read at another degree it may take a
-    # grown basis or the dense SVD.  N = 64 to 128 fit one block (the
-    # one-sided pass), N = 257 takes blocks of 127 rows with a last one of 3,
-    # and N = 1024 blocks of 32 rows
+    # grown basis or the dense SVD.  N = 64 to 128 fit one block, N = 257
+    # takes blocks of 127 rows with a last one of 3, and N = 1024 blocks of
+    # 32 rows
     op = resolvent_window(p, complex(re_z, 2 * np.pi * turn / np.log(p)), q, n)
     certified = _factorize(op)[0] is not None
     if p == q or q == INF:
@@ -531,7 +559,10 @@ def test_half_width_of_plain_matrices(n, rank, exponent, symmetric, seed):
     # matrix), so that the residual stands above the rounding of the check:
     # the probe certifies rank <= 2 at scales up to 1 (the limit is absolute,
     # so larger entries may end dense), and from 128 rows a grown basis may
-    # certify a higher rank
+    # certify a higher rank.  A matrix that is not symmetric takes the dense
+    # SVD without a sample: its core is the matrix itself, so its trace norm
+    # is the dense sum (bit for bit, as the 127-row cases of
+    # test_probe_answers_a_rank_one_matrix_from_64_rows check)
     rng = np.random.default_rng(seed)
     x = random_complex(rng, n, rank)
     y = x if symmetric else random_complex(rng, n, rank)
@@ -542,6 +573,12 @@ def test_half_width_of_plain_matrices(n, rank, exponent, symmetric, seed):
     m += 0.1 * (0.5 * DEFAULT_TOL * np.sqrt(n)) * noise / np.linalg.norm(noise)
     op = _Matrix(m)
     assert op.symmetric == symmetric
+    if not symmetric:
+        with pytest.MonkeyPatch.context() as patch:
+            draws, _ = record_paths(patch)
+            q_basis, core, half_width = _factorize(op)
+        assert q_basis is None and core is m and half_width == 0.0 and draws == []
+        return
     certified = _factorize(op)[0] is not None
     if exponent <= 0 and rank <= 2:
         assert certified
@@ -552,15 +589,19 @@ def test_half_width_of_plain_matrices(n, rank, exponent, symmetric, seed):
 def test_corpus_tail_item_takes_no_window_sized_svd(monkeypatch):
     # spherical q = 3, s = 0.4i read at q = 2 has a 256-row window whose rows
     # past the 59-row border are numerically of rank 2 or less: the split
-    # basis E_59 (+) orth(Y[59:]) of the probe's own sample certifies it
-    shapes, draws = [], []
-    svd, sample = np.linalg.svd, spectral._sample
+    # basis E_59 (+) orth(Y[59:]) of the probe's own sample certifies it.  The
+    # only SVD is that of the 61 x 61 core, and the only QRs are those of the
+    # probe's 256 x 2 sample and of its (256 - 59) x 2 part below the border
+    shapes, draws, qrs = [], [], []
+    svd, sample, qr = np.linalg.svd, spectral._sample, np.linalg.qr
     monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: shapes.append(np.shape(a)) or svd(a, *args, **kw))
+    monkeypatch.setattr(np.linalg, "qr", lambda a, *args, **kw: qrs.append(np.shape(a)) or qr(a, *args, **kw))
     monkeypatch.setattr(spectral, "_sample", lambda op, omega: draws.append(omega.shape) or sample(op, omega))
     rep = schur_norm(trace_class_corpus()[6], 2)
     assert rep.truncation_n == 256 and rep.sketch_width == 61
     assert draws == [(256, 2)]
-    assert shapes and all(max(shape) <= 61 for shape in shapes)
+    assert shapes == [(61, 61)]
+    assert qrs == [(256, 2), (256 - 59, 2)]
 
 
 # ---------------------------------------------------------------------------
@@ -573,7 +614,7 @@ def test_corpus_tail_item_takes_no_window_sized_svd(monkeypatch):
 )
 def test_split_basis_is_certified_and_its_half_width_is_the_dense_residual(p, q, n):
     # a spherical symbol read at another degree: the probe fails and the split
-    # basis certifies, two-sided from 129 rows (blocks of 128) and one-sided
+    # basis certifies, in blocks of 128 rows from 129 rows and in one block
     # below; its width is the border plus the probe's 2 columns
     op = resolvent_window(p, complex(0.4, 0.7), q, n)
     assert op.border_rows == {2: 59, 3: 37, 5: 25}[q]

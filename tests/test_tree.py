@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from treeschur.errors import NoConvergence, OrbitEscapesBall, SizeCap
 from treeschur import symbols
 from treeschur.spectral import DEFAULT_TOL, _factorize, _trace_norm_below, trace_norm
-from treeschur.spherical import schur_norm_in_s, spherical_symbol
+from treeschur.spherical import axis_ratio, schur_norm_in_s, spherical_symbol
 from treeschur.symbols import (
     INF,
     apply_resolvent,
@@ -390,7 +390,7 @@ def test_norm_and_certificate_read_one_window(make, q):
     n = rep.truncation_n
     cert = build_certificate(sym, q, n)
     assert cert.c_plus == rep.c_plus and cert.c_minus == rep.c_minus
-    # both read one factorization Q B of the window; the SVD of B with vectors
+    # both read one factorization Q C Q^T of the window; the SVD of C with vectors
     # and without them differ only in rounding
     assert abs(cert.value - rep.hankel_term) <= DEFAULT_TOL * n
 
@@ -424,33 +424,37 @@ def test_svd_failure_is_no_convergence(monkeypatch, run):
         run()
 
 
-@pytest.mark.parametrize("n", [128, 512])
-def test_certificate_reads_the_range_finder(monkeypatch, n):
+@pytest.mark.parametrize("q, n, width", [(3, 128, 2), (3, 512, 2), (2, 256, 61)], ids=["128", "512", "split-256"])
+def test_certificate_reads_the_range_finder(monkeypatch, q, n, width):
+    # spherical q = 3, s = 0.4i read at its own degree takes the probe; read
+    # at q = 2 its 256-row window takes the split basis, whose first 59
+    # columns are unit vectors, so xi = Q U and eta = conj(Q) V are checked
+    # where the border is
     sym = spherical_symbol(3, s=0.4j)
     shapes = recording_svd(monkeypatch)
-    cert = build_certificate(sym, 3, n)
+    cert = build_certificate(sym, q, n)
     assert shapes and all(min(shape) < n for shape in shapes)
     monkeypatch.undo()
-    tree = build_ball(3, 3, chain_extra=n + 1)
+    tree = build_ball(q, 3, chain_extra=n + 1)
     assert reconstruction_max_error(cert, tree, sym) <= 1e-8
     # the certified terms are those of the norm's window plus the dropped
-    # singular values of B and the residual half-width of A ~ Q B
-    w = symbols._evaluate_window(sym, 3, n)
-    assert w.q_basis is not None and w.half_width > 0
-    s = np.linalg.svd(w.b, full_matrices=False)[1]
+    # singular values of the core C and the residual half-width of A ~ Q C Q^T
+    w = symbols._evaluate_window(sym, q, n)
+    assert w.q_basis is not None and w.q_basis.shape[1] == width and w.half_width > 0
+    s = np.linalg.svd(w.core, full_matrices=False)[1]
     dropped = float(np.sum(s[s <= max(1e-15, s[0] * 1e-15)]))
     b = w.budget
-    assert cert.certified_error == 2.0 * (b.tail + b.spill + dropped + w.half_width + b.svd) + b.parity
+    assert cert.certified_error == axis_ratio(q) * (b.tail + b.spill + dropped + w.half_width + b.svd) + b.parity
 
 
 def test_certificate_falls_back_to_the_dense_window():
     # 300 random values fill every antidiagonal of the 128-row window, which is
-    # then of full rank: the range finder gives up and B is the window itself
+    # then of full rank: the range finder gives up and the core is the window itself
     n = 128
     sym = explicit_symbol(np.random.default_rng(30).standard_normal(300))
     window = apply_resolvent(build_hankel(sym, n), 3)
-    q_basis, b, half_width = _factorize(window)
-    assert q_basis is None and b is window and half_width == 0.0
+    q_basis, core, half_width = _factorize(window)
+    assert q_basis is None and core is window and half_width == 0.0
     cert = build_certificate(sym, 3, n)
     assert abs(cert.value - float(np.sum(np.linalg.svd(window, compute_uv=False)))) <= DEFAULT_TOL * n
     assert np.max(np.abs(cert.weights - window)) <= DEFAULT_TOL * n
