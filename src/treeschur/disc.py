@@ -21,8 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NoConvergence, UndeclaredTail
-from .spectral import trace_norm
-from .spherical import axis_ratio
+from .spectral import _svd_allowance, trace_norm
 from .symbols import (
     INF,
     HankelMatrix,
@@ -31,7 +30,6 @@ from .symbols import (
     _Majorant,
     _ResolventImage,
     _first_fit,
-    _svd_allowance,
     schur_norm,
 )
 
@@ -326,7 +324,7 @@ def peller_sandwich(
     ||H||_1 is read through the window operator of ``schur_norm`` at q = inf,
     which forms no N x N array where a basis certifies (``spectral``).
     ``slack`` adds the Hankel tail bound, the SVD allowance of the window
-    (``symbols._svd_allowance``, shared with ``schur_norm``) and the disc
+    (``spectral._svd_allowance``, shared with ``schur_norm``) and the disc
     integral's ``error_estimate``; the last is a Richardson difference (see
     ``disc_l1_norm``), so the slack is an estimate, not a proven bound.
     """
@@ -474,18 +472,14 @@ class MeasureBoundReport:
     upper: float
     schur_total: float | None
     bound_holds: bool | None
-    finite_q_constant: float | None
 
 
-def measure_bound(sym_target: RadialSymbol, mu: DiscMeasure, q=None, match_tol: float = 1e-9) -> MeasureBoundReport:
+def measure_bound(sym_target: RadialSymbol, mu: DiscMeasure, match_tol: float = 1e-9) -> MeasureBoundReport:
     """Verify phi(n) = c+ + c-(-1)^n + int z^n dmu for n <= 64 and bound the
     Schur norm.
 
     When the moments match, the infinite-degree Schur norm is computed through
     the Hankel pipeline (to 1e-8) and checked against |c+| + |c-| + mass(mu).
-    With a q supplied, the recovery constant (8/pi)(q+1)/(q-1) (8/pi at
-    q = inf) relating the optimal measure to the degree-q norm is reported
-    as well.
     """
     count = 65
     mismatch = float(np.max(np.abs(mu.moments(count) - sym_target.values(count))))
@@ -497,12 +491,10 @@ def measure_bound(sym_target: RadialSymbol, mu: DiscMeasure, q=None, match_tol: 
         rep = schur_norm(sym_target, INF, target_err=1e-8)
         schur_total = rep.total
         bound_holds = rep.total <= upper + rep.certified_error + match_tol * count
-    constant = None if q is None else EIGHT_OVER_PI * axis_ratio(q)
     return MeasureBoundReport(
         matches=matches,
         max_mismatch=mismatch,
         upper=upper,
         schur_total=schur_total,
         bound_holds=bound_holds,
-        finite_q_constant=constant,
     )

@@ -3,27 +3,27 @@ operators of Hankel windows, and a rounding-aware lower bound on the trace
 norm of a plain matrix (:func:`_trace_norm_below`).
 
 A plain matrix is a 2-D complex numpy array; every public entry point
-validates shape and finiteness via :func:`as_cmatrix`.  Singular values are
-computed with LAPACK through numpy, by :func:`_svd` for every caller (the
-certificates of ``tree.build_certificate`` too), which raises a LAPACK
-failure as ``NoConvergence``.  ``DEFAULT_TOL`` is the absolute
-accuracy per row assumed of a dense SVD; the certified budgets take their SVD
-term from the one allowance ``symbols._svd_allowance``, built on it.
+validates shape and finiteness via :func:`as_cmatrix`, and a plain matrix
+takes the dense SVD.  Singular values are computed with LAPACK through
+numpy, by :func:`_svd` for every caller (the certificates of
+``tree.build_certificate`` too), which raises a LAPACK failure as
+``NoConvergence``.  ``DEFAULT_TOL`` is the absolute accuracy per row
+assumed of a dense SVD; the certified budgets and the range finder take
+their SVD term from the one allowance :func:`_svd_allowance`, built on it.
 
 :func:`_factorize` is the one factorization of a window: the trace norm
 and the factorization certificates of ``tree.build_certificate`` both read
 it.  Every window is complex symmetric, and the factorization has one form,
 A ~ Q C Q^T with a k x k symmetric core C = Q* A conj(Q), the two-sided
 projection of Halko, Martinsson and Tropp (SIAM Rev. 2011, section 5).
-Since Q has orthonormal columns, ||Q C Q^T||_1 = ||C||_1.  It reads its
-matrix A through an :class:`_Operator`: whether A is symmetric, its border
-rows, the product A X (so Q* A = (A conj(Q))^T), rows of A, the residual
-A - X in blocks of rows from a given column on, and the dense A.  A plain
-matrix is wrapped in :class:`_Matrix`, which runs numpy's dense arithmetic;
-one that is not square or not exactly its own transpose takes the dense
-SVD.  A window brings its own operator (``symbols._ResolventImage``), whose
-products run by FFT and whose row blocks are made from its generating
-sequence, so the range finder never forms it.
+Since Q has orthonormal columns, ||Q C Q^T||_1 = ||C||_1.  It reads the
+window A through an :class:`_Operator`: its border rows, the product A X
+(so Q* A = (A conj(Q))^T), the residual A - X in blocks of rows from a
+given column on, and the dense A.  A window brings its own operator
+(``symbols._ResolventImage``), whose products run by FFT and whose row
+blocks are made from its generating sequence, so the range finder never
+forms it; below 128 rows it is read as the :class:`_Matrix` of its dense
+form.
 
 The range finder is seeded and certified, and every basis it tries belongs
 to one family, Q = E_lead (+) Q_J (:func:`_basis`): E_lead is the first
@@ -66,7 +66,7 @@ For any C,
 so the residual covers the rounding of Y and C, however they were computed.
 A ~ Q C Q^T is returned, with a half-width that bounds
 sqrt(n) ||A - Q C Q^T||_F, when the half-width is at most half of
-``DEFAULT_TOL * n``; the other half covers the rounding of Q, of the
+``_svd_allowance(n)``; the other half covers the rounding of Q, of the
 residual and of the small SVD.
 
 Every pass forms C = Q* A conj(Q), made exactly symmetric as (C + C^T)/2,
@@ -109,13 +109,25 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
 from .errors import NoConvergence, NonFinite
 
 DEFAULT_TOL = 1e-12
+
+
+def _svd_allowance(n: int) -> float:
+    """Absolute error allowed for the trace norm of an n-row window.  Every
+    certified budget reads its SVD term from here.
+
+    It is the accuracy assumed of a dense SVD of the window.  The range
+    finder keeps within it too: it certifies only when its residual
+    half-width is at most half of it, and that half-width bounds the error of
+    ||C||_1 for any C, so it also covers the rounding of the FFT products
+    that make the sample and C (module docstring)."""
+    return DEFAULT_TOL * n
+
 
 _DENSE_BELOW = 64     # n below which the dense SVD runs without a sketch
 _GROW_FROM = 128      # n from which a basis grows past the probe
@@ -158,34 +170,25 @@ def _svdvals(m: np.ndarray) -> np.ndarray:
 
 
 class _Operator:
-    """A matrix A as :func:`_factorize` reads it: ``shape``, ``symmetric``
-    (A is square and A = A^T exactly; the range finder reads no other A),
-    ``border_rows``, the m of A whose rows and columns past m are numerically
-    of low rank (0 when none are known), ``matmul(x)`` = A x, so that
-    Q* A = (A conj(Q))^T, ``rows(start, stop)``, a copy of those rows of A,
-    ``subtract_block(row, col, out)``, which sets out to
-    A[row : row + len(out), col : col + out.shape[1]] - out, and ``dense()``,
-    A itself."""
+    """A window A, square and complex symmetric, as :func:`_factorize` reads
+    it: ``shape``, ``border_rows``, the m of A whose rows and columns past m
+    are numerically of low rank (0 when none are known), ``matmul(x)`` = A x,
+    so that Q* A = (A conj(Q))^T, ``subtract_block(row, col, out)``, which
+    sets out to A[row : row + len(out), col : col + out.shape[1]] - out, and
+    ``dense()``, A itself."""
 
     border_rows = 0
 
 
 class _Matrix(_Operator):
-    """A plain matrix, read with numpy's dense arithmetic."""
+    """A window's dense form, read with numpy's dense arithmetic."""
 
     def __init__(self, m: np.ndarray):
         self.m = m
         self.shape = m.shape
 
-    @cached_property
-    def symmetric(self) -> bool:
-        return self.shape[0] == self.shape[1] and bool(np.array_equal(self.m, self.m.T))
-
     def matmul(self, x):
         return self.m @ x
-
-    def rows(self, start, stop):
-        return self.m[start:stop].copy()
 
     def subtract_block(self, row, col, out):
         np.subtract(self.m[row : row + len(out), col : col + out.shape[1]], out, out=out)
@@ -231,7 +234,7 @@ def _certify(op: _Operator, q: np.ndarray, limit: float, buf: np.ndarray, lead: 
     its other columns are 0 on those rows (:func:`_basis`).  So the first
     ``lead`` columns of C are those of B = C Q^T, and the ``lead`` x ``lead``
     corner of the residual is 0; the block beside it stands for its mirror
-    too."""
+    too.  The border rows of A are read as A minus a zeroed block."""
     n = op.shape[0]
     k, step = q.shape[1], len(buf) // n
     qj = q[:, lead:]
@@ -239,7 +242,8 @@ def _certify(op: _Operator, q: np.ndarray, limit: float, buf: np.ndarray, lead: 
     # past lead, Q_I B is [Re Q_I | Im Q_I] @ B_x, viewed as complex
     bx = np.empty((2 * k - lead, 2 * n))
     top = bx[:k].view(complex)  # Q* A, then B
-    top[:lead] = op.rows(0, lead)
+    top[:lead] = 0.0
+    op.subtract_block(0, 0, top[:lead])
     top[lead:] = op.matmul(qj.conj()).T
     c = np.empty((k, k), dtype=complex)
     c[:, :lead] = top[:, :lead]  # the unit columns of conj(Q) pick the columns of Q* A exactly
@@ -287,25 +291,21 @@ def _predicted_width(estimates: list[tuple[int, float]], limit: float) -> float:
     return k1 + (k1 - k0) * math.log(e1 / limit) / math.log(e0 / e1)
 
 
-def _factorize(m) -> tuple[np.ndarray | None, np.ndarray, float]:
-    """(Q, C, half-width) for A ~ Q C Q^T, C the exactly symmetric k x k core
-    and the half-width a bound on sqrt(n) ||A - Q C Q^T||_F, from the first
-    basis that certifies its residual, of the probe, the split basis and the
-    growth of the split's sample (of the probe's where A has no border)
-    below its border rows, in that order, or (None, A, 0.0) below 64 rows,
-    for an A that is not square or not its own transpose, and when no basis
-    certifies (module docstring).  Q is dense in every case, N x (lead +
-    sample width).
-
-    ``m`` is an :class:`_Operator` or anything :func:`as_cmatrix` accepts."""
-    op = m if isinstance(m, _Operator) else _Matrix(as_cmatrix(m))
+def _factorize(op: _Operator) -> tuple[np.ndarray | None, np.ndarray, float]:
+    """(Q, C, half-width) for the window A ~ Q C Q^T, C the exactly symmetric
+    k x k core and the half-width a bound on sqrt(n) ||A - Q C Q^T||_F, from
+    the first basis that certifies its residual, of the probe, the split
+    basis and the growth of the split's sample (of the probe's where A has
+    no border) below its border rows, in that order, or (None, A, 0.0) below
+    64 rows and when no basis certifies (module docstring).  Q is dense in
+    every case, N x (lead + sample width)."""
     n = op.shape[0]
-    if n < _DENSE_BELOW or not op.symmetric:
+    if n < _DENSE_BELOW:
         return None, op.dense(), 0.0
     lead = op.border_rows if 2 * (op.border_rows + _PROBE_WIDTH) <= n else 0  # a split at most half as wide as A
     if n < _GROW_FROM:  # the dense SVD needs A if no basis certifies, and dense products are cheaper here
         op = _Matrix(op.dense())
-    limit = 0.5 * DEFAULT_TOL * n / math.sqrt(n)
+    limit = 0.5 * _svd_allowance(n) / math.sqrt(n)
     block_rows = min(n, 128, max(8, _BLOCK_BYTES // (16 * n)))
     buf = np.empty(block_rows * n, dtype=complex)
     rng = np.random.default_rng(0)
@@ -347,19 +347,21 @@ def _factorize(m) -> tuple[np.ndarray | None, np.ndarray, float]:
 
 
 def trace_norm(m) -> float:
-    """Sum of singular values; the error it may carry is ``symbols._svd_allowance``.
+    """Sum of singular values; the error it may carry is :func:`_svd_allowance`.
 
-    It is ||C||_1 for A ~ Q C Q^T from :func:`_factorize`, so a certified
-    range finder answers from 64 rows (``_DENSE_BELOW``) when the matrix is
-    complex symmetric and numerically of low rank, and the dense SVD
-    otherwise.  The bases are one family, the m border rows kept as unit
-    vectors and a Gaussian sample below them, in the order probe (m = 0,
-    width 2), split (the probe's sample below the border; the residual is 0
-    on the m x m corner and read on the m x (n - m) block beside it and from
-    row m on), then the sample grown below the same border, then dense.  The
-    result is deterministic: the sketch is seeded.
+    A plain matrix, anything :func:`as_cmatrix` accepts, takes the dense SVD.
+    A window's :class:`_Operator` gives ||C||_1 for A ~ Q C Q^T from
+    :func:`_factorize`, so a certified range finder answers from 64 rows
+    (``_DENSE_BELOW``) when the window is numerically of low rank, and the
+    dense SVD otherwise.  The bases are one family, the m border rows kept
+    as unit vectors and a Gaussian sample below them, in the order probe
+    (m = 0, width 2), split (the probe's sample below the border; the
+    residual is 0 on the m x m corner and read on the m x (n - m) block
+    beside it and from row m on), then the sample grown below the same
+    border, then dense.  The result is deterministic: the sketch is seeded.
     """
-    return float(np.sum(_svdvals(_factorize(m)[1])))
+    core = _factorize(m)[1] if isinstance(m, _Operator) else as_cmatrix(m)
+    return float(np.sum(_svdvals(core)))
 
 
 def _trace_norm_below(m) -> float:

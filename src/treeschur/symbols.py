@@ -22,7 +22,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import DivergentDiagonals, DivergentSeries, NoConvergence, NonFinite
-from .spectral import DEFAULT_TOL, _all_finite, _factorize, _Operator, _svdvals, as_cmatrix
+from .spectral import _all_finite, _factorize, _Operator, _svd_allowance, _svdvals, as_cmatrix
 
 INF = math.inf
 
@@ -595,8 +595,6 @@ class _ResolventImage(_Operator):
     grows below the same k rows if it fails too.
     """
 
-    symmetric = True
-
     def __init__(self, h: "HankelMatrix", q):
         n, d = h.n, h.d
         c = 0.0 if q == INF else 1.0 / q
@@ -648,39 +646,31 @@ class _ResolventImage(_Operator):
             lo, left = max(row, k), min(col_stop, k)
             out[lo - row :, : left - col] -= self.border[col:left, lo:stop].T
 
-    def rows(self, start: int, stop: int) -> np.ndarray:
-        """Rows start .. stop-1 of H'."""
-        out = self._view[start:stop].copy()
-        self._subtract_border(start, 0, out)
-        return out
-
     def subtract_block(self, row, col, out):
         np.subtract(self._view[row : row + len(out), col : col + out.shape[1]], out, out=out)
         self._subtract_border(row, col, out)
 
     def dense(self):
-        a = self.rows(0, self.n)
+        a = self._view.copy()
+        self._subtract_border(0, 0, a)
         if not _all_finite(a):  # F is finite, but G - border may still overflow
             raise NonFinite("the resolvent image has NaN or infinite entries")
         return a
 
 
-def apply_resolvent(h: HankelMatrix | np.ndarray, q: int) -> np.ndarray:
+def apply_resolvent(h: np.ndarray, q: int) -> np.ndarray:
     """H' = (1-1/q) sum_k q^{-k} S^k H S*^k restricted to the window (exact there).
 
     h'[i,j] = (1-1/q) * sum_{k=0..min(i,j)} q^{-k} h[i-k, j-k]; the sum
     terminates inside the window, so no truncation error is introduced here.
-    A ``HankelMatrix`` gives the dense form of its :class:`_ResolventImage`,
-    the matrix the range finder reads in blocks, and raises NonFinite when
-    that is not finite.  Any other matrix runs the recurrence along its
-    diagonals as a log-depth scan: after the step of lag 2^t, entry (i, j)
-    holds the sum over k < 2^(t+1).
+    The plain matrix h runs the recurrence along its diagonals as a
+    log-depth scan: after the step of lag 2^t, entry (i, j) holds the sum
+    over k < 2^(t+1).  It is the reference that is independent of
+    :class:`_ResolventImage`, which reads a window's image in blocks.
     """
     q = check_degree(q)
     if q == INF:
         raise ValueError("the resolvent step applies to finite degree only")
-    if isinstance(h, HankelMatrix):
-        return _ResolventImage(h, q).dense()
     acc = as_cmatrix(h).copy()
     inv_q = 1.0 / q
     lag = 1
@@ -738,18 +728,6 @@ def extract_parity(sym: RadialSymbol, h: HankelMatrix, tol: float = 1e-9) -> Par
 # ---------------------------------------------------------------------------
 # one window of the pipeline
 # ---------------------------------------------------------------------------
-
-def _svd_allowance(n: int) -> float:
-    """Absolute error allowed for the trace norm of an n-row window.  Every
-    certified budget reads its SVD term from here.
-
-    It is the accuracy assumed of a dense SVD of the window.  The range
-    finder keeps within it too: it certifies only when its residual
-    half-width is at most half of it, and that half-width bounds the error of
-    ||B||_1 for any B, so it also covers the rounding of the FFT products
-    that make the sketch and B (``spectral`` module docstring)."""
-    return DEFAULT_TOL * n
-
 
 @dataclass(frozen=True)
 class _Budget:

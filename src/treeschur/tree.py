@@ -256,8 +256,8 @@ def build_certificate(sym: RadialSymbol, q, n: int) -> FactorizationCertificate:
     reproduces Q C Q^T and sum_k s_k its trace norm.  The certified error
     covers the window tail, the resolvent spill, dropped singular values
     (below 1e-15 absolute or relative), the residual half-width
-    sqrt(n) ||A - Q C Q^T||_F and the SVD allowance
-    (``symbols._svd_allowance``), scaled by the operator norm
+    sqrt(n) ||A - Q C Q^T||_F and the SVD allowance ``_Budget.svd``
+    (``spectral._svd_allowance``), scaled by the operator norm
     (q+1)/(q-1) of the S_{m,n} family.  The parity limits are the declared
     ones of a certified tail (``symbols.extract_parity``), so they add no term.
     """

@@ -29,11 +29,10 @@ from treeschur.disc import (
     peller_sandwich,
 )
 from treeschur.errors import UndeclaredTail
-from treeschur.spectral import trace_norm
-from treeschur.spherical import spherical_symbol
+from treeschur.spectral import _Matrix, _svd_allowance, trace_norm
+from treeschur.spherical import axis_ratio, spherical_symbol
 from treeschur.symbols import (
     INF,
-    _svd_allowance,
     explicit_symbol,
     lacunary_counterexample,
     parity_symbol,
@@ -324,7 +323,7 @@ def test_peller_reads_its_window_through_the_window_operator(quad):
     coeffs = difference_sequence(spherical_symbol(INF, s=0.9))
     g = g_from_symbol(coeffs)
     h = coeff_hankel(coeffs, 96)
-    assert peller_sandwich(h, g, quad).lhs == trace_norm(h.entries)
+    assert peller_sandwich(h, g, quad).lhs == trace_norm(_Matrix(h.entries))
     n = 1024
     peller_sandwich(coeff_hankel(coeffs, 128), g, quad)
     h = coeff_hankel(coeffs, n)
@@ -376,8 +375,8 @@ def test_measure_bound_constant_and_two_atoms():
     assert rep2.matches
     assert rep2.upper == pytest.approx(2.0, abs=1e-12)
     assert rep2.bound_holds
-    rep3 = measure_bound(sym, two, q=3)
-    assert rep3.finite_q_constant == pytest.approx(EIGHT_OVER_PI * 2.0)
+    # the recovery constant (8/pi)(q+1)/(q-1) at q = 3
+    assert EIGHT_OVER_PI * axis_ratio(3) == pytest.approx(EIGHT_OVER_PI * 2.0)
 
 
 def test_measure_moments_match_moment():
@@ -440,10 +439,10 @@ def test_finite_q_recovery_constant_chain(quad):
     sym = power_symbol(0.45 - 0.3j)
     mu = optimal_measure(g_from_symbol(difference_sequence(sym)), quad)
     for q in (2, 3):
-        rep = measure_bound(sym, mu, q=q, match_tol=1e-6)
+        rep = measure_bound(sym, mu, match_tol=1e-6)
         assert rep.matches
         norm_q = schur_norm(sym, q, target_err=1e-8).total
-        assert rep.upper <= rep.finite_q_constant * norm_q + 1e-6
+        assert rep.upper <= EIGHT_OVER_PI * axis_ratio(q) * norm_q + 1e-6
 
 
 def test_coeff_hankel_ratio_zero_tail_bound_dominates_discarded_part():

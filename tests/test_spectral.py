@@ -127,7 +127,7 @@ def test_sketch_that_overflows_goes_to_the_dense_path(monkeypatch):
     qr = np.linalg.qr
     monkeypatch.setattr(np.linalg, "qr", lambda a, *args, **kw: calls.append(a.shape) or qr(a, *args, **kw))
     m = np.full((256, 256), 1e308, dtype=complex)
-    q_basis, core, half_width = spectral._factorize(m)
+    q_basis, core, half_width = spectral._factorize(_Matrix(m))
     assert q_basis is None and core is m and half_width == 0.0
     assert calls == []
 
@@ -246,22 +246,23 @@ def test_trace_norm_agrees_with_the_dense_sum(n, rank, exponent, seed):
     # absolute, so against the true value it is too small at scales of 1e6 and
     # above whichever route runs
     m = low_rank_symmetric(np.random.default_rng(seed), n, rank, 10.0 ** exponent)
-    assert abs(trace_norm(m) - dense_trace_norm(m)) <= DEFAULT_TOL * n
+    assert abs(trace_norm(_Matrix(m)) - dense_trace_norm(m)) <= DEFAULT_TOL * n
 
 
 def test_trace_norm_below_64_rows_is_the_dense_sum(monkeypatch):
     draws, _ = record_paths(monkeypatch)
     rng = np.random.default_rng(21)
     for n in (1, 7, 63):
-        m = low_rank_complex(rng, n, 1, 1.0)
-        assert trace_norm(m) == dense_trace_norm(m)
+        m = low_rank_symmetric(rng, n, 1, 1.0)
+        assert trace_norm(_Matrix(m)) == dense_trace_norm(m)
     wide = low_rank_complex(rng, 63, 1, 1.0) @ random_complex(rng, 63, 300)
     assert trace_norm(wide) == dense_trace_norm(wide)
     assert draws == []
     # from 64 rows a full-rank symmetric matrix fails the probe and takes the dense sum
     for n in (64, 127):
         m = low_rank_symmetric(rng, n, None, 1.0)
-        assert trace_norm(m) == dense_trace_norm(m)
+        assert trace_norm(_Matrix(m)) == dense_trace_norm(m)
+    assert draws == [(64, 2), (127, 2)]
 
 
 def test_probe_answers_a_rank_one_matrix_from_64_rows(monkeypatch):
@@ -272,10 +273,10 @@ def test_probe_answers_a_rank_one_matrix_from_64_rows(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: shapes.append(a.shape) or svd(a, *args, **kw))
     for n in (64, 96, 127):
         m = low_rank_symmetric(rng, n, 1, 1.0)
-        assert abs(trace_norm(m) - dense_trace_norm(m)) <= DEFAULT_TOL * n
+        assert abs(trace_norm(_Matrix(m)) - dense_trace_norm(m)) <= DEFAULT_TOL * n
     assert draws == [(64, 2), (96, 2), (127, 2)]
-    # a matrix that is not square, or not its own transpose, takes the dense
-    # SVD without a sample
+    # a plain matrix, here not square or not its own transpose, takes the
+    # dense SVD without a sample
     wide = low_rank_complex(rng, 127, 1, 1.0) @ random_complex(rng, 127, 300)
     assert trace_norm(wide) == dense_trace_norm(wide)
     square = low_rank_complex(rng, 127, 1, 1.0)
@@ -285,9 +286,20 @@ def test_probe_answers_a_rank_one_matrix_from_64_rows(monkeypatch):
     assert shapes == [(2, 2), (64, 64), (2, 2), (96, 96), (2, 2), (127, 127)] + [(127, 300)] * 2 + [(127, 127)] * 2
 
 
+@pytest.mark.parametrize("n", [64, 1024])
+def test_plain_symmetric_matrix_takes_the_dense_sum_without_a_sample(monkeypatch, n):
+    # only a window's operator is sketched: a plain matrix, even a complex
+    # symmetric one of rank 1 that the probe would certify, is the dense sum
+    draws, passes = record_paths(monkeypatch)
+    m = low_rank_symmetric(np.random.default_rng(27), n, 1, 1.0)
+    assert np.array_equal(m, m.T)
+    assert trace_norm(m) == float(np.sum(np.linalg.svd(m, compute_uv=False)))
+    assert draws == [] and passes == []
+
+
 def test_trace_norm_falls_back_to_the_dense_sum_at_full_rank():
     m = low_rank_symmetric(np.random.default_rng(22), 256, None, 1.0)
-    assert trace_norm(m) == dense_trace_norm(m)
+    assert trace_norm(_Matrix(m)) == dense_trace_norm(m)
 
 
 def test_trace_norm_reads_the_residual_of_every_row_block():
@@ -306,7 +318,7 @@ def test_trace_norm_reads_the_residual_of_every_row_block():
     noise = 1e-13 * random_complex(rng, 128, 128)
     noise = p @ (noise + noise.T) @ p
     m[128:, 128:] += 0.5 * (noise + noise.T)
-    assert trace_norm(m) == dense_trace_norm(m)
+    assert trace_norm(_Matrix(m)) == dense_trace_norm(m)
 
 
 def test_trace_norm_reads_the_doubled_upper_residual_of_a_symmetric_matrix():
@@ -326,7 +338,7 @@ def test_trace_norm_reads_the_doubled_upper_residual_of_a_symmetric_matrix():
     m[256:, :256] += noise
     m[:256, 256:] += noise.T
     assert np.array_equal(m, m.T)
-    assert trace_norm(m) == dense_trace_norm(m)
+    assert trace_norm(_Matrix(m)) == dense_trace_norm(m)
     # the pass alone, on the basis of the rank-one part (the sampled bases are
     # tilted by the noise, which adds to their residual): the noise read
     # twice is over the limit, and its half-width is sqrt(n) times the noise
@@ -348,7 +360,7 @@ def test_range_finder_answers_a_low_rank_window_with_one_small_svd(monkeypatch):
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", recording_svd)
-    trace_norm(low_rank_symmetric(np.random.default_rng(26), 512, 3, 1.0))
+    trace_norm(_Matrix(low_rank_symmetric(np.random.default_rng(26), 512, 3, 1.0)))
     assert shapes == [(10, 10)]
 
 
@@ -373,22 +385,22 @@ def test_grown_basis_extends_the_probe_sample():
     probe = m @ rng.standard_normal((512, 2))
     first_block = m @ rng.standard_normal((512, 8))
     q, _ = np.linalg.qr(np.hstack([probe, first_block]))
-    q_basis, core, _ = _factorize(m)
+    q_basis, core, _ = _factorize(_Matrix(m))
     assert np.array_equal(q_basis, q)
     assert np.linalg.norm(core - q.conj().T @ m @ q.conj()) <= 1e-13 * np.linalg.norm(m)
-    assert trace_norm(m) == float(np.sum(np.linalg.svd(core, compute_uv=False)))
+    assert trace_norm(_Matrix(m)) == float(np.sum(np.linalg.svd(core, compute_uv=False)))
 
 
 def test_trace_norm_is_deterministic():
     m = low_rank_symmetric(np.random.default_rng(23), 512, 3, 1.0)
-    assert trace_norm(m) == trace_norm(m)
+    assert trace_norm(_Matrix(m)) == trace_norm(_Matrix(m))
 
 
 def test_range_finder_memory_stays_at_block_size():
-    m = low_rank_symmetric(np.random.default_rng(24), 1024, 1, 1.0)
+    op = _Matrix(low_rank_symmetric(np.random.default_rng(24), 1024, 1, 1.0))
     tracemalloc.start()
     try:
-        trace_norm(m)
+        trace_norm(op)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -559,10 +571,9 @@ def test_half_width_of_plain_matrices(n, rank, exponent, symmetric, seed):
     # matrix), so that the residual stands above the rounding of the check:
     # the probe certifies rank <= 2 at scales up to 1 (the limit is absolute,
     # so larger entries may end dense), and from 128 rows a grown basis may
-    # certify a higher rank.  A matrix that is not symmetric takes the dense
-    # SVD without a sample: its core is the matrix itself, so its trace norm
-    # is the dense sum (bit for bit, as the 127-row cases of
-    # test_probe_answers_a_rank_one_matrix_from_64_rows check)
+    # certify a higher rank.  A matrix that is not symmetric is no window:
+    # trace_norm takes one dense SVD of it without a sample (the path alone
+    # is checked, with the SVD stubbed, as no value is at stake)
     rng = np.random.default_rng(seed)
     x = random_complex(rng, n, rank)
     y = x if symmetric else random_complex(rng, n, rank)
@@ -571,14 +582,16 @@ def test_half_width_of_plain_matrices(n, rank, exponent, symmetric, seed):
     if symmetric:
         m, noise = 0.5 * (m + m.T), noise + noise.T
     m += 0.1 * (0.5 * DEFAULT_TOL * np.sqrt(n)) * noise / np.linalg.norm(noise)
-    op = _Matrix(m)
-    assert op.symmetric == symmetric
+    assert np.array_equal(m, m.T) == symmetric
     if not symmetric:
+        shapes = []
         with pytest.MonkeyPatch.context() as patch:
             draws, _ = record_paths(patch)
-            q_basis, core, half_width = _factorize(op)
-        assert q_basis is None and core is m and half_width == 0.0 and draws == []
+            patch.setattr(np.linalg, "svd", lambda a, *args, **kw: shapes.append(a.shape) or np.zeros(min(a.shape)))
+            assert trace_norm(m) == 0.0
+        assert draws == [] and shapes == [(n, n)]
         return
+    op = _Matrix(m)
     certified = _factorize(op)[0] is not None
     if exponent <= 0 and rank <= 2:
         assert certified

@@ -283,7 +283,7 @@ def test_eigenvalue_map_cosh_form():
 def test_spherical_hankel_rank_one_closed_forms():
     # h[i,j] and the resolvent image have explicit rank-one forms in the
     # characteristic roots; both must match the recurrence/window route
-    from treeschur.symbols import apply_resolvent, build_hankel
+    from treeschur.symbols import _ResolventImage, build_hankel
 
     rng = np.random.default_rng(27)
     for q in (2, 3, 5):
@@ -295,7 +295,7 @@ def test_spherical_hankel_rank_one_closed_forms():
                 continue
             sym = spherical_symbol(q, s=s)
             h = build_hankel(sym, 8)
-            hp = apply_resolvent(h, q)
+            hp = _ResolventImage(h, q).dense()
 
             def xi(n, _a=a, _b=b):
                 return (_a ** (n + 1) - _b ** (n + 1)) / (_a - _b)

@@ -184,7 +184,7 @@ def test_tail_bound_decreases_and_certifies():
 
 def test_apply_resolvent_window_values():
     h = build_hankel(half_symbol(), 6)
-    hp = apply_resolvent(h, 3)
+    hp = apply_resolvent(h.entries, 3)
     assert hp[0, 0] == pytest.approx(0.5)       # (2/3)(3/4)
     assert hp[1, 1] == pytest.approx(7.0 / 24.0)  # (2/3)(3/16 + 1/4)
 
@@ -285,7 +285,7 @@ def test_window_and_resolvent_match_reference_bit_for_bit(n):
         h = build_hankel(sym, n)
         assert np.array_equal(h.entries, reference_hankel(sym, n))
         for q in (2, 3, 5):
-            check_resolvent_against_oracle(h.d, n, q, apply_resolvent(h, q))
+            check_resolvent_against_oracle(h.d, n, q, _ResolventImage(h, q).dense())
         vals = sym.values(2 * n - 1)
         assert np.array_equal(coeff_hankel(sym, n).entries, vals[np.add.outer(np.arange(n), np.arange(n))])
 
@@ -406,7 +406,7 @@ def test_overflowing_resolvent_sequence_never_certifies(n):
     with pytest.raises(NonFinite):
         symbols_window(sym, 2, n)
     with pytest.raises(NonFinite):
-        apply_resolvent(build_hankel(sym, n), 2)
+        _ResolventImage(build_hankel(sym, n), 2)
     if n == 32:
         with pytest.raises(NonFinite):
             schur_norm(sym, 2)
@@ -422,8 +422,8 @@ def symbols_window(sym, q, n):
 @pytest.mark.parametrize("q", [2, 3, 5, INF])
 def test_resolvent_operator_products_and_blocks(q, n):
     # the FFT product agrees with the dense product of the operator's own
-    # matrix, and its row blocks, in one piece or as residuals from any column
-    # on, are that matrix
+    # matrix, which is complex symmetric, and its row blocks, as residuals
+    # from any column on, are that matrix
     from treeschur.spherical import spherical_symbol
 
     rng = np.random.default_rng(n)
@@ -443,9 +443,7 @@ def test_resolvent_operator_products_and_blocks(q, n):
         fft_err = 3 * (kappa + gamma(4)) * math.sqrt(size) * np.linalg.norm(op.g)
         dense_err = gamma(n) * (np.abs(a) @ np.abs(x))
         assert np.all(np.abs(op.matmul(x) - a @ x) <= fft_err * np.linalg.norm(x, axis=0) + 2 * dense_err)
-        assert op.symmetric and np.array_equal(a, a.T)
-        blocks = [op.rows(i, min(i + 128, n)) for i in range(0, n, 128)]
-        assert np.array_equal(np.concatenate(blocks), a)
+        assert np.array_equal(a, a.T)
         # rows i .. i+r-1 from column j on, to the last column or short of it,
         # for row blocks of 128 and of 8 (the byte-sized blocks of wide windows),
         # with columns that start inside the border (below 59 at q = 2) and past it
@@ -885,9 +883,9 @@ def test_tail_plus_spill_budget_dominates_window_gap(sym, q, ns, big):
     # spectral accuracy term tol*n that schur_norm accounts separately
     from treeschur.symbols import hankel_tail_bound, resolvent_spill_bound
 
-    t_big = trace_norm(apply_resolvent(build_hankel(sym, big), q))
+    t_big = trace_norm(_ResolventImage(build_hankel(sym, big), q))
     for n in ns:
-        t_n = trace_norm(apply_resolvent(build_hankel(sym, n), q))
+        t_n = trace_norm(_ResolventImage(build_hankel(sym, n), q))
         budget = hankel_tail_bound(sym, n) + resolvent_spill_bound(sym, n, q)
         assert abs(t_big - t_n) <= budget + 1e-12 * n, (q, n)
 

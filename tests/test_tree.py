@@ -13,7 +13,7 @@ from treeschur.spectral import DEFAULT_TOL, _factorize, _trace_norm_below, trace
 from treeschur.spherical import axis_ratio, schur_norm_in_s, spherical_symbol
 from treeschur.symbols import (
     INF,
-    apply_resolvent,
+    _ResolventImage,
     build_hankel,
     constant_symbol,
     explicit_symbol,
@@ -452,9 +452,10 @@ def test_certificate_falls_back_to_the_dense_window():
     # then of full rank: the range finder gives up and the core is the window itself
     n = 128
     sym = explicit_symbol(np.random.default_rng(30).standard_normal(300))
-    window = apply_resolvent(build_hankel(sym, n), 3)
-    q_basis, core, half_width = _factorize(window)
-    assert q_basis is None and core is window and half_width == 0.0
+    op = _ResolventImage(build_hankel(sym, n), 3)
+    window = op.dense()
+    q_basis, core, half_width = _factorize(op)
+    assert q_basis is None and np.array_equal(core, window) and half_width == 0.0
     cert = build_certificate(sym, 3, n)
     assert abs(cert.value - float(np.sum(np.linalg.svd(window, compute_uv=False)))) <= DEFAULT_TOL * n
     assert np.max(np.abs(cert.weights - window)) <= DEFAULT_TOL * n
