@@ -3,8 +3,10 @@
 A ball of radius R around a base vertex is materialized together with a
 distinguished infinite chain starting at the base; the climb map c sends every
 vertex one step along the unique path that eventually follows the chain.  Two
-vertices meet after (m, n) climbs with m + n = d(x, y), and the renormalized
-indicator vectors delta' diagonalize that structure:
+vertices meet after (m, n) climbs.  Every climb path to the chain tip is a
+geodesic, so the parent map fixes them: m + n = d(x, y) and
+m - n = d(x, tip) - d(y, tip).  The renormalized indicator vectors delta'
+diagonalize that structure:
 
     <delta'_x, delta'_y> = 1 (x = y), -1/(q-1) (siblings under c), 0 otherwise.
 
@@ -75,18 +77,8 @@ class FiniteTreeBall:
         self.tree_parent = tree_parent
         self.climb = climb
         self.chain = chain
-        self.on_chain = np.zeros(total, dtype=bool)
-        self.on_chain[chain] = True
 
     # -- basic queries ------------------------------------------------------
-
-    def climb_step(self, x: int) -> int:
-        c = int(self.climb[x])
-        if c < 0:
-            raise OrbitEscapesBall(
-                f"climb map undefined at node {x}: extend the chain (chain_extra too small)"
-            )
-        return c
 
     def distance(self, x: int, y: int) -> int:
         """Graph distance via the parent map (independent of the climb map)."""
@@ -107,31 +99,6 @@ class FiniteTreeBall:
         return d
 
     @cached_property
-    def orbits(self) -> np.ndarray:
-        """Orbit table: orbits[x, i] = c^i(x), and -1 once the orbit has
-        climbed past the stored chain tip; the last column is all -1.
-
-        Within ``radius`` climbs every node is on the chain or past its tip,
-        and from chain[p] the orbit runs chain[p + 1], chain[p + 2], ...: so
-        the table is ``radius`` climbs and one shift along the chain."""
-        climb = np.append(self.climb, -1)  # index -1 (escaped) stays at -1
-        cols = [np.arange(self.n_nodes)]
-        for _ in range(self.radius):
-            cols.append(climb[cols[-1]])
-        length = len(self.chain)
-        pos = np.full(self.n_nodes + 1, length)  # position along the chain; past the tip for -1
-        pos[self.chain] = np.arange(length)
-        start = pos[cols[-1]]
-        ahead = np.concatenate((self.chain, np.full(length + 1, -1)))
-        tail = ahead[start[:, None] + np.arange(1, length - start.min() + 1)]
-        return np.concatenate((np.stack(cols, axis=1), tail), axis=1)
-
-    @cached_property
-    def orbit_length(self) -> np.ndarray:
-        """Number of stored orbit nodes: c^i(x) lies in storage iff i < orbit_length[x]."""
-        return (self.orbits >= 0).sum(axis=1)
-
-    @cached_property
     def ancestors(self) -> np.ndarray:
         """Ancestor table of the parent map: ancestors[x, t] is the ancestor of x
         at depth t, and -1 for t > depth(x).
@@ -149,6 +116,14 @@ class FiniteTreeBall:
             ball[:, t - 1] = np.where(ball[:, t] >= 0, self.tree_parent[ball[:, t]], ball[:, t - 1])
         return table
 
+    @cached_property
+    def tip_distance(self) -> np.ndarray:
+        """d(x, tip) for every node, tip the last stored chain node.  The ancestors
+        of x agree with the chain (chain[t] at depth t) down to their lowest
+        common node and never below it, so the agreements count its depth + 1."""
+        common = (self.ancestors == self.chain).sum(axis=1) - 1
+        return self.depth + (len(self.chain) - 1) - 2 * common
+
     def distances(self, xs, ys) -> np.ndarray:
         """Graph distances between node arrays (broadcast together) from the
         parent map: depth(x) + depth(y) - 2 depth(lowest common ancestor)."""
@@ -160,27 +135,20 @@ class FiniteTreeBall:
         return dx + dy - 2 * lca
 
     def meeting(self, xs, ys) -> tuple[np.ndarray, np.ndarray]:
-        """Meeting indices (m, n) between node arrays (broadcast together).
-
-        Both orbits run on to the stored chain tip, so m - n is the difference
-        of the orbit lengths; (m, n) is the first position on that diagonal of
-        the orbit table where the two orbits hold the same node.
+        """Meeting indices (m, n), the first with c^m(x) = c^n(y), between node
+        arrays (broadcast together).  Both climb paths run to the stored chain
+        tip along geodesics and merge at the meeting node, so the parent map
+        fixes them: m + n = d(x, y) and m - n = d(x, tip) - d(y, tip).
         """
-        shift = self.orbit_length[xs] - self.orbit_length[ys]
-        m = np.maximum(shift, 0)
-        n = m - shift
-        while True:
-            apart = self.orbits[xs, m] != self.orbits[ys, n]
-            if not apart.any():
-                return m, n
-            m = m + apart
-            n = n + apart
+        dist = self.distances(xs, ys)
+        shift = self.tip_distance[xs] - self.tip_distance[ys]
+        return (dist + shift) // 2, (dist - shift) // 2
 
     def all_pairs_meeting(self) -> tuple[np.ndarray, np.ndarray]:
         """(m, n) for every ordered pair of ball nodes, as n_ball x n_ball arrays.
 
-        Each order is found on its own, so m(x, y) = n(y, x) is a real check.
         Every ball pair merges within 2R climbs, since m + n = d(x, y) <= 2R.
+        ``verify.check_meeting_indices`` checks them against the climb map.
         """
         nodes = np.arange(self.n_ball)
         return self.meeting(nodes[:, None], nodes[None, :])
@@ -301,9 +269,9 @@ def kernel_on_pairs(cert: FactorizationCertificate, tree: FiniteTreeBall, xs, ys
     diag[m, n] + sibling * weights[m-1, n-1], where diag holds the suffix sums
     of weights along its diagonals (zero past the window), built once in
     O(N^2).  The merged diagonal reads c^i(x) up to i = m + N - 1 - max(m, n);
-    if that node lies past the stored chain tip, ``OrbitEscapesBall`` is
-    raised.  The parity sign reads d = m + n.  The tests compare it against a
-    walk along the band and against the full double sum over all (i, j).
+    for i > d(x, tip) that node lies past the stored chain tip, which raises
+    ``OrbitEscapesBall``.  The parity sign reads d = m + n.  The tests compare
+    it against a band walk and against the full double sum over all (i, j).
     """
     plain = cert.q == INF
     if not plain and tree.q != cert.q:
@@ -312,7 +280,7 @@ def kernel_on_pairs(cert: FactorizationCertificate, tree: FiniteTreeBall, xs, ys
     m, n = tree.meeting(xs, ys)
     size = cert.weights.shape[0]
     lead = np.maximum(m, n)
-    if ((lead < size) & (m + size - 1 - lead >= tree.orbit_length[xs])).any():
+    if ((lead < size) & (m + size - 1 - lead > tree.tip_distance[xs])).any():
         raise OrbitEscapesBall("climb map undefined inside the window: extend the chain (chain_extra too small)")
     # a zero last row and column: index size (past the window) and index -1
     # (no sibling step before a merge at m = 0 or n = 0) both read 0

@@ -76,18 +76,23 @@ class SuiteReport:
 
 
 def check_meeting_indices(tree) -> CheckResult:
-    """On every ordered ball pair, m(x, y) = n(y, x), and the parent map fixes
-    (m, n): m + n = d(x, y) and m - n = d(x, tip) - d(y, tip), since the climb
-    path to the stored chain tip is a geodesic."""
-    nodes = np.arange(tree.n_ball)
+    """On every ordered ball pair, (m, n) are the first meeting indices of the
+    climb map walked step by step: m, n >= 0, c^m(x) = c^n(y) is a stored node,
+    and c^(m-1)(x) != c^(n-1)(y) when m, n >= 1.  ``max_err`` counts the pairs
+    that fail, so it is 0 when the check passes."""
     m_arr, n_arr = tree.all_pairs_meeting()
-    dist = tree.distances(nodes[:, None], nodes[None, :])
-    to_tip = tree.distances(nodes, tree.chain[-1])
-    worst = max(
-        np.abs(m_arr + n_arr - dist).max(),
-        np.abs(m_arr - n_arr - (to_tip[:, None] - to_tip[None, :])).max(),
-        np.abs(m_arr - n_arr.T).max(),
-    )
+    climb = np.append(tree.climb, -1)  # index -1 (past the chain tip) stays at -1
+    # c^(m-1)(x) and c^(n-1)(y), x and y at m, n <= 0; past n_nodes climbs every walk is at -1
+    before_x = np.broadcast_to(np.arange(tree.n_ball)[:, None], m_arr.shape)
+    before_y = before_x.T
+    for k in range(1, min(int(max(m_arr.max(), n_arr.max())), tree.n_nodes + 1)):
+        before_x = np.where(k < m_arr, climb[before_x], before_x)
+        before_y = np.where(k < n_arr, climb[before_y], before_y)
+    at_x = np.where(m_arr >= 1, climb[before_x], before_x)
+    at_y = np.where(n_arr >= 1, climb[before_y], before_y)
+    fails = (m_arr < 0) | (n_arr < 0) | (at_x < 0) | (at_x != at_y)
+    fails |= (m_arr >= 1) & (n_arr >= 1) & (before_x == before_y)
+    worst = int(fails.sum())
     return CheckResult("meeting-indices-vs-distance", worst == 0, worst)
 
 

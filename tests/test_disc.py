@@ -429,6 +429,9 @@ def test_optimal_measure_reproduces_symbol(quad):
     # moments within 1e-6; the measure's mass is the disc integral, hence within the (8/pi) bound
     res = check_optimal_measure(power_symbol(0.45 - 0.3j), quad)
     assert res.passed and res.max_err <= 1e-6
+    # a finite-support symbol: g has no tail, so its series order is read off its coefficients
+    res = check_optimal_measure(explicit_symbol([1, 0.5, -0.25, 0.125]), quad)
+    assert res.passed and res.max_err <= 1e-6
 
 
 def test_finite_q_recovery_constant_chain(quad):

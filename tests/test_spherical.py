@@ -267,6 +267,7 @@ def test_hankel_product_sum_confluent_cases():
     c, d = 0.3, -0.25 + 0.1j
     assert abs(hankel_product_sum(a, a, c, d) - series_oracle(a, a, c, d)) <= 1e-10
     assert abs(hankel_product_sum(a, a, c, c) - series_oracle(a, a, c, c)) <= 1e-10
+    assert abs(hankel_product_sum(c, d, a, a) - series_oracle(c, d, a, a)) <= 1e-10
 
 
 def test_eigenvalue_map_cosh_form():

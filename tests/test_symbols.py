@@ -530,6 +530,20 @@ def test_schur_norm_lacunary_diverges():
         schur_norm(lacunary_counterexample(), INF, target_err=1e-8)
 
 
+@pytest.mark.parametrize("q", [2, 3, INF])
+def test_doubling_rule_stops_on_trace_norms_that_fail_to_shrink(q):
+    # phi(4j + 2) = -1/(j + 1), else 0: d[4j] = 1/(j + 1), d[4j + 2] = -1/(j + 1)
+    # and d odd vanish, so every window's diagonal sums cancel exactly and the
+    # parity test passes, but the Hankel matrix is not trace class; the ratio
+    # rule of the partial trace norms raises
+    def values_fn(count):
+        m = np.arange(count)
+        return np.where(m % 4 == 2, -1.0 / (m // 4 + 1), 0.0)
+
+    with pytest.raises(DivergentDiagonals, match="partial trace norms fail the Cauchy criterion"):
+        schur_norm(RadialSymbol(tail=Undeclared(), values_fn=values_fn), q, target_err=1e-8)
+
+
 def test_lacunary_truncated_norms_grow_past_block_bound():
     sym = lacunary_counterexample()
     prev = 0.0
@@ -566,6 +580,10 @@ def test_ma_upper_bound_lacunary_within_analytic_bound():
 def test_ma_upper_bound_divergent_for_parity():
     with pytest.raises(DivergentSeries):
         ma_upper_bound(constant_symbol(1.0))
+    # the scaled lacunary symbol keeps no tail: the series is refused, not
+    # summed as the unscaled symbol's closed form
+    with pytest.raises(DivergentSeries):
+        ma_upper_bound(scale_symbol(lacunary_counterexample(), 2))
 
 
 def test_block_lower_bound_values():
@@ -651,6 +669,9 @@ def test_schur_norm_uncertified_tail_converges_with_flag():
     rep = schur_norm(sym, INF, target_err=1e-8)
     assert not rep.certified
     assert rep.total == pytest.approx(1.0, abs=1e-7)
+    # scaling or shifting a symbol without a decay certificate gives none either
+    for derived in (scale_symbol(sym, 2.0), parity_symbol(0.5, 0.25, sym)):
+        assert not schur_norm(derived, INF, target_err=1e-8).certified
 
 
 def test_schur_norm_cap_raises_no_convergence():

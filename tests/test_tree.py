@@ -74,8 +74,10 @@ def reconstruct_kernel_dense(cert, tree, x, y):
     size = cert.weights.shape[0]
     ox, oy = [x], [y]
     for _ in range(size - 1):
-        ox.append(tree.climb_step(ox[-1]))
-        oy.append(tree.climb_step(oy[-1]))
+        ox.append(int(tree.climb[ox[-1]]))
+        oy.append(int(tree.climb[oy[-1]]))
+        if min(ox[-1], oy[-1]) < 0:
+            raise OrbitEscapesBall("climb map undefined inside the window")
     ox, oy = np.array(ox)[:, None], np.array(oy)[None, :]
     if cert.q == INF:
         g = (ox == oy) * 1.0
@@ -88,7 +90,7 @@ def reconstruct_kernel_dense(cert, tree, x, y):
 def kernel_on_pairs_band(cert, tree, xs, ys):
     """Reference for ``kernel_on_pairs``: the band i - j = m - n, i >= m - 1,
     walked one offset at a time for all pairs, with G read from node
-    identities in the orbit table and d from the parent map, O(pairs x N)."""
+    identities in the walked orbits and d from the parent map, O(pairs x N)."""
     xs, ys = np.asarray(xs), np.asarray(ys)
     m, n = tree.meeting(xs, ys)
     total = cert.c_plus + cert.c_minus * np.where(tree.distances(xs, ys) % 2, -1.0, 1.0)
@@ -96,15 +98,16 @@ def kernel_on_pairs_band(cert, tree, xs, ys):
     # the band starts at the sibling pair one climb before the merge, if both exist
     before = np.where(np.minimum(m, n) >= 1, 1, 0)
     i, j = m - before, n - before
-    last = tree.orbits.shape[1] - 1  # an all -1 column: climbed past the chain tip
+    orbits = walked_orbits(tree)
+    last = orbits.shape[1] - 1  # an all -1 column: climbed past the chain tip
     climb = np.append(tree.climb, -1)
     sibling = 0.0 if cert.q == INF else -1.0 / (tree.q - 1.0)
     while True:
         live = (i < size) & (j < size)
         if not live.any():
             return total
-        a = tree.orbits[xs, np.minimum(i, last)]
-        b = tree.orbits[ys, np.minimum(j, last)]
+        a = orbits[xs, np.minimum(i, last)]
+        b = orbits[ys, np.minimum(j, last)]
         if (live & (a < 0)).any():
             raise OrbitEscapesBall("climb map undefined inside the window")
         g = np.where(a == b, 1.0, np.where(climb[a] == climb[b], sibling, 0.0))
@@ -133,7 +136,7 @@ def test_ball_structure():
         assert tree.climb[v] == tree.chain[i + 1]
     # off-chain depth-1 nodes climb to the base vertex
     for v in inner:
-        if not tree.on_chain[v]:
+        if v not in tree.chain:
             assert tree.climb[v] == 0
 
 
@@ -173,13 +176,12 @@ def test_ball_layout_matches_the_breadth_first_walk(q, chain_extra):
         for got, want in ((tree.depth, depth), (tree.tree_parent, parent), (tree.climb, climb)):
             assert got.dtype == np.int64 and np.array_equal(got, want)
         assert tree.chain == chain and all(type(v) is int for v in tree.chain)
-        assert np.array_equal(np.flatnonzero(tree.on_chain), chain)
         assert tree.n_nodes == len(depth) == tree.n_ball + chain_extra
 
 
 def walked_orbits(tree):
-    """Reference for ``FiniteTreeBall.orbits``: one climb step per column
-    until every orbit has climbed past the chain tip."""
+    """Climb orbits, walked[x, i] = c^i(x) and -1 past the chain tip: one
+    climb step per column until every orbit has climbed past the tip."""
     climb = np.append(tree.climb, -1)
     cols = [np.arange(tree.n_nodes)]
     while cols[-1].max() >= 0:
@@ -205,7 +207,11 @@ def walked_ancestors(tree):
 def test_orbit_and_ancestor_tables_match_the_walks(q, chain_extra):
     for radius in range(1, 5):
         tree = build_ball(q, radius, chain_extra=chain_extra)
-        for got, want in ((tree.orbits, walked_orbits(tree)), (tree.ancestors, walked_ancestors(tree))):
+        # the climb orbit from x is a geodesic to the chain tip: d(x, tip) + 1 stored nodes
+        for got, want in (
+            (tree.tip_distance, (walked_orbits(tree) >= 0).sum(axis=1) - 1),
+            (tree.ancestors, walked_ancestors(tree)),
+        ):
             assert got.dtype == want.dtype == np.int64 and got.shape == want.shape
             assert np.array_equal(got, want)
 
@@ -220,7 +226,7 @@ def test_meeting_indices_examples():
     assert meeting_indices(tree, 0, 0) == (0, 0)
     x2 = tree.chain[2]
     assert meeting_indices(tree, x2, 0) == (0, 2)
-    off = [v for v in range(tree.n_ball) if tree.depth[v] == 1 and not tree.on_chain[v]]
+    off = [v for v in range(tree.n_ball) if tree.depth[v] == 1 and v not in tree.chain]
     m, n = meeting_indices(tree, off[0], off[1])
     assert (m, n) == (1, 1)
     assert tree.distance(off[0], off[1]) == 2
@@ -252,7 +258,26 @@ def test_meeting_check_fails_on_mirrored_wrong_indices(monkeypatch):
     assert np.array_equal(wrong_m, wrong_n.T) and np.array_equal(wrong_m + wrong_n, m_arr + n_arr)
     assert not np.array_equal(wrong_m, m_arr)
     monkeypatch.setattr(tree, "all_pairs_meeting", lambda: (wrong_m, wrong_n))
-    assert not check_meeting_indices(tree).passed
+    res = check_meeting_indices(tree)
+    assert not res.passed and res.max_err == np.count_nonzero(m_arr != n_arr)
+
+
+@pytest.mark.parametrize("x, y, wrong", [
+    (2, 5, lambda m, n, tip: (m + 1, n + 1)),
+    (5, 5, lambda m, n, tip: (-1, -1)),
+    (5, 5, lambda m, n, tip: (tip + 1, tip + 2)),
+], ids=["diagonal-shift", "minus-one", "past-the-tip"])
+def test_meeting_check_fails_on_one_wrong_pair(monkeypatch, x, y, wrong):
+    # one pair's (m, n) moved: one step along its diagonal the climbs still
+    # agree, but not first; (-1, -1) on x = y counts no climbs; and
+    # (d + 1, d + 2) on x = y, d = d(x, tip), agree only past the chain tip
+    tree = build_ball(2, 3, chain_extra=4)
+    m_arr, n_arr = tree.all_pairs_meeting()
+    wrong_m, wrong_n = m_arr.copy(), n_arr.copy()
+    wrong_m[x, y], wrong_n[x, y] = wrong(m_arr[x, y], n_arr[x, y], tree.tip_distance[x])
+    monkeypatch.setattr(tree, "all_pairs_meeting", lambda: (wrong_m, wrong_n))
+    res = check_meeting_indices(tree)
+    assert not res.passed and res.max_err == 1
 
 
 @pytest.mark.parametrize("q, radius, chain_extra", [(2, 3, 4), (3, 2, 3)])
@@ -273,16 +298,9 @@ def test_deltaprime_gram_cases():
     assert deltaprime_gram(tree, sibs[0], sibs[1]) == pytest.approx(-0.5)
     # the base vertex and an off-chain child of x1 are climb siblings too
     x1 = tree.chain[1]
-    child_x1 = [v for v in range(tree.n_ball) if tree.tree_parent[v] == x1 and not tree.on_chain[v]]
+    child_x1 = [v for v in range(tree.n_ball) if tree.tree_parent[v] == x1 and v not in tree.chain]
     assert deltaprime_gram(tree, 0, child_x1[0]) == pytest.approx(-0.5)
     assert deltaprime_gram(tree, sibs[0], child_x1[0]) == 0.0
-
-
-def test_climb_escape():
-    tree = build_ball(2, 1, chain_extra=0)
-    tip = tree.chain[-1]
-    with pytest.raises(OrbitEscapesBall):
-        tree.climb_step(tip)
 
 
 def test_smn_entry_cases():
