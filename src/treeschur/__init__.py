@@ -28,7 +28,6 @@ from .symbols import (
     HankelMatrix,
     LacunarySupport,
     ParityDecomposition,
-    ParityLimit,
     RadialSymbol,
     SchurNormReport,
     Undeclared,

@@ -17,12 +17,12 @@ import numpy as np
 
 from .symbols import (
     INF,
-    FiniteSupport,
     Geometric,
-    ParityLimit,
     RadialSymbol,
     Undeclared,
     check_degree,
+    explicit_symbol,
+    parity_symbol,
 )
 
 # closed forms lose ~8 digits near the removable singularity q^-z = q^(z-1)
@@ -135,7 +135,7 @@ def spherical_symbol(q, s: complex | None = None, z: complex | None = None) -> R
 
     Inside the multiplier ellipse the tail is geometric with ratio
     max(|q^-z|, |q^(z-1)|) (|s| at q = inf); at s = +-1 the symbol is exactly
-    1 or (-1)^n; otherwise the tail is undeclared.
+    1 or (-1)^n, a parity layer over the zero symbol; otherwise the tail is undeclared.
     """
     q = check_degree(q)
     if (s is None) == (z is None):
@@ -143,10 +143,11 @@ def spherical_symbol(q, s: complex | None = None, z: complex | None = None) -> R
     if z is not None:
         s = eigenvalue_from_z(q, z)
     s = complex(s)
+    name = f"spherical(q={q}, s={s})"
 
     if s == 1 or s == -1:
-        tail = ParityLimit(1.0 if s == 1 else 0.0, 1.0 if s == -1 else 0.0, FiniteSupport(0))
-    elif ellipse_margin(q, s) > 0.0:
+        return parity_symbol(1.0 if s == 1 else 0.0, 1.0 if s == -1 else 0.0, explicit_symbol([]), name=name)
+    if ellipse_margin(q, s) > 0.0:
         a, b = characteristic_roots(q, s)
         ratio = max(abs(a), abs(b))
         if q == INF:
@@ -166,7 +167,7 @@ def spherical_symbol(q, s: complex | None = None, z: complex | None = None) -> R
 
     return RadialSymbol(
         tail=tail,
-        name=f"spherical(q={q}, s={s})",
+        name=name,
         values_fn=lambda count: spherical_values(q, s, count),
     )
 

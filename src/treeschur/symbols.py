@@ -49,7 +49,11 @@ _CHECK_SPAN = 1025
 
 
 class _Tail:
-    """The hooks every tail model has; ``_normalize`` is each model's own."""
+    """The hooks every tail model has; by default ``_normalize`` returns no
+    envelope, so the model certifies nothing and every bound is refused."""
+
+    def _normalize(self, values, span) -> "_Envelope | None":
+        return None
 
     def _square_series(self) -> float | None:
         """sum (n+1)^2 |phi(n)|^2 in closed form, or None when it is summed
@@ -80,20 +84,6 @@ class Geometric(_Tail):
 
 
 @dataclass(frozen=True)
-class ParityLimit(_Tail):
-    """phi(n) = c_plus + c_minus*(-1)**n + psi(n) with psi covered by ``rest``."""
-
-    c_plus: complex
-    c_minus: complex
-    rest: "TailModel"
-
-    def _normalize(self, values, span):
-        cp, cm = complex(self.c_plus), complex(self.c_minus)
-        env = self.rest._normalize(lambda count: values(count) - cp - cm * _signs(count), span)
-        return None if env is None else env.shifted(cp, cm)
-
-
-@dataclass(frozen=True)
 class LacunarySupport(_Tail):
     """Support on powers of two with weights 1/(k*2**k).
 
@@ -101,9 +91,6 @@ class LacunarySupport(_Tail):
     bound) but deliberately certifies nothing about trace-class membership:
     the associated Hankel matrix is not trace class.
     """
-
-    def _normalize(self, values, span):
-        return None
 
     def _square_series(self) -> float:
         # terms are (1 + 2^-k)^2 / k^2; direct iteration cannot certify 1e-12
@@ -122,9 +109,6 @@ class LacunarySupport(_Tail):
 @dataclass(frozen=True)
 class Undeclared(_Tail):
     """No tail information; certified bounds are refused."""
-
-    def _normalize(self, values, span):
-        return None
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,7 +159,7 @@ class _Envelope(_Tail):
         return _Majorant(major, self.c * (1.0 + self.r * self.r), self.r)
 
 
-TailModel = Union[FiniteSupport, Geometric, ParityLimit, LacunarySupport, Undeclared]
+TailModel = Union[FiniteSupport, Geometric, LacunarySupport, Undeclared]
 
 
 def _signs(count: int) -> np.ndarray:
@@ -293,18 +277,12 @@ def power_symbol(s: complex, name: str = "") -> RadialSymbol:
     )
 
 
-def _shifted(sym: RadialSymbol, d_plus: complex, d_minus: complex) -> TailModel:
-    """The tail of phi + d_plus + d_minus*(-1)**n, derived from phi's envelope."""
-    if sym._env is None:
-        return ParityLimit(d_plus, d_minus, sym.tail)
-    return sym._env.shifted(d_plus, d_minus)
-
-
 def parity_symbol(c_plus: complex, c_minus: complex, psi: RadialSymbol, name: str = "") -> RadialSymbol:
-    """phi(n) = c_plus + c_minus*(-1)**n + psi(n)."""
+    """phi(n) = c_plus + c_minus*(-1)**n + psi(n), with psi's envelope shifted
+    by the limits as its tail, or ``Undeclared()`` when psi has none."""
     cp, cm = complex(c_plus), complex(c_minus)
     return RadialSymbol(
-        tail=_shifted(psi, cp, cm),
+        tail=Undeclared() if psi._env is None else psi._env.shifted(cp, cm),
         name=name,
         values_fn=lambda count: cp + cm * _signs(count) + psi.values(count),
     )
@@ -694,13 +672,13 @@ class ParityDecomposition:
     certified_error: float
 
 
-def extract_parity(sym: RadialSymbol, h: HankelMatrix, tol: float = 1e-9) -> ParityDecomposition:
+def extract_parity(sym: RadialSymbol, h: HankelMatrix) -> ParityDecomposition:
     """The envelope's declared c_plus and c_minus, exact, for a certified tail;
     without one the absolutely convergent diagonal series of the window,
 
     lim phi(2i) = phi(0) - sum_i h[i,i],  lim phi(2i+1) = phi(1) - sum_i h[i+1,i],
 
-    whose error, their change from the half window, must be at most ``tol``.
+    with ``certified_error`` their change from the half window (tested by ``_doubling_window``).
     """
     env = sym._env
     if env is not None:
@@ -713,10 +691,6 @@ def extract_parity(sym: RadialSymbol, h: HankelMatrix, tol: float = 1e-9) -> Par
     diag_half = complex(np.sum(d[0 : 2 * half - 1 : 2]))
     sub_half = complex(np.sum(d[1 : 2 * half - 2 : 2]))
     tail_err = abs(diag_sum - diag_half) + abs(sub_sum - sub_half)
-    if tail_err > tol:
-        raise DivergentDiagonals(
-            f"diagonal partial sums fail the Cauchy criterion at tolerance ({tail_err:.3e} > {tol:.1e})"
-        )
     phi = sym.values(2)
     lim_even = complex(phi[0]) - diag_sum
     lim_odd = complex(phi[1]) - sub_sum
@@ -781,12 +755,12 @@ class _Window:
         return float(np.sum(_svdvals(self.core)))
 
 
-def _evaluate_window(sym: RadialSymbol, q, n: int, parity_tol: float = 1e-9) -> _Window:
+def _evaluate_window(sym: RadialSymbol, q, n: int) -> _Window:
     """Build the N-window, factorize its resolvent image (H itself at q = inf),
     and extract the parity limits and the window's ``_budget``."""
     h = build_hankel(sym, n)
     q_basis, core, half_width = _factorize(_ResolventImage(h, q))
-    parity = extract_parity(sym, h, tol=parity_tol)
+    parity = extract_parity(sym, h)
     return _Window(
         hankel=h, parity=parity, q_basis=q_basis, core=core, half_width=half_width, budget=_budget(sym, q, n)
     )
@@ -827,11 +801,10 @@ def schur_norm(sym: RadialSymbol, q, target_err: float = 1e-8) -> SchurNormRepor
     entries): before building any window against the envelope's
     ``norm_floor``, and after it against the total, which can lie far above
     that floor.
-    Symbols without a decay certificate keep the doubling rule of
-    ``_doubling_window`` and are flagged uncertified, with no budget.
+    Symbols without a decay certificate take every verdict from the doubling
+    loop of ``_doubling_window`` and are flagged uncertified, with no budget.
     """
     q = check_degree(q)
-    parity_tol = max(target_err, 1e-9)
     certified = sym._env is not None
     if certified:
         _check_rounding(target_err, sym._env.norm_floor, "at least ")
@@ -840,10 +813,10 @@ def schur_norm(sym: RadialSymbol, q, target_err: float = 1e-8) -> SchurNormRepor
             raise NoConvergence(f"no truncation up to the cap {N_CAP} fits the target error {target_err:.1e}")
         # right-size within the octave: the first eighth-step below n that fits
         n = next((m for m in (n * 5 // 8, n * 6 // 8, n * 7 // 8) if _budget(sym, q, m).total <= target_err), n)
-        w = _evaluate_window(sym, q, n, parity_tol=parity_tol)
+        w = _evaluate_window(sym, q, n)
         err = w.budget.total
     else:
-        w, err = _doubling_window(sym, q, target_err, parity_tol)
+        w, err = _doubling_window(sym, q, target_err)
     parity = w.parity
     total = abs(parity.c_plus) + abs(parity.c_minus) + w.term
     if certified:
@@ -866,13 +839,22 @@ def _check_rounding(target_err: float, norm: float, what: str = "") -> None:
         )
 
 
-def _doubling_window(sym: RadialSymbol, q, target_err: float, parity_tol: float) -> tuple[_Window, float]:
-    """Double N until |result(2N) - result(N)| plus the parity Cauchy error is at most
-    ``target_err``, raising DivergentDiagonals when the partial trace norms stop
-    shrinking; returns the last window and that sum plus its SVD allowance."""
+def _doubling_window(sym: RadialSymbol, q, target_err: float) -> tuple[_Window, float]:
+    """The verdicts on a symbol without a certified tail, in order, at each N = 32, 64,
+    ...: a parity Cauchy error (``extract_parity``) above max(target_err, 1e-9) raises
+    DivergentDiagonals; so do three changes of the trace norm, each over 0.7 times the
+    one before and the last over ``target_err``; when |result(N) - result(N/2)| plus the
+    parity error is at most ``target_err``, it returns the window and that sum plus its
+    SVD allowance; past N_CAP it raises NoConvergence."""
+    tol = max(target_err, 1e-9)
     n, prev_total, prev_term, diffs = N_START, None, None, []
     while n <= N_CAP:
-        w = _evaluate_window(sym, q, n, parity_tol=parity_tol)
+        w = _evaluate_window(sym, q, n)
+        if w.parity.certified_error > tol:
+            raise DivergentDiagonals(
+                "diagonal partial sums fail the Cauchy criterion at tolerance "
+                f"({w.parity.certified_error:.3e} > {tol:.1e})"
+            )
         total = abs(w.parity.c_plus) + abs(w.parity.c_minus) + w.term
         if prev_total is not None:
             diff = abs(total - prev_total)

@@ -227,7 +227,8 @@ def build_certificate(sym: RadialSymbol, q, n: int) -> FactorizationCertificate:
     sqrt(n) ||A - Q C Q^T||_F and the SVD allowance ``_Budget.svd``
     (``spectral._svd_allowance``), scaled by the operator norm
     (q+1)/(q-1) of the S_{m,n} family.  The parity limits are the declared
-    ones of a certified tail (``symbols.extract_parity``), so they add no term.
+    ones of a certified tail (``symbols.extract_parity``), so they add no term;
+    a symbol without one has an infinite tail bound, so its error is inf.
     """
     q = check_degree(q)
     w = _evaluate_window(sym, q, n)

@@ -226,6 +226,17 @@ def test_spherical_symbol_tail_model():
     assert sym_inf.tail.ratio == pytest.approx(abs(0.3 + 0.2j))
 
 
+@pytest.mark.parametrize("s", [1.0, -1.0])
+@pytest.mark.parametrize("q", [2, 11, 34, INF])
+def test_spherical_symbol_at_plus_minus_one_is_exact(q, s):
+    # a parity layer over the zero symbol: the values are 1 or (-1)^n with
+    # no drift of the recurrence, the norm is 1 and the head one value
+    sym = spherical_symbol(q, s=s)
+    assert np.array_equal(sym.values(4200), s ** np.arange(4200))
+    assert schur_norm(sym, q).total == 1.0
+    assert len(sym._env.head) == 1
+
+
 def test_oracle_agreement_with_hankel_pipeline():
     # closed form against the truncated trace-norm route on a small grid
     for q, s in [(3, 0.4j), (2, 0.25 + 0.1j), (5, -0.5 + 0.2j), (INF, 0.5j), (INF, -0.35)]:

@@ -324,7 +324,7 @@ def test_evaluated_window_and_parity_match_the_dense_references(monkeypatch, n):
         vals = sym.values(2 * n + 1)
         cp, cm, half_err = reference_parity(sym, dense)
         for q in (2, 3, 5, INF):
-            w = symbols._evaluate_window(sym, q, n, parity_tol=1.0)
+            w = symbols._evaluate_window(sym, q, n)
             if q == INF:
                 assert np.array_equal(seen.pop(), dense)
             else:
@@ -389,7 +389,7 @@ def test_non_finite_values_never_certify(q, bad):
     tracemalloc.start()
     try:
         with pytest.raises(NonFinite):
-            symbols_window(RadialSymbol(tail=Undeclared(), values_fn=lambda count: values_fn(count, at=1500)), q, n)
+            _evaluate_window(RadialSymbol(tail=Undeclared(), values_fn=lambda count: values_fn(count, at=1500)), q, n)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -404,18 +404,12 @@ def test_overflowing_resolvent_sequence_never_certifies(n):
     sym = RadialSymbol(tail=Undeclared(), values_fn=lambda count: values[:count])
     assert np.all(np.isfinite(build_hankel(sym, n).d))
     with pytest.raises(NonFinite):
-        symbols_window(sym, 2, n)
+        _evaluate_window(sym, 2, n)
     with pytest.raises(NonFinite):
         _ResolventImage(build_hankel(sym, n), 2)
     if n == 32:
         with pytest.raises(NonFinite):
             schur_norm(sym, 2)
-
-
-def symbols_window(sym, q, n):
-    import treeschur.symbols as symbols
-
-    return symbols._evaluate_window(sym, q, n, parity_tol=1.0)
 
 
 @pytest.mark.parametrize("n", [128, 257, 1024])
@@ -525,23 +519,47 @@ def test_schur_norm_homogeneity_and_entry_domination():
     assert rep.total >= sup - 1e-9
 
 
-def test_schur_norm_lacunary_diverges():
-    with pytest.raises(DivergentDiagonals):
-        schur_norm(lacunary_counterexample(), INF, target_err=1e-8)
+def test_schur_norm_lacunary_diverges(monkeypatch):
+    # the parity Cauchy test of the doubling loop rejects it at its first
+    # window, 32 rows, at every degree
+    import treeschur.symbols as symbols
+
+    real = symbols.build_hankel
+    for q in (2, 3, 5, INF):
+        calls = []
+        monkeypatch.setattr(symbols, "build_hankel", lambda *a: calls.append(a[1]) or real(*a))
+        with pytest.raises(DivergentDiagonals, match="diagonal partial sums fail the Cauchy criterion"):
+            schur_norm(lacunary_counterexample(), q, target_err=1e-8)
+        assert calls == [32], q
 
 
-@pytest.mark.parametrize("q", [2, 3, INF])
-def test_doubling_rule_stops_on_trace_norms_that_fail_to_shrink(q):
+def _cancelling_diagonals():
     # phi(4j + 2) = -1/(j + 1), else 0: d[4j] = 1/(j + 1), d[4j + 2] = -1/(j + 1)
     # and d odd vanish, so every window's diagonal sums cancel exactly and the
-    # parity test passes, but the Hankel matrix is not trace class; the ratio
-    # rule of the partial trace norms raises
+    # parity test passes, but the Hankel matrix is not trace class
     def values_fn(count):
         m = np.arange(count)
         return np.where(m % 4 == 2, -1.0 / (m // 4 + 1), 0.0)
 
+    return RadialSymbol(tail=Undeclared(), values_fn=values_fn)
+
+
+@pytest.mark.parametrize("q", [2, 3, INF])
+def test_doubling_rule_stops_on_trace_norms_that_fail_to_shrink(q):
+    # the ratio rule of the partial trace norms raises
     with pytest.raises(DivergentDiagonals, match="partial trace norms fail the Cauchy criterion"):
-        schur_norm(RadialSymbol(tail=Undeclared(), values_fn=values_fn), q, target_err=1e-8)
+        schur_norm(_cancelling_diagonals(), q, target_err=1e-8)
+
+
+def test_doubling_rule_gives_up_at_the_cap(monkeypatch):
+    # with the cap at 64 rows the loop sees two windows, too few for the
+    # ratio rule, and they do not agree: the cap raises
+    import treeschur.symbols as symbols
+    from treeschur.errors import NoConvergence
+
+    monkeypatch.setattr(symbols, "N_CAP", 64)
+    with pytest.raises(NoConvergence, match="truncation cap 64 reached"):
+        schur_norm(_cancelling_diagonals(), 3, target_err=1e-8)
 
 
 def test_lacunary_truncated_norms_grow_past_block_bound():
@@ -584,6 +602,11 @@ def test_ma_upper_bound_divergent_for_parity():
     # summed as the unscaled symbol's closed form
     with pytest.raises(DivergentSeries):
         ma_upper_bound(scale_symbol(lacunary_counterexample(), 2))
+    # so does a parity layer over it, whose tail is undeclared
+    layered = parity_symbol(1.0, 0.5, lacunary_counterexample())
+    assert layered.tail == Undeclared()
+    with pytest.raises(DivergentSeries):
+        ma_upper_bound(layered)
 
 
 def test_block_lower_bound_values():
@@ -779,13 +802,16 @@ def test_huge_entries_keep_finite_bounds_and_are_refused_for_their_rounding():
 
 def _doubling_reference(sym, q, target_err):
     """The doubling rule for a symbol without a tail certificate, written out:
-    stop when two windows agree, report their difference, the parity Cauchy
-    error and 1e-12 per row."""
+    refuse a parity Cauchy error above max(target_err, 1e-9), stop when two
+    windows agree, report their difference, the parity Cauchy error and
+    1e-12 per row."""
     n, prev = 32, None
     while True:
         h = build_hankel(sym, n)
         term = trace_norm(_ResolventImage(h, q))
-        par = extract_parity(sym, h, tol=max(target_err, 1e-9))
+        par = extract_parity(sym, h)
+        if par.certified_error > max(target_err, 1e-9):
+            raise DivergentDiagonals("diagonal partial sums fail the Cauchy criterion")
         total = abs(par.c_plus) + abs(par.c_minus) + term
         if prev is not None and abs(total - prev) + par.certified_error <= target_err:
             return total, abs(total - prev) + par.certified_error + 1e-12 * n, n

@@ -17,6 +17,7 @@ from treeschur.symbols import (
     build_hankel,
     constant_symbol,
     explicit_symbol,
+    lacunary_counterexample,
     parity_symbol,
     power_symbol,
     schur_norm,
@@ -395,6 +396,11 @@ def test_certificate_value_matches_closed_form():
     assert cert.value == pytest.approx(29.0 / 9.0, abs=1e-6)
     cert64 = build_certificate(spherical_symbol(3, s=0.4j), 3, 64)
     assert cert64.value == pytest.approx(29.0 / 9.0, abs=1e-4)
+
+
+def test_certificate_of_an_uncertified_symbol_has_infinite_error():
+    # no tail certifies the window's remainder, so nothing bounds the error
+    assert build_certificate(lacunary_counterexample(), 3, 64).certified_error == INF
 
 
 @pytest.mark.parametrize("make, q", [
