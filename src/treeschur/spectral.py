@@ -23,7 +23,10 @@ given column on, and the dense A.  A window brings its own operator
 (``symbols._ResolventImage``), whose products run by FFT and whose row
 blocks are made from its generating sequence, so the range finder never
 forms it; below 128 rows it is read as the :class:`_Matrix` of its dense
-form.
+form.  The operator of a window A = D A' D, A' real symmetric and D a
+diagonal of units (the identity for a real A), reads A': every step below
+then runs in real arithmetic, Q' and C real, C = Q'^T A' Q' and the SVD of
+C LAPACK's real one, and A ~ (D Q') C (D Q')^T has the trace norm of C.
 
 The range finder is seeded and certified, and every basis it tries belongs
 to one family, Q = E_lead (+) Q_J (:func:`_basis`): E_lead is the first
@@ -78,7 +81,9 @@ rounding makes the lower part of R differ from the mirror of the upper
 part.  With E = fl(C Q^T) - C Q^T, each real and imaginary part of an
 entry of C Q^T is a real inner product of length 2k, so
 |E| <= sqrt(2) gamma_2k |C| |Q|^T entrywise (Higham, *Accuracy and
-Stability of Numerical Algorithms*, 2nd ed., 2002, section 3.5).  The
+Stability of Numerical Algorithms*, 2nd ed., 2002, section 3.5); for a
+real C and Q an entry is one real inner product of length k, and
+gamma_k <= sqrt(2) gamma_2k, so the same term bounds it.  The
 lower part of R minus the mirror of its upper part is the lower part of
 (Q E)^T - Q E, whose Frobenius norm is at most sqrt(2) ||Q E||_F
 <= 2 gamma_2k || |Q| |C|^T ||_F (||Q||_2 = 1 up to the rounding of Q), a
@@ -91,18 +96,20 @@ the first m columns of C and one (n - m) x (k - m) product.
 The products Q_I B of the pass run in real arithmetic: with B_x the 2k x
 2n real form of B ([Re B, Im B] interleaved as numpy stores them, over
 the same for i B), Q_I B is [Re Q_I | Im Q_I] @ B_x, written straight into
-the float view of the block, and the block's squared norm is the dot
-product of that view with itself.  For a basis with ``lead`` = m > 0 only
-Q_J and the rows of B past m enter the product past the border, and within
-the border Q_I B is B_I.  A block holds at most ``_BLOCK_BYTES`` (512 KB,
-which fits a typical per-core L2 cache, where the 2.6 MB of 128 rows of a
-1280-row window do not): 8 to 128 rows, 2^15 // n between them.  So the
-finder needs 512 KB plus O(k n) memory beyond what the operator holds.
+the float view of the block (for a real Q, Q_I @ B, one real product), and
+the block's squared norm is the dot product of that view with itself.  For
+a basis with ``lead`` = m > 0 only Q_J and the rows of B past m enter the
+product past the border, and within the border Q_I B is B_I.  A block
+holds at most ``_BLOCK_BYTES`` (512 KB, which fits a typical per-core L2
+cache, where the 2.6 MB of 128 rows of a 1280-row window do not): 8 to 128
+rows, 2^15 // n between them.  So the finder needs 512 KB plus O(k n)
+memory beyond what the operator holds.
 When no basis certifies, the factorization is A = I A I^T (Q is None, C is
 the dense A, checked to be finite, half-width 0) and the SVD of C is the
 dense SVD, so the allowance holds either way.  :func:`trace_norm` is the
 sum of the singular values of C; a certificate takes the singular vectors
-of C, U S V*, as those of A, Q U and conj(Q) V.
+of C, U S V*, as those of A, Q U and conj(Q) V (D U and conj(D) V when Q
+is None and A = D C D).
 """
 
 from __future__ import annotations
@@ -175,9 +182,11 @@ class _Operator:
     are numerically of low rank (0 when none are known), ``matmul(x)`` = A x,
     so that Q* A = (A conj(Q))^T, ``subtract_block(row, col, out)``, which
     sets out to A[row : row + len(out), col : col + out.shape[1]] - out, and
-    ``dense()``, A itself."""
+    ``dense()``, A itself.  A real A stands for the window D A D when
+    ``phase`` is the diagonal of D, a unitary diagonal (None for D = I)."""
 
     border_rows = 0
+    phase = None
 
 
 class _Matrix(_Operator):
@@ -214,7 +223,7 @@ def _basis(sample: np.ndarray, lead: int) -> np.ndarray:
         raise NoConvergence(f"range finder did not converge: {exc}") from exc
     if not lead:
         return qj
-    q = np.eye(len(sample), lead + qj.shape[1], dtype=complex)  # past the lead rows, its diagonal is overwritten
+    q = np.eye(len(sample), lead + qj.shape[1], dtype=sample.dtype)  # past the lead rows, its diagonal is overwritten
     q[lead:, lead:] = qj
     return q
 
@@ -237,15 +246,16 @@ def _certify(op: _Operator, q: np.ndarray, limit: float, buf: np.ndarray, lead: 
     too.  The border rows of A are read as A minus a zeroed block."""
     n = op.shape[0]
     k, step = q.shape[1], len(buf) // n
-    qj = q[:, lead:]
+    qj, words = q[:, lead:], 1 + np.iscomplexobj(q)  # float64 words per entry
     # B_x, the real form of B = C Q^T past its first lead rows: for rows I
-    # past lead, Q_I B is [Re Q_I | Im Q_I] @ B_x, viewed as complex
-    bx = np.empty((2 * k - lead, 2 * n))
-    top = bx[:k].view(complex)  # Q* A, then B
+    # past lead, Q_I B is [Re Q_I | Im Q_I] @ B_x, viewed as complex (B
+    # itself and Q_I B when Q is real)
+    bx = np.empty((words * k - (words - 1) * lead, words * n))
+    top = bx[:k].view(q.dtype)  # Q* A, then B
     top[:lead] = 0.0
     op.subtract_block(0, 0, top[:lead])
     top[lead:] = op.matmul(qj.conj()).T
-    c = np.empty((k, k), dtype=complex)
+    c = np.empty((k, k), dtype=q.dtype)
     c[:, :lead] = top[:, :lead]  # the unit columns of conj(Q) pick the columns of Q* A exactly
     c[:, lead:] = top @ qj.conj()
     c = 0.5 * (c + c.T)
@@ -254,8 +264,9 @@ def _certify(op: _Operator, q: np.ndarray, limit: float, buf: np.ndarray, lead: 
     # || |Q| |C|^T ||_F, whose rows above lead are the columns of |C|
     mirror = math.hypot(np.linalg.norm(c[:, :lead]), np.linalg.norm(np.abs(qj[lead:]) @ np.abs(c[:, lead:]).T))
     slack = 2.0 * float(_gamma(2 * k)) * mirror
-    np.multiply(bx[lead:k].view(complex), 1j, out=bx[k:].view(complex))
-    qx = np.concatenate((qj.real, qj.imag), axis=1)
+    if words == 2:
+        np.multiply(bx[lead:k].view(complex), 1j, out=bx[k:].view(complex))
+    qx = np.concatenate((qj.real, qj.imag), axis=1) if words == 2 else qj
     ss = 0.0
     for i in [*range(0, lead, step), *range(lead, n, step)]:
         r = min(step, (lead if i < lead else n) - i)
@@ -264,7 +275,7 @@ def _certify(op: _Operator, q: np.ndarray, limit: float, buf: np.ndarray, lead: 
         if i < lead:  # unit rows of Q: Q_I B is B_I
             np.copyto(block, top[i : i + r, j:])
         else:
-            np.matmul(qx[i : i + r], bx[lead:, 2 * j :], out=block.view(float))
+            np.matmul(qx[i : i + r], bx[lead:, words * j :], out=block.view(float))
         op.subtract_block(i, j, block)
         flat = block.view(float).ravel()
         part = float(np.dot(flat, flat))
@@ -275,6 +286,15 @@ def _certify(op: _Operator, q: np.ndarray, limit: float, buf: np.ndarray, lead: 
         if not math.sqrt(ss) + slack <= limit:
             return None
     return c, math.sqrt(n) * (math.sqrt(ss) + slack)
+
+
+def _phased(q: np.ndarray, phase: np.ndarray | None) -> np.ndarray:
+    """D Q for the diagonal ``phase`` of D, Q itself when there is none."""
+    if phase is None:
+        return q
+    dq = q.astype(complex)
+    dq *= phase[:, None]  # in place: numpy's mixed-type broadcast product is several times slower
+    return dq
 
 
 def _predicted_width(estimates: list[tuple[int, float]], limit: float) -> float:
@@ -298,25 +318,26 @@ def _factorize(op: _Operator) -> tuple[np.ndarray | None, np.ndarray, float]:
     basis and the growth of the split's sample (of the probe's where A has
     no border) below its border rows, in that order, or (None, A, 0.0) below
     64 rows and when no basis certifies (module docstring).  Q is dense in
-    every case, N x (lead + sample width)."""
-    n = op.shape[0]
+    every case, N x (lead + sample width).  A real A with a ``phase`` D
+    gives the Q C Q^T of the window D A D, Q = D Q', for the Q' C Q'^T of A,
+    and C = A when Q is None."""
+    n, phase = op.shape[0], op.phase
     if n < _DENSE_BELOW:
         return None, op.dense(), 0.0
     lead = op.border_rows if 2 * (op.border_rows + _PROBE_WIDTH) <= n else 0  # a split at most half as wide as A
     if n < _GROW_FROM:  # the dense SVD needs A if no basis certifies, and dense products are cheaper here
         op = _Matrix(op.dense())
     limit = 0.5 * _svd_allowance(n) / math.sqrt(n)
-    block_rows = min(n, 128, max(8, _BLOCK_BYTES // (16 * n)))
-    buf = np.empty(block_rows * n, dtype=complex)
     rng = np.random.default_rng(0)
     sample = _sample(op, rng.standard_normal((n, _PROBE_WIDTH)))
     if sample is None:
         return None, op.dense(), 0.0
+    buf = np.empty(min(n, 128, max(8, _BLOCK_BYTES // (16 * n))) * n, dtype=sample.dtype)  # a block's rows
     for tried in sorted({0, lead}):  # the probe, then the split
         q = _basis(sample, tried)
         found = _certify(op, q, limit, buf, tried)
         if found is not None:
-            return q, *found
+            return _phased(q, phase), *found
     if n < _GROW_FROM:
         return None, op.dense(), 0.0
     estimates = []
@@ -331,7 +352,7 @@ def _factorize(op: _Operator) -> tuple[np.ndarray | None, np.ndarray, float]:
         if estimates[-1][1] <= limit:
             found = _certify(op, q, limit, buf, lead)
             if found is not None:
-                return q, *found
+                return _phased(q, phase), *found
         predicted = _predicted_width(estimates, limit)
         if predicted > n / 4 or k + _BLOCK > n / 4:
             break

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Union
 
 import numpy as np
@@ -529,6 +529,7 @@ def build_hankel(sym: RadialSymbol, n: int) -> HankelMatrix:
 # the correction c^(min(i,j)+1) F[|i-j|-2] of the resolvent image is dropped
 # once c^(min(i,j)+1) is at most this, 1/256 of the spacing of floats at 1
 _BORDER_CUT = 2.0 ** -60
+_TURNS = np.array([1.0, 1j, -1.0, -1j])  # i^u for u = 0, 1, 2, 3 (mod 4)
 
 
 def _border_width(c: float, n: int) -> int:
@@ -539,6 +540,19 @@ def _border_width(c: float, n: int) -> int:
     while c ** (k + 1) > _BORDER_CUT:
         k += 1
     return min(k, n)
+
+
+@lru_cache(maxsize=64)
+def _border_weights(c: float, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(p, w): p[m] = (1-|c|) c^(m+1) for m < k, and the k x k w[i, j] =
+    p[min(i,j)], which is not max(p[i], p[j]) when c < 0 and p alternates.
+    Cached: they depend on (c, k) alone and cost as much as the border."""
+    p = (1.0 - abs(c)) * abs(c) ** np.arange(1.0, k + 1.0)
+    if c < 0:
+        p[::2] *= -1.0
+    w = np.where(np.tri(k, k, -1, bool), p, p[:, None])  # p[j] left of the diagonal, p[i] from it on
+    p.flags.writeable = w.flags.writeable = False
+    return p, w
 
 
 class _ResolventImage(_Operator):
@@ -571,45 +585,67 @@ class _ResolventImage(_Operator):
     the basis of the k unit vectors and of the probe's sample below them,
     k + 2 columns (61 at q = 2, 39 at q = 3, 27 at q = 5), whose sample then
     grows below the same k rows if it fails too.
+
+    Two phase classes of d make H' real up to an exact unitary congruence,
+    and the operator then reads a real matrix, with real FFTs (``phase`` as
+    in ``spectral._Operator``).  A real d gives a real H'.  A d with d[u] i^-u
+    real (phi(n) in i^n R, as for the spherical functions with s in iR) gives
+    F[u] in i^u R and H' = D H~ D, D = diag(i^u): with d~[u] = d[u] i^-u and
+    F~[u] = d~[u] - c F~[u-2], the twist of the scan by -c, H~ is the window
+    of (1-c) F~ minus the border (1-c) (-c)^(min(i,j)+1) F~[|i-j|-2].  A
+    product by +-1 or +-i is exact, so H~ holds the bits of D* H' D*.
     """
 
     def __init__(self, h: "HankelMatrix", q):
         n, d = h.n, h.d
         c = 0.0 if q == INF else 1.0 / q
+        if not d.imag.any():
+            d = d.real.copy()
+        elif not (d.imag[::2].any() or d.real[1::2].any()):  # d[u] i^-u is real: Re d, Im d, -Re d, -Im d
+            u = np.arange(len(d))
+            d, self.phase = np.where(u % 2, d.imag, d.real) * (1 - (u & 2)), _TURNS[u[:n] % 4]
+        twist = -c if self.phase is not None else c
         f = d
         if c:
             f = d.copy()
             lag = 2
             with np.errstate(over="ignore", invalid="ignore"):  # an overflow is caught below
-                while lag < len(f):  # after the lag-2^t step f[u] = sum_{s < 2^t} c^s d[u-2s]
-                    f[lag:] += c ** (lag // 2) * f[:-lag]
+                while lag < len(f):  # after the lag-2^t step f[u] = sum_{s < 2^t} twist^s d[u-2s]
+                    f[lag:] += twist ** (lag // 2) * f[:-lag]
                     lag *= 2
         if not _all_finite(f):
             raise NonFinite("the window or its resolvent image has NaN or infinite entries")
         self.n, self.shape = n, (n, n)
         self.g = (1.0 - c) * f if c else f
         self._view = _window_view(self.g, n)
-        self.border = np.zeros((0, n), dtype=complex)
+        self.border = np.zeros((0, n), dtype=f.dtype)
         k = self.border_rows = _border_width(c, n)
         if k:
-            # border[i, j] = (1-c) c^(min(i,j)+1) F[|i-j|-2]: row i of the
-            # Toeplitz matrix z[n-1+j-i] = F[|i-j|-2], weighted by
-            # p[min(i,j)] = max(p[i], p[j]) since p decreases (p = 0 from k on)
-            p = np.zeros(n)
-            p[:k] = (1.0 - c) * c ** np.arange(1.0, k + 1.0)
+            # border[i, j] = p[min(i,j)] F[|i-j|-2]: row i of the Toeplitz
+            # matrix t[i, j] = z[n-1+j-i] = F[|i-j|-2], weighted by p[i] from
+            # the diagonal on and by w[i, j] = p[min(i,j)] on the first k columns
+            p, w = _border_weights(twist, k)
             head = f[: max(n - 2, 0)]
-            z = np.zeros(2 * n - 1, dtype=complex)
+            z = np.zeros(2 * n - 1, dtype=f.dtype)
             z[n + 1 :], z[: len(head)] = head, head[::-1]
-            self.border = np.maximum.outer(p[:k], p) * _window_view(z, n)[::-1][:k]
+            t = _window_view(z, n)[::-1][:k]
+            self.border = np.empty((k, n), dtype=f.dtype)
+            np.multiply(w, t[:, :k], out=self.border[:, :k])
+            np.multiply(p[:, None], t[:, k:], out=self.border[:, k:])
 
     @cached_property
-    def _g_hat(self) -> np.ndarray:
-        return np.fft.fft(self.g, 2 * self.n)
+    def _transforms(self):
+        """(forward, inverse, G's transform): real FFTs for a real G."""
+        fft, ifft = (np.fft.fft, np.fft.ifft) if np.iscomplexobj(self.g) else (np.fft.rfft, np.fft.irfft)
+        return fft, ifft, fft(self.g, 2 * self.n)
 
     def matmul(self, x):
         n, k = self.n, len(self.border)
+        if np.iscomplexobj(x) and not np.iscomplexobj(self.g):
+            return self.matmul(x.real) + 1j * self.matmul(x.imag)
+        fft, ifft, g_hat = self._transforms
         # y[i] = sum_j G[i+j] x[j] is entry n-1+i of the convolution of G with x reversed
-        y = np.fft.ifft(np.fft.fft(x[::-1].T, 2 * n) * self._g_hat)[:, n - 1 : 2 * n - 1].T
+        y = ifft(fft(x[::-1].T, 2 * n) * g_hat, 2 * n)[:, n - 1 : 2 * n - 1].T
         if k:
             y[:k] -= self.border @ x
             y[k:] -= self.border[:, k:].T @ x[:k]
@@ -740,7 +776,8 @@ class _Window:
     """The N-window of H, its parity limits, the factorization H ~ Q C Q^T
     (q = inf) or H' ~ Q C Q^T (finite q) of ``spectral._factorize`` with its
     residual ``half_width`` (Q is None when the ``core`` C is the window
-    itself), and the window's error ``budget``."""
+    itself, or D C D for the diagonal ``phase`` D of :class:`_ResolventImage`),
+    and the window's error ``budget``."""
 
     hankel: HankelMatrix
     parity: ParityDecomposition
@@ -748,6 +785,7 @@ class _Window:
     core: np.ndarray
     half_width: float
     budget: _Budget
+    phase: np.ndarray | None
 
     @cached_property
     def term(self) -> float:
@@ -759,10 +797,12 @@ def _evaluate_window(sym: RadialSymbol, q, n: int) -> _Window:
     """Build the N-window, factorize its resolvent image (H itself at q = inf),
     and extract the parity limits and the window's ``_budget``."""
     h = build_hankel(sym, n)
-    q_basis, core, half_width = _factorize(_ResolventImage(h, q))
+    op = _ResolventImage(h, q)
+    q_basis, core, half_width = _factorize(op)
     parity = extract_parity(sym, h)
     return _Window(
-        hankel=h, parity=parity, q_basis=q_basis, core=core, half_width=half_width, budget=_budget(sym, q, n)
+        hankel=h, parity=parity, q_basis=q_basis, core=core, half_width=half_width, budget=_budget(sym, q, n),
+        phase=op.phase,
     )
 
 

@@ -221,8 +221,10 @@ def build_certificate(sym: RadialSymbol, q, n: int) -> FactorizationCertificate:
     where the range finder gives up (C is then A).  With U S V* the SVD of
     the k x k core C, xi^(k) = sqrt(s_k) (Q U)_k and
     eta^(k) = sqrt(s_k) (conj(Q) V)_k, so that sum_k xi^(k) (x) eta^(k)
-    reproduces Q C Q^T and sum_k s_k its trace norm.  The certified error
-    covers the window tail, the resolvent spill, dropped singular values
+    reproduces Q C Q^T and sum_k s_k its trace norm.  A window real up to
+    the phase D = diag(i^m) has a real C, and Q = D Q' with Q' real; where
+    Q is the identity, C is the real D* A D*, and D takes its place.  The
+    certified error covers the window tail, the resolvent spill, dropped singular values
     (below 1e-15 absolute or relative), the residual half-width
     sqrt(n) ||A - Q C Q^T||_F and the SVD allowance ``_Budget.svd``
     (``spectral._svd_allowance``), scaled by the operator norm
@@ -235,6 +237,8 @@ def build_certificate(sym: RadialSymbol, q, n: int) -> FactorizationCertificate:
     u, s, vh = _svd(w.core, full_matrices=False)
     if w.q_basis is not None:
         u, vh = w.q_basis @ u, vh @ w.q_basis.T
+    elif w.phase is not None:  # A = D C D
+        u, vh = w.phase[:, None] * u, vh * w.phase
     keep = s > max(1e-15, s[0] * 1e-15)
     dropped = float(np.sum(s[~keep]))
     s_kept = s[keep]

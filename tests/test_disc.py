@@ -319,11 +319,14 @@ def test_peller_sandwich_cases(quad):
 def test_peller_reads_its_window_through_the_window_operator(quad):
     # the sandwich's ||H||_1 comes from the same operator schur_norm reads: the
     # dense window's bits below 128 rows, within the SVD allowance from 128
-    # rows, where a window the sketch certifies forms no N x N array
+    # rows, where a window the sketch certifies forms no N x N array.  The
+    # window is real, so the operator reads it in real arithmetic, and the
+    # reference is its real dense form
     coeffs = difference_sequence(spherical_symbol(INF, s=0.9))
     g = g_from_symbol(coeffs)
     h = coeff_hankel(coeffs, 96)
-    assert peller_sandwich(h, g, quad).lhs == trace_norm(_Matrix(h.entries))
+    assert not h.entries.imag.any()
+    assert peller_sandwich(h, g, quad).lhs == trace_norm(_Matrix(h.entries.real))
     n = 1024
     peller_sandwich(coeff_hankel(coeffs, 128), g, quad)
     h = coeff_hankel(coeffs, n)

@@ -617,6 +617,20 @@ def test_corpus_tail_item_takes_no_window_sized_svd(monkeypatch):
     assert qrs == [(256, 2), (256 - 59, 2)]
 
 
+def test_real_windows_reach_the_real_svd(monkeypatch):
+    # the path pin: a real 32-row window passes a real 32 x 32 array to the
+    # SVD, the corpus-6 window at q = 2 (real up to i^m) its real 61 x 61
+    # core, and a generic complex symbol (corpus 7 at q = 3, on its 39-column
+    # split) a complex core
+    seen = []
+    svd = spectral._svd
+    monkeypatch.setattr(spectral, "_svd", lambda m, **kw: seen.append((m.dtype, m.shape)) or svd(m, **kw))
+    trace_norm(_ResolventImage(build_hankel(power_symbol(0.5), 32), 3))
+    schur_norm(trace_class_corpus()[6], 2)
+    schur_norm(trace_class_corpus()[7], 3)
+    assert seen == [(np.dtype(float), (32, 32)), (np.dtype(float), (61, 61)), (np.dtype(complex), (39, 39))]
+
+
 # ---------------------------------------------------------------------------
 # the split basis
 # ---------------------------------------------------------------------------

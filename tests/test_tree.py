@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from treeschur.errors import NoConvergence, OrbitEscapesBall, SizeCap
 from treeschur import symbols
-from treeschur.spectral import DEFAULT_TOL, _factorize, _trace_norm_below, trace_norm
+from treeschur.corpus import trace_class_corpus
+from treeschur.spectral import DEFAULT_TOL, _factorize, _svd_allowance, _trace_norm_below, trace_norm
 from treeschur.spherical import axis_ratio, schur_norm_in_s, spherical_symbol
 from treeschur.symbols import (
     INF,
@@ -483,6 +484,23 @@ def test_certificate_falls_back_to_the_dense_window():
     cert = build_certificate(sym, 3, n)
     assert abs(cert.value - float(np.sum(np.linalg.svd(window, compute_uv=False)))) <= DEFAULT_TOL * n
     assert np.max(np.abs(cert.weights - window)) <= DEFAULT_TOL * n
+
+
+@pytest.mark.parametrize("make, n, width", [
+    (lambda: trace_class_corpus()[5], 32, 0),  # (0.5i)^n: real up to i^m, dense, the vectors take the phase
+    (lambda: power_symbol(0.84), 128, 39),  # real, the split basis
+], ids=["turned-dense-32", "real-split-128"])
+def test_certificate_of_a_real_window_reconstructs_the_kernel(make, n, width):
+    # the core is real and its vectors are mapped back to the complex window:
+    # u = D U and vh = V^T D on the dense path, Q = D Q' on the sketch path
+    sym, q = make(), 3
+    rep = schur_norm(sym, q)
+    w = symbols._evaluate_window(sym, q, n)
+    assert (rep.truncation_n, rep.sketch_width) == (n, width) and not np.iscomplexobj(w.core)
+    assert (w.phase is not None) == (width == 0)
+    cert = build_certificate(sym, q, n)
+    assert abs(cert.value - rep.hankel_term) <= _svd_allowance(n)
+    assert reconstruction_max_error(cert, build_ball(q, 3, chain_extra=n + 1), sym) <= 1e-8
 
 
 def test_reconstruction_spherical_finite_q():
