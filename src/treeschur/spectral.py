@@ -14,12 +14,13 @@ their SVD term from the one allowance :func:`_svd_allowance`, built on it.
 :func:`_factorize` is the one factorization of a window: the trace norm
 and the factorization certificates of ``tree.build_certificate`` both read
 it.  Every window is complex symmetric, and the factorization has one form,
-A ~ Q C Q^T with a k x k symmetric core C = Q* A conj(Q), the two-sided
-projection of Halko, Martinsson and Tropp (SIAM Rev. 2011, section 5).
-Since Q has orthonormal columns, ||Q C Q^T||_1 = ||C||_1.  It reads the
-window A through an :class:`_Operator`: its border rows, the product A X
-(so Q* A = (A conj(Q))^T), the residual A - X in blocks of rows from a
-given column on, and the dense A.  A window brings its own operator
+A ~ Q C Q^T with Q orthonormal and a k x k symmetric core C, which is
+Q* A conj(Q), the two-sided projection of Halko, Martinsson and Tropp (SIAM
+Rev. 2011, section 5), whenever A = Q C Q^T holds.  Since Q has
+orthonormal columns, ||Q C Q^T||_1 = ||C||_1.  It reads the window A
+through an :class:`_Operator`: its border rows, the product A X (so
+Q* A = (A conj(Q))^T), the residual A - X in blocks of rows from a given
+column on, and the dense A.  A window brings its own operator
 (``symbols._ResolventImage``), whose products run by FFT and whose row
 blocks are made from its generating sequence, so the range finder never
 forms it; below 128 rows it is read as the :class:`_Matrix` of its dense
@@ -27,31 +28,50 @@ form.  The operator of a window A = D A' D, A' real symmetric and D a
 diagonal of units (the identity for a real A), reads A': every step below
 then runs in real arithmetic, Q' and C real, C = Q'^T A' Q' and the SVD of
 C LAPACK's real one, and A ~ (D Q') C (D Q')^T has the trace norm of C.
+The factorization returns Q' and C; a reader of the singular vectors
+applies D itself.
 
-The range finder is seeded and certified, and every basis it tries belongs
-to one family, Q = E_lead (+) Q_J (:func:`_basis`): E_lead is the first
-``lead`` unit vectors, exactly, and Q_J the Householder basis of a Gaussian
-sample Y = A Omega below its first ``lead`` rows.  Below 64 rows the dense
-SVD answers.  From 64 rows the probe runs first, ``lead`` = 0 and a sample
-of width 2 (the windows of spherical functions read at their own degree
-have numerical rank at most 2).  Below 128 rows the probe reads the dense
-A, which the dense SVD needs if no basis certifies.
+Below 64 rows the dense SVD answers.  From 64 rows the probe runs first
+(:func:`_kronecker`), with no random draw and no product with A: Y is A's
+first two columns, read exactly as its first two rows (A is symmetric)
+through ``subtract_block`` on a zeroed 2 x n block, the reader the pass
+uses for border rows; Y = Q R by Householder QR; and C = R Q[:2, :]^-T,
+the one C with A[:, :2] = Q C Q[:2, :]^T, so it equals Q* A conj(Q)
+whenever A = Q C Q^T.  Two columns suffice for the windows of spherical
+functions read at their own degree, and at q = inf, which are two-term
+exponential sums w_a a^m + w_b b^m: their Hankel windows have rank at most
+2 (Kronecker's theorem; Peller, *Hankel Operators and Their Applications*,
+2003, ch. 1), and their first two columns span {a^i, b^i}, because
+det [[w_a, w_b], [w_a a, w_b b]] = w_a w_b (b - a) != 0.  A Y or C that is
+not finite, or a QR or 2 x 2 solve that raises (a singular leading block,
+as where phi vanishes on its first values), fails the probe without a pass;
+any other C takes the residual pass below, which bounds the error for any
+C.
+
+Only a failed probe draws a sample, and every later basis belongs to one
+family, Q = E_lead (+) Q_J (:func:`_basis`): E_lead is the first ``lead``
+unit vectors, exactly, and Q_J the Householder basis of a seeded Gaussian
+sample Y = A Omega (``default_rng(0)``, n x 2 at first) below its first
+``lead`` rows, with C = Q* A conj(Q) from the product A conj(Q).  Below
+128 rows the probe and the split read the dense A, which the dense SVD
+needs if no basis certifies, and a window with no admissible split goes to
+the dense SVD straight after the probe, with no sample.
 
 An A with m border rows (``symbols._ResolventImage``: the rows and columns
 below m carry the resolvent's correction, and the rows past m are
 numerically of low rank where A is not) takes ``lead`` = m where
 m + 2 <= n/2, else 0 as any other A.  A failed probe on it tries the split
-basis next, E_m (+) Q_J for the probe's own sample Y[m:] below the border,
-so nothing new is drawn.  The first m columns of C are those of Q* A, read
-exactly from A's first m rows, so the m x m corner of the residual
-A - Q C Q^T is 0, the m x (n - m) block beside it is read and counted twice,
-for its mirror, and the rows from m on are read as for any basis.
+basis next, E_m (+) Q_J for the sample's rows Y[m:] below the border.  The
+first m columns of C are those of Q* A, read exactly from A's first m rows,
+so the m x m corner of the residual A - Q C Q^T is 0, the m x (n - m)
+block beside it is read and counted twice, for its mirror, and the rows
+from m on are read as for any basis.
 
 From 128 rows a basis that does not certify grows its sample below the same
 ``lead`` rows (Halko, Martinsson and Tropp, sections 4.3-4.4), so the growth
-continues from the split where there is one and from the probe elsewhere.
-Each fresh sample Z = A Omega of 8 columns, from the same seeded stream,
-estimates the residual of the current Q, since
+continues from the split where there is one and from the plain sample
+elsewhere.  Each fresh sample Z = A Omega of 8 columns, from the same
+seeded stream, estimates the residual of the current Q, since
 E ||(I - Q Q*) A omega||^2 = ||A - Q Q* A||_F^2 for a Gaussian column
 omega, and (I - Q Q*) A omega is 0 on the ``lead`` rows; Z then joins the
 sample.  The last two estimates, extrapolated geometrically, predict the
@@ -72,9 +92,11 @@ sqrt(n) ||A - Q C Q^T||_F, when the half-width is at most half of
 ``_svd_allowance(n)``; the other half covers the rounding of Q, of the
 residual and of the small SVD.
 
-Every pass forms C = Q* A conj(Q), made exactly symmetric as (C + C^T)/2,
-and B = C Q^T for its row blocks.  Q B = Q C Q^T is symmetric, and so is
-R = A - Q B up to the rounding of B, so the pass reads only the row blocks
+The pass of a sampled basis forms C = Q* A conj(Q), and the probe's C is
+R Q[:2, :]^-T from its QR; either is made exactly symmetric as
+(C + C^T)/2, and every pass forms B = C Q^T for its row blocks.
+Q B = Q C Q^T is symmetric, and so is the residual R = A - Q B up to the
+rounding of B, so the pass reads only the row blocks
 from their diagonal block on: ||R[I, I]||^2 + 2 ||R[I, past I]||^2 for each
 block I of rows.  A pass of one block with no border reads all of R.  The
 rounding makes the lower part of R differ from the mirror of the upper
@@ -108,8 +130,9 @@ When no basis certifies, the factorization is A = I A I^T (Q is None, C is
 the dense A, checked to be finite, half-width 0) and the SVD of C is the
 dense SVD, so the allowance holds either way.  :func:`trace_norm` is the
 sum of the singular values of C; a certificate takes the singular vectors
-of C, U S V*, as those of A, Q U and conj(Q) V (D U and conj(D) V when Q
-is None and A = D C D).
+of C, U S V*, as those of A, Q U and conj(Q) V, and for an operator with a
+phase D, which factorizes A', those of D A' D, D Q U and conj(D Q) V (D U
+and conj(D) V when Q is None).
 """
 
 from __future__ import annotations
@@ -131,8 +154,9 @@ def _svd_allowance(n: int) -> float:
     It is the accuracy assumed of a dense SVD of the window.  The range
     finder keeps within it too: it certifies only when its residual
     half-width is at most half of it, and that half-width bounds the error of
-    ||C||_1 for any C, so it also covers the rounding of the FFT products
-    that make the sample and C (module docstring)."""
+    ||C||_1 for any C, so it also covers the rounding of the probe's QR and
+    solve and of the FFT products that make a sample and its C (module
+    docstring)."""
     return DEFAULT_TOL * n
 
 
@@ -178,7 +202,8 @@ def _svdvals(m: np.ndarray) -> np.ndarray:
 
 class _Operator:
     """A window A, square and complex symmetric, as :func:`_factorize` reads
-    it: ``shape``, ``border_rows``, the m of A whose rows and columns past m
+    it: ``shape``, ``dtype``, float64 for a real A and complex128 otherwise,
+    ``border_rows``, the m of A whose rows and columns past m
     are numerically of low rank (0 when none are known), ``matmul(x)`` = A x,
     so that Q* A = (A conj(Q))^T, ``subtract_block(row, col, out)``, which
     sets out to A[row : row + len(out), col : col + out.shape[1]] - out, and
@@ -194,7 +219,7 @@ class _Matrix(_Operator):
 
     def __init__(self, m: np.ndarray):
         self.m = m
-        self.shape = m.shape
+        self.shape, self.dtype = m.shape, m.dtype
 
     def matmul(self, x):
         return self.m @ x
@@ -234,10 +259,10 @@ def _gamma(m: int) -> Fraction:
     return Fraction(m, 2**53 - m)
 
 
-def _certify(op: _Operator, q: np.ndarray, limit: float, buf: np.ndarray, lead: int = 0):
+def _certify(op: _Operator, q: np.ndarray, limit: float, buf: np.ndarray, lead: int = 0, core=None):
     """(C, half-width) for A ~ Q C Q^T, C = Q* A conj(Q) made exactly
-    symmetric, when the half-width is at most sqrt(n) limit, else None
-    (module docstring).
+    symmetric, or the exactly symmetric ``core`` when one is given, when the
+    half-width is at most sqrt(n) limit, else None (module docstring).
 
     The first ``lead`` columns of Q are the first ``lead`` unit vectors, and
     its other columns are 0 on those rows (:func:`_basis`).  So the first
@@ -252,13 +277,15 @@ def _certify(op: _Operator, q: np.ndarray, limit: float, buf: np.ndarray, lead: 
     # itself and Q_I B when Q is real)
     bx = np.empty((words * k - (words - 1) * lead, words * n))
     top = bx[:k].view(q.dtype)  # Q* A, then B
-    top[:lead] = 0.0
-    op.subtract_block(0, 0, top[:lead])
-    top[lead:] = op.matmul(qj.conj()).T
-    c = np.empty((k, k), dtype=q.dtype)
-    c[:, :lead] = top[:, :lead]  # the unit columns of conj(Q) pick the columns of Q* A exactly
-    c[:, lead:] = top @ qj.conj()
-    c = 0.5 * (c + c.T)
+    c = core
+    if c is None:
+        top[:lead] = 0.0
+        op.subtract_block(0, 0, top[:lead])
+        top[lead:] = op.matmul(qj.conj()).T
+        c = np.empty((k, k), dtype=q.dtype)
+        c[:, :lead] = top[:, :lead]  # the unit columns of conj(Q) pick the columns of Q* A exactly
+        c[:, lead:] = top @ qj.conj()
+        c = 0.5 * (c + c.T)
     np.matmul(c[:, lead:], qj.T, out=top)
     top[:, :lead] = c[:, :lead]
     # || |Q| |C|^T ||_F, whose rows above lead are the columns of |C|
@@ -288,13 +315,23 @@ def _certify(op: _Operator, q: np.ndarray, limit: float, buf: np.ndarray, lead: 
     return c, math.sqrt(n) * (math.sqrt(ss) + slack)
 
 
-def _phased(q: np.ndarray, phase: np.ndarray | None) -> np.ndarray:
-    """D Q for the diagonal ``phase`` of D, Q itself when there is none."""
-    if phase is None:
-        return q
-    dq = q.astype(complex)
-    dq *= phase[:, None]  # in place: numpy's mixed-type broadcast product is several times slower
-    return dq
+def _kronecker(op: _Operator) -> tuple[np.ndarray, np.ndarray] | None:
+    """(Q, C) of the probe: Y = A[:, :2], read exactly as A's first two rows,
+    Y = Q R by Householder QR and C = R Q[:2, :]^-T made exactly symmetric,
+    the one C with Y = Q C Q[:2, :]^T; None when Y or C is not finite or the
+    QR or the 2 x 2 solve fails (module docstring)."""
+    y = np.zeros((_PROBE_WIDTH, op.shape[0]), dtype=op.dtype)
+    op.subtract_block(0, 0, y)
+    if not _all_finite(y):
+        return None
+    try:
+        q, r = np.linalg.qr(y.T)
+        c = np.linalg.solve(q[:_PROBE_WIDTH], r.T).T  # Q[:2] C^T = R^T
+    except np.linalg.LinAlgError:
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):  # a C that overflows fails here
+        c = 0.5 * (c + c.T)
+    return (q, c) if _all_finite(c) else None
 
 
 def _predicted_width(estimates: list[tuple[int, float]], limit: float) -> float:
@@ -314,30 +351,48 @@ def _predicted_width(estimates: list[tuple[int, float]], limit: float) -> float:
 def _factorize(op: _Operator) -> tuple[np.ndarray | None, np.ndarray, float]:
     """(Q, C, half-width) for the window A ~ Q C Q^T, C the exactly symmetric
     k x k core and the half-width a bound on sqrt(n) ||A - Q C Q^T||_F, from
-    the first basis that certifies its residual, of the probe, the split
-    basis and the growth of the split's sample (of the probe's where A has
-    no border) below its border rows, in that order, or (None, A, 0.0) below
-    64 rows and when no basis certifies (module docstring).  Q is dense in
-    every case, N x (lead + sample width).  A real A with a ``phase`` D
-    gives the Q C Q^T of the window D A D, Q = D Q', for the Q' C Q'^T of A,
-    and C = A when Q is None."""
-    n, phase = op.shape[0], op.phase
+    the first basis that certifies its residual, or (None, A, 0.0) below 64
+    rows and when no basis certifies (module docstring).  The bases, in
+    order:
+    - the probe: Q from the Householder QR Y = Q R of A's first two columns,
+      read exactly, and C = R Q[:2, :]^-T, with no draw and no product with
+      A.  Two columns span the range of a two-term exponential sum
+      w_a a^m + w_b b^m, which is what a spherical window at its own degree
+      is.  A QR or 2 x 2 solve that raises, or a C that is not finite,
+      fails it without a pass;
+    - only then is the seeded Gaussian sample of width 2 drawn, and the
+      split basis, its rows below the border as Q_J beside the border rows
+      as unit vectors, tried where A has a border with m + 2 <= n/2; below
+      128 rows a window with no such split goes dense without a sample;
+    - from 128 rows, the growth of that sample below the border rows.
+    Q is dense in every case, N x (lead + sample width).  A real A with a
+    ``phase`` D, which stands for the window D A D, gives the Q' C Q'^T of
+    A with Q' real, the window's basis being D Q', and C = A when Q is
+    None."""
+    n = op.shape[0]
     if n < _DENSE_BELOW:
         return None, op.dense(), 0.0
     lead = op.border_rows if 2 * (op.border_rows + _PROBE_WIDTH) <= n else 0  # a split at most half as wide as A
     if n < _GROW_FROM:  # the dense SVD needs A if no basis certifies, and dense products are cheaper here
         op = _Matrix(op.dense())
     limit = 0.5 * _svd_allowance(n) / math.sqrt(n)
+    buf = np.empty(min(n, 128, max(8, _BLOCK_BYTES // (16 * n))) * n, dtype=op.dtype)  # a block's rows
+    probe = _kronecker(op)
+    if probe is not None:
+        found = _certify(op, probe[0], limit, buf, core=probe[1])
+        if found is not None:
+            return probe[0], *found
+    if n < _GROW_FROM and not lead:  # no basis is left to try
+        return None, op.dense(), 0.0
     rng = np.random.default_rng(0)
     sample = _sample(op, rng.standard_normal((n, _PROBE_WIDTH)))
     if sample is None:
         return None, op.dense(), 0.0
-    buf = np.empty(min(n, 128, max(8, _BLOCK_BYTES // (16 * n))) * n, dtype=sample.dtype)  # a block's rows
-    for tried in sorted({0, lead}):  # the probe, then the split
-        q = _basis(sample, tried)
-        found = _certify(op, q, limit, buf, tried)
+    q = _basis(sample, lead)
+    if lead:  # the split
+        found = _certify(op, q, limit, buf, lead)
         if found is not None:
-            return _phased(q, phase), *found
+            return q, *found
     if n < _GROW_FROM:
         return None, op.dense(), 0.0
     estimates = []
@@ -352,7 +407,7 @@ def _factorize(op: _Operator) -> tuple[np.ndarray | None, np.ndarray, float]:
         if estimates[-1][1] <= limit:
             found = _certify(op, q, limit, buf, lead)
             if found is not None:
-                return _phased(q, phase), *found
+                return q, *found
         predicted = _predicted_width(estimates, limit)
         if predicted > n / 4 or k + _BLOCK > n / 4:
             break
@@ -374,12 +429,16 @@ def trace_norm(m) -> float:
     A window's :class:`_Operator` gives ||C||_1 for A ~ Q C Q^T from
     :func:`_factorize`, so a certified range finder answers from 64 rows
     (``_DENSE_BELOW``) when the window is numerically of low rank, and the
-    dense SVD otherwise.  The bases are one family, the m border rows kept
-    as unit vectors and a Gaussian sample below them, in the order probe
-    (m = 0, width 2), split (the probe's sample below the border; the
-    residual is 0 on the m x m corner and read on the m x (n - m) block
-    beside it and from row m on), then the sample grown below the same
-    border, then dense.  The result is deterministic: the sketch is seeded.
+    dense SVD otherwise.  The bases come in the order probe (A's first two
+    columns, their QR Y = Q R and the core C = R Q[:2, :]^-T: two columns
+    span a window of rank 2, as of a two-term exponential sum, and the probe
+    draws nothing and multiplies nothing by A; a singular leading block
+    fails it), split (the m border rows kept as unit vectors and, below
+    them, a seeded Gaussian sample of width 2, drawn only after a failed
+    probe; the residual is 0 on the m x m corner and read on the
+    m x (n - m) block beside it and from row m on), then the sample grown
+    below the same border, then dense.  The result is deterministic: the
+    probe draws nothing, and the sample is seeded.
     """
     core = _factorize(m)[1] if isinstance(m, _Operator) else as_cmatrix(m)
     return float(np.sum(_svdvals(core)))

@@ -20,6 +20,7 @@ from .symbols import (
     Geometric,
     RadialSymbol,
     Undeclared,
+    _powers,
     check_degree,
     explicit_symbol,
     parity_symbol,
@@ -88,7 +89,7 @@ def spherical_values(q, s: complex, count: int) -> np.ndarray:
     if count <= 0:
         return np.zeros(0, dtype=complex)
     if q == INF:
-        return s ** np.arange(count)
+        return _powers(s, count)
     # Python complex arithmetic gives the bits of numpy's scalars, faster, and
     # an overflow becomes inf or NaN without a warning
     coeff = s * (1.0 + 1.0 / q)

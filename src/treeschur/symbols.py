@@ -28,6 +28,7 @@ INF = math.inf
 
 N_START = 32
 N_CAP = 4096
+_KEPT_VALUES = 2 * N_CAP + 1  # the values of the longest window; a longer read is not kept
 _UNIT_ROUNDOFF = 2.0**-53  # |fl(x) - x| <= 2^-53 |x| for a float x in range
 
 
@@ -211,6 +212,14 @@ class RadialSymbol:
     to onset + 1024.  The values the generator returns are taken as exact: a
     certified error covers the truncation and the trace norm of the window,
     not how far those floats lie from the sequence they round.
+
+    The symbol keeps the longest prefix the generator has returned, up to
+    the 2 N_CAP + 1 values of the longest window, and serves shorter reads
+    as copies of it, so the generator runs once per symbol for every window
+    up to the longest one read: the check's onset + 1025 values already
+    serve every window of up to 511 rows, and repeated norms, certificates
+    and checks of one symbol never run it again.  A longer read, the disc
+    coefficients or the M_A series, runs the generator and is not kept.
     """
 
     fn: InitVar[Callable[[int], complex] | None] = None
@@ -218,6 +227,7 @@ class RadialSymbol:
     name: str = ""
     values_fn: Callable[[int], np.ndarray] | None = None
     _env: _Envelope | None = field(default=None, init=False, repr=False, compare=False)
+    _kept: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=complex), init=False, repr=False, compare=False)
 
     def __post_init__(self, fn):
         if (fn is None) == (self.values_fn is None):
@@ -237,9 +247,13 @@ class RadialSymbol:
         """phi(0), ..., phi(count-1) as a complex array."""
         if count <= 0:
             return np.zeros(0, dtype=complex)
+        if count <= len(self._kept):
+            return self._kept[:count].copy()
         vals = np.asarray(self.values_fn(count), dtype=complex)
         if vals.shape != (count,):
             raise ValueError("values_fn returned wrong length")
+        if count <= _KEPT_VALUES:
+            object.__setattr__(self, "_kept", vals.copy())
         return vals
 
 
@@ -273,8 +287,21 @@ def power_symbol(s: complex, name: str = "") -> RadialSymbol:
     return RadialSymbol(
         tail=Geometric(ratio=abs(s), bound=1.0),
         name=name or f"power({s})",
-        values_fn=lambda count: s ** np.arange(count),
+        values_fn=lambda count: _powers(s, count),
     )
+
+
+def _powers(s: complex, count: int) -> np.ndarray:
+    """s**n for n < count.  An s on an axis, s = |s| i^t, keeps its powers in
+    their exact phase class: |s|**n, numpy's complex power of the positive
+    |s|, which is real at every n, times the exact unit i^(t n).  numpy's
+    power of s itself leaves residue off the class from n = 100 on, where it
+    takes exp(n log s); below that its magnitudes are the same bits."""
+    n = np.arange(count)
+    if s.real and s.imag:
+        return s ** n
+    t = 2 * (s.real < 0) + (s.imag > 0) + 3 * (s.imag < 0)  # s / |s| = i^t
+    return complex(abs(s)) ** n * _TURNS[t * n % 4]
 
 
 def parity_symbol(c_plus: complex, c_minus: complex, psi: RadialSymbol, name: str = "") -> RadialSymbol:
@@ -582,7 +609,7 @@ class _ResolventImage(_Operator):
     rows of H' past its ``border_rows`` = k are numerically of low rank
     where H' is not (rank 1-2 against 16-36 for the corpus's spherical
     functions read at another degree), so a probe that fails is followed by
-    the basis of the k unit vectors and of the probe's sample below them,
+    the basis of the k unit vectors and of a sample drawn below them,
     k + 2 columns (61 at q = 2, 39 at q = 3, 27 at q = 5), whose sample then
     grows below the same k rows if it fails too.
 
@@ -615,7 +642,7 @@ class _ResolventImage(_Operator):
                     lag *= 2
         if not _all_finite(f):
             raise NonFinite("the window or its resolvent image has NaN or infinite entries")
-        self.n, self.shape = n, (n, n)
+        self.n, self.shape, self.dtype = n, (n, n), f.dtype
         self.g = (1.0 - c) * f if c else f
         self._view = _window_view(self.g, n)
         self.border = np.zeros((0, n), dtype=f.dtype)
@@ -776,8 +803,10 @@ class _Window:
     """The N-window of H, its parity limits, the factorization H ~ Q C Q^T
     (q = inf) or H' ~ Q C Q^T (finite q) of ``spectral._factorize`` with its
     residual ``half_width`` (Q is None when the ``core`` C is the window
-    itself, or D C D for the diagonal ``phase`` D of :class:`_ResolventImage`),
-    and the window's error ``budget``."""
+    itself), and the window's error ``budget``.  Where the window is D A D
+    for the diagonal ``phase`` D of :class:`_ResolventImage`, Q and C are
+    the real ones of A (C = A when Q is None), and D Q is the window's
+    basis."""
 
     hankel: HankelMatrix
     parity: ParityDecomposition

@@ -222,8 +222,9 @@ def build_certificate(sym: RadialSymbol, q, n: int) -> FactorizationCertificate:
     the k x k core C, xi^(k) = sqrt(s_k) (Q U)_k and
     eta^(k) = sqrt(s_k) (conj(Q) V)_k, so that sum_k xi^(k) (x) eta^(k)
     reproduces Q C Q^T and sum_k s_k its trace norm.  A window real up to
-    the phase D = diag(i^m) has a real C, and Q = D Q' with Q' real; where
-    Q is the identity, C is the real D* A D*, and D takes its place.  The
+    the phase D = diag(i^m) is D A' D: its factorization is the real
+    Q' C Q'^T of A', and D turns the vectors back, Q = D Q' (D alone where
+    Q' is the identity and C is A' itself).  The
     certified error covers the window tail, the resolvent spill, dropped singular values
     (below 1e-15 absolute or relative), the residual half-width
     sqrt(n) ||A - Q C Q^T||_F and the SVD allowance ``_Budget.svd``
@@ -237,7 +238,7 @@ def build_certificate(sym: RadialSymbol, q, n: int) -> FactorizationCertificate:
     u, s, vh = _svd(w.core, full_matrices=False)
     if w.q_basis is not None:
         u, vh = w.q_basis @ u, vh @ w.q_basis.T
-    elif w.phase is not None:  # A = D C D
+    if w.phase is not None:  # the window is D A D
         u, vh = w.phase[:, None] * u, vh * w.phase
     keep = s > max(1e-15, s[0] * 1e-15)
     dropped = float(np.sum(s[~keep]))

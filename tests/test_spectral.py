@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import treeschur.spectral as spectral
@@ -14,10 +14,12 @@ from treeschur.spectral import DEFAULT_TOL, _factorize, _Matrix, _svdvals, as_cm
 from treeschur.spherical import eigenvalue_from_z, schur_norm_in_s, spherical_symbol
 from treeschur.symbols import (
     INF,
+    Geometric,
     RadialSymbol,
     _evaluate_window,
     _ResolventImage,
     build_hankel,
+    explicit_symbol,
     power_symbol,
     schur_norm,
 )
@@ -119,8 +121,9 @@ def test_finiteness_check_survives_an_overflowing_sum():
 
 
 def test_sketch_that_overflows_goes_to_the_dense_path(monkeypatch):
-    # the entries are finite but every product A Omega overflows: such a
-    # sketch certifies nothing, so no QR runs and A itself is returned
+    # the entries are finite but the QR of the probe's first two columns and
+    # every product A Omega overflow: the probe fails after its one QR, the
+    # sample certifies nothing, so no other QR runs, and A itself is returned
     import treeschur.spectral as spectral
 
     calls = []
@@ -129,7 +132,7 @@ def test_sketch_that_overflows_goes_to_the_dense_path(monkeypatch):
     m = np.full((256, 256), 1e308, dtype=complex)
     q_basis, core, half_width = spectral._factorize(_Matrix(m))
     assert q_basis is None and core is m and half_width == 0.0
-    assert calls == []
+    assert calls == [(256, 2)]
 
 
 def test_shape_validation():
@@ -250,23 +253,24 @@ def test_trace_norm_agrees_with_the_dense_sum(n, rank, exponent, seed):
 
 
 def test_trace_norm_below_64_rows_is_the_dense_sum(monkeypatch):
-    draws, _ = record_paths(monkeypatch)
+    draws, passes = record_paths(monkeypatch)
     rng = np.random.default_rng(21)
     for n in (1, 7, 63):
         m = low_rank_symmetric(rng, n, 1, 1.0)
         assert trace_norm(_Matrix(m)) == dense_trace_norm(m)
     wide = low_rank_complex(rng, 63, 1, 1.0) @ random_complex(rng, 63, 300)
     assert trace_norm(wide) == dense_trace_norm(wide)
-    assert draws == []
-    # from 64 rows a full-rank symmetric matrix fails the probe and takes the dense sum
+    assert draws == [] and passes == []
+    # from 64 rows a full-rank symmetric matrix fails the probe and, with no
+    # border to split below 128 rows, takes the dense sum without a sample
     for n in (64, 127):
         m = low_rank_symmetric(rng, n, None, 1.0)
         assert trace_norm(_Matrix(m)) == dense_trace_norm(m)
-    assert draws == [(64, 2), (127, 2)]
+    assert draws == [] and passes == [(0, 2, False)] * 2
 
 
 def test_probe_answers_a_rank_one_matrix_from_64_rows(monkeypatch):
-    draws, _ = record_paths(monkeypatch)
+    draws, passes = record_paths(monkeypatch)
     rng = np.random.default_rng(21)
     shapes = []
     svd = np.linalg.svd
@@ -274,16 +278,84 @@ def test_probe_answers_a_rank_one_matrix_from_64_rows(monkeypatch):
     for n in (64, 96, 127):
         m = low_rank_symmetric(rng, n, 1, 1.0)
         assert abs(trace_norm(_Matrix(m)) - dense_trace_norm(m)) <= DEFAULT_TOL * n
-    assert draws == [(64, 2), (96, 2), (127, 2)]
+    assert draws == [] and passes == [(0, 2, True)] * 3
     # a plain matrix, here not square or not its own transpose, takes the
     # dense SVD without a sample
     wide = low_rank_complex(rng, 127, 1, 1.0) @ random_complex(rng, 127, 300)
     assert trace_norm(wide) == dense_trace_norm(wide)
     square = low_rank_complex(rng, 127, 1, 1.0)
     assert trace_norm(square) == dense_trace_norm(square)
-    assert len(draws) == 3
+    assert draws == [] and len(passes) == 3
     # one SVD of the 2 x 2 core per trace norm, then the dense references
     assert shapes == [(2, 2), (64, 64), (2, 2), (96, 96), (2, 2), (127, 127)] + [(127, 300)] * 2 + [(127, 127)] * 2
+
+
+def spherical_window(q, n):
+    """The operator of the n-window of a spherical function read at its own
+    degree q, a two-term exponential sum (s^n alone at q = inf)."""
+    sym = spherical_symbol(q, s=0.9 * np.exp(0.7j)) if q == INF else spherical_symbol(q, z=complex(0.1, 0.7))
+    return _ResolventImage(build_hankel(sym, n), q)
+
+
+@pytest.mark.parametrize("q", [2, 3, INF])
+@pytest.mark.parametrize("n", [128, 320, 512])
+def test_probe_certifies_spherical_windows_with_no_product_and_no_draw(monkeypatch, q, n):
+    # the first two columns of a window of rank 2 span its range: the probe
+    # certifies from them alone, with no product A X (no FFT) and no sample
+    draws, passes = record_paths(monkeypatch)
+    products = []
+    matmul = _ResolventImage.matmul
+    monkeypatch.setattr(_ResolventImage, "matmul", lambda op, x: products.append(x.shape) or matmul(op, x))
+    op = spherical_window(q, n)
+    q_basis, core, half_width = _factorize(op)
+    assert q_basis.shape == (n, 2) and core.shape == (2, 2)
+    assert passes == [(0, 2, True)] and draws == [] and products == []
+    assert half_width <= 0.01 * spectral._svd_allowance(n) / 2
+    assert abs(trace_norm(op) - dense_trace_norm(op.dense())) <= spectral._svd_allowance(n)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.sampled_from([64, 128, 256, 512]),
+    st.lists(st.tuples(st.floats(0.0, 0.95), st.floats(0.0, 1.0)), min_size=2, max_size=2),
+    st.lists(st.tuples(st.floats(0.1, 1.0), st.floats(0.0, 1.0)), min_size=2, max_size=2),
+)
+def test_probe_certifies_two_term_exponential_sums(n, roots, weights):
+    # w_a a^m + w_b b^m with a != b and nonzero weights, read at q = inf: its
+    # window has rank 2 and its first two columns span the range, since
+    # det [[w_a, w_b], [w_a a, w_b b]] = w_a w_b (b - a) != 0
+    (a, b), (w_a, w_b) = ([r * np.exp(2j * np.pi * t) for r, t in pairs] for pairs in (roots, weights))
+    assume(a != b)
+    sym = RadialSymbol(values_fn=lambda count: w_a * a ** np.arange(count) + w_b * b ** np.arange(count))
+    op = _ResolventImage(build_hankel(sym, n), INF)
+    with pytest.MonkeyPatch.context() as patch:
+        draws, passes = record_paths(patch)
+        total = trace_norm(op)
+    assert passes == [(0, 2, True)] and draws == []
+    assert abs(total - dense_trace_norm(op.dense())) <= spectral._svd_allowance(n)
+
+
+def leading_zeros():
+    """A symbol whose first four values are 0 and 0.8^n after them: its
+    window's leading 2 x 2 block is singular at every degree."""
+    return RadialSymbol(values_fn=lambda count: np.where(np.arange(count) < 4, 0.0, 0.8 ** np.arange(count)) + 0j)
+
+
+@pytest.mark.parametrize("make, q, n", [
+    (lambda: explicit_symbol([1.0, 0.0, 1.0], tail=Geometric(ratio=0.0, bound=1.0, onset=3)), 2, 128),
+    (leading_zeros, INF, 96),
+    (leading_zeros, INF, 256),
+    (leading_zeros, 3, 128),
+], ids=["ratio0-onset3-q2", "zeros-inf-96", "zeros-inf-256", "zeros-q3-128"])
+def test_a_singular_leading_block_fails_the_probe_without_a_pass(monkeypatch, make, q, n):
+    # the probe's 2 x 2 solve meets a singular Q[:2, :] and raises inside the
+    # probe, which then fails without a pass; the split, the growth or the
+    # dense SVD answers within the allowance
+    draws, passes = record_paths(monkeypatch)
+    op = _ResolventImage(build_hankel(make(), n), q)
+    assert spectral._kronecker(op) is None
+    assert abs(trace_norm(op) - dense_trace_norm(op.dense())) <= spectral._svd_allowance(n)
+    assert (0, 2, False) not in passes and (0, 2, True) not in passes
 
 
 @pytest.mark.parametrize("n", [64, 1024])
@@ -304,11 +376,11 @@ def test_trace_norm_falls_back_to_the_dense_sum_at_full_rank():
 
 def test_trace_norm_reads_the_residual_of_every_row_block():
     # rank one plus symmetric noise on the last 128 rows and columns of 256,
-    # which make the last of its two row blocks of 128.  The noise is
-    # orthogonal to the probe's draw (the seeded stream's first two columns),
-    # so the probe's basis holds the rank-one part and the first block's
-    # residual fits the limit: only the last block shows that the sketch
-    # misses mass.  No basis of n/4 columns holds the noise's rank of 126, so
+    # which make the last of its two row blocks of 128.  The noise lies past
+    # the probe's two columns and is orthogonal to the first draw (the seeded
+    # stream's first two columns), so the probe's basis and the sample's hold
+    # the rank-one part and the first block's residual fits the limit: only
+    # the last block shows that the sketch misses mass.  No basis of n/4 columns holds the noise's rank of 126, so
     # the dense SVD must answer
     rng = np.random.default_rng(25)
     n = 256
@@ -377,9 +449,9 @@ def test_width_two_probe_answers_a_rank_one_window(monkeypatch):
 
 
 def test_grown_basis_extends_the_probe_sample():
-    # one seeded stream: the probe's first draw of width 2, then fresh blocks
-    # of 8; the basis is the Householder Q of the whole sample so far, and the
-    # trace norm is that of its core C = Q* A conj(Q)
+    # one seeded stream, drawn after the probe fails: the first sample of
+    # width 2, then fresh blocks of 8; the basis is the Householder Q of the whole
+    # sample so far, and the trace norm is that of its core C = Q* A conj(Q)
     m = low_rank_symmetric(np.random.default_rng(26), 512, 3, 1.0)
     rng = np.random.default_rng(0)
     probe = m @ rng.standard_normal((512, 2))
@@ -445,8 +517,8 @@ def record_paths(monkeypatch):
     sample, certify = spectral._sample, spectral._certify
     monkeypatch.setattr(spectral, "_sample", lambda op, omega: draws.append(omega.shape) or sample(op, omega))
 
-    def recording_certify(op, q, limit, buf, lead=0):
-        found = certify(op, q, limit, buf, lead)
+    def recording_certify(op, q, limit, buf, lead=0, core=None):
+        found = certify(op, q, limit, buf, lead, core)
         passes.append((lead, q.shape[1], found is not None))
         return found
 
@@ -602,9 +674,10 @@ def test_half_width_of_plain_matrices(n, rank, exponent, symmetric, seed):
 def test_corpus_tail_item_takes_no_window_sized_svd(monkeypatch):
     # spherical q = 3, s = 0.4i read at q = 2 has a 256-row window whose rows
     # past the 59-row border are numerically of rank 2 or less: the split
-    # basis E_59 (+) orth(Y[59:]) of the probe's own sample certifies it.  The
-    # only SVD is that of the 61 x 61 core, and the only QRs are those of the
-    # probe's 256 x 2 sample and of its (256 - 59) x 2 part below the border
+    # basis E_59 (+) orth(Y[59:]) of the sample drawn after the probe
+    # certifies it.  The only SVD is that of the 61 x 61 core, and the only
+    # QRs are those of the probe's 256 x 2 first columns and of the sample's
+    # (256 - 59) x 2 part below the border
     shapes, draws, qrs = [], [], []
     svd, sample, qr = np.linalg.svd, spectral._sample, np.linalg.qr
     monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: shapes.append(np.shape(a)) or svd(a, *args, **kw))
@@ -673,9 +746,10 @@ THREE_EXPONENTIALS = (0.9, -0.8, 0.7j)
 
 
 def test_a_failed_split_grows_below_the_border(monkeypatch):
-    # 0.9^n + (-0.8)^n + (0.7i)^n has rank 3 past the border: the split pass
-    # fails, and the growth keeps the 59 border rows as unit vectors and adds
-    # a fresh block of 8 from the same stream to the probe's sample below them
+    # 0.9^n + (-0.8)^n + (0.7i)^n has rank 3 past the border: the probe and
+    # the split pass fail, and the growth keeps the 59 border rows as unit
+    # vectors and adds a fresh block of 8 from the same stream to the sample
+    # below them
     draws, passes = record_paths(monkeypatch)
     op = _ResolventImage(build_hankel(exponential_sum(THREE_EXPONENTIALS), 256), 2)
     assert check_certified_factorization(op) == 69
@@ -689,13 +763,15 @@ def test_plain_matrices_and_infinite_degree_have_no_border():
     assert resolvent_window(3, complex(0.4, 0.7), 3, 16).border_rows == 16  # at most n
 
 
-# the path of every corpus norm that samples, (symbol index, q): (path, _sample
-# calls, residual passes); the other norms read windows under 64 rows, which
-# the dense SVD answers with no sample and no pass
+# the path of every corpus norm that reaches the probe, (symbol index, q):
+# (path, _sample calls, residual passes); the other norms read windows under
+# 64 rows, which the dense SVD answers with no sample and no pass.  The probe
+# draws nothing, and a 64-row window with no admissible split (q = 2, 3) goes
+# dense after it without a sample
 CORPUS_PATHS = {
-    (6, 2): ("split", 1, 2), (6, 3): ("probe", 1, 1), (6, 5): ("split", 1, 2), (6, INF): ("probe", 1, 1),
-    (7, 2): ("probe", 1, 1), (7, 3): ("split", 1, 2), (7, 5): ("split", 1, 2), (7, INF): ("probe", 1, 1),
-    (9, 2): ("dense", 1, 1), (9, 3): ("dense", 1, 1), (9, 5): ("split", 1, 2), (9, INF): ("probe", 1, 1),
+    (6, 2): ("split", 1, 2), (6, 3): ("probe", 0, 1), (6, 5): ("split", 1, 2), (6, INF): ("probe", 0, 1),
+    (7, 2): ("probe", 0, 1), (7, 3): ("split", 1, 2), (7, 5): ("split", 1, 2), (7, INF): ("probe", 0, 1),
+    (9, 2): ("dense", 0, 1), (9, 3): ("dense", 0, 1), (9, 5): ("split", 1, 2), (9, INF): ("probe", 0, 1),
 }
 
 
@@ -718,9 +794,9 @@ def test_corpus_norms_take_their_pinned_paths(monkeypatch):
 
 # the window of 0.9^n + (-0.8)^n + (0.7i)^n (rank 3 past the border) read at
 # degree q, N rows: (lead, width) of the basis that certifies, and the shapes
-# of the _sample draws.  The probe and the split fail on the probe's sample,
-# one block of 8 joins it below the border, and the next block's estimate lets
-# the pass certify
+# of the _sample draws.  The probe fails, the split fails on the sample drawn
+# after it, one block of 8 joins that sample below the border, and the next
+# block's estimate lets the pass certify
 GROWN_PATHS = {
     (2, 128): ((59, 69), [(128, 2), (128, 8), (128, 8)]),
     (2, 256): ((59, 69), [(256, 2), (256, 8), (256, 8)]),

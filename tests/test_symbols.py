@@ -336,6 +336,111 @@ def test_real_windows_hold_the_bits_of_the_complex_image_under_the_exact_phase(k
         assert not rotated.imag.any() and np.array_equal(op.dense(), rotated.real), q
 
 
+# ---------------------------------------------------------------------------
+# powers on the axes, in their exact phase class
+# ---------------------------------------------------------------------------
+
+AXIS_POWERS = (0.9j, -0.9)
+
+
+def off_class(values, s):
+    """How many values leave the class of s^n: R for a real s, i^n R for an imaginary one."""
+    if s.imag == 0:
+        return int(np.count_nonzero(values.imag))
+    return int(np.count_nonzero(values.real[1::2]) + np.count_nonzero(values.imag[::2]))
+
+
+@pytest.mark.parametrize("s", AXIS_POWERS + (-0.4j, 0.5, 0.0))
+def test_axis_powers_stay_in_their_phase_class(s):
+    # numpy's power of s leaves residue off the class from n = 100 on; the
+    # symbol's 300 values, and the q = inf spherical values, have none, and
+    # below 100 they are the bits of numpy's power
+    from treeschur.spherical import spherical_values
+
+    s = complex(s)
+    for values in (power_symbol(s).values(300), spherical_values(INF, s, 300)):
+        assert off_class(values, s) == 0
+        assert np.array_equal(values[:100], s ** np.arange(100))
+        assert np.max(np.abs(values - s ** np.arange(300))) <= 1e-15
+
+
+@pytest.mark.parametrize("s", AXIS_POWERS)
+def test_axis_power_windows_reach_the_real_path(s):
+    # the 224-row q = 3 window of 0.9i^n or (-0.9)^n is read by a real
+    # operator (up to the phase i^m for 0.9i), and its trace norm agrees with
+    # that of the complex window of numpy's powers within the allowance
+    n, q, s = 224, 3, complex(s)
+    sym = power_symbol(s)
+    rep = schur_norm(sym, q)
+    assert (rep.truncation_n, rep.sketch_width) == (n, 39)
+    op = _ResolventImage(build_hankel(sym, n), q)
+    assert op.dtype == np.float64 and (op.phase is None) == (s.imag == 0)
+    complex_op = _ResolventImage(build_hankel(RadialSymbol(values_fn=lambda count: s ** np.arange(count)), n), q)
+    assert complex_op.dtype == np.complex128
+    assert abs(trace_norm(op) - trace_norm(complex_op)) <= _svd_allowance(n)
+    # at q = inf the spherical function is s^n, and its norm is the closed form
+    rep = schur_norm(spherical_symbol(INF, s=s), INF)
+    assert rep.certified and abs(rep.total - schur_norm_in_s(INF, s)) <= rep.certified_error
+
+
+# ---------------------------------------------------------------------------
+# values generated once
+# ---------------------------------------------------------------------------
+
+def counted(values_fn, calls):
+    """values_fn, appending each count it is called with to ``calls``."""
+    return lambda count: calls.append(count) or values_fn(count)
+
+
+def test_kept_values_are_those_of_the_generator():
+    calls = []
+    sym = RadialSymbol(tail=Geometric(ratio=0.9, bound=1.0), values_fn=counted(lambda c: 0.9 ** np.arange(c) * 1j, calls))
+    assert calls == [1025]  # the construction check
+    for k in (1, 700, 1025, 1026, 3000, 2 * N_CAP + 2):
+        assert np.array_equal(sym.values(k), 0.9 ** np.arange(k) * 1j), k
+    # the reads up to the stored length ran nothing; 3000 was kept, so only
+    # the reads past it and the one past 2 N_CAP + 1 ran the generator
+    assert calls == [1025, 1026, 3000, 2 * N_CAP + 2]
+    assert sym.eval(2999) == 0.9 ** 2999 * 1j and len(calls) == 4
+
+
+def test_writing_into_read_values_leaves_later_reads_unchanged():
+    sym = power_symbol(0.5)
+    for k in (2000, 10, 1025):  # a read that runs the generator, then reads of the kept prefix
+        sym.values(k)[:] = 7.0
+    assert np.array_equal(sym.values(2000), sym.values_fn(2000))
+
+
+@pytest.mark.parametrize("q", [2, 3, INF])
+def test_windows_up_to_511_rows_run_no_generator_after_construction(q):
+    calls = []
+    from treeschur.spherical import spherical_values
+
+    s = 0.9 if q == INF else 0.5 + 0.2j
+    sym = RadialSymbol(tail=Geometric(ratio=0.95, bound=2.0), values_fn=counted(lambda c: spherical_values(q, s, c), calls))
+    del calls[:]
+    for n in (32, 64, 256, 511):
+        _evaluate_window(sym, q, n)
+    schur_norm(sym, q)
+    assert calls == []
+
+
+def test_a_read_past_the_longest_window_keeps_nothing():
+    sym = power_symbol(0.5)
+    count = 2 * N_CAP + 2
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        values = sym.values(count)
+        assert len(values) == count
+        del values
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 16 * 1024  # the read's 131 KB are not kept
+    assert len(sym.values(1025)) == 1025
+
+
 def reference_parity(sym, entries):
     """(c_plus, c_minus, Cauchy error) from np.diagonal sums of the dense window, as first written."""
     n = entries.shape[0]
@@ -908,9 +1013,9 @@ _REAL = st.floats(-1.0, 1.0, allow_subnormal=False)
 @st.composite
 def real_up_to_a_phase(draw):
     """Symbols whose windows are real, or real up to the phase i^m: real
-    explicit values, powers of a real or an imaginary s (the latter in the
-    class while numpy's power of it is exact), spherical functions on the
-    imaginary axis, a parity layer over a real power, and corpus 6."""
+    explicit values, powers of a real or an imaginary s (in their class at
+    every n), spherical functions on the imaginary axis, a parity layer over
+    a real power, and corpus 6."""
     kind = draw(st.sampled_from(["explicit", "power", "power-i", "spherical-i", "parity", "corpus6"]))
     if kind == "explicit":
         return explicit_symbol(draw(st.lists(_REAL, min_size=1, max_size=12).filter(any)))
@@ -1014,6 +1119,9 @@ def _spherical(q, s):
 @example(sym=_spherical(5, -0.5 + 0.2j), q=5, ns=[48, 64, 96], big=640)
 @example(sym=explicit_symbol([0, 1]), q=3, ns=[3, 5], big=128)
 @example(sym=explicit_symbol([0, 1]), q=5, ns=[3, 5], big=128)
+# singular leading blocks, where the probe's 2 x 2 solve raises inside it
+@example(sym=explicit_symbol([1.0, 0.0, 1.0], tail=Geometric(ratio=0.0, bound=1.0, onset=3)), q=2, ns=[2], big=128)
+@example(sym=explicit_symbol([0.0, 0.0, 0.0, 0.0, 1.0, -0.5, 0.25]), q=3, ns=[4, 8], big=128)
 def test_tail_plus_spill_budget_dominates_window_gap(sym, q, ns, big):
     # the certified budget (Hankel tail + resolvent spill) must dominate the
     # true window-to-window change in the resolvent trace norm, up to the

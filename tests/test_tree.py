@@ -454,7 +454,8 @@ def test_certificate_reads_the_range_finder(monkeypatch, q, n, width):
     # spherical q = 3, s = 0.4i read at its own degree takes the probe; read
     # at q = 2 its 256-row window takes the split basis, whose first 59
     # columns are unit vectors, so xi = Q U and eta = conj(Q) V are checked
-    # where the border is
+    # where the border is.  The window is real up to the phase i^m, so the
+    # factorization keeps Q' real and the certificate applies the phase
     sym = spherical_symbol(3, s=0.4j)
     shapes = recording_svd(monkeypatch)
     cert = build_certificate(sym, q, n)
@@ -466,6 +467,7 @@ def test_certificate_reads_the_range_finder(monkeypatch, q, n, width):
     # singular values of the core C and the residual half-width of A ~ Q C Q^T
     w = symbols._evaluate_window(sym, q, n)
     assert w.q_basis is not None and w.q_basis.shape[1] == width and w.half_width > 0
+    assert w.q_basis.dtype == np.float64 and w.phase is not None
     s = np.linalg.svd(w.core, full_matrices=False)[1]
     dropped = float(np.sum(s[s <= max(1e-15, s[0] * 1e-15)]))
     b = w.budget
