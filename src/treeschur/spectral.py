@@ -28,8 +28,7 @@ form.  The operator of a window A = D A' D, A' real symmetric and D a
 diagonal of units (the identity for a real A), reads A': every step below
 then runs in real arithmetic, Q' and C real, C = Q'^T A' Q' and the SVD of
 C LAPACK's real one, and A ~ (D Q') C (D Q')^T has the trace norm of C.
-The factorization returns Q' and C; a reader of the singular vectors
-applies D itself.
+The factorization returns Q', C and D.
 
 Below 64 rows the dense SVD answers.  From 64 rows the probe runs first
 (:func:`_kronecker`), with no random draw and no product with A: Y is A's
@@ -128,17 +127,17 @@ rows, 2^15 // n between them.  So the finder needs 512 KB plus O(k n)
 memory beyond what the operator holds.
 When no basis certifies, the factorization is A = I A I^T (Q is None, C is
 the dense A, checked to be finite, half-width 0) and the SVD of C is the
-dense SVD, so the allowance holds either way.  :func:`trace_norm` is the
-sum of the singular values of C; a certificate takes the singular vectors
-of C, U S V*, as those of A, Q U and conj(Q) V, and for an operator with a
-phase D, which factorizes A', those of D A' D, D Q U and conj(D Q) V (D U
-and conj(D) V when Q is None).
+dense SVD, so the allowance holds either way.  The result, with the path
+that made it, is one :class:`_Factorization`: :func:`trace_norm` reads its
+||C||_1, and a certificate the window's singular vectors from its ``svd``.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -334,6 +333,46 @@ def _kronecker(op: _Operator) -> tuple[np.ndarray, np.ndarray] | None:
     return (q, c) if _all_finite(c) else None
 
 
+@dataclass(frozen=True)
+class _Factorization:
+    """A window A ~ Q C Q^T as :func:`_factorize` made it.  ``basis`` is Q'
+    (None when dense), ``core`` the k x k symmetric C (the dense A' when
+    ``basis`` is None), ``half_width`` a bound on sqrt(n) ||A' - Q' C Q'^T||_F
+    (0 when dense), and ``phase`` the diagonal of D of a window A = D A' D
+    (None for D = I), so that Q = D Q'.  ``path`` names the basis that
+    certified, in the order tried: "probe", "split", "grown", else "dense"
+    (module docstring).  ``draws`` holds the width of each sample drawn, and
+    ``passes`` the (lead, width, certified) of each residual pass."""
+
+    basis: np.ndarray | None
+    core: np.ndarray
+    half_width: float
+    phase: np.ndarray | None
+    path: str
+    draws: tuple[int, ...]
+    passes: tuple[tuple[int, int, bool], ...]
+
+    @property
+    def width(self) -> int:
+        """The columns of Q, 0 when dense."""
+        return 0 if self.basis is None else self.basis.shape[1]
+
+    @cached_property
+    def trace_norm(self) -> float:
+        """||C||_1, the trace norm of Q C Q^T."""
+        return float(np.sum(_svdvals(self.core)))
+
+    def svd(self):
+        """U S V* of the window: with U' S V'* the SVD of C, U = D Q' U' and
+        V* = V'* Q'^T D (D U' and V'* D when dense)."""
+        u, s, vh = _svd(self.core, full_matrices=False)
+        if self.basis is not None:
+            u, vh = self.basis @ u, vh @ self.basis.T
+        if self.phase is not None:
+            u, vh = self.phase[:, None] * u, vh * self.phase
+        return u, s, vh
+
+
 def _predicted_width(estimates: list[tuple[int, float]], limit: float) -> float:
     """The width at which the residual estimate reaches ``limit``, extrapolated
     geometrically from the last two (width, estimate) pairs: the last width
@@ -348,30 +387,28 @@ def _predicted_width(estimates: list[tuple[int, float]], limit: float) -> float:
     return k1 + (k1 - k0) * math.log(e1 / limit) / math.log(e0 / e1)
 
 
-def _factorize(op: _Operator) -> tuple[np.ndarray | None, np.ndarray, float]:
-    """(Q, C, half-width) for the window A ~ Q C Q^T, C the exactly symmetric
-    k x k core and the half-width a bound on sqrt(n) ||A - Q C Q^T||_F, from
-    the first basis that certifies its residual, or (None, A, 0.0) below 64
-    rows and when no basis certifies (module docstring).  The bases, in
-    order:
-    - the probe: Q from the Householder QR Y = Q R of A's first two columns,
-      read exactly, and C = R Q[:2, :]^-T, with no draw and no product with
-      A.  Two columns span the range of a two-term exponential sum
-      w_a a^m + w_b b^m, which is what a spherical window at its own degree
-      is.  A QR or 2 x 2 solve that raises, or a C that is not finite,
-      fails it without a pass;
-    - only then is the seeded Gaussian sample of width 2 drawn, and the
-      split basis, its rows below the border as Q_J beside the border rows
-      as unit vectors, tried where A has a border with m + 2 <= n/2; below
-      128 rows a window with no such split goes dense without a sample;
-    - from 128 rows, the growth of that sample below the border rows.
-    Q is dense in every case, N x (lead + sample width).  A real A with a
-    ``phase`` D, which stands for the window D A D, gives the Q' C Q'^T of
-    A with Q' real, the window's basis being D Q', and C = A when Q is
-    None."""
-    n = op.shape[0]
+def _factorize(op: _Operator) -> _Factorization:
+    """The :class:`_Factorization` of the window A, from the first basis that
+    certifies its residual, or the dense A below 64 rows and when no basis
+    certifies; the bases and their order are those of the module docstring."""
+    n, phase = op.shape[0], op.phase  # the phase before the swap to _Matrix below, which drops it
+    draws, passes = [], []
+
+    def result(path, q=None, found=None):
+        core, half_width = (op.dense(), 0.0) if found is None else found
+        return _Factorization(q, core, half_width, phase, path, tuple(draws), tuple(passes))
+
+    def certify(q, lead=0, core=None):
+        found = _certify(op, q, limit, buf, lead, core)
+        passes.append((lead, q.shape[1], found is not None))
+        return found
+
+    def draw(width):
+        draws.append(width)
+        return _sample(op, rng.standard_normal((n, width)))
+
     if n < _DENSE_BELOW:
-        return None, op.dense(), 0.0
+        return result("dense")
     lead = op.border_rows if 2 * (op.border_rows + _PROBE_WIDTH) <= n else 0  # a split at most half as wide as A
     if n < _GROW_FROM:  # the dense SVD needs A if no basis certifies, and dense products are cheaper here
         op = _Matrix(op.dense())
@@ -379,25 +416,25 @@ def _factorize(op: _Operator) -> tuple[np.ndarray | None, np.ndarray, float]:
     buf = np.empty(min(n, 128, max(8, _BLOCK_BYTES // (16 * n))) * n, dtype=op.dtype)  # a block's rows
     probe = _kronecker(op)
     if probe is not None:
-        found = _certify(op, probe[0], limit, buf, core=probe[1])
+        found = certify(probe[0], core=probe[1])
         if found is not None:
-            return probe[0], *found
+            return result("probe", probe[0], found)
     if n < _GROW_FROM and not lead:  # no basis is left to try
-        return None, op.dense(), 0.0
+        return result("dense")
     rng = np.random.default_rng(0)
-    sample = _sample(op, rng.standard_normal((n, _PROBE_WIDTH)))
+    sample = draw(_PROBE_WIDTH)
     if sample is None:
-        return None, op.dense(), 0.0
+        return result("dense")
     q = _basis(sample, lead)
     if lead:  # the split
-        found = _certify(op, q, limit, buf, lead)
+        found = certify(q, lead)
         if found is not None:
-            return q, *found
+            return result("split", q, found)
     if n < _GROW_FROM:
-        return None, op.dense(), 0.0
+        return result("dense")
     estimates = []
     while True:
-        fresh = _sample(op, rng.standard_normal((n, _BLOCK)))
+        fresh = draw(_BLOCK)
         if fresh is None:
             break
         k, qj, z = sample.shape[1], q[lead:, lead:], fresh[lead:]
@@ -405,43 +442,34 @@ def _factorize(op: _Operator) -> tuple[np.ndarray | None, np.ndarray, float]:
         # and (I - Q Q*) A omega is 0 on the lead rows
         estimates.append((k, float(np.linalg.norm(z - qj @ (qj.conj().T @ z))) / math.sqrt(_BLOCK)))
         if estimates[-1][1] <= limit:
-            found = _certify(op, q, limit, buf, lead)
+            found = certify(q, lead)
             if found is not None:
-                return q, *found
+                return result("grown", q, found)
         predicted = _predicted_width(estimates, limit)
         if predicted > n / 4 or k + _BLOCK > n / 4:
             break
         parts = [sample, fresh]
         extra = min(math.ceil(predicted) + _BLOCK, n // 4) - k - _BLOCK
         if extra > 0:
-            parts.append(_sample(op, rng.standard_normal((n, extra))))
+            parts.append(draw(extra))
             if parts[-1] is None:
                 break
         sample = np.hstack(parts)
         q = _basis(sample, lead)
-    return None, op.dense(), 0.0
+    return result("dense")
 
 
 def trace_norm(m) -> float:
     """Sum of singular values; the error it may carry is :func:`_svd_allowance`.
 
     A plain matrix, anything :func:`as_cmatrix` accepts, takes the dense SVD.
-    A window's :class:`_Operator` gives ||C||_1 for A ~ Q C Q^T from
-    :func:`_factorize`, so a certified range finder answers from 64 rows
-    (``_DENSE_BELOW``) when the window is numerically of low rank, and the
-    dense SVD otherwise.  The bases come in the order probe (A's first two
-    columns, their QR Y = Q R and the core C = R Q[:2, :]^-T: two columns
-    span a window of rank 2, as of a two-term exponential sum, and the probe
-    draws nothing and multiplies nothing by A; a singular leading block
-    fails it), split (the m border rows kept as unit vectors and, below
-    them, a seeded Gaussian sample of width 2, drawn only after a failed
-    probe; the residual is 0 on the m x m corner and read on the
-    m x (n - m) block beside it and from row m on), then the sample grown
-    below the same border, then dense.  The result is deterministic: the
-    probe draws nothing, and the sample is seeded.
+    A window's :class:`_Operator` gives ||C||_1 of its :func:`_factorize`,
+    whose paths the module docstring lists; the result is deterministic, as
+    the probe draws nothing and the sample is seeded.
     """
-    core = _factorize(m)[1] if isinstance(m, _Operator) else as_cmatrix(m)
-    return float(np.sum(_svdvals(core)))
+    if isinstance(m, _Operator):
+        return _factorize(m).trace_norm
+    return float(np.sum(_svdvals(as_cmatrix(m))))
 
 
 def _trace_norm_below(m) -> float:

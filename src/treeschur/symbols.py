@@ -22,7 +22,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import DivergentDiagonals, DivergentSeries, NoConvergence, NonFinite
-from .spectral import _all_finite, _factorize, _Operator, _svd_allowance, _svdvals, as_cmatrix
+from .spectral import _all_finite, _Factorization, _factorize, _Operator, _svd_allowance, as_cmatrix
 
 INF = math.inf
 
@@ -605,13 +605,12 @@ class _ResolventImage(_Operator):
     from a strided view of G minus the border, so no N x N array is formed
     until ``dense``, which is those rows in one piece.
 
-    The border also sizes the split basis of ``spectral._factorize``: the
-    rows of H' past its ``border_rows`` = k are numerically of low rank
-    where H' is not (rank 1-2 against 16-36 for the corpus's spherical
-    functions read at another degree), so a probe that fails is followed by
-    the basis of the k unit vectors and of a sample drawn below them,
-    k + 2 columns (61 at q = 2, 39 at q = 3, 27 at q = 5), whose sample then
-    grows below the same k rows if it fails too.
+    The border also sizes the split basis of ``spectral._factorize`` (its
+    bases are listed in the ``spectral`` module docstring): the rows of H'
+    past its ``border_rows`` = k are numerically of low rank where H' is not
+    (rank 1-2 against 16-36 for the corpus's spherical functions read at
+    another degree), so the split keeps the k unit vectors, k + 2 columns
+    with its sample (61 at q = 2, 39 at q = 3, 27 at q = 5).
 
     Two phase classes of d make H' real up to an exact unitary congruence,
     and the operator then reads a real matrix, with real FFTs (``phase`` as
@@ -800,39 +799,22 @@ def _first_fit(n: int, cap: int, remainder: Callable[[int], float], limit: float
 
 @dataclass(frozen=True)
 class _Window:
-    """The N-window of H, its parity limits, the factorization H ~ Q C Q^T
-    (q = inf) or H' ~ Q C Q^T (finite q) of ``spectral._factorize`` with its
-    residual ``half_width`` (Q is None when the ``core`` C is the window
-    itself), and the window's error ``budget``.  Where the window is D A D
-    for the diagonal ``phase`` D of :class:`_ResolventImage`, Q and C are
-    the real ones of A (C = A when Q is None), and D Q is the window's
-    basis."""
+    """The N-window of H, its parity limits, the ``factorization`` of H
+    (q = inf) or of H' (finite q) by ``spectral._factorize``, and the
+    window's error ``budget``."""
 
     hankel: HankelMatrix
     parity: ParityDecomposition
-    q_basis: np.ndarray | None
-    core: np.ndarray
-    half_width: float
+    factorization: _Factorization
     budget: _Budget
-    phase: np.ndarray | None
-
-    @cached_property
-    def term(self) -> float:
-        """The trace norm ||C||_1 of the window's core."""
-        return float(np.sum(_svdvals(self.core)))
 
 
 def _evaluate_window(sym: RadialSymbol, q, n: int) -> _Window:
     """Build the N-window, factorize its resolvent image (H itself at q = inf),
     and extract the parity limits and the window's ``_budget``."""
     h = build_hankel(sym, n)
-    op = _ResolventImage(h, q)
-    q_basis, core, half_width = _factorize(op)
-    parity = extract_parity(sym, h)
-    return _Window(
-        hankel=h, parity=parity, q_basis=q_basis, core=core, half_width=half_width, budget=_budget(sym, q, n),
-        phase=op.phase,
-    )
+    factorization = _factorize(_ResolventImage(h, q))
+    return _Window(hankel=h, parity=extract_parity(sym, h), factorization=factorization, budget=_budget(sym, q, n))
 
 
 # ---------------------------------------------------------------------------
@@ -850,7 +832,7 @@ class SchurNormReport:
     certified_error: float
     certified: bool
     budget: _Budget | None
-    sketch_width: int  # columns of the basis Q of the window's A ~ Q C Q^T: 2, border rows + 2, border rows + grown sample, 0 when dense
+    sketch_width: int  # the width of the window's spectral._Factorization, 0 when dense
 
 
 def schur_norm(sym: RadialSymbol, q, target_err: float = 1e-8) -> SchurNormReport:
@@ -886,15 +868,15 @@ def schur_norm(sym: RadialSymbol, q, target_err: float = 1e-8) -> SchurNormRepor
         err = w.budget.total
     else:
         w, err = _doubling_window(sym, q, target_err)
-    parity = w.parity
-    total = abs(parity.c_plus) + abs(parity.c_minus) + w.term
+    parity, term = w.parity, w.factorization.trace_norm
+    total = abs(parity.c_plus) + abs(parity.c_minus) + term
     if certified:
         _check_rounding(target_err, total)
     return SchurNormReport(
-        q=float(q), c_plus=parity.c_plus, c_minus=parity.c_minus, hankel_term=w.term,
+        q=float(q), c_plus=parity.c_plus, c_minus=parity.c_minus, hankel_term=term,
         total=total, truncation_n=w.hankel.n,
         certified_error=err, certified=certified, budget=w.budget if certified else None,
-        sketch_width=0 if w.q_basis is None else w.q_basis.shape[1],
+        sketch_width=w.factorization.width,
     )
 
 
@@ -924,10 +906,11 @@ def _doubling_window(sym: RadialSymbol, q, target_err: float) -> tuple[_Window, 
                 "diagonal partial sums fail the Cauchy criterion at tolerance "
                 f"({w.parity.certified_error:.3e} > {tol:.1e})"
             )
-        total = abs(w.parity.c_plus) + abs(w.parity.c_minus) + w.term
+        term = w.factorization.trace_norm
+        total = abs(w.parity.c_plus) + abs(w.parity.c_minus) + term
         if prev_total is not None:
             diff = abs(total - prev_total)
-            diffs.append(abs(w.term - prev_term))
+            diffs.append(abs(term - prev_term))
             d = diffs[-3:]
             if len(d) == 3 and d[2] > 0.7 * d[1] and d[1] > 0.7 * d[0] and d[2] > target_err:
                 raise DivergentDiagonals(
@@ -936,7 +919,7 @@ def _doubling_window(sym: RadialSymbol, q, target_err: float) -> tuple[_Window, 
                 )
             if diff + w.parity.certified_error <= target_err:
                 return w, diff + w.parity.certified_error + w.budget.svd
-        prev_total, prev_term = total, w.term
+        prev_total, prev_term = total, term
         n *= 2
     raise NoConvergence(f"truncation cap {N_CAP} reached before target error {target_err:.1e}")
 

@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import OrbitEscapesBall, SizeCap
-from .spectral import _svd, _trace_norm_below
+from .spectral import _trace_norm_below
 from .spherical import axis_ratio
 from .symbols import INF, RadialSymbol, _evaluate_window, check_degree
 
@@ -216,15 +216,10 @@ def build_certificate(sym: RadialSymbol, q, n: int) -> FactorizationCertificate:
     """Factorization of the (resolvent-transformed) Hankel window.
 
     The window comes from the same evaluator as ``schur_norm``, factorized as
-    A ~ Q C Q^T by ``spectral._factorize``: Q is the probe's, the split's or a
-    basis grown below the resolvent border, or the identity below 64 rows and
-    where the range finder gives up (C is then A).  With U S V* the SVD of
-    the k x k core C, xi^(k) = sqrt(s_k) (Q U)_k and
-    eta^(k) = sqrt(s_k) (conj(Q) V)_k, so that sum_k xi^(k) (x) eta^(k)
-    reproduces Q C Q^T and sum_k s_k its trace norm.  A window real up to
-    the phase D = diag(i^m) is D A' D: its factorization is the real
-    Q' C Q'^T of A', and D turns the vectors back, Q = D Q' (D alone where
-    Q' is the identity and C is A' itself).  The
+    A ~ Q C Q^T by ``spectral._factorize``.  With U S V* the window's SVD
+    (``spectral._Factorization.svd``), xi^(k) = sqrt(s_k) U_k and
+    eta^(k) = sqrt(s_k) conj(V_k), so that sum_k xi^(k) (x) eta^(k)
+    reproduces Q C Q^T and sum_k s_k its trace norm.  The
     certified error covers the window tail, the resolvent spill, dropped singular values
     (below 1e-15 absolute or relative), the residual half-width
     sqrt(n) ||A - Q C Q^T||_F and the SVD allowance ``_Budget.svd``
@@ -235,11 +230,7 @@ def build_certificate(sym: RadialSymbol, q, n: int) -> FactorizationCertificate:
     """
     q = check_degree(q)
     w = _evaluate_window(sym, q, n)
-    u, s, vh = _svd(w.core, full_matrices=False)
-    if w.q_basis is not None:
-        u, vh = w.q_basis @ u, vh @ w.q_basis.T
-    if w.phase is not None:  # the window is D A D
-        u, vh = w.phase[:, None] * u, vh * w.phase
+    u, s, vh = w.factorization.svd()
     keep = s > max(1e-15, s[0] * 1e-15)
     dropped = float(np.sum(s[~keep]))
     s_kept = s[keep]
@@ -249,7 +240,7 @@ def build_certificate(sym: RadialSymbol, q, n: int) -> FactorizationCertificate:
     # weights[i, j] = sum_k xi[k][i] * conj(eta[k][j])
     weights = xi.T @ eta.conj() if xi.size else np.zeros((n, n), dtype=complex)
     b = w.budget
-    err = axis_ratio(q) * (b.tail + b.spill + dropped + w.half_width + b.svd)
+    err = axis_ratio(q) * (b.tail + b.spill + dropped + w.factorization.half_width + b.svd)
     return FactorizationCertificate(
         q=float(q),
         c_plus=w.parity.c_plus,

@@ -123,15 +123,14 @@ def test_finiteness_check_survives_an_overflowing_sum():
 def test_sketch_that_overflows_goes_to_the_dense_path(monkeypatch):
     # the entries are finite but the QR of the probe's first two columns and
     # every product A Omega overflow: the probe fails after its one QR, the
-    # sample certifies nothing, so no other QR runs, and A itself is returned
-    import treeschur.spectral as spectral
-
+    # first sample is not finite, so no other QR runs, and A itself is returned
     calls = []
     qr = np.linalg.qr
     monkeypatch.setattr(np.linalg, "qr", lambda a, *args, **kw: calls.append(a.shape) or qr(a, *args, **kw))
     m = np.full((256, 256), 1e308, dtype=complex)
-    q_basis, core, half_width = spectral._factorize(_Matrix(m))
-    assert q_basis is None and core is m and half_width == 0.0
+    f = _factorize(_Matrix(m))
+    assert f.basis is None and f.core is m and f.half_width == 0.0
+    assert (f.path, f.draws, f.passes) == ("dense", (2,), ())
     assert calls == [(256, 2)]
 
 
@@ -253,39 +252,42 @@ def test_trace_norm_agrees_with_the_dense_sum(n, rank, exponent, seed):
 
 
 def test_trace_norm_below_64_rows_is_the_dense_sum(monkeypatch):
-    draws, passes = record_paths(monkeypatch)
     rng = np.random.default_rng(21)
     for n in (1, 7, 63):
         m = low_rank_symmetric(rng, n, 1, 1.0)
-        assert trace_norm(_Matrix(m)) == dense_trace_norm(m)
-    wide = low_rank_complex(rng, 63, 1, 1.0) @ random_complex(rng, 63, 300)
-    assert trace_norm(wide) == dense_trace_norm(wide)
-    assert draws == [] and passes == []
+        f = _factorize(_Matrix(m))
+        assert (f.path, f.draws, f.passes) == ("dense", (), ())
+        assert f.trace_norm == dense_trace_norm(m)
     # from 64 rows a full-rank symmetric matrix fails the probe and, with no
     # border to split below 128 rows, takes the dense sum without a sample
     for n in (64, 127):
         m = low_rank_symmetric(rng, n, None, 1.0)
-        assert trace_norm(_Matrix(m)) == dense_trace_norm(m)
-    assert draws == [] and passes == [(0, 2, False)] * 2
+        f = _factorize(_Matrix(m))
+        assert (f.path, f.draws, f.passes) == ("dense", (), ((0, 2, False),))
+        assert f.trace_norm == dense_trace_norm(m)
+    # a plain matrix is never factorized
+    monkeypatch.setattr(spectral, "_factorize", None)
+    wide = low_rank_complex(rng, 63, 1, 1.0) @ random_complex(rng, 63, 300)
+    assert trace_norm(wide) == dense_trace_norm(wide)
 
 
 def test_probe_answers_a_rank_one_matrix_from_64_rows(monkeypatch):
-    draws, passes = record_paths(monkeypatch)
     rng = np.random.default_rng(21)
     shapes = []
     svd = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: shapes.append(a.shape) or svd(a, *args, **kw))
     for n in (64, 96, 127):
         m = low_rank_symmetric(rng, n, 1, 1.0)
-        assert abs(trace_norm(_Matrix(m)) - dense_trace_norm(m)) <= DEFAULT_TOL * n
-    assert draws == [] and passes == [(0, 2, True)] * 3
-    # a plain matrix, here not square or not its own transpose, takes the
-    # dense SVD without a sample
+        f = _factorize(_Matrix(m))
+        assert (f.path, f.draws, f.passes) == ("probe", (), ((0, 2, True),))
+        assert abs(f.trace_norm - dense_trace_norm(m)) <= DEFAULT_TOL * n
+    # a plain matrix, here not square or not its own transpose, is never
+    # factorized: it takes the dense SVD
+    monkeypatch.setattr(spectral, "_factorize", None)
     wide = low_rank_complex(rng, 127, 1, 1.0) @ random_complex(rng, 127, 300)
     assert trace_norm(wide) == dense_trace_norm(wide)
     square = low_rank_complex(rng, 127, 1, 1.0)
     assert trace_norm(square) == dense_trace_norm(square)
-    assert draws == [] and len(passes) == 3
     # one SVD of the 2 x 2 core per trace norm, then the dense references
     assert shapes == [(2, 2), (64, 64), (2, 2), (96, 96), (2, 2), (127, 127)] + [(127, 300)] * 2 + [(127, 127)] * 2
 
@@ -302,16 +304,15 @@ def spherical_window(q, n):
 def test_probe_certifies_spherical_windows_with_no_product_and_no_draw(monkeypatch, q, n):
     # the first two columns of a window of rank 2 span its range: the probe
     # certifies from them alone, with no product A X (no FFT) and no sample
-    draws, passes = record_paths(monkeypatch)
     products = []
     matmul = _ResolventImage.matmul
     monkeypatch.setattr(_ResolventImage, "matmul", lambda op, x: products.append(x.shape) or matmul(op, x))
     op = spherical_window(q, n)
-    q_basis, core, half_width = _factorize(op)
-    assert q_basis.shape == (n, 2) and core.shape == (2, 2)
-    assert passes == [(0, 2, True)] and draws == [] and products == []
-    assert half_width <= 0.01 * spectral._svd_allowance(n) / 2
-    assert abs(trace_norm(op) - dense_trace_norm(op.dense())) <= spectral._svd_allowance(n)
+    f = _factorize(op)
+    assert f.basis.shape == (n, 2) and f.core.shape == (2, 2)
+    assert (f.path, f.draws, f.passes) == ("probe", (), ((0, 2, True),)) and products == []
+    assert f.half_width <= 0.01 * spectral._svd_allowance(n) / 2
+    assert abs(f.trace_norm - dense_trace_norm(op.dense())) <= spectral._svd_allowance(n)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -328,11 +329,9 @@ def test_probe_certifies_two_term_exponential_sums(n, roots, weights):
     assume(a != b)
     sym = RadialSymbol(values_fn=lambda count: w_a * a ** np.arange(count) + w_b * b ** np.arange(count))
     op = _ResolventImage(build_hankel(sym, n), INF)
-    with pytest.MonkeyPatch.context() as patch:
-        draws, passes = record_paths(patch)
-        total = trace_norm(op)
-    assert passes == [(0, 2, True)] and draws == []
-    assert abs(total - dense_trace_norm(op.dense())) <= spectral._svd_allowance(n)
+    f = _factorize(op)
+    assert (f.path, f.draws, f.passes) == ("probe", (), ((0, 2, True),))
+    assert abs(f.trace_norm - dense_trace_norm(op.dense())) <= spectral._svd_allowance(n)
 
 
 def leading_zeros():
@@ -347,26 +346,25 @@ def leading_zeros():
     (leading_zeros, INF, 256),
     (leading_zeros, 3, 128),
 ], ids=["ratio0-onset3-q2", "zeros-inf-96", "zeros-inf-256", "zeros-q3-128"])
-def test_a_singular_leading_block_fails_the_probe_without_a_pass(monkeypatch, make, q, n):
+def test_a_singular_leading_block_fails_the_probe_without_a_pass(make, q, n):
     # the probe's 2 x 2 solve meets a singular Q[:2, :] and raises inside the
     # probe, which then fails without a pass; the split, the growth or the
     # dense SVD answers within the allowance
-    draws, passes = record_paths(monkeypatch)
     op = _ResolventImage(build_hankel(make(), n), q)
     assert spectral._kronecker(op) is None
-    assert abs(trace_norm(op) - dense_trace_norm(op.dense())) <= spectral._svd_allowance(n)
-    assert (0, 2, False) not in passes and (0, 2, True) not in passes
+    f = _factorize(op)
+    assert abs(f.trace_norm - dense_trace_norm(op.dense())) <= spectral._svd_allowance(n)
+    assert (0, 2, False) not in f.passes and (0, 2, True) not in f.passes
 
 
 @pytest.mark.parametrize("n", [64, 1024])
 def test_plain_symmetric_matrix_takes_the_dense_sum_without_a_sample(monkeypatch, n):
-    # only a window's operator is sketched: a plain matrix, even a complex
+    # only a window's operator is factorized: a plain matrix, even a complex
     # symmetric one of rank 1 that the probe would certify, is the dense sum
-    draws, passes = record_paths(monkeypatch)
+    monkeypatch.setattr(spectral, "_factorize", None)
     m = low_rank_symmetric(np.random.default_rng(27), n, 1, 1.0)
     assert np.array_equal(m, m.T)
     assert trace_norm(m) == float(np.sum(np.linalg.svd(m, compute_uv=False)))
-    assert draws == [] and passes == []
 
 
 def test_trace_norm_falls_back_to_the_dense_sum_at_full_rank():
@@ -444,7 +442,7 @@ def test_width_two_probe_answers_a_rank_one_window(monkeypatch):
     w = _evaluate_window(power_symbol(s), INF, n)
     # h[i, j] = (1 - s^2) s^i s^j has trace norm |1 - s^2| sum |s|^(2i)
     exact = abs(1 - s * s) * np.sum(abs(s) ** (2 * np.arange(n)))
-    assert abs(w.term - exact) <= DEFAULT_TOL * n
+    assert abs(w.factorization.trace_norm - exact) <= DEFAULT_TOL * n
     assert shapes == [(2, 2)]
 
 
@@ -457,10 +455,10 @@ def test_grown_basis_extends_the_probe_sample():
     probe = m @ rng.standard_normal((512, 2))
     first_block = m @ rng.standard_normal((512, 8))
     q, _ = np.linalg.qr(np.hstack([probe, first_block]))
-    q_basis, core, _ = _factorize(_Matrix(m))
-    assert np.array_equal(q_basis, q)
-    assert np.linalg.norm(core - q.conj().T @ m @ q.conj()) <= 1e-13 * np.linalg.norm(m)
-    assert trace_norm(_Matrix(m)) == float(np.sum(np.linalg.svd(core, compute_uv=False)))
+    f = _factorize(_Matrix(m))
+    assert np.array_equal(f.basis, q) and (f.path, f.draws) == ("grown", (2, 8, 8))
+    assert np.linalg.norm(f.core - q.conj().T @ m @ q.conj()) <= 1e-13 * np.linalg.norm(m)
+    assert trace_norm(_Matrix(m)) == float(np.sum(np.linalg.svd(f.core, compute_uv=False)))
 
 
 def test_trace_norm_is_deterministic():
@@ -503,31 +501,11 @@ def exponential_sum(roots):
     return RadialSymbol(values_fn=lambda count: sum(a ** np.arange(count) for a in roots))
 
 
-def basis_lead(op, q_basis):
-    """The m of a basis E_m (+) Q_J, which starts with the m = ``border_rows``
-    unit vectors; 0 for any other basis."""
-    m = op.border_rows
-    return m if m and np.array_equal(q_basis[:m, :m], np.eye(m)) else 0
+THREE_EXPONENTIALS = (0.9, -0.8, 0.7j)
 
 
-def record_paths(monkeypatch):
-    """Lists that collect the shape of each ``_sample`` draw and the
-    (lead, width, certified) of each ``_certify`` pass."""
-    draws, passes = [], []
-    sample, certify = spectral._sample, spectral._certify
-    monkeypatch.setattr(spectral, "_sample", lambda op, omega: draws.append(omega.shape) or sample(op, omega))
-
-    def recording_certify(op, q, limit, buf, lead=0, core=None):
-        found = certify(op, q, limit, buf, lead, core)
-        passes.append((lead, q.shape[1], found is not None))
-        return found
-
-    monkeypatch.setattr(spectral, "_certify", recording_certify)
-    return draws, passes
-
-
-def check_certified_factorization(op):
-    """Q of a certified return is orthonormal to 10 k eps, its core C is
+def check_certified_factorization(op, f):
+    """The Q of a certified factorization f of op is orthonormal to 10 k eps, its core C is
     k x k and exactly symmetric, and its half-width is
     sqrt(n) ||A - Q C Q^T||_F recomputed densely, within rounding and the
     mirror term below.  The blocked and the dense residual round the same
@@ -546,16 +524,16 @@ def check_certified_factorization(op):
     all of R, so its half-width is the dense residual plus sqrt(n) term,
     within rounding.
 
-    A basis with a border (``_certify`` with a leading identity block, the
-    split or a growth below it) has Q = E_m (+) Q_J, E_m the first m =
+    A basis with a border (a certifying pass whose lead is m > 0, the split
+    or a growth below it) has Q = E_m (+) Q_J, E_m the first m =
     ``border_rows`` unit vectors, exactly, and 2 to n/4 columns in Q_J.  Then
     the m x m corner of the residual is 0, and its half-width is the dense
     residual plus sqrt(n) term, within rounding: the mirrored part differs
     from the dense one by the rounding of B, which is far below its bound
     ``term`` here."""
-    q_basis, c, half_width = _factorize(op)
-    assert q_basis is not None
-    n, k = op.shape[0], q_basis.shape[1]
+    q_basis, c, half_width = f.basis, f.core, f.half_width
+    assert q_basis is not None and f.passes[-1][1:] == (f.width, True)
+    n, k = op.shape[0], f.width
     assert c.shape == (k, k) and np.array_equal(c, c.T)
     eps = np.finfo(float).eps
     assert np.linalg.norm(q_basis.conj().T @ q_basis - np.eye(k), 2) <= 10 * k * eps
@@ -564,8 +542,9 @@ def check_certified_factorization(op):
     residual = a - q_basis @ b
     dense_half_width = np.sqrt(n) * np.linalg.norm(residual)
     rounding = 4 * np.sqrt(n) * (eps / 2) * np.linalg.norm(np.abs(a) + np.abs(q_basis) @ np.abs(b))
-    lead = basis_lead(op, q_basis)
+    lead = f.passes[-1][0]
     if lead:
+        assert lead == op.border_rows
         assert lead + 2 <= k <= lead + n / 4
         assert not q_basis[:lead, lead:].any() and not q_basis[lead:, :lead].any()
         assert not residual[:lead, :lead].any()
@@ -586,8 +565,9 @@ def test_grown_basis_is_orthonormal_and_its_half_width_is_the_dense_residual(p, 
     # spherical symbols read at another degree have numerical rank well above
     # 2; they now certify on the split basis (border rows + 2 columns), whose
     # factorization passes the same check as a grown one
-    k = check_certified_factorization(resolvent_window(p, complex(0.4, 0.7), q, n))
-    assert 2 < k <= n / 4
+    op = resolvent_window(p, complex(0.4, 0.7), q, n)
+    f = _factorize(op)
+    assert f.path == "split" and 2 < check_certified_factorization(op, f) <= n / 4
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -602,9 +582,10 @@ def test_trace_norm_of_mismatched_resolvent_images(degrees, n, re_z, turn):
     # allowance, whichever path answers
     p, q = degrees
     op = resolvent_window(p, complex(re_z, 2 * np.pi * turn / np.log(p)), q, n)
-    assert abs(trace_norm(op) - dense_trace_norm(op.dense())) <= DEFAULT_TOL * n
-    if _factorize(op)[0] is not None:
-        check_certified_factorization(op)
+    f = _factorize(op)
+    assert abs(f.trace_norm - dense_trace_norm(op.dense())) <= DEFAULT_TOL * n
+    if f.basis is not None:
+        check_certified_factorization(op, f)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -622,11 +603,11 @@ def test_two_sided_half_width_of_resolvent_images(q, p, n, re_z, turn):
     # takes blocks of 127 rows with a last one of 3, and N = 1024 blocks of
     # 32 rows
     op = resolvent_window(p, complex(re_z, 2 * np.pi * turn / np.log(p)), q, n)
-    certified = _factorize(op)[0] is not None
+    f = _factorize(op)
     if p == q or q == INF:
-        assert certified
-    if certified:
-        check_certified_factorization(op)
+        assert f.basis is not None
+    if f.basis is not None:
+        check_certified_factorization(op, f)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -644,8 +625,8 @@ def test_half_width_of_plain_matrices(n, rank, exponent, symmetric, seed):
     # the probe certifies rank <= 2 at scales up to 1 (the limit is absolute,
     # so larger entries may end dense), and from 128 rows a grown basis may
     # certify a higher rank.  A matrix that is not symmetric is no window:
-    # trace_norm takes one dense SVD of it without a sample (the path alone
-    # is checked, with the SVD stubbed, as no value is at stake)
+    # trace_norm takes one dense SVD of it and never factorizes it (the path
+    # alone is checked, with the SVD stubbed, as no value is at stake)
     rng = np.random.default_rng(seed)
     x = random_complex(rng, n, rank)
     y = x if symmetric else random_complex(rng, n, rank)
@@ -658,17 +639,17 @@ def test_half_width_of_plain_matrices(n, rank, exponent, symmetric, seed):
     if not symmetric:
         shapes = []
         with pytest.MonkeyPatch.context() as patch:
-            draws, _ = record_paths(patch)
+            patch.setattr(spectral, "_factorize", None)
             patch.setattr(np.linalg, "svd", lambda a, *args, **kw: shapes.append(a.shape) or np.zeros(min(a.shape)))
             assert trace_norm(m) == 0.0
-        assert draws == [] and shapes == [(n, n)]
+        assert shapes == [(n, n)]
         return
     op = _Matrix(m)
-    certified = _factorize(op)[0] is not None
+    f = _factorize(op)
     if exponent <= 0 and rank <= 2:
-        assert certified
-    if certified:
-        check_certified_factorization(op)
+        assert f.basis is not None
+    if f.basis is not None:
+        check_certified_factorization(op, f)
 
 
 def test_corpus_tail_item_takes_no_window_sized_svd(monkeypatch):
@@ -678,14 +659,14 @@ def test_corpus_tail_item_takes_no_window_sized_svd(monkeypatch):
     # certifies it.  The only SVD is that of the 61 x 61 core, and the only
     # QRs are those of the probe's 256 x 2 first columns and of the sample's
     # (256 - 59) x 2 part below the border
-    shapes, draws, qrs = [], [], []
-    svd, sample, qr = np.linalg.svd, spectral._sample, np.linalg.qr
+    f = _evaluate_window(trace_class_corpus()[6], 2, 256).factorization
+    assert (f.path, f.draws) == ("split", (2,))
+    shapes, qrs = [], []
+    svd, qr = np.linalg.svd, np.linalg.qr
     monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: shapes.append(np.shape(a)) or svd(a, *args, **kw))
     monkeypatch.setattr(np.linalg, "qr", lambda a, *args, **kw: qrs.append(np.shape(a)) or qr(a, *args, **kw))
-    monkeypatch.setattr(spectral, "_sample", lambda op, omega: draws.append(omega.shape) or sample(op, omega))
     rep = schur_norm(trace_class_corpus()[6], 2)
     assert rep.truncation_n == 256 and rep.sketch_width == 61
-    assert draws == [(256, 2)]
     assert shapes == [(61, 61)]
     assert qrs == [(256, 2), (256 - 59, 2)]
 
@@ -704,6 +685,29 @@ def test_real_windows_reach_the_real_svd(monkeypatch):
     assert seen == [(np.dtype(float), (32, 32)), (np.dtype(float), (61, 61)), (np.dtype(complex), (39, 39))]
 
 
+@pytest.mark.parametrize("make, q, n, path, width, turned", [
+    (lambda: power_symbol(0.5j), 3, 32, "dense", 0, True),
+    (lambda: spherical_symbol(3, s=0.4j), 3, 320, "probe", 2, True),
+    (lambda: spherical_symbol(3, s=0.4j), 2, 256, "split", 61, True),
+    (lambda: spherical_symbol(2, z=complex(0.3, 0.2)), 3, 128, "split", 39, False),
+    (lambda: exponential_sum(THREE_EXPONENTIALS), 2, 256, "grown", 69, False),
+    (lambda: explicit_symbol(np.random.default_rng(30).standard_normal(300)), 3, 96, "dense", 0, False),
+], ids=["turned-dense-32", "probe-320", "turned-split-256", "complex-split-128", "grown-256", "dense-after-probe-96"])
+def test_factorization_svd_reproduces_the_window(make, q, n, path, width, turned):
+    # U S V* of the record is the SVD of the window D A' D itself: Q' and the
+    # phase D applied to both factors, within the residual half-width and the
+    # rounding of the SVD
+    op = _ResolventImage(build_hankel(make(), n), q)
+    f = _factorize(op)
+    assert (f.path, f.width, f.phase is not None) == (path, width, turned)
+    a = op.dense()
+    if turned:
+        a = f.phase[:, None] * a * f.phase
+    u, s, vh = f.svd()
+    rounding = 4 * n * np.finfo(f.core.dtype).eps * np.linalg.norm(a)
+    assert np.linalg.norm((u * s) @ vh - a) <= f.half_width / np.sqrt(n) + rounding
+
+
 # ---------------------------------------------------------------------------
 # the split basis
 # ---------------------------------------------------------------------------
@@ -718,8 +722,9 @@ def test_split_basis_is_certified_and_its_half_width_is_the_dense_residual(p, q,
     # below; its width is the border plus the probe's 2 columns
     op = resolvent_window(p, complex(0.4, 0.7), q, n)
     assert op.border_rows == {2: 59, 3: 37, 5: 25}[q]
-    assert check_certified_factorization(op) == op.border_rows + 2
-    assert np.array_equal(_factorize(op)[0][: op.border_rows, : op.border_rows], np.eye(op.border_rows))
+    f = _factorize(op)
+    assert f.path == "split" and check_certified_factorization(op, f) == op.border_rows + 2
+    assert np.array_equal(f.basis[: op.border_rows, : op.border_rows], np.eye(op.border_rows))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -737,24 +742,21 @@ def test_every_path_of_mismatched_windows_keeps_the_allowance(degrees, n, re_z, 
     # the factorization check
     p, q = degrees
     op = resolvent_window(p, complex(re_z, 2 * np.pi * turn / np.log(p)), q, n)
-    assert abs(trace_norm(op) - dense_trace_norm(op.dense())) <= 1e-12 * n
-    if _factorize(op)[0] is not None:
-        check_certified_factorization(op)
+    f = _factorize(op)
+    assert abs(f.trace_norm - dense_trace_norm(op.dense())) <= 1e-12 * n
+    if f.basis is not None:
+        check_certified_factorization(op, f)
 
 
-THREE_EXPONENTIALS = (0.9, -0.8, 0.7j)
-
-
-def test_a_failed_split_grows_below_the_border(monkeypatch):
+def test_a_failed_split_grows_below_the_border():
     # 0.9^n + (-0.8)^n + (0.7i)^n has rank 3 past the border: the probe and
     # the split pass fail, and the growth keeps the 59 border rows as unit
     # vectors and adds a fresh block of 8 from the same stream to the sample
     # below them
-    draws, passes = record_paths(monkeypatch)
     op = _ResolventImage(build_hankel(exponential_sum(THREE_EXPONENTIALS), 256), 2)
-    assert check_certified_factorization(op) == 69
-    assert passes == [(0, 2, False), (59, 61, False), (59, 69, True)]
-    assert draws == [(256, 2), (256, 8), (256, 8)]
+    f = _factorize(op)
+    assert check_certified_factorization(op, f) == 69
+    assert (f.path, f.draws, f.passes) == ("grown", (2, 8, 8), ((0, 2, False), (59, 61, False), (59, 69, True)))
 
 
 def test_plain_matrices_and_infinite_degree_have_no_border():
@@ -764,7 +766,7 @@ def test_plain_matrices_and_infinite_degree_have_no_border():
 
 
 # the path of every corpus norm that reaches the probe, (symbol index, q):
-# (path, _sample calls, residual passes); the other norms read windows under
+# (path, samples drawn, residual passes); the other norms read windows under
 # 64 rows, which the dense SVD answers with no sample and no pass.  The probe
 # draws nothing, and a 64-row window with no admissible split (q = 2, 3) goes
 # dense after it without a sample
@@ -775,48 +777,36 @@ CORPUS_PATHS = {
 }
 
 
-def test_corpus_norms_take_their_pinned_paths(monkeypatch):
+def test_corpus_norms_take_their_pinned_paths():
     # a change that moves a corpus window to a costlier path (the split to a
     # grown basis, the probe to the dense SVD) or adds samples or passes fails
-    # here; the path is that of the pass that certified, dense when none did,
-    # and a basis with a border is the split only at the probe's width
-    draws, passes = record_paths(monkeypatch)
+    # here; every corpus symbol is certified, so its norm reads the one window
+    # at its truncation_n
     for k, sym in enumerate(trace_class_corpus()):
         for q in (2, 3, 5, INF):
-            draws.clear()
-            passes.clear()
             rep = schur_norm(sym, q)
-            lead, width, _ = passes[-1] if passes and passes[-1][2] else (0, 0, True)
-            path = "split" if lead and width == lead + 2 else {0: "dense", 2: "probe"}.get(width, "grown")
-            assert (path, len(draws), len(passes)) == CORPUS_PATHS.get((k, q), ("dense", 0, 0)), (k, q)
-            assert rep.sketch_width == width
+            f = _evaluate_window(sym, q, rep.truncation_n).factorization
+            assert rep.certified and rep.sketch_width == f.width
+            assert (f.path, len(f.draws), len(f.passes)) == CORPUS_PATHS.get((k, q), ("dense", 0, 0)), (k, q)
 
 
 # the window of 0.9^n + (-0.8)^n + (0.7i)^n (rank 3 past the border) read at
-# degree q, N rows: (lead, width) of the basis that certifies, and the shapes
-# of the _sample draws.  The probe fails, the split fails on the sample drawn
-# after it, one block of 8 joins that sample below the border, and the next
-# block's estimate lets the pass certify
+# degree q, N rows: (lead, width) of the basis that certifies.  The probe
+# fails, the split fails on the sample of width 2 drawn after it, one block
+# of 8 joins that sample below the border, and the next block's estimate lets
+# the pass certify
 GROWN_PATHS = {
-    (2, 128): ((59, 69), [(128, 2), (128, 8), (128, 8)]),
-    (2, 256): ((59, 69), [(256, 2), (256, 8), (256, 8)]),
-    (3, 128): ((37, 47), [(128, 2), (128, 8), (128, 8)]),
-    (3, 256): ((37, 47), [(256, 2), (256, 8), (256, 8)]),
-    (5, 128): ((25, 35), [(128, 2), (128, 8), (128, 8)]),
-    (5, 256): ((25, 35), [(256, 2), (256, 8), (256, 8)]),
-    (INF, 128): ((0, 10), [(128, 2), (128, 8), (128, 8)]),
-    (INF, 256): ((0, 10), [(256, 2), (256, 8), (256, 8)]),
+    (2, 128): (59, 69), (2, 256): (59, 69), (3, 128): (37, 47), (3, 256): (37, 47),
+    (5, 128): (25, 35), (5, 256): (25, 35), (INF, 128): (0, 10), (INF, 256): (0, 10),
 }
 
 
 @pytest.mark.parametrize("q, n", list(GROWN_PATHS), ids=[f"q{q}-{n}" for q, n in GROWN_PATHS])
-def test_three_exponentials_take_their_pinned_growth(monkeypatch, q, n):
-    draws, passes = record_paths(monkeypatch)
-    op = _ResolventImage(build_hankel(exponential_sum(THREE_EXPONENTIALS), n), q)
-    (lead, width), shapes = GROWN_PATHS[q, n]
-    assert _factorize(op)[0].shape[1] == width
-    assert passes[-1] == (lead, width, True) and not any(found for *_, found in passes[:-1])
-    assert draws == shapes
+def test_three_exponentials_take_their_pinned_growth(q, n):
+    f = _factorize(_ResolventImage(build_hankel(exponential_sum(THREE_EXPONENTIALS), n), q))
+    lead, width = GROWN_PATHS[q, n]
+    assert (f.path, f.width, f.draws) == ("grown", width, (2, 8, 8))
+    assert f.passes[-1] == (lead, width, True) and not any(found for *_, found in f.passes[:-1])
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -831,8 +821,8 @@ def test_exponential_sums_keep_the_allowance_at_every_degree(q, n, roots):
     # basis answers, |trace_norm - dense| <= 1e-12 N, a certified basis passes
     # the factorization check, and its columns past the border stay within N/4
     op = _ResolventImage(build_hankel(exponential_sum([r * np.exp(2j * np.pi * t) for r, t in roots]), n), q)
-    assert abs(trace_norm(op) - dense_trace_norm(op.dense())) <= 1e-12 * n
-    q_basis = _factorize(op)[0]
-    if q_basis is not None:
-        check_certified_factorization(op)
-        assert q_basis.shape[1] - basis_lead(op, q_basis) <= n / 4
+    f = _factorize(op)
+    assert abs(f.trace_norm - dense_trace_norm(op.dense())) <= 1e-12 * n
+    if f.basis is not None:
+        check_certified_factorization(op, f)
+        assert f.width - f.passes[-1][0] <= n / 4

@@ -518,7 +518,7 @@ def test_certified_window_forms_no_n_by_n_array(n, share):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert w.q_basis is not None
+    assert w.factorization.basis is not None
     assert peak < share * 16 * n * n
 
 
@@ -996,7 +996,7 @@ def _three_exponentials():
 def test_report_names_the_sketch_width(make, q, width):
     rep = schur_norm(make(), q)
     w = _evaluate_window(make(), q, rep.truncation_n)
-    assert rep.sketch_width == (0 if w.q_basis is None else w.q_basis.shape[1])
+    assert rep.sketch_width == w.factorization.width
     if width is None:
         assert 61 < rep.sketch_width <= 59 + rep.truncation_n / 4
     else:

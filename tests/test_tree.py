@@ -466,12 +466,13 @@ def test_certificate_reads_the_range_finder(monkeypatch, q, n, width):
     # the certified terms are those of the norm's window plus the dropped
     # singular values of the core C and the residual half-width of A ~ Q C Q^T
     w = symbols._evaluate_window(sym, q, n)
-    assert w.q_basis is not None and w.q_basis.shape[1] == width and w.half_width > 0
-    assert w.q_basis.dtype == np.float64 and w.phase is not None
-    s = np.linalg.svd(w.core, full_matrices=False)[1]
+    f = w.factorization
+    assert f.width == width and f.half_width > 0
+    assert f.basis.dtype == np.float64 and f.phase is not None
+    s = np.linalg.svd(f.core, full_matrices=False)[1]
     dropped = float(np.sum(s[s <= max(1e-15, s[0] * 1e-15)]))
     b = w.budget
-    assert cert.certified_error == axis_ratio(q) * (b.tail + b.spill + dropped + w.half_width + b.svd) + b.parity
+    assert cert.certified_error == axis_ratio(q) * (b.tail + b.spill + dropped + f.half_width + b.svd) + b.parity
 
 
 def test_certificate_falls_back_to_the_dense_window():
@@ -481,8 +482,8 @@ def test_certificate_falls_back_to_the_dense_window():
     sym = explicit_symbol(np.random.default_rng(30).standard_normal(300))
     op = _ResolventImage(build_hankel(sym, n), 3)
     window = op.dense()
-    q_basis, core, half_width = _factorize(op)
-    assert q_basis is None and np.array_equal(core, window) and half_width == 0.0
+    f = _factorize(op)
+    assert f.basis is None and np.array_equal(f.core, window) and f.half_width == 0.0
     cert = build_certificate(sym, 3, n)
     assert abs(cert.value - float(np.sum(np.linalg.svd(window, compute_uv=False)))) <= DEFAULT_TOL * n
     assert np.max(np.abs(cert.weights - window)) <= DEFAULT_TOL * n
@@ -497,9 +498,9 @@ def test_certificate_of_a_real_window_reconstructs_the_kernel(make, n, width):
     # u = D U and vh = V^T D on the dense path, Q = D Q' on the sketch path
     sym, q = make(), 3
     rep = schur_norm(sym, q)
-    w = symbols._evaluate_window(sym, q, n)
-    assert (rep.truncation_n, rep.sketch_width) == (n, width) and not np.iscomplexobj(w.core)
-    assert (w.phase is not None) == (width == 0)
+    f = symbols._evaluate_window(sym, q, n).factorization
+    assert (rep.truncation_n, rep.sketch_width) == (n, width) and not np.iscomplexobj(f.core)
+    assert (f.phase is not None) == (width == 0)
     cert = build_certificate(sym, q, n)
     assert abs(cert.value - rep.hankel_term) <= _svd_allowance(n)
     assert reconstruction_max_error(cert, build_ball(q, 3, chain_extra=n + 1), sym) <= 1e-8
