@@ -66,21 +66,18 @@ so the m x m corner of the residual A - Q C Q^T is 0, the m x (n - m)
 block beside it is read and counted twice, for its mirror, and the rows
 from m on are read as for any basis.
 
-From 128 rows a basis that does not certify grows its sample below the same
-``lead`` rows (Halko, Martinsson and Tropp, sections 4.3-4.4), so the growth
-continues from the split where there is one and from the plain sample
-elsewhere.  Each fresh sample Z = A Omega of 8 columns, from the same
-seeded stream, estimates the residual of the current Q, since
-E ||(I - Q Q*) A omega||^2 = ||A - Q Q* A||_F^2 for a Gaussian column
-omega, and (I - Q Q*) A omega is 0 on the ``lead`` rows; Z then joins the
-sample.  The last two estimates, extrapolated geometrically, predict the
-sample width at which the estimate reaches the limit below, and the sample
-grows to that width plus 8 columns at once, up to n/4 columns past the
-``lead`` ones; Q_J is the Householder basis of the whole sample below
-``lead``, so Q stays orthonormal to working precision.  Only an estimate
-under the limit pays the residual pass that certifies.  The dense SVD
-answers as soon as the predicted width exceeds n/4, when the sample has no
-room for another block of 8 within n/4, or when a sample is not finite.
+From 128 rows a basis that does not certify doubles its sample below the
+same ``lead`` rows, so the growth continues from the split where there is
+one and from the plain sample elsewhere: each step joins a fresh sample
+Z = A Omega as wide as the sample, from the same seeded stream, and Q_J is
+the Householder basis of the whole sample below ``lead``, so Q stays
+orthonormal to working precision.  The residual pass is the test of this
+adaptive range finder (Halko, Martinsson and Tropp, sections 4.3-4.4): it
+stops as soon as the residual read so far exceeds the limit below, often
+after one block of rows.  The plain sample of width 2 of a window with no
+border repeats the probe's width and takes no pass.  The dense SVD answers
+when the next sample would pass n/4 columns beyond the ``lead`` ones, or
+when a sample is not finite.
 For any C,
 
     | ||A||_1 - ||C||_1 | <= sqrt(n) ||A - Q C Q^T||_F,
@@ -160,9 +157,8 @@ def _svd_allowance(n: int) -> float:
 
 
 _DENSE_BELOW = 64     # n below which the dense SVD runs without a sketch
-_GROW_FROM = 128      # n from which a basis grows past the probe
+_GROW_FROM = 128      # n from which a basis grows past the split
 _PROBE_WIDTH = 2      # the first sample, tried at every n >= _DENSE_BELOW
-_BLOCK = 8            # columns of each fresh sample that estimates the residual
 _BLOCK_BYTES = 2**19  # bytes of one block of the residual A - QB, which is never formed whole
 
 
@@ -228,13 +224,6 @@ class _Matrix(_Operator):
 
     def dense(self):
         return self.m
-
-
-def _sample(op: _Operator, omega: np.ndarray) -> np.ndarray | None:
-    """A Omega, or None when it is not finite."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        y = op.matmul(omega)
-    return y if _all_finite(y) else None
 
 
 def _basis(sample: np.ndarray, lead: int) -> np.ndarray:
@@ -373,20 +362,6 @@ class _Factorization:
         return u, s, vh
 
 
-def _predicted_width(estimates: list[tuple[int, float]], limit: float) -> float:
-    """The width at which the residual estimate reaches ``limit``, extrapolated
-    geometrically from the last two (width, estimate) pairs: the last width
-    when there is one pair or the last estimate is at most the limit, inf
-    when the estimates do not decrease."""
-    k1, e1 = estimates[-1]
-    if len(estimates) == 1 or e1 <= limit:
-        return k1
-    k0, e0 = estimates[-2]
-    if not e1 < e0:
-        return math.inf
-    return k1 + (k1 - k0) * math.log(e1 / limit) / math.log(e0 / e1)
-
-
 def _factorize(op: _Operator) -> _Factorization:
     """The :class:`_Factorization` of the window A, from the first basis that
     certifies its residual, or the dense A below 64 rows and when no basis
@@ -405,7 +380,9 @@ def _factorize(op: _Operator) -> _Factorization:
 
     def draw(width):
         draws.append(width)
-        return _sample(op, rng.standard_normal((n, width)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = op.matmul(rng.standard_normal((n, width)))
+        return y if _all_finite(y) else None
 
     if n < _DENSE_BELOW:
         return result("dense")
@@ -423,39 +400,17 @@ def _factorize(op: _Operator) -> _Factorization:
         return result("dense")
     rng = np.random.default_rng(0)
     sample = draw(_PROBE_WIDTH)
-    if sample is None:
-        return result("dense")
-    q = _basis(sample, lead)
-    if lead:  # the split
-        found = certify(q, lead)
-        if found is not None:
-            return result("split", q, found)
-    if n < _GROW_FROM:
-        return result("dense")
-    estimates = []
-    while True:
-        fresh = draw(_BLOCK)
-        if fresh is None:
-            break
-        k, qj, z = sample.shape[1], q[lead:, lead:], fresh[lead:]
-        # E ||(I - Q Q*) A omega||^2 = ||A - Q Q* A||_F^2 for a Gaussian column omega,
-        # and (I - Q Q*) A omega is 0 on the lead rows
-        estimates.append((k, float(np.linalg.norm(z - qj @ (qj.conj().T @ z))) / math.sqrt(_BLOCK)))
-        if estimates[-1][1] <= limit:
+    while sample is not None:
+        k = sample.shape[1]
+        if lead or k > _PROBE_WIDTH:  # a plain sample of the probe's width takes no pass
+            q = _basis(sample, lead)
             found = certify(q, lead)
             if found is not None:
-                return result("grown", q, found)
-        predicted = _predicted_width(estimates, limit)
-        if predicted > n / 4 or k + _BLOCK > n / 4:
+                return result("split" if k == _PROBE_WIDTH else "grown", q, found)
+        if n < _GROW_FROM or 2 * k > n / 4:
             break
-        parts = [sample, fresh]
-        extra = min(math.ceil(predicted) + _BLOCK, n // 4) - k - _BLOCK
-        if extra > 0:
-            parts.append(draw(extra))
-            if parts[-1] is None:
-                break
-        sample = np.hstack(parts)
-        q = _basis(sample, lead)
+        fresh = draw(k)
+        sample = None if fresh is None else np.hstack((sample, fresh))
     return result("dense")
 
 

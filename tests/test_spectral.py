@@ -368,8 +368,13 @@ def test_plain_symmetric_matrix_takes_the_dense_sum_without_a_sample(monkeypatch
 
 
 def test_trace_norm_falls_back_to_the_dense_sum_at_full_rank():
+    # no basis certifies: the sample doubles from 2 to n/4 = 64 columns, each
+    # width past the probe's taking one failed pass, and the dense SVD answers
     m = low_rank_symmetric(np.random.default_rng(22), 256, None, 1.0)
-    assert trace_norm(_Matrix(m)) == dense_trace_norm(m)
+    f = _factorize(_Matrix(m))
+    assert (f.path, f.draws) == ("dense", (2, 2, 4, 8, 16, 32))
+    assert f.passes == tuple((0, 2**j, False) for j in range(1, 7))
+    assert trace_norm(_Matrix(m)) == f.trace_norm == dense_trace_norm(m)
 
 
 def test_trace_norm_reads_the_residual_of_every_row_block():
@@ -420,8 +425,8 @@ def test_trace_norm_reads_the_doubled_upper_residual_of_a_symmetric_matrix():
 
 
 def test_range_finder_answers_a_low_rank_window_with_one_small_svd(monkeypatch):
-    # rank 3: the probe fails, the first fresh block widens the basis to 10
-    # columns, and the next block's estimate lets it certify
+    # rank 3: the probe fails, the plain sample of width 2 takes no pass, and
+    # a fresh draw of 2 doubles it to a basis of 4 columns that certifies
     shapes = []
     svd = np.linalg.svd
 
@@ -431,7 +436,7 @@ def test_range_finder_answers_a_low_rank_window_with_one_small_svd(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", recording_svd)
     trace_norm(_Matrix(low_rank_symmetric(np.random.default_rng(26), 512, 3, 1.0)))
-    assert shapes == [(10, 10)]
+    assert shapes == [(4, 4)]
 
 
 def test_width_two_probe_answers_a_rank_one_window(monkeypatch):
@@ -448,15 +453,16 @@ def test_width_two_probe_answers_a_rank_one_window(monkeypatch):
 
 def test_grown_basis_extends_the_probe_sample():
     # one seeded stream, drawn after the probe fails: the first sample of
-    # width 2, then fresh blocks of 8; the basis is the Householder Q of the whole
-    # sample so far, and the trace norm is that of its core C = Q* A conj(Q)
+    # width 2, then a fresh draw as wide as the sample, which doubles it; the
+    # basis is the Householder Q of the whole sample so far, and the trace
+    # norm is that of its core C = Q* A conj(Q)
     m = low_rank_symmetric(np.random.default_rng(26), 512, 3, 1.0)
     rng = np.random.default_rng(0)
-    probe = m @ rng.standard_normal((512, 2))
-    first_block = m @ rng.standard_normal((512, 8))
-    q, _ = np.linalg.qr(np.hstack([probe, first_block]))
+    first = m @ rng.standard_normal((512, 2))
+    fresh = m @ rng.standard_normal((512, 2))
+    q, _ = np.linalg.qr(np.hstack([first, fresh]))
     f = _factorize(_Matrix(m))
-    assert np.array_equal(f.basis, q) and (f.path, f.draws) == ("grown", (2, 8, 8))
+    assert np.array_equal(f.basis, q) and (f.path, f.draws, f.width) == ("grown", (2, 2), 4)
     assert np.linalg.norm(f.core - q.conj().T @ m @ q.conj()) <= 1e-13 * np.linalg.norm(m)
     assert trace_norm(_Matrix(m)) == float(np.sum(np.linalg.svd(f.core, compute_uv=False)))
 
@@ -526,11 +532,11 @@ def check_certified_factorization(op, f):
 
     A basis with a border (a certifying pass whose lead is m > 0, the split
     or a growth below it) has Q = E_m (+) Q_J, E_m the first m =
-    ``border_rows`` unit vectors, exactly, and 2 to n/4 columns in Q_J.  Then
-    the m x m corner of the residual is 0, and its half-width is the dense
-    residual plus sqrt(n) term, within rounding: the mirrored part differs
-    from the dense one by the rounding of B, which is far below its bound
-    ``term`` here."""
+    ``border_rows`` unit vectors, exactly, and 2, 4, 8, ... up to n/4
+    columns in Q_J, the doubled sample.  Then the m x m corner of the
+    residual is 0, and its half-width is the dense residual plus sqrt(n)
+    term, within rounding: the mirrored part differs from the dense one by
+    the rounding of B, which is far below its bound ``term`` here."""
     q_basis, c, half_width = f.basis, f.core, f.half_width
     assert q_basis is not None and f.passes[-1][1:] == (f.width, True)
     n, k = op.shape[0], f.width
@@ -690,7 +696,7 @@ def test_real_windows_reach_the_real_svd(monkeypatch):
     (lambda: spherical_symbol(3, s=0.4j), 3, 320, "probe", 2, True),
     (lambda: spherical_symbol(3, s=0.4j), 2, 256, "split", 61, True),
     (lambda: spherical_symbol(2, z=complex(0.3, 0.2)), 3, 128, "split", 39, False),
-    (lambda: exponential_sum(THREE_EXPONENTIALS), 2, 256, "grown", 69, False),
+    (lambda: exponential_sum(THREE_EXPONENTIALS), 2, 256, "grown", 63, False),
     (lambda: explicit_symbol(np.random.default_rng(30).standard_normal(300)), 3, 96, "dense", 0, False),
 ], ids=["turned-dense-32", "probe-320", "turned-split-256", "complex-split-128", "grown-256", "dense-after-probe-96"])
 def test_factorization_svd_reproduces_the_window(make, q, n, path, width, turned):
@@ -751,12 +757,12 @@ def test_every_path_of_mismatched_windows_keeps_the_allowance(degrees, n, re_z, 
 def test_a_failed_split_grows_below_the_border():
     # 0.9^n + (-0.8)^n + (0.7i)^n has rank 3 past the border: the probe and
     # the split pass fail, and the growth keeps the 59 border rows as unit
-    # vectors and adds a fresh block of 8 from the same stream to the sample
-    # below them
+    # vectors and doubles the sample below them with a fresh draw of 2 from
+    # the same stream
     op = _ResolventImage(build_hankel(exponential_sum(THREE_EXPONENTIALS), 256), 2)
     f = _factorize(op)
-    assert check_certified_factorization(op, f) == 69
-    assert (f.path, f.draws, f.passes) == ("grown", (2, 8, 8), ((0, 2, False), (59, 61, False), (59, 69, True)))
+    assert check_certified_factorization(op, f) == 63
+    assert (f.path, f.draws, f.passes) == ("grown", (2, 2), ((0, 2, False), (59, 61, False), (59, 63, True)))
 
 
 def test_plain_matrices_and_infinite_degree_have_no_border():
@@ -790,23 +796,39 @@ def test_corpus_norms_take_their_pinned_paths():
             assert (f.path, len(f.draws), len(f.passes)) == CORPUS_PATHS.get((k, q), ("dense", 0, 0)), (k, q)
 
 
-# the window of 0.9^n + (-0.8)^n + (0.7i)^n (rank 3 past the border) read at
-# degree q, N rows: (lead, width) of the basis that certifies.  The probe
-# fails, the split fails on the sample of width 2 drawn after it, one block
-# of 8 joins that sample below the border, and the next block's estimate lets
-# the pass certify
+# (symbol, degree q, N rows): (lead, width, draws) of the basis that
+# certifies.  The window of 0.9^n + (-0.8)^n + (0.7i)^n has rank 3 past the
+# border: the probe fails, the split fails on the sample of width 2 drawn
+# after it (with no border that sample takes no pass), and one fresh draw of
+# 2 doubles the sample below the border to a basis that certifies.  The
+# window of 80 complex Gaussian values from default_rng(80), over 80, has
+# rank 80, which the sample reaches after five doublings past the border, or
+# six with none
 GROWN_PATHS = {
-    (2, 128): (59, 69), (2, 256): (59, 69), (3, 128): (37, 47), (3, 256): (37, 47),
-    (5, 128): (25, 35), (5, 256): (25, 35), (INF, 128): (0, 10), (INF, 256): (0, 10),
+    ("three", 2, 128): (59, 63, (2, 2)), ("three", 2, 256): (59, 63, (2, 2)),
+    ("three", 3, 128): (37, 41, (2, 2)), ("three", 3, 256): (37, 41, (2, 2)),
+    ("three", 5, 128): (25, 29, (2, 2)), ("three", 5, 256): (25, 29, (2, 2)),
+    ("three", INF, 128): (0, 4, (2, 2)), ("three", INF, 256): (0, 4, (2, 2)),
+    ("values80", 3, 512): (37, 101, (2, 2, 4, 8, 16, 32)),
+    ("values80", INF, 512): (0, 128, (2, 2, 4, 8, 16, 32, 64)),
+}
+GROWN_SYMBOLS = {
+    "three": lambda: exponential_sum(THREE_EXPONENTIALS),
+    "values80": lambda: explicit_symbol(random_complex(np.random.default_rng(80), 1, 80)[0] / 80),
 }
 
 
-@pytest.mark.parametrize("q, n", list(GROWN_PATHS), ids=[f"q{q}-{n}" for q, n in GROWN_PATHS])
-def test_three_exponentials_take_their_pinned_growth(q, n):
-    f = _factorize(_ResolventImage(build_hankel(exponential_sum(THREE_EXPONENTIALS), n), q))
-    lead, width = GROWN_PATHS[q, n]
-    assert (f.path, f.width, f.draws) == ("grown", width, (2, 8, 8))
+@pytest.mark.parametrize("name, q, n", list(GROWN_PATHS), ids=[
+    f"q{q}-{n}" if name == "three" else f"{name}-q{q}-{n}" for name, q, n in GROWN_PATHS
+])
+def test_three_exponentials_take_their_pinned_growth(name, q, n):
+    op = _ResolventImage(build_hankel(GROWN_SYMBOLS[name](), n), q)
+    f = _factorize(op)
+    lead, width, draws = GROWN_PATHS[name, q, n]
+    assert (f.path, f.width, f.draws) == ("grown", width, draws) and width - lead <= n / 4
     assert f.passes[-1] == (lead, width, True) and not any(found for *_, found in f.passes[:-1])
+    assert check_certified_factorization(op, f) == width
+    assert abs(f.trace_norm - dense_trace_norm(op.dense())) <= spectral._svd_allowance(n)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
